@@ -21,9 +21,10 @@ test:
 
 # The concurrency gate: race-enabled tests of every code path that runs on
 # or feeds the worker-pool engine, plus the intra-simulation shard runners
-# (internal/parallel barrier pool and the gpu/chiplet sharded loops'
-# randomized cross-shard stress cells, quantum windows included — see
-# docs/PARALLELISM.md). The harness run is restricted to its concurrency
+# (internal/parallel's fork-join pool — its wait-ladder tests at GOMAXPROCS=1
+# and with two pools oversubscribing two processors run here — and the
+# gpu/chiplet sharded loops' randomized cross-shard stress cells, quantum
+# windows included — see docs/PARALLELISM.md). The harness run is restricted to its concurrency
 # tests (singleflight, pre-warm, progress) and the gpu/chiplet runs to the
 # sharded stress/abort cells because the rest of those suites is sequential
 # simulation that the race detector slows ~7x for no extra coverage;
@@ -40,10 +41,12 @@ race: noalloc
 # The zero-cost-when-disabled guard: with a nil observer the simulator hot
 # path must not allocate — neither the observability hooks themselves nor a
 # post-warm-up steady-state kernel run (warp ticks, CTA launches, cache and
-# MSHR traffic, event-skip bookkeeping). Run without -race (see above).
+# MSHR traffic, event-skip bookkeeping) — and a sharded run loop's phase
+# fork-join (Pool.Run) must not either. Run without -race (see above).
 noalloc:
 	$(GO) test -run 'TestNilObserverNoAllocs' .
 	$(GO) test -run 'TestNilHooksNoAllocs' ./internal/obs/
+	$(GO) test -run 'TestPoolRunNoAllocs' ./internal/parallel/
 	$(GO) test -run 'TestSteadyStateNoAllocs' ./internal/gpu/ ./internal/chiplet/
 
 # The performance regression harness. BenchmarkSimulatorHotPath compares

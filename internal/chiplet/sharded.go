@@ -378,7 +378,7 @@ func (sh *shard) CycleEnd(now int64) {}
 // runSharded is the sharded run loop: runEvent's control flow with Step
 // replaced by the barrier protocol described at the top of this file.
 func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
-	pool := parallel.NewPoolLabeled(len(s.shards), "mcm")
+	pool := parallel.NewPoolLabeled(ctx, len(s.shards), "mcm")
 	defer pool.Close()
 	phaseA := func(i int) { s.shards[i].phaseA() }
 	phaseB := func(i int) { s.shards[i].phaseB() }

@@ -1,38 +1,51 @@
 // Sharded execution mode for the monolithic GPU: the package's SMs are
 // partitioned into contiguous groups ("shards"), each driven by its own
-// goroutine over a private timing kernel, synchronised at a cycle barrier
-// by an internal/parallel pool. Results are bit-identical to the sequential
-// event loop — the contract and the determinism argument live in
+// goroutine over a private timing kernel, synchronised once per parallel
+// phase by an internal/parallel fork-join pool (shard 0 runs on the
+// coordinating goroutine itself). Results are bit-identical to the
+// sequential event loop — the contract and the determinism argument live in
 // docs/PARALLELISM.md. The protocol is the MCM simulator's (see
 // internal/chiplet/sharded.go) with one structural difference: the
 // monolithic NoC/LLC/DRAM path is a single shared resource domain (one
 // bisection server feeding every LLC slice), so there is no per-owner
-// parallel replay phase — deferred post-L1 accesses are replayed serially
-// by the coordinator at the barrier, in ascending shard id (= ascending
-// global SM id, since shards own contiguous SM ranges), which is exactly
-// the sequential drain's within-cycle access order. Replaying at the same
-// barrier also means wake-up repairs land immediately, before the advance
-// decision, instead of next cycle.
+// parallel replay phase — deferred post-L1 accesses are stamped serially by
+// the coordinator between phases, in ascending shard id (= ascending global
+// SM id, since shards own contiguous SM ranges), which is exactly the
+// sequential drain's within-cycle access order. Everything that touches an
+// SM's own structures — the MSHR allocation, the warp wake-up repair, the
+// kernel reschedule — is applied by the shard that owns the SM, at the head
+// of its next parallel phase, so the coordinator never writes (or reads, in
+// barrier mode) worker-owned SM, MSHR or kernel state.
 //
 // Per visited cycle:
 //
 //  1. Serial: CTA refills, grid barrier, termination, cancellation, cycle
 //     limit — the same control flow runEvent runs between Steps.
-//  2. Phase A (parallel, per shard): TickCycle on the shard's kernel. An
-//     SM access that misses (or bypasses) its private L1 is recorded in
-//     the shard's deferred list instead of being resolved, and the issuing
-//     warp parks at a provisional far-future wake-up; L1 hits and MSHR
-//     merges resolve locally (they touch only the SM's own structures),
-//     accruing into shard-local counters.
+//  2. Phase A (parallel, per shard): apply the previous cycle's fix-ups
+//     (applyFixups: MSHR allocation, wake-up repair and reschedule from the
+//     completion cycles the coordinator stamped), then TickCycle on the
+//     shard's kernel. An SM access that misses (or bypasses) its private
+//     L1 is recorded in the shard's deferred list instead of being
+//     resolved, and the issuing warp parks at a provisional far-future
+//     wake-up; L1 hits and MSHR merges resolve locally (they touch only
+//     the SM's own structures), accruing into shard-local counters.
 //  3. Serial: merge issue/live/dirty/counter deltas; replay the deferred
 //     accesses against the shared crossbar/LLC/DRAM in ascending shard id,
-//     repairing each load's warp wake-up; charge SimEvents; run the
+//     stamping each record's completion cycle; charge SimEvents; run the
 //     warm-up check (FinishCycle runs here, serially, until warm-up
 //     settles, so a reset still precedes the triggering cycle's
 //     classification exactly as the sequential ordering has it).
 //  4. Serial: advance every kernel to the same next cycle — now+1 if
 //     anything issued, else the minimum NextPending across shards — or,
 //     with Options.Quantum set, open a barrier-free window (below).
+//
+// Repairing a wake-up one phase late is safe because a deferring cycle
+// always issued (the deferred access is an issue): step 4 takes the now+1
+// branch without consulting any kernel's pending wake-ups, so the
+// provisional cycle is never read, and nothing else looks at the warp, its
+// MSHR file or its kernel entry before the owning shard's next phase —
+// Lookup/Full/Expire run inside the SM's own Tick, and a CTA launch in
+// step 1 only ever schedules a unit earlier, which applyFixups respects.
 //
 // # Quantum-relaxed barriers
 //
@@ -66,9 +79,9 @@ import (
 	"gpuscale/internal/trace"
 )
 
-// provisionalWake parks a deferred load's warp until the barrier replay
-// repairs it. Must sort after any real wake-up; never consulted by the
-// advance decision (a deferring cycle always issued).
+// provisionalWake parks a deferred load's warp until the owning shard's
+// next applyFixups repairs it. Must sort after any real wake-up; never
+// consulted by the advance decision (a deferring cycle always issued).
 const provisionalWake = int64(1) << 62
 
 // maxQuantum caps Options.Quantum: it sizes the per-shard visited bitmaps
@@ -77,8 +90,9 @@ const provisionalWake = int64(1) << 62
 const maxQuantum = 4096
 
 // deferredAccess is one post-L1 access recorded during the parallel tick
-// phase and replayed serially at the barrier. The issuing shard writes
-// every field; only the coordinator reads them.
+// phase. The issuing shard writes every field but t in phase A; the
+// coordinator's serial replay stamps t; the issuing shard reads the record
+// back, and clears the list, at the head of its next parallel phase.
 type deferredAccess struct {
 	m       *sm.SM
 	f       *cache.MSHRFile
@@ -86,8 +100,9 @@ type deferredAccess struct {
 	warp    int // issuing warp slot; -1 for stores (no wake-up to repair)
 	line    uint64
 	key     uint64 // MSHR merge key (== line unless the L1 is sectored)
-	arrival int64 // issue cycle, pushed past a full MSHR's next completion
+	arrival int64  // issue cycle, pushed past a full MSHR's next completion
 	issueAt int64
+	t       int64 // true completion cycle, stamped by replayDeferred
 	load    bool
 	bypass  bool
 	full    bool
@@ -165,9 +180,10 @@ func (sh *gpuShard) Release(p trace.Program) {
 
 // deferAccess records a post-L1 access for barrier replay and returns the
 // provisional completion. Called from port.Access, inside the issuing SM's
-// Tick, so IssuingWarp identifies the warp whose wake-up the replay must
-// repair. Stores get no repair (the SM ignores their completion) but are
-// still recorded: their bandwidth and LLC effects must replay in order.
+// Tick, so IssuingWarp identifies the warp whose wake-up the next phase's
+// fix-up pass must repair. Stores get no fix-up (the SM ignores their
+// completion) but are still recorded: their bandwidth and LLC effects must
+// replay in order.
 func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, load, bypass, full bool) int64 {
 	m := sh.sim.sms[p.smID]
 	warp := -1
@@ -190,10 +206,50 @@ func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, l
 	return provisionalWake
 }
 
-// phaseA is the parallel tick phase: drain this shard's due units at the
-// current cycle, then (once warm-up has settled) finish the cycle and, in
-// quantum mode, scan this shard's SMs for the window bound.
+// applyFixups lands the previous cycle's deferred loads on this shard's own
+// SMs from the completion cycles the coordinator stamped, then clears the
+// records. Runs at the head of both parallel phases (phaseA and
+// phaseWindow), and serially before an observer sample reads MSHR occupancy.
+func (sh *gpuShard) applyFixups() {
+	for i := range sh.deferred {
+		rec := &sh.deferred[i]
+		if !rec.load {
+			continue
+		}
+		// The MSHR allocation the sequential port did at issue time lands
+		// here instead; nothing can have observed the file in between (the
+		// SM's next Lookup/Full/Expire all happen inside its Tick, after
+		// this pass).
+		if !rec.bypass && !rec.full {
+			rec.f.Allocate(rec.key, rec.t)
+		}
+		rdy := rec.ready()
+		rec.m.FixPendingWake(rec.warp, rdy)
+		// The SM's reported wake had this load parked at the provisional
+		// cycle; fold the true completion in. A CTA launch may already have
+		// scheduled the unit earlier — never push a wake-up back.
+		if w := sh.tk.WakeAt(rec.lu); w == timing.NoWake || rdy < w {
+			sh.tk.Reschedule(rec.lu, rdy)
+		}
+	}
+	sh.deferred = sh.deferred[:0]
+}
+
+// ready is the cycle a stamped load's warp wakes: its completion, under
+// sm.Tick's next-cycle clamp on MemPort results.
+func (rec *deferredAccess) ready() int64 {
+	if rec.t <= rec.issueAt {
+		return rec.issueAt + 1
+	}
+	return rec.t
+}
+
+// phaseA is the parallel tick phase: repair the previous cycle's deferred
+// wake-ups, drain this shard's due units at the current cycle, then (once
+// warm-up has settled) finish the cycle and, in quantum mode, scan this
+// shard's SMs for the window bound.
 func (sh *gpuShard) phaseA() {
+	sh.applyFixups()
 	sh.issued = sh.tk.TickCycle()
 	if sh.sim.shardFinish {
 		sh.tk.FinishCycle()
@@ -210,7 +266,7 @@ func (sh *gpuShard) phaseA() {
 // no-issue cycle no warp is ready (a ready warp would have issued), while
 // after an issue the next cycle IS now+1. Deferred-load warps sit at the
 // provisional far-future wake-up during this scan and are folded in
-// serially once the replay stamps their true completions.
+// serially as the replay stamps their true completions.
 func (sh *gpuShard) memBound() int64 {
 	from := sh.tk.Now() + 1
 	bound := from + int64(sh.sim.quantum) // beyond the cap precision is wasted
@@ -225,10 +281,12 @@ func (sh *gpuShard) memBound() int64 {
 	return bound
 }
 
-// phaseWindow is the parallel quantum phase: run this shard's kernel
-// locally over [winBase, winLimit) with no barrier, recording visited
-// cycles for the coordinator's event/skip accounting.
+// phaseWindow is the parallel quantum phase: repair the entry cycle's
+// deferred wake-ups, then run this shard's kernel locally over
+// [winBase, winLimit) with no barrier, recording visited cycles for the
+// coordinator's event/skip accounting.
 func (sh *gpuShard) phaseWindow() {
+	sh.applyFixups()
 	words := int(sh.sim.winLimit-sh.sim.winBase+63) >> 6
 	vw := sh.visited[:words]
 	for i := range vw {
@@ -283,18 +341,22 @@ func (sh *gpuShard) CycleEnd(now int64) {}
 // replayDeferred resolves the cycle's deferred accesses against the shared
 // crossbar/LLC/DRAM path, walking shards in ascending id — deferred lists
 // are appended in ascending local unit order, so the replay order is
-// ascending global SM id, the sequential within-cycle order. Loads get
-// their MSHR allocation, warp wake-up repair and kernel reschedule here,
-// immediately, so the advance decision below already sees true wake-ups.
+// ascending global SM id, the sequential within-cycle order. It touches
+// only what the coordinator owns: the shared resources, the package's load
+// counters, and each record's completion stamp. The records stay in place
+// for the owning shard's applyFixups, which lands them on the SM, its MSHR
+// file and its kernel entry at the head of the next parallel phase — safe
+// because the advance decision that follows a deferring cycle is always
+// now+1 and never reads a wake-up (see the file comment).
 // Returns the minimum window bound over the replayed loads' warps (the
 // serial fold the parallel phase-A scan cannot see), or its cap when
 // quantum mode is off.
 func (s *Simulator) replayDeferred() int64 {
 	bound := int64(1) << 62
+	nSlices := uint64(len(s.llc))
 	for _, sh := range s.shards {
 		for i := range sh.deferred {
 			rec := &sh.deferred[i]
-			nSlices := uint64(len(s.llc))
 			slice := int(rec.line % nSlices)
 			t := s.xbar.Transfer(rec.arrival, slice, s.xferBytes)
 			t += int64(s.cfg.LLCHitLatency)
@@ -306,33 +368,18 @@ func (s *Simulator) replayDeferred() int64 {
 				t += int64((rec.line * 0x9e3779b9 >> 13) % 13)
 			}
 			t += int64(s.cfg.NoCBaseLatency)
-			if rec.load && !rec.bypass && !rec.full {
-				rec.f.Allocate(rec.key, t)
-			}
+			rec.t = t
 			if rec.load {
 				s.loads++
 				s.loadLat += uint64(t - rec.issueAt)
 				s.loadHist.Observe(float64(t - rec.issueAt))
-				rdy := t
-				if rdy <= rec.issueAt {
-					rdy = rec.issueAt + 1 // sm.Tick's next-cycle clamp
-				}
-				rec.m.FixPendingWake(rec.warp, rdy)
-				// The SM's reported wake had this load parked at the
-				// provisional cycle; fold the true completion in. A CTA
-				// launch may already have scheduled the unit earlier —
-				// never push a wake-up back.
-				if w := sh.tk.WakeAt(rec.lu); w == timing.NoWake || rdy < w {
-					sh.tk.Reschedule(rec.lu, rdy)
-				}
 				if s.quantum > 0 {
-					if b := rec.m.WarpMemEventBound(rec.warp, rdy); b < bound {
+					if b := rec.m.WarpMemEventBound(rec.warp, rec.ready()); b < bound {
 						bound = b
 					}
 				}
 			}
 		}
-		sh.deferred = sh.deferred[:0]
 	}
 	return bound
 }
@@ -340,7 +387,7 @@ func (s *Simulator) replayDeferred() int64 {
 // runSharded is the sharded run loop: runEvent's control flow with Step
 // replaced by the barrier protocol described at the top of this file.
 func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
-	pool := parallel.NewPoolLabeled(len(s.shards), "gpu")
+	pool := parallel.NewPoolLabeled(ctx, len(s.shards), "gpu")
 	defer pool.Close()
 	phaseA := func(i int) { s.shards[i].phaseA() }
 	phaseW := func(i int) { s.shards[i].phaseWindow() }
@@ -422,8 +469,7 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 		if !issued && !s.opt.DisableEventSkip {
 			// Event-skip: the earliest pending wake-up across all shards,
 			// exactly Step's decision over one global kernel. No provisional
-			// wake can be consulted here — a deferring cycle always issued,
-			// and its repair has already landed above.
+			// wake can be consulted here — a deferring cycle always issued.
 			next = timing.NoWake
 			for _, sh := range s.shards {
 				if p := sh.tk.NextPending(); p != timing.NoWake && (next == timing.NoWake || p < next) {
@@ -461,6 +507,12 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 		}
 		s.now = next
 		if s.stream != nil && s.now >= s.nextSample {
+			// The sample reads MSHR occupancy, which the sequential loop
+			// updated at issue: land the cycle's fix-ups now (the shards are
+			// quiescent between phases) instead of at the next phase's head.
+			for _, sh := range s.shards {
+				sh.applyFixups()
+			}
 			s.sampleObs()
 			for s.nextSample <= s.now {
 				s.nextSample += s.sampleEvery

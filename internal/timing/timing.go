@@ -59,8 +59,9 @@
 // # Phase API and barrier ordering
 //
 // Step is also exposed as its composable phases, which is how the sharded
-// MCM run loop (internal/chiplet with Options.Shards > 1, coordinated by
-// internal/parallel) drives one private Kernel per shard in lockstep:
+// run loops (internal/gpu and internal/chiplet with Options.Shards > 1,
+// coordinated by internal/parallel) drive one private Kernel per shard in
+// lockstep:
 //
 //   - TickCycle drains the current cycle's due units (ascending unit id
 //     within each shard's kernel) and reports whether any unit issued.
