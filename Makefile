@@ -1,11 +1,11 @@
 # Development targets. `make quick` is the fast pre-commit gate; `make
 # verify` is the full tier-1 gate (ROADMAP.md) plus static analysis, the
 # race-enabled concurrency tests guarding the parallel experiment engine,
-# and the deprecated-API usage gate.
+# and the uarch dispatch gate.
 
 GO ?= go
 
-.PHONY: build vet short test race quick verify noalloc deprecated-gate smoke bench bench-check
+.PHONY: build vet short test race quick verify noalloc uarch-gate smoke bench
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,8 @@ test:
 # or feeds the worker-pool engine, plus the intra-simulation shard runners
 # (internal/parallel's fork-join pool — its wait-ladder tests at GOMAXPROCS=1
 # and with two pools oversubscribing two processors run here — and the
-# gpu/chiplet sharded loops' randomized cross-shard stress cells, quantum
-# windows included — see docs/PARALLELISM.md). The harness run is restricted to its concurrency
+# gpu/chiplet sharded loops' randomized cross-shard stress cells — see
+# docs/PARALLELISM.md). The harness run is restricted to its concurrency
 # tests (singleflight, pre-warm, progress) and the gpu/chiplet runs to the
 # sharded stress/abort cells because the rest of those suites is sequential
 # simulation that the race detector slows ~7x for no extra coverage;
@@ -34,7 +34,7 @@ test:
 # observability path runs as a separate non-race step (noalloc).
 race: noalloc
 	$(GO) test -race -short ./internal/engine/... ./internal/mrc/... ./internal/obs/... ./internal/parallel/... ./internal/server/... ./internal/uarch/...
-	$(GO) test -race -short -run 'Singleflight|Prewarm|Parallel|ResultStore|Deprecated' ./internal/harness/
+	$(GO) test -race -short -run 'Singleflight|Prewarm|Parallel|ResultStore' ./internal/harness/
 	$(GO) test -race -short -run 'TestShardedRandomCrossTrafficStress|TestShardedMaxCyclesAborts' ./internal/chiplet/
 	$(GO) test -race -short -run 'TestGPUShardedRandomCrossTrafficStress|TestGPUShardedMaxCyclesAborts' ./internal/gpu/
 
@@ -49,64 +49,21 @@ noalloc:
 	$(GO) test -run 'TestPoolRunNoAllocs' ./internal/parallel/
 	$(GO) test -run 'TestSteadyStateNoAllocs' ./internal/gpu/ ./internal/chiplet/
 
-# The performance regression harness. BenchmarkSimulatorHotPath compares
-# the event-driven run loop against the dense legacy baseline on full
-# kernels and writes the machine-readable summary (simulated Mcycles/s,
-# events/s, event-vs-legacy speedup) to BENCH_hotpath.json; the micro and
-# figure benchmarks track the component hot paths and the paper pipeline,
-# and BenchmarkAnalyticPredict merges the analytic tier's per-request cost
-# and analytic-vs-cycle speedup columns into the same summary.
-# Compare runs with `go run golang.org/x/perf/cmd/benchstat` if available,
-# or diff BENCH_hotpath.json.
+# The repository benchmark (contract in BENCHMARK.json, method in
+# bench/README.md): five workloads from SM tick to gpuscaled response bytes.
+# Its own output checks fail the run; compare two result sets written with
+# -out using `go run ./bench -compare old.json new.json`. Needs an idle
+# host — do not build or test while it runs.
 bench:
-	BENCH_HOTPATH_JSON=$(CURDIR)/BENCH_hotpath.json \
-		$(GO) test -run XXX -bench 'BenchmarkSimulatorHotPath|BenchmarkSteadyStateCycle' \
-		-benchmem ./internal/gpu/
-	$(GO) test -run XXX -bench 'BenchmarkCacheAccess|BenchmarkMSHR' -benchmem ./internal/cache/
-	BENCH_HOTPATH_JSON=$(CURDIR)/BENCH_hotpath.json \
-		$(GO) test -run XXX -bench 'BenchmarkFigure|BenchmarkTable|BenchmarkAnalyticPredict' \
-		-benchmem -benchtime 1x .
+	$(GO) run ./bench
 
-# The throughput regression guard: re-runs the hot-path cells three times
-# and fails if any cell's best simMcyc/s drops more than 20% below the
-# committed BENCH_hotpath.json. Best-of-three absorbs background load
-# spikes (a real regression slows every run); CI runs it as a separate
-# non-blocking job.
-bench-check:
-	$(GO) run ./cmd/benchcheck -baseline $(CURDIR)/BENCH_hotpath.json
-
-# The API migration gate, three scans:
-#   1. The deprecated facade entry points (Simulate, SimulateWithOptions,
-#      SimulateSequence, SimulateMCM) may be called only by their wrappers
-#      in gpuscale.go and by gpuscale_deprecated_test.go, which pins the
-#      wrapper/Context-form agreement. Everything else — commands,
-#      examples, internal packages, the other facade tests — must use the
-#      context-aware API.
-#   2. The deprecated harness setters (SetParallel, SetProgress,
-#      SetObserver, SetMCMShards) may be called only by
-#      internal/harness/deprecated*.go; everything else must pass
-#      functional options to harness.New.
-#   3. Every switch dispatching over uarch variant values ("case uarch.X")
-#      must carry a panicking default, so adding a new variant axis value
-#      fails loudly at every dispatch site instead of silently simulating
-#      the baseline. Validation lives in internal/uarch (whose own
-#      unqualified switches return errors and are exempt); dispatch sites
-#      validate first and treat an unmatched value as unreachable.
-deprecated-gate:
-	@bad=$$(grep -rnE 'gpuscale\.(Simulate|SimulateWithOptions|SimulateSequence|SimulateMCM)\(' \
-		cmd/ examples/ internal/ bench_test.go gpuscale_obs_test.go \
-		gpuscale_test.go gpuscale_seq_test.go request_test.go 2>/dev/null); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated simulation entry points in use (switch to SimulateContext/SimulateSequenceContext/SimulateMCMContext):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rnE '\.Set(Parallel|Progress|Observer|MCMShards)\(' \
-		cmd/ examples/ internal/ bench_test.go gpuscale_obs_test.go 2>/dev/null \
-		| grep -v 'internal/harness/deprecated'); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated harness setters in use (pass harness options to New: WithParallel, WithProgress, WithObserver, WithMCMShards):"; \
-		echo "$$bad"; exit 1; \
-	fi
+# Every switch dispatching over uarch variant values ("case uarch.X") must
+# carry a panicking default, so adding a new variant axis value fails loudly
+# at every dispatch site instead of silently simulating the baseline.
+# Validation lives in internal/uarch (whose own unqualified switches return
+# errors and are exempt); dispatch sites validate first and treat an
+# unmatched value as unreachable.
+uarch-gate:
 	@bad=$$(grep -rlE 'case uarch\.' cmd/ examples/ internal/ *.go 2>/dev/null \
 	| grep -v '^internal/uarch/' | sort | xargs -r awk ' \
 		FNR == 1 { sp = 0 } \
@@ -123,7 +80,7 @@ deprecated-gate:
 		echo "uarch dispatch switches must panic in default (validate first; see docs/UARCH.md):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@echo "deprecated-gate: ok"
+	@echo "uarch-gate: ok"
 
 # The daemon smoke test: boots an in-process gpuscaled, round-trips a
 # /v1/predict twice, and asserts the byte-identical cache hit, the
@@ -131,6 +88,6 @@ deprecated-gate:
 smoke:
 	$(GO) run ./cmd/gpuscaled -smoke
 
-quick: build vet race short deprecated-gate smoke
+quick: build vet race short uarch-gate smoke
 
-verify: build vet race test deprecated-gate smoke
+verify: build vet race test uarch-gate smoke

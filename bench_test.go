@@ -564,7 +564,7 @@ func BenchmarkAblationWarpScheduler(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfgLRR := cfg
-	cfgLRR.WarpScheduler = "lrr"
+	cfgLRR.Uarch.Scheduler = gpuscale.SchedLRR
 	cfgLRR.Name = cfg.Name + "-lrr"
 	lrr, err := gpuscale.SimulateContext(context.Background(), cfgLRR, bench.Workload)
 	if err != nil {

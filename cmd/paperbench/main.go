@@ -27,9 +27,10 @@
 // and live progress (jobs done, simulated cycles/sec, ETA) is reported on
 // stderr. -shards parallelises *within* each simulation instead (per-SM-
 // group shard runners on the monolithic simulator, per-chiplet-group on
-// the MCM one, see docs/PARALLELISM.md), and -quantum relaxes the sharded
-// barrier cadence — both bit-identical at any setting, and composable
-// with -parallel.
+// the MCM one, see docs/PARALLELISM.md) — bit-identical at any setting and
+// composable with -parallel, but it pays only at target sizes (>= 64 SMs
+// per shard) and slows the 8/16-SM scale models down, which -parallel
+// already covers.
 //
 // The shared observability flags (see cmd/internal/cliutil) attach one
 // recorder to every simulation the selected experiments run: -trace-out
@@ -55,8 +56,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate (table1..table5, fig1..fig8, artifact, all)")
 	csvDir := flag.String("csv", "", "also export raw results as CSV files into this directory")
-	shards := flag.Int("shards", 0, "run each simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential)")
-	quantum := flag.Int("quantum", 0, "relax the sharded barrier to at most this many cycles per safe window (bit-identical results; needs -shards > 1)")
+	shards := flag.Int("shards", 0, "run each simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential). For target sizes only — measured with 2 shards on 2 vCPUs: 1.24-1.30x on 4-chiplet cells and 1.3x at 128 SMs (>= 64 SMs per shard), 0.37-0.44x on 8/16-SM scale models (<= 8 SMs per shard); use -parallel for scale models")
 	uarchStr := flag.String("uarch", "", "regenerate everything under this microarchitecture variant, e.g. \"two-level,sectored,deflect,iw=2\" (empty = Table III baseline; CHANGES results)")
 	parallel := cliutil.Parallel(flag.CommandLine)
 	quiet := cliutil.Quiet(flag.CommandLine)
@@ -73,7 +73,6 @@ func main() {
 	hopts := []harness.Option{
 		harness.WithParallel(*parallel),
 		harness.WithShards(*shards),
-		harness.WithQuantum(*quantum),
 		harness.WithObserver(observer),
 	}
 	if *uarchStr != "" {

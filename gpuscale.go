@@ -244,19 +244,25 @@ func WithOptions(opt SimOptions) SimOption {
 // docs/PARALLELISM.md for the execution model and why determinism
 // survives). 0 or 1 means sequential; n above the unit count is clamped
 // to it.
+//
+// Sharding is for target-size runs. Measured on a 2-vCPU host
+// (docs/PARALLELISM.md, "Performance expectations"): two shards pay at
+// >= 64 SMs per shard — 1.24–1.30x on 4-chiplet cells, 1.3x at 128 SMs —
+// and lose at <= 8 SMs per shard — 0.37–0.44x on the 8/16-SM scale models.
+// Run scale models sequentially and parallelise across them (RunJobs).
 func WithShards(n int) SimOption {
 	return func(o *SimOptions) { o.Shards = n }
 }
 
-// WithQuantum relaxes the sharded run's per-cycle barrier: shards
-// deterministically compute a safe window — the minimum number of cycles
-// until any of their warps can next touch the shared memory path — and run
-// up to q cycles inside it without synchronising, still bit-identical to
-// the sequential run (docs/PARALLELISM.md explains the safety argument).
-// 0 disables relaxation (barrier every cycle); it has no effect without
-// WithShards(n>1). Large values are clamped to an internal maximum.
-func WithQuantum(q int) SimOption {
-	return func(o *SimOptions) { o.Quantum = q }
+// WithQuantum is accepted and ignored: quantum-relaxed barriers were
+// removed after measuring 0.61x of the per-cycle fork-join
+// (docs/PARALLELISM.md). Its only caller is bench/cycle.go's traced
+// cycle-shard2 run, which this repository's benchmark contract freezes.
+//
+// Deprecated: has no effect; goes with the parallel.quantum_vs_barrier key
+// at the next benchmark-contract revision.
+func WithQuantum(int) SimOption {
+	return func(*SimOptions) {}
 }
 
 // WithUarch selects the microarchitecture variant for this run, overriding
@@ -293,7 +299,7 @@ func SimulateSequenceContext(ctx context.Context, cfg SystemConfig, kernels []Wo
 
 // SimulateMCMContext is SimulateContext on a multi-chiplet GPU. MCM runs
 // honour WithMaxCycles, WithObserver, WithSampleInterval, WithShards and
-// WithQuantum; the remaining options do not apply to the chiplet model and
+// WithUarch; the remaining options do not apply to the chiplet model and
 // are ignored.
 func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts ...SimOption) (MCMStats, error) {
 	var o SimOptions
@@ -305,43 +311,12 @@ func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts
 		Recorder:    o.Recorder,
 		SampleEvery: o.SampleEvery,
 		Shards:      o.Shards,
-		Quantum:     o.Quantum,
 		Uarch:       o.Uarch,
 	})
 	if err != nil {
 		return MCMStats{}, err
 	}
 	return sim.RunContext(ctx)
-}
-
-// Simulate runs workload w to completion on cfg.
-//
-// Deprecated: Use SimulateContext, which adds cancellation and functional
-// options. Simulate(cfg, w) is SimulateContext(context.Background(), cfg, w).
-func Simulate(cfg SystemConfig, w Workload) (SimStats, error) {
-	return SimulateContext(context.Background(), cfg, w)
-}
-
-// SimulateWithOptions is Simulate with explicit struct options.
-//
-// Deprecated: Use SimulateContext with functional options, or bridge an
-// existing SimOptions with WithOptions(opt).
-func SimulateWithOptions(cfg SystemConfig, w Workload, opt SimOptions) (SimStats, error) {
-	return SimulateContext(context.Background(), cfg, w, WithOptions(opt))
-}
-
-// SimulateSequence runs several kernels back to back.
-//
-// Deprecated: Use SimulateSequenceContext.
-func SimulateSequence(cfg SystemConfig, kernels []Workload) (SimStats, error) {
-	return SimulateSequenceContext(context.Background(), cfg, kernels)
-}
-
-// SimulateMCM runs workload w on a multi-chiplet GPU.
-//
-// Deprecated: Use SimulateMCMContext.
-func SimulateMCM(cfg ChipletConfig, w Workload) (MCMStats, error) {
-	return SimulateMCMContext(context.Background(), cfg, w)
 }
 
 // Parallel experiment engine: fan independent simulation jobs across a

@@ -32,8 +32,7 @@ type goldenEntry struct {
 // goldenCells simulates the full golden grid: all 21 strong-scaling
 // benchmarks on the 8- and 16-SM scale models (the two configurations every
 // prediction in the paper is derived from), three sharded monolithic cells
-// (one with quantum-relaxed barriers) byte-identical to their sequential
-// twins, the 4- and 2-chiplet MCM configurations (sequential and sharded),
+// byte-identical to their sequential twins, the 4- and 2-chiplet MCM configurations (sequential and sharded),
 // two weak-scaling MCM cells, three horizon-boundary cells with
 // long-latency DRAM, six microarchitecture-variant cells (two-level,
 // sectored and deflect — monolithic and MCM, each checked against a
@@ -119,40 +118,38 @@ func goldenCells(t *testing.T) []goldenEntry {
 	}
 
 	// Sharded monolithic cells: strong-scaling cells from the grid above
-	// re-run through the per-SM-group shard loop (WithShards), one with
-	// quantum-relaxed barriers (WithQuantum). Bit-identity with the
-	// sequential loop is the sharded loop's contract, so each snapshot here
-	// must be byte-identical to its strong/* twin — pinning them separately
-	// makes a determinism regression in either loop show up as a golden
-	// diff. Additive cells: they extend the snapshot, never replace
-	// existing entries.
+	// re-run through the per-SM-group shard loop (WithShards). Bit-identity
+	// with the sequential loop is the sharded loop's contract, so each
+	// snapshot here must be byte-identical to its strong/* twin — pinning
+	// them separately makes a determinism regression in either loop show up
+	// as a golden diff. Additive cells: they extend the snapshot, never
+	// replace existing entries — which is why the pf cell keeps the label it
+	// was recorded under, "-q64" included, though it is a plain 3-shard run.
 	for _, gc := range []struct {
-		bench   string
-		sms     int
-		shards  int
-		quantum int
-	}{{"bfs", 16, 4, 0}, {"dct", 8, 2, 0}, {"pf", 16, 3, 64}} {
+		label  string
+		bench  string
+		sms    int
+		shards int
+	}{
+		{"gpu-sharded/bfs/16sm-s4", "bfs", 16, 4},
+		{"gpu-sharded/dct/8sm-s2", "dct", 8, 2},
+		{"gpu-sharded/pf/16sm-s3-q64", "pf", 16, 3},
+	} {
 		bench, err := gpuscale.BenchmarkByName(gc.bench)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := []gpuscale.SimOption{gpuscale.WithShards(gc.shards)}
-		label := fmt.Sprintf("gpu-sharded/%s/%dsm-s%d", gc.bench, gc.sms, gc.shards)
-		if gc.quantum > 0 {
-			opts = append(opts, gpuscale.WithQuantum(gc.quantum))
-			label = fmt.Sprintf("%s-q%d", label, gc.quantum)
-		}
-		st, err := gpuscale.SimulateContext(ctx, gpuscale.MustScale(base, gc.sms), bench.Workload, opts...)
+		st, err := gpuscale.SimulateContext(ctx, gpuscale.MustScale(base, gc.sms), bench.Workload, gpuscale.WithShards(gc.shards))
 		if err != nil {
-			t.Fatalf("golden gpu-sharded cell %s: %v", label, err)
+			t.Fatalf("golden gpu-sharded cell %s: %v", gc.label, err)
 		}
 		twin := fmt.Sprintf("strong/%s/%dsm", gc.bench, gc.sms)
 		for _, c := range cells {
 			if c.Label == twin && *c.Sim != st {
-				t.Errorf("%s diverged from its sequential twin %s\n got %+v\nwant %+v", label, twin, st, *c.Sim)
+				t.Errorf("%s diverged from its sequential twin %s\n got %+v\nwant %+v", gc.label, twin, st, *c.Sim)
 			}
 		}
-		cells = append(cells, goldenEntry{Label: label, Sim: &st})
+		cells = append(cells, goldenEntry{Label: gc.label, Sim: &st})
 	}
 
 	// Weak-scaling MCM cells: two Table IV families from the paper's chiplet

@@ -87,7 +87,7 @@ func EstimateCell(cfg config.SystemConfig, w trace.Workload) (Estimate, error) {
 		return Estimate{}, err
 	}
 	sol := solve(monoResources(cfg), f)
-	return applyUarchPenalty(finish(sol, f), cfg.EffectiveUarch()), nil
+	return applyUarchPenalty(finish(sol, f), cfg.Uarch.Normalize()), nil
 }
 
 // EstimateMCM analytically predicts one multi-chip-module cell.
@@ -97,7 +97,7 @@ func EstimateMCM(cfg config.ChipletConfig, w trace.Workload) (Estimate, error) {
 		return Estimate{}, err
 	}
 	sol := solve(mcmResources(cfg), f)
-	return applyUarchPenalty(finish(sol, f), cfg.Chiplet.EffectiveUarch()), nil
+	return applyUarchPenalty(finish(sol, f), cfg.Chiplet.Uarch.Normalize()), nil
 }
 
 // applyUarchPenalty discounts an estimate's confidence for non-default

@@ -119,9 +119,6 @@ type Simulator struct {
 	// arena; nil in sequential mode. See sharded.go and docs/PARALLELISM.md.
 	shards      []*shard
 	shardOfChip []*shard // chiplet → owning shard
-	quantum     int      // barrier-relaxation window cap; 0 = barrier every cycle
-	winBase     int64    // current quantum window, for the shards' phaseWindow
-	winLimit    int64
 
 	// Observability handles; all nil when Options.Recorder is nil.
 	stream      *obs.Stream
@@ -151,13 +148,6 @@ type Options struct {
 	// time differs. 0 or 1 selects the sequential loop; values above
 	// NumChiplets are clamped to it. Incompatible with UseLegacyLoop.
 	Shards int
-	// Quantum, when positive and Shards > 1, relaxes the per-cycle barrier:
-	// each barrier the shards deterministically compute the earliest cycle
-	// any warp could issue a memory instruction or retire, and run
-	// barrier-free up to that bound (capped at Quantum cycles per window).
-	// Results remain bit-identical — the quantum changes only host-side
-	// synchronisation frequency. Ignored unless Shards > 1; capped at 4096.
-	Quantum int
 	// Uarch selects the microarchitecture variant for every chiplet,
 	// overriding a zero cfg.Chiplet.Uarch. Setting both to different values
 	// is an error. The zero value defers entirely to the configuration.
@@ -189,9 +179,6 @@ func New(cfg config.ChipletConfig, w trace.Workload, opt Options) (*Simulator, e
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("chiplet: Shards must be >= 0, got %d", opt.Shards)
 	}
-	if opt.Quantum < 0 {
-		return nil, fmt.Errorf("chiplet: Quantum must be >= 0, got %d", opt.Quantum)
-	}
 	nShards := opt.Shards
 	if nShards > cfg.NumChiplets {
 		nShards = cfg.NumChiplets // more shards than chiplets cannot help
@@ -214,7 +201,7 @@ func New(cfg config.ChipletConfig, w trace.Workload, opt Options) (*Simulator, e
 		s.pageBits++
 	}
 	ch := cfg.Chiplet
-	variant := ch.EffectiveUarch()
+	variant := ch.Uarch.Normalize()
 	s.xferBytes = ch.LineSize
 	s.mshrBits = s.lineBits
 	sectored := variant.L1 == uarch.L1Sectored
@@ -288,10 +275,6 @@ func New(cfg config.ChipletConfig, w trace.Workload, opt Options) (*Simulator, e
 	if nShards > 1 {
 		// Sharded mode: each shard owns a private kernel and arena; the
 		// shard is its kernel's Driver and its SMs' recycler (sharded.go).
-		s.quantum = opt.Quantum
-		if s.quantum > maxQuantum {
-			s.quantum = maxQuantum
-		}
 		s.buildShards(nShards)
 	} else {
 		s.tk = timing.MustNew(timing.Config{Units: total}, s)

@@ -27,21 +27,11 @@
 //     anything issued (a deferred access implies its SM issued, so no
 //     provisional wake-up is ever consulted), else the minimum NextPending
 //     across shards, exactly Step's event-skip decision.
-//
-// With Options.Quantum > 0 the coordinator additionally computes, each
-// barrier, the earliest cycle any warp in the package could issue a memory
-// instruction or retire (sm.MemEventBound per shard in phase A, plus a
-// serial fold of the cycle's deferred loads' stamped completions), and lets
-// the shards run barrier-free up to that bound via timing.RunWindow —
-// the same quantum-relaxation protocol as the monolithic simulator's
-// (internal/gpu/sharded.go), preserving bit-identity; docs/PARALLELISM.md
-// carries the safety argument.
 package chiplet
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"gpuscale/internal/cache"
 	"gpuscale/internal/parallel"
@@ -56,11 +46,6 @@ import (
 // cycle always issued), so its only requirement is to sort after any real
 // wake-up.
 const provisionalWake = int64(1) << 62
-
-// maxQuantum caps Options.Quantum: it sizes the per-shard visited bitmaps
-// and bounds how stale a shard's clock can run ahead of the barrier. Kept
-// equal to the monolithic simulator's cap so the facade documents one value.
-const maxQuantum = 4096
 
 // deferredAccess is one post-L1 memory access recorded during the parallel
 // tick phase, resolved at the cycle barrier. Fields up to full are written
@@ -100,20 +85,13 @@ type shard struct {
 	tk        *timing.Kernel
 	arena     *trace.Arena
 
-	deferred []deferredAccess  // accesses this shard's SMs issued this cycle
-	incoming []*deferredAccess // accesses owned by this shard's chiplets, global order
-	issued   bool
+	deferred  []deferredAccess  // accesses this shard's SMs issued this cycle
+	incoming  []*deferredAccess // accesses owned by this shard's chiplets, global order
+	issued    bool
 	liveDelta int
 	ctaDirty  bool
 	llcAcc    uint64
 	llcMiss   uint64
-
-	// Quantum state (Options.Quantum > 0): the shard's phase-A window
-	// bound, its visited-cycle bitmap over the current window, and its
-	// post-window advance candidate.
-	bound   int64
-	visited []uint64
-	cand    int64
 }
 
 // buildShards partitions the package into n contiguous chiplet groups.
@@ -147,9 +125,6 @@ func (s *Simulator) buildShards(n int) {
 		// append reallocates after construction.
 		sh.deferred = make([]deferredAccess, 0, sh.nUnits)
 		sh.incoming = make([]*deferredAccess, 0, len(s.all))
-		if s.quantum > 0 {
-			sh.visited = make([]uint64, (s.quantum+63)/64)
-		}
 		for c := firstChip; c < sh.endChip; c++ {
 			s.shardOfChip[c] = sh
 		}
@@ -204,7 +179,7 @@ func (sh *shard) deferAccess(p *port, line, key, page uint64, arrival, now int64
 
 // applyFixups repairs the previous cycle's deferred wake-ups from the
 // completion cycles phase B stamped, then clears the records. Runs at the
-// head of both parallel phases (phaseA and phaseWindow).
+// head of phase A.
 func (sh *shard) applyFixups() {
 	for i := range sh.deferred {
 		rec := &sh.deferred[i]
@@ -235,48 +210,11 @@ func (sh *shard) applyFixups() {
 }
 
 // phaseA is the parallel tick phase: repair the previous cycle's deferred
-// wake-ups, drain this shard's due units, and — in quantum mode — scan this
-// shard's SMs for the window bound.
+// wake-ups, then drain this shard's due units.
 func (sh *shard) phaseA() {
 	sh.applyFixups()
 	sh.issued = sh.tk.TickCycle()
 	sh.tk.FinishCycle()
-	if sh.sim.quantum > 0 {
-		sh.bound = sh.memBound()
-	}
-}
-
-// memBound is the shard's half of the quantum bound: the earliest cycle at
-// or after now+1 at which any of its SMs' warps could issue a memory
-// instruction or retire. This cycle's deferred loads sit at the provisional
-// far-future wake-up during this scan; the coordinator folds their stamped
-// completions in serially after phase B.
-func (sh *shard) memBound() int64 {
-	from := sh.tk.Now() + 1
-	bound := from + int64(sh.sim.quantum) // beyond the cap precision is wasted
-	for lu := 0; lu < sh.nUnits; lu++ {
-		if b := sh.sim.all[sh.firstG+lu].m.MemEventBound(from); b < bound {
-			bound = b
-			if bound <= from {
-				break
-			}
-		}
-	}
-	return bound
-}
-
-// phaseWindow is the parallel quantum phase: repair the entry cycle's
-// deferred wake-ups, then run this shard's kernel locally over
-// [winBase, winLimit) with no barrier, recording visited cycles for the
-// coordinator's event accounting.
-func (sh *shard) phaseWindow() {
-	sh.applyFixups()
-	words := int(sh.sim.winLimit-sh.sim.winBase+63) >> 6
-	vw := sh.visited[:words]
-	for i := range vw {
-		vw[i] = 0
-	}
-	sh.cand = sh.tk.RunWindow(sh.sim.winLimit, sh.sim.winBase, vw)
 }
 
 // phaseB replays this shard's incoming accesses — every deferred access
@@ -382,7 +320,6 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 	defer pool.Close()
 	phaseA := func(i int) { s.shards[i].phaseA() }
 	phaseB := func(i int) { s.shards[i].phaseB() }
-	phaseW := func(i int) { s.shards[i].phaseWindow() }
 	iters := 0
 	for {
 		iters++
@@ -422,7 +359,6 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 			nDeferred += len(sh.deferred)
 		}
 		s.events += uint64(len(s.all))
-		winBound := int64(1) << 62
 		if nDeferred > 0 {
 			s.stampOwners()
 			pool.Run(phaseB)
@@ -431,27 +367,6 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 				s.llcMiss += sh.llcMiss
 				sh.llcAcc, sh.llcMiss = 0, 0
 				sh.incoming = sh.incoming[:0]
-			}
-			if s.quantum > 0 {
-				// The phase-A bound scan saw this cycle's deferred loads at
-				// the provisional wake-up; fold their stamped completions in
-				// (the records survive until the next parallel phase's
-				// applyFixups).
-				for _, sh := range s.shards {
-					for i := range sh.deferred {
-						rec := &sh.deferred[i]
-						if !rec.load {
-							continue
-						}
-						rdy := rec.t
-						if rdy <= rec.issueAt {
-							rdy = rec.issueAt + 1
-						}
-						if b := rec.m.WarpMemEventBound(rec.warp, rdy); b < winBound {
-							winBound = b
-						}
-					}
-				}
 			}
 		}
 		next := s.now + 1
@@ -470,27 +385,6 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 				next = s.now + 1
 			}
 		}
-		if s.quantum > 0 && !s.ctaDirty && s.liveTotal > 0 {
-			w := winBound
-			for _, sh := range s.shards {
-				if sh.bound < w {
-					w = sh.bound
-				}
-			}
-			if qcap := next + int64(s.quantum); w > qcap {
-				w = qcap
-			}
-			if s.maxCyc > 0 && w > s.maxCyc+1 {
-				w = s.maxCyc + 1 // post-window check aborts exactly as sequential
-			}
-			if s.stream != nil && w > s.nextSample {
-				w = s.nextSample // samples land on the same cycles as sequential
-			}
-			if w > next+1 {
-				s.runWindow(pool, phaseW, next, w)
-				continue
-			}
-		}
 		for _, sh := range s.shards {
 			sh.tk.AdvanceTo(next)
 		}
@@ -503,56 +397,4 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 		}
 	}
 	return s.stats(), nil
-}
-
-// runWindow executes one quantum window [base, limit): every shard advances
-// to base, runs its kernel locally with no barrier until its own next cycle
-// would reach limit, and the coordinator reconciles at the window barrier —
-// OR-ing the visited bitmaps for the global SimEvents charge and advancing
-// every kernel to the minimum candidate, which equals the sequential
-// advance decision at the last globally-visited cycle. See
-// internal/gpu/sharded.go for the identical protocol and its invariants.
-func (s *Simulator) runWindow(pool *parallel.Pool, phaseW func(int), base, limit int64) {
-	s.winBase, s.winLimit = base, limit
-	for _, sh := range s.shards {
-		sh.tk.AdvanceTo(base)
-	}
-	pool.Run(phaseW)
-	g := timing.NoWake
-	for _, sh := range s.shards {
-		// Tripwires: the bound proved no memory instruction or retirement
-		// could occur before limit; any deferred access or residency change
-		// inside the window is a bound bug, detected here before it can
-		// affect shared state (deferred accesses are recorded, not applied).
-		if len(sh.deferred) != 0 || sh.liveDelta != 0 || sh.ctaDirty {
-			panic(fmt.Sprintf("chiplet: quantum window [%d,%d) violated by shard %d (deferred=%d live=%d dirty=%v)",
-				base, limit, sh.id, len(sh.deferred), sh.liveDelta, sh.ctaDirty))
-		}
-		if sh.cand != timing.NoWake && (g == timing.NoWake || sh.cand < g) {
-			g = sh.cand
-		}
-	}
-	words := int(limit-base+63) >> 6
-	vis := int64(0)
-	for wi := 0; wi < words; wi++ {
-		u := uint64(0)
-		for _, sh := range s.shards {
-			u |= sh.visited[wi]
-		}
-		vis += int64(bits.OnesCount64(u))
-	}
-	s.events += uint64(len(s.all)) * uint64(vis)
-	if g == timing.NoWake || g < limit {
-		g = limit // unreachable with live warps; keeps the clock monotonic
-	}
-	for _, sh := range s.shards {
-		sh.tk.AdvanceTo(g)
-	}
-	s.now = g
-	if s.stream != nil && s.now >= s.nextSample {
-		s.sampleObs()
-		for s.nextSample <= s.now {
-			s.nextSample += s.sampleEvery
-		}
-	}
 }

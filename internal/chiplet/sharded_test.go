@@ -85,11 +85,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 			}
 			seq := run(Options{})
 			for _, shards := range []int{2, 3, 4} {
-				for _, quantum := range []int{0, 64} {
-					if got := run(Options{Shards: shards, Quantum: quantum}); got != seq {
-						t.Errorf("shards=%d quantum=%d stats diverge\nsharded    %+v\nsequential %+v",
-							shards, quantum, got, seq)
-					}
+				if got := run(Options{Shards: shards}); got != seq {
+					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
 				}
 			}
 			// One leg on a single processor: the shard pool may not spin
@@ -101,11 +98,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 				return
 			}
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			for _, quantum := range []int{0, 64} {
-				if got := run(Options{Shards: 3, Quantum: quantum}); got != seq {
-					t.Errorf("GOMAXPROCS=1 shards=3 quantum=%d stats diverge\nsharded    %+v\nsequential %+v",
-						quantum, got, seq)
-				}
+			if got := run(Options{Shards: 3}); got != seq {
+				t.Errorf("GOMAXPROCS=1 shards=3 stats diverge\nsharded    %+v\nsequential %+v", got, seq)
 			}
 		})
 	}
@@ -130,11 +124,8 @@ func TestShardedRandomCrossTrafficStress(t *testing.T) {
 	}
 	seq := run(Options{})
 	for _, shards := range []int{2, 4, 8} {
-		for _, quantum := range []int{0, 256} {
-			if got := run(Options{Shards: shards, Quantum: quantum}); got != seq {
-				t.Errorf("shards=%d quantum=%d stats diverge\nsharded    %+v\nsequential %+v",
-					shards, quantum, got, seq)
-			}
+		if got := run(Options{Shards: shards}); got != seq {
+			t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
 		}
 	}
 }
@@ -147,9 +138,6 @@ func TestShardsValidation(t *testing.T) {
 	w := func() trace.Workload { return streamWorkload(8, 2, 10) }
 	if _, err := New(cfg, w(), Options{Shards: -1}); err == nil {
 		t.Error("negative Shards accepted")
-	}
-	if _, err := New(cfg, w(), Options{Quantum: -1}); err == nil {
-		t.Error("negative Quantum accepted")
 	}
 	if _, err := New(cfg, w(), Options{Shards: 2, UseLegacyLoop: true}); err == nil {
 		t.Error("Shards with UseLegacyLoop accepted")

@@ -48,8 +48,8 @@ func TestEventLoopMatchesLegacyUarch(t *testing.T) {
 }
 
 // TestShardedMatchesSequentialUarch extends the sharded determinism contract
-// to every variant: per-chiplet shard parallelism (with and without quantum
-// windows) must reproduce the sequential run's Stats bit for bit.
+// to every variant: per-chiplet shard parallelism must reproduce the
+// sequential run's Stats bit for bit.
 func TestShardedMatchesSequentialUarch(t *testing.T) {
 	for _, uc := range chipletUarchVariants {
 		t.Run(uc.name, func(t *testing.T) {
@@ -69,11 +69,8 @@ func TestShardedMatchesSequentialUarch(t *testing.T) {
 			}
 			seq := run(Options{})
 			for _, shards := range []int{2, 4} {
-				for _, quantum := range []int{0, 64} {
-					got := run(Options{Shards: shards, Quantum: quantum})
-					if got != seq {
-						t.Errorf("shards=%d quantum=%d diverges\nsharded    %+v\nsequential %+v", shards, quantum, got, seq)
-					}
+				if got := run(Options{Shards: shards}); got != seq {
+					t.Errorf("shards=%d diverges\nsharded    %+v\nsequential %+v", shards, got, seq)
 				}
 			}
 		})

@@ -83,31 +83,12 @@ type SystemConfig struct {
 	// ComputeLatency is the dependent-issue latency of an arithmetic
 	// instruction in cycles.
 	ComputeLatency int
-	// WarpScheduler selects the warp scheduling policy: "gto"
-	// (Greedy-Then-Oldest, Table III's policy, the default when empty)
-	// or "lrr" (loose round-robin). Deprecated in favour of Uarch.Scheduler,
-	// which also adds "two-level"; setting both to conflicting values is a
-	// validation error. Use EffectiveUarch to read the folded result.
-	WarpScheduler string
-
 	// Uarch selects the microarchitecture variant: warp scheduler, L1 fill
 	// granularity, NoC routing discipline and issue width. The zero value is
 	// the paper's Table III baseline (GTO, line-grain L1, crossbar, single
 	// issue). Variants change simulated timing, so they are part of a
 	// configuration's identity everywhere configurations are hashed.
 	Uarch uarch.Variant
-}
-
-// EffectiveUarch returns the microarchitecture variant with the legacy
-// WarpScheduler field folded in and defaults normalized. This is the only
-// way simulators should read the variant: it guarantees a validated,
-// fully-populated value.
-func (c SystemConfig) EffectiveUarch() uarch.Variant {
-	v := c.Uarch
-	if v.Scheduler == "" && c.WarpScheduler != "" {
-		v.Scheduler = uarch.Scheduler(c.WarpScheduler)
-	}
-	return v.Normalize()
 }
 
 // Baseline128 returns the paper's 128-SM baseline target system (Table III):
@@ -231,15 +212,11 @@ func (c SystemConfig) Validate() error {
 		return fmt.Errorf("config %q: MemBWPerMCGBps must be positive", c.Name)
 	case c.L1MSHRs <= 0:
 		return fmt.Errorf("config %q: L1MSHRs must be positive", c.Name)
-	case c.WarpScheduler != "" && c.WarpScheduler != "gto" && c.WarpScheduler != "lrr":
-		return fmt.Errorf("config %q: unknown warp scheduler %q", c.Name, c.WarpScheduler)
-	case c.WarpScheduler != "" && c.Uarch.Scheduler != "" && string(c.Uarch.Scheduler) != c.WarpScheduler:
-		return fmt.Errorf("config %q: legacy WarpScheduler %q conflicts with Uarch.Scheduler %q", c.Name, c.WarpScheduler, c.Uarch.Scheduler)
 	}
 	if err := c.Uarch.Validate(); err != nil {
 		return fmt.Errorf("config %q: %w", c.Name, err)
 	}
-	if v := c.EffectiveUarch(); v.L1 == uarch.L1Sectored && c.LineSize <= uarch.SectorBytes {
+	if c.Uarch.L1 == uarch.L1Sectored && c.LineSize <= uarch.SectorBytes {
 		return fmt.Errorf("config %q: sectored L1 needs LineSize > %d bytes, got %d", c.Name, uarch.SectorBytes, c.LineSize)
 	}
 	return nil

@@ -269,35 +269,8 @@ func TestChipletValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
-func TestEffectiveUarchFoldsLegacyScheduler(t *testing.T) {
-	c := Baseline128()
-	if v := c.EffectiveUarch(); !v.IsDefault() {
-		t.Errorf("baseline variant = %v, want default", v)
-	}
-	c.WarpScheduler = "lrr"
-	if v := c.EffectiveUarch(); v.Scheduler != uarch.SchedLRR {
-		t.Errorf("legacy lrr folded to %q", v.Scheduler)
-	}
-	c.WarpScheduler = ""
-	c.Uarch.Scheduler = uarch.SchedTwoLevel
-	v := c.EffectiveUarch()
-	if v.Scheduler != uarch.SchedTwoLevel {
-		t.Errorf("variant scheduler = %q, want two-level", v.Scheduler)
-	}
-	// EffectiveUarch normalizes the remaining axes.
-	if v.L1 != uarch.L1Line || v.NoC != uarch.RouteXbar || v.IssueWidth != 1 {
-		t.Errorf("normalization missing: %+v", v)
-	}
-}
-
 func TestValidateUarch(t *testing.T) {
 	c := Baseline128()
-	c.WarpScheduler = "gto"
-	c.Uarch.Scheduler = uarch.SchedLRR
-	if err := c.Validate(); err == nil {
-		t.Error("conflicting legacy and variant schedulers accepted")
-	}
-	c = Baseline128()
 	c.Uarch.IssueWidth = -1
 	if err := c.Validate(); err == nil {
 		t.Error("invalid variant accepted")

@@ -86,13 +86,6 @@ type Options struct {
 	// the SM count are clamped; Shards > 1 is incompatible with
 	// UseLegacyLoop.
 	Shards int
-	// Quantum, when positive and Shards > 1, relaxes the per-cycle barrier:
-	// each barrier the shards deterministically compute the earliest cycle
-	// any warp could issue a memory instruction or retire, and run
-	// barrier-free up to that bound (capped at Quantum cycles per window).
-	// Results remain bit-identical — the quantum changes only host-side
-	// synchronisation frequency. Ignored unless Shards > 1; capped at 4096.
-	Quantum int
 	// Uarch selects the microarchitecture variant, overriding a zero
 	// cfg.Uarch. Setting both to different values is an error: the
 	// configuration's identity must be unambiguous. The zero value defers
@@ -211,9 +204,6 @@ type Simulator struct {
 	shards      []*gpuShard
 	shardOfSM   []*gpuShard
 	shardFinish bool
-	quantum     int
-	winBase     int64 // current quantum window, for the shards' phaseWindow
-	winLimit    int64
 
 	// Observability handles; all nil when Options.Recorder is nil, so
 	// every hook below degrades to one predictable nil-check branch.
@@ -249,9 +239,6 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	}
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("gpu: Shards must be >= 0, got %d", opt.Shards)
-	}
-	if opt.Quantum < 0 {
-		return nil, fmt.Errorf("gpu: Quantum must be >= 0, got %d", opt.Quantum)
 	}
 	nShards := opt.Shards
 	if nShards > cfg.NumSMs {
@@ -291,7 +278,7 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	}
 	s.lineBits = lb
 	s.ctaLimit = k0.CTAsPerSMLimit
-	variant := cfg.EffectiveUarch()
+	variant := cfg.Uarch.Normalize()
 	s.xferBytes = cfg.LineSize
 	s.mshrBits = lb
 	sectored := variant.L1 == uarch.L1Sectored
@@ -370,10 +357,6 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 		m.SetRecycler(s)
 	}
 	if nShards > 1 {
-		s.quantum = opt.Quantum
-		if s.quantum > maxQuantum {
-			s.quantum = maxQuantum
-		}
 		s.shardFinish = opt.WarmupInstructions == 0
 		s.buildShards(nShards)
 	}
@@ -964,8 +947,7 @@ func (s *Simulator) stats() Stats {
 		st.AvgLoadLatency = float64(s.loadLat) / float64(s.loads)
 	}
 	if s.shards != nil {
-		// The coordinator charges skips globally (per-cycle advances plus the
-		// quantum windows' visited-count formula); the shard kernels' own
+		// The coordinator charges skips globally; the shard kernels' own
 		// counters cover only shard-local advances and are not comparable.
 		st.SkippedCycles = s.skipped
 	} else {

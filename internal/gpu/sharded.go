@@ -14,8 +14,8 @@
 // sequential drain's within-cycle access order. Everything that touches an
 // SM's own structures — the MSHR allocation, the warp wake-up repair, the
 // kernel reschedule — is applied by the shard that owns the SM, at the head
-// of its next parallel phase, so the coordinator never writes (or reads, in
-// barrier mode) worker-owned SM, MSHR or kernel state.
+// of its next parallel phase, so the coordinator never reads or writes
+// worker-owned SM, MSHR or kernel state.
 //
 // Per visited cycle:
 //
@@ -36,8 +36,7 @@
 //     settles, so a reset still precedes the triggering cycle's
 //     classification exactly as the sequential ordering has it).
 //  4. Serial: advance every kernel to the same next cycle — now+1 if
-//     anything issued, else the minimum NextPending across shards — or,
-//     with Options.Quantum set, open a barrier-free window (below).
+//     anything issued, else the minimum NextPending across shards.
 //
 // Repairing a wake-up one phase late is safe because a deferring cycle
 // always issued (the deferred access is an issue): step 4 takes the now+1
@@ -46,31 +45,11 @@
 // MSHR file or its kernel entry before the owning shard's next phase —
 // Lookup/Full/Expire run inside the SM's own Tick, and a CTA launch in
 // step 1 only ever schedules a unit earlier, which applyFixups respects.
-//
-// # Quantum-relaxed barriers
-//
-// With Options.Quantum > 0 the coordinator computes, each barrier, a safe
-// window bound: the earliest cycle at which ANY warp in the package could
-// issue a memory instruction or retire (sm.MemEventBound over every SM,
-// scanned in parallel in phase A, plus a serial fold of the cycle's
-// just-replayed deferred loads). Before that bound no cross-shard
-// interaction of any kind is possible — post-L1 traffic, CTA residency
-// changes, grid barriers and warm-up all require a memory event or a
-// retirement first — so each shard's kernel runs its own Step loop locally
-// (timing.RunWindow) with no barrier until the window ends. Within the
-// window the union of the shards' visited-cycle sets equals the sequential
-// kernel's visited set, which is what keeps SimEvents and SkippedCycles
-// exact (per-shard visited bitmaps are OR'd and popcounted at the window
-// barrier); windows are cut short at sampling boundaries and MaxCycles so
-// those observations land on the same cycles as sequential runs. Bound
-// violations cannot corrupt shared state — a mid-window miss is recorded,
-// not applied — and trip a panic at the window barrier.
 package gpu
 
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"gpuscale/internal/cache"
 	"gpuscale/internal/parallel"
@@ -83,11 +62,6 @@ import (
 // next applyFixups repairs it. Must sort after any real wake-up; never
 // consulted by the advance decision (a deferring cycle always issued).
 const provisionalWake = int64(1) << 62
-
-// maxQuantum caps Options.Quantum: it sizes the per-shard visited bitmaps
-// (64 words at 4096) and bounds how stale a shard's clock can run ahead of
-// the barrier.
-const maxQuantum = 4096
 
 // deferredAccess is one post-L1 access recorded during the parallel tick
 // phase. The issuing shard writes every field but t in phase A; the
@@ -128,12 +102,6 @@ type gpuShard struct {
 	loads     uint64 // L1-hit load counters, merged at the barrier
 	loadLat   uint64
 	mshrStall uint64
-
-	// Quantum state: the shard's phase-A window bound, its visited-cycle
-	// bitmap over the current window, and its post-window advance candidate.
-	bound   int64
-	visited []uint64
-	cand    int64
 }
 
 // buildShards partitions the SMs into n contiguous groups. Contiguity is
@@ -156,9 +124,6 @@ func (s *Simulator) buildShards(n int) {
 		// An SM issues at most one instruction per cycle, so deferred never
 		// outgrows the shard's SM count — the append never reallocates.
 		sh.deferred = make([]deferredAccess, 0, cnt)
-		if s.quantum > 0 {
-			sh.visited = make([]uint64, (s.quantum+63)/64)
-		}
 		for g := first; g < sh.endSM; g++ {
 			s.shardOfSM[g] = sh
 			s.ports[g].sh = sh
@@ -208,8 +173,8 @@ func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, l
 
 // applyFixups lands the previous cycle's deferred loads on this shard's own
 // SMs from the completion cycles the coordinator stamped, then clears the
-// records. Runs at the head of both parallel phases (phaseA and
-// phaseWindow), and serially before an observer sample reads MSHR occupancy.
+// records. Runs at the head of the parallel phase, and serially before an
+// observer sample reads MSHR occupancy.
 func (sh *gpuShard) applyFixups() {
 	for i := range sh.deferred {
 		rec := &sh.deferred[i]
@@ -246,53 +211,13 @@ func (rec *deferredAccess) ready() int64 {
 
 // phaseA is the parallel tick phase: repair the previous cycle's deferred
 // wake-ups, drain this shard's due units at the current cycle, then (once
-// warm-up has settled) finish the cycle and, in quantum mode, scan this
-// shard's SMs for the window bound.
+// warm-up has settled) finish the cycle.
 func (sh *gpuShard) phaseA() {
 	sh.applyFixups()
 	sh.issued = sh.tk.TickCycle()
 	if sh.sim.shardFinish {
 		sh.tk.FinishCycle()
-		if sh.sim.quantum > 0 {
-			sh.bound = sh.memBound()
-		}
 	}
-}
-
-// memBound is the shard's half of the quantum bound: the earliest cycle at
-// or after now+1 at which any of its SMs' warps could issue a memory
-// instruction or retire. now+1 is exact for the eventual window start: a
-// later start only matters for warps that are ready before it, and after a
-// no-issue cycle no warp is ready (a ready warp would have issued), while
-// after an issue the next cycle IS now+1. Deferred-load warps sit at the
-// provisional far-future wake-up during this scan and are folded in
-// serially as the replay stamps their true completions.
-func (sh *gpuShard) memBound() int64 {
-	from := sh.tk.Now() + 1
-	bound := from + int64(sh.sim.quantum) // beyond the cap precision is wasted
-	for g := sh.firstSM; g < sh.endSM; g++ {
-		if b := sh.sim.sms[g].MemEventBound(from); b < bound {
-			bound = b
-			if bound <= from {
-				break
-			}
-		}
-	}
-	return bound
-}
-
-// phaseWindow is the parallel quantum phase: repair the entry cycle's
-// deferred wake-ups, then run this shard's kernel locally over
-// [winBase, winLimit) with no barrier, recording visited cycles for the
-// coordinator's event/skip accounting.
-func (sh *gpuShard) phaseWindow() {
-	sh.applyFixups()
-	words := int(sh.sim.winLimit-sh.sim.winBase+63) >> 6
-	vw := sh.visited[:words]
-	for i := range vw {
-		vw[i] = 0
-	}
-	sh.cand = sh.tk.RunWindow(sh.sim.winLimit, sh.sim.winBase, vw)
 }
 
 // timing.Driver over the shard's own SMs (unit ids local to the shard).
@@ -348,11 +273,7 @@ func (sh *gpuShard) CycleEnd(now int64) {}
 // file and its kernel entry at the head of the next parallel phase — safe
 // because the advance decision that follows a deferring cycle is always
 // now+1 and never reads a wake-up (see the file comment).
-// Returns the minimum window bound over the replayed loads' warps (the
-// serial fold the parallel phase-A scan cannot see), or its cap when
-// quantum mode is off.
-func (s *Simulator) replayDeferred() int64 {
-	bound := int64(1) << 62
+func (s *Simulator) replayDeferred() {
 	nSlices := uint64(len(s.llc))
 	for _, sh := range s.shards {
 		for i := range sh.deferred {
@@ -373,15 +294,9 @@ func (s *Simulator) replayDeferred() int64 {
 				s.loads++
 				s.loadLat += uint64(t - rec.issueAt)
 				s.loadHist.Observe(float64(t - rec.issueAt))
-				if s.quantum > 0 {
-					if b := rec.m.WarpMemEventBound(rec.warp, rec.ready()); b < bound {
-						bound = b
-					}
-				}
 			}
 		}
 	}
-	return bound
 }
 
 // runSharded is the sharded run loop: runEvent's control flow with Step
@@ -390,7 +305,6 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 	pool := parallel.NewPoolLabeled(ctx, len(s.shards), "gpu")
 	defer pool.Close()
 	phaseA := func(i int) { s.shards[i].phaseA() }
-	phaseW := func(i int) { s.shards[i].phaseWindow() }
 	s.kernelStart = s.now
 	iters := 0
 	for {
@@ -444,9 +358,8 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 			sh.loads, sh.loadLat, sh.mshrStall = 0, 0, 0
 			nDeferred += len(sh.deferred)
 		}
-		winBound := int64(1) << 62
 		if nDeferred > 0 {
-			winBound = s.replayDeferred()
+			s.replayDeferred()
 		}
 		s.events += uint64(len(s.sms))
 		if !s.shardFinish {
@@ -480,27 +393,6 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 				next = s.now + 1
 			}
 		}
-		if s.quantum > 0 && s.shardFinish && !s.ctaDirty && s.liveTotal > 0 {
-			w := winBound
-			for _, sh := range s.shards {
-				if sh.bound < w {
-					w = sh.bound
-				}
-			}
-			if qcap := next + int64(s.quantum); w > qcap {
-				w = qcap
-			}
-			if s.opt.MaxCycles > 0 && w > s.opt.MaxCycles+1 {
-				w = s.opt.MaxCycles + 1 // post-window check aborts exactly as sequential would
-			}
-			if s.stream != nil && w > s.nextSample {
-				w = s.nextSample // samples land on the same cycles as sequential
-			}
-			if w > next+1 {
-				s.runWindow(pool, phaseW, next, w)
-				continue
-			}
-		}
 		s.skipped += next - s.now - 1
 		for _, sh := range s.shards {
 			sh.tk.AdvanceTo(next)
@@ -520,60 +412,4 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 		}
 	}
 	return s.stats(), nil
-}
-
-// runWindow executes one quantum window [base, limit): every shard advances
-// to base, runs its kernel locally with no barrier until its own next cycle
-// would reach limit, and the coordinator reconciles at the window barrier —
-// merging counters, OR-ing the visited bitmaps for the global event/skip
-// charge, and advancing every kernel to the minimum candidate, which equals
-// the sequential advance decision at the last globally-visited cycle.
-func (s *Simulator) runWindow(pool *parallel.Pool, phaseW func(int), base, limit int64) {
-	s.winBase, s.winLimit = base, limit
-	s.skipped += base - s.now - 1
-	for _, sh := range s.shards {
-		sh.tk.AdvanceTo(base)
-	}
-	pool.Run(phaseW)
-	g := timing.NoWake
-	for _, sh := range s.shards {
-		// Tripwires: the bound proved no memory instruction or retirement
-		// could occur before limit; any deferred access, L1 traffic or
-		// residency change inside the window is a bound bug, detected here
-		// before it can affect shared state (deferred accesses are recorded,
-		// not applied).
-		if len(sh.deferred) != 0 || sh.loads != 0 || sh.mshrStall != 0 || sh.liveDelta != 0 || sh.ctaDirty {
-			panic(fmt.Sprintf("gpu: quantum window [%d,%d) violated by shard %d (deferred=%d loads=%d stalls=%d live=%d dirty=%v)",
-				base, limit, sh.id, len(sh.deferred), sh.loads, sh.mshrStall, sh.liveDelta, sh.ctaDirty))
-		}
-		s.issuedSoFar += sh.issuedD
-		sh.issuedD = 0
-		if sh.cand != timing.NoWake && (g == timing.NoWake || sh.cand < g) {
-			g = sh.cand
-		}
-	}
-	words := int(limit-base+63) >> 6
-	vis := int64(0)
-	for wi := 0; wi < words; wi++ {
-		u := uint64(0)
-		for _, sh := range s.shards {
-			u |= sh.visited[wi]
-		}
-		vis += int64(bits.OnesCount64(u))
-	}
-	s.events += uint64(len(s.sms)) * uint64(vis)
-	if g == timing.NoWake || g < limit {
-		g = limit // unreachable with live warps; keeps the clock monotonic
-	}
-	s.skipped += g - base - vis
-	for _, sh := range s.shards {
-		sh.tk.AdvanceTo(g)
-	}
-	s.now = g
-	if s.stream != nil && s.now >= s.nextSample {
-		s.sampleObs()
-		for s.nextSample <= s.now {
-			s.nextSample += s.sampleEvery
-		}
-	}
 }

@@ -32,9 +32,9 @@ func randomTrafficWorkload(ctas, warps, loads int) trace.Workload {
 
 // TestGPUShardedMatchesSequential is the tentpole's bit-identity contract
 // for the monolithic simulator: the same simulation at Shards=1 (sequential
-// event loop) and Shards=N, with and without quantum-relaxed barriers, must
-// produce identical Stats — across workload shapes, a real benchmark,
-// warm-up resets, kernel sequences, sampling, and the no-skip ablation.
+// event loop) and Shards=N must produce identical Stats — across workload
+// shapes, a real benchmark, warm-up resets, kernel sequences, sampling, and
+// the no-skip ablation.
 func TestGPUShardedMatchesSequential(t *testing.T) {
 	bfs, err := workloads.ByName("bfs")
 	if err != nil {
@@ -90,14 +90,11 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 			}
 			seq := run(c.base)
 			for _, shards := range []int{2, 3, 4} {
-				for _, quantum := range []int{0, 64} {
-					opt := c.base
-					opt.Shards = shards
-					opt.Quantum = quantum
-					if got := run(opt); got != seq {
-						t.Errorf("shards=%d quantum=%d stats diverge\nsharded    %+v\nsequential %+v",
-							shards, quantum, got, seq)
-					}
+				opt := c.base
+				opt.Shards = shards
+				if got := run(opt); got != seq {
+					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v",
+						shards, got, seq)
 				}
 			}
 			// One leg on a single processor: the shard pool may not spin
@@ -109,14 +106,10 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 				return
 			}
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			for _, quantum := range []int{0, 64} {
-				opt := c.base
-				opt.Shards = 3
-				opt.Quantum = quantum
-				if got := run(opt); got != seq {
-					t.Errorf("GOMAXPROCS=1 shards=3 quantum=%d stats diverge\nsharded    %+v\nsequential %+v",
-						quantum, got, seq)
-				}
+			opt := c.base
+			opt.Shards = 3
+			if got := run(opt); got != seq {
+				t.Errorf("GOMAXPROCS=1 shards=3 stats diverge\nsharded    %+v\nsequential %+v", got, seq)
 			}
 		})
 	}
@@ -143,18 +136,15 @@ func TestGPUShardedSamplesMatchSequential(t *testing.T) {
 	if len(seq) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	for _, quantum := range []int{0, 64} {
-		if got := samples(Options{Shards: 3, Quantum: quantum}); !reflect.DeepEqual(got, seq) {
-			t.Errorf("shards=3 quantum=%d: sample series diverges from sequential (%d vs %d samples)",
-				quantum, len(got), len(seq))
-		}
+	if got := samples(Options{Shards: 3}); !reflect.DeepEqual(got, seq) {
+		t.Errorf("shards=3: sample series diverges from sequential (%d vs %d samples)", len(got), len(seq))
 	}
 }
 
 // TestGPUShardedRandomCrossTrafficStress is the larger randomized cell:
 // heavier shared-LLC traffic over more SMs, shard counts that divide the
-// SMs evenly and unevenly, quantum on and off — meant to run under the race
-// detector (make race) to check the phase discipline on a real workload.
+// SMs evenly and unevenly — meant to run under the race detector (make
+// race) to check the phase discipline on a real workload.
 func TestGPUShardedRandomCrossTrafficStress(t *testing.T) {
 	cfg := testConfig(16)
 	run := func(opt Options) Stats {
@@ -167,33 +157,27 @@ func TestGPUShardedRandomCrossTrafficStress(t *testing.T) {
 	}
 	seq := run(Options{})
 	for _, shards := range []int{2, 5, 8, 16} {
-		for _, quantum := range []int{0, 256} {
-			if got := run(Options{Shards: shards, Quantum: quantum}); got != seq {
-				t.Errorf("shards=%d quantum=%d stats diverge\nsharded    %+v\nsequential %+v",
-					shards, quantum, got, seq)
-			}
+		if got := run(Options{Shards: shards}); got != seq {
+			t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
 		}
 	}
 }
 
 // TestGPUShardsValidation pins the option edge cases on the monolithic
-// simulator: negatives rejected (shards and quantum), legacy+shards
-// rejected, counts beyond NumSMs clamped (and still bit-identical), 0/1
-// selecting the plain sequential loop, and quantum alone being inert.
+// simulator: negatives rejected, legacy+shards rejected, counts beyond
+// NumSMs clamped (and still bit-identical), 0/1 selecting the plain
+// sequential loop.
 func TestGPUShardsValidation(t *testing.T) {
 	cfg := testConfig(8)
 	w := func() trace.Workload { return streamWorkload(16, 2, 10) }
 	if _, err := New(cfg, w(), Options{Shards: -1}); err == nil {
 		t.Error("negative Shards accepted")
 	}
-	if _, err := New(cfg, w(), Options{Quantum: -1}); err == nil {
-		t.Error("negative Quantum accepted")
-	}
 	if _, err := New(cfg, w(), Options{Shards: 2, UseLegacyLoop: true}); err == nil {
 		t.Error("Shards with UseLegacyLoop accepted")
 	}
 	for _, n := range []int{0, 1} {
-		s, err := New(cfg, w(), Options{Shards: n, Quantum: 128})
+		s, err := New(cfg, w(), Options{Shards: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,15 +185,12 @@ func TestGPUShardsValidation(t *testing.T) {
 			t.Errorf("Shards=%d built shard runners", n)
 		}
 	}
-	s, err := New(cfg, w(), Options{Shards: 99, Quantum: 1 << 20})
+	s, err := New(cfg, w(), Options{Shards: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.shards) != cfg.NumSMs {
 		t.Fatalf("Shards=99 on %d SMs built %d shards", cfg.NumSMs, len(s.shards))
-	}
-	if s.quantum != maxQuantum {
-		t.Fatalf("Quantum=1<<20 clamped to %d, want %d", s.quantum, maxQuantum)
 	}
 	clamped, err := s.Run()
 	if err != nil {
@@ -225,11 +206,11 @@ func TestGPUShardsValidation(t *testing.T) {
 }
 
 // TestGPUShardedMaxCyclesAborts mirrors the sequential MaxCycles abort for
-// the sharded loop (quantum windows must not run past the limit), and
-// checks context cancellation unwinds the worker pool cleanly.
+// the sharded loop, and checks context cancellation unwinds the worker pool
+// cleanly.
 func TestGPUShardedMaxCyclesAborts(t *testing.T) {
 	cfg := testConfig(8)
-	s, err := New(cfg, streamWorkload(64, 2, 50), Options{Shards: 2, Quantum: 256, MaxCycles: 10})
+	s, err := New(cfg, streamWorkload(64, 2, 50), Options{Shards: 2, MaxCycles: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,8 @@
 // results. Construction-time functional options tune the behaviour:
 // WithParallel sizes (or disables) the fan-out, WithProgress attaches a
 // live progress callback, WithObserver an observability recorder,
-// WithShards/WithQuantum the intra-simulation sharding for every run and
-// WithMCMShards an MCM-specific shard override (the old Set* methods
-// remain as deprecated wrappers).
+// WithShards the intra-simulation sharding for every run and
+// WithMCMShards an MCM-specific shard override.
 //
 // The package also provides ResultStore, a two-level (memory + disk)
 // single-flight byte store keyed by canonical request hashes; it backs the
@@ -84,15 +83,15 @@ func entryFor[V any](mu *sync.Mutex, m map[string]*runEntry[V], key string) *run
 // concurrent requests for the same key, and fans sweep entry points across
 // a worker pool. The zero value is not usable; call New.
 type Harness struct {
-	mu          sync.Mutex
+	mu          sync.Mutex // guards the memo maps
 	runs        map[string]*runEntry[TimedStats]
 	chipletRuns map[string]*runEntry[ChipletTimedStats]
 	mrcs        map[string]*runEntry[mrc.Curve]
 
+	// Configuration: set by the options in New, read-only afterwards.
 	parallel  int
 	shards    int
-	quantum   int
-	mcmShards int
+	mcmShards int // MCM runs' shard count: WithMCMShards, else shards
 	uarch     uarch.Variant
 	progress  func(engine.Progress)
 	observer  *obs.Recorder
@@ -111,52 +110,15 @@ func New(opts ...Option) *Harness {
 	for _, opt := range opts {
 		opt(h)
 	}
+	if h.mcmShards == 0 {
+		h.mcmShards = h.shards
+	}
 	return h
 }
 
 // Default is a process-wide harness shared by the benchmark suite, so that
 // every table and figure reuses the same memoised simulations.
 var Default = New()
-
-// observerRef snapshots the attached recorder (possibly nil).
-func (h *Harness) observerRef() *obs.Recorder {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.observer
-}
-
-// shardingRef snapshots the configured general shard count and barrier
-// quantum.
-func (h *Harness) shardingRef() (shards, quantum int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.shards, h.quantum
-}
-
-// uarchRef snapshots the microarchitecture variant every run simulates.
-func (h *Harness) uarchRef() uarch.Variant {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.uarch
-}
-
-// mcmShardsRef snapshots the shard count MCM runs should use: the
-// MCM-specific override when set, else the general WithShards count.
-func (h *Harness) mcmShardsRef() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.mcmShards > 0 {
-		return h.mcmShards
-	}
-	return h.shards
-}
-
-// settings snapshots the parallelism configuration.
-func (h *Harness) settings() (int, func(engine.Progress)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.parallel, h.progress
-}
 
 // Run simulates w on cfg, memoised by (config, workload) name. Concurrent
 // calls with the same key run the simulation once and share the result.
@@ -165,8 +127,7 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 	e := entryFor(&h.mu, h.runs, key)
 	e.once.Do(func() {
 		start := time.Now()
-		shards, quantum := h.shardingRef()
-		st, err := gpu.RunWithOptions(cfg, w, gpu.Options{Recorder: h.observerRef(), Shards: shards, Quantum: quantum, Uarch: h.uarchRef()})
+		st, err := gpu.RunWithOptions(cfg, w, gpu.Options{Recorder: h.observer, Shards: h.shards, Uarch: h.uarch})
 		if err != nil {
 			e.err = fmt.Errorf("harness: simulating %s on %s: %w", w.Name(), cfg.Name, err)
 			return
@@ -209,7 +170,7 @@ type prewarmUnit struct {
 // sequential harness always has. Unit failures are not reported here — the
 // analysis path re-encounters the memoised error with full context.
 func (h *Harness) prewarm(units []prewarmUnit) {
-	workers, progress := h.settings()
+	workers, progress := h.parallel, h.progress
 	if workers <= 1 || len(units) <= 1 {
 		return
 	}
@@ -376,7 +337,7 @@ func (h *Harness) runStrongFrom(b workloads.Benchmark, sizes []int, sm [2]int) (
 
 // RunStrongAll runs the strong-scaling experiment for every Table II
 // benchmark. The 21 × 5 simulation grid and the 21 miss-rate curves are
-// pre-warmed in parallel (see SetParallel); the analysis itself is
+// pre-warmed in parallel (see WithParallel); the analysis itself is
 // sequential over memoised results, so the output is identical to a fully
 // sequential run.
 func (h *Harness) RunStrongAll() ([]*StrongResult, error) {

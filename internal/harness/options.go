@@ -8,15 +8,11 @@ import (
 	"gpuscale/internal/uarch"
 )
 
-// Option configures a Harness at construction time. The functional-option
-// form replaces the mutable Set* methods (now Deprecated: wrappers in
-// deprecated.go): a harness is configured once at New and then only read,
-// which keeps the sweep entry points free of read-modify-write races and
-// makes a harness's behaviour a function of its constructor call.
-//
-// Option bodies assign fields directly and take no locks — New applies
-// them before the harness is shared, and the deprecated setters apply them
-// under the harness mutex.
+// Option configures a Harness at construction time: a harness is
+// configured once at New and then only read, which keeps the sweep entry
+// points free of read-modify-write races and makes a harness's behaviour a
+// function of its constructor call. Option bodies assign fields directly
+// and take no locks — New applies them before the harness is shared.
 type Option func(*Harness)
 
 // WithParallel sets the worker-pool size used by the sweep entry points
@@ -65,20 +61,6 @@ func WithShards(n int) Option {
 			n = 0
 		}
 		h.shards = n
-	}
-}
-
-// WithQuantum relaxes the sharded runs' per-cycle barrier: shards advance
-// in deterministically-safe windows of up to q cycles between
-// synchronisations (see docs/PARALLELISM.md). Bit-identical at every
-// setting; no effect unless a shard count above 1 is configured. q <= 0
-// keeps the barrier-every-cycle cadence.
-func WithQuantum(q int) Option {
-	return func(h *Harness) {
-		if q < 0 {
-			q = 0
-		}
-		h.quantum = q
 	}
 }
 

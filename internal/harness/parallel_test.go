@@ -185,10 +185,31 @@ func TestPrewarmSequentialNoop(t *testing.T) {
 
 // TestWithParallelNormalises checks the n <= 0 → NumCPU reset rule.
 func TestWithParallelNormalises(t *testing.T) {
-	if n, _ := New(WithParallel(-3)).settings(); n < 1 {
+	if n := New(WithParallel(-3)).parallel; n < 1 {
 		t.Errorf("WithParallel(-3) left parallelism %d", n)
 	}
-	if n, _ := New(WithParallel(5)).settings(); n != 5 {
+	if n := New(WithParallel(5)).parallel; n != 5 {
 		t.Errorf("WithParallel(5) gave %d", n)
+	}
+}
+
+// TestMCMShardsDefault checks that New resolves the MCM shard count once:
+// the WithMCMShards override when positive, else the WithShards count,
+// with negative counts treated as 0.
+func TestMCMShardsDefault(t *testing.T) {
+	for i, c := range []struct {
+		opts []Option
+		want int
+	}{
+		{nil, 0},
+		{[]Option{WithShards(3)}, 3},
+		{[]Option{WithShards(3), WithMCMShards(2)}, 2},
+		{[]Option{WithMCMShards(4)}, 4},
+		{[]Option{WithShards(3), WithMCMShards(-2)}, 3},
+		{[]Option{WithShards(-1)}, 0},
+	} {
+		if got := New(c.opts...).mcmShards; got != c.want {
+			t.Errorf("case %d: MCM shard count %d, want %d", i, got, c.want)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func (h *Harness) RunWeak(wb workloads.WeakBenchmark) (*WeakResult, error) {
 
 // RunWeakAll runs the weak-scaling experiment for every Table IV family.
 // The family × size simulation grid is pre-warmed in parallel (see
-// SetParallel); the analysis runs sequentially over memoised results.
+// WithParallel); the analysis runs sequentially over memoised results.
 func (h *Harness) RunWeakAll() ([]*WeakResult, error) {
 	fams := workloads.WeakAll()
 	base := config.Baseline128()

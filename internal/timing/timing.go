@@ -461,44 +461,3 @@ func (k *Kernel) AdvanceTo(c int64) {
 	k.skipped += c - k.now - 1
 	k.now = c
 }
-
-// RunWindow runs the kernel's own Step loop locally over [Now(), limit) —
-// the quantum-relaxed sharded loops' barrier-free window. The coordinator
-// must have proven no cross-kernel interaction is possible before limit
-// (see docs/PARALLELISM.md for the bound); within that window each kernel's
-// advance decisions depend only on its own units, and the union of the
-// kernels' visited-cycle sets equals the sequential kernel's, which is what
-// keeps per-cycle event and skip accounting exact. Each visited cycle c is
-// marked in the visited bitmap at bit c-base (the caller sizes it for
-// limit-base bits and ORs the shards' maps together).
-//
-// Returns the kernel's advance candidate for the cycle after the window:
-// lastVisited+1 if the last visited cycle issued (or NoSkip holds), else
-// the kernel's NextPending — always >= limit — or NoWake when nothing is
-// pending. The coordinator takes the minimum across kernels, exactly the
-// barrier protocol's advance reduction.
-func (k *Kernel) RunWindow(limit, base int64, visited []uint64) int64 {
-	for {
-		now := k.now
-		issued := k.TickCycle()
-		k.FinishCycle()
-		off := now - base
-		visited[off>>6] |= 1 << (uint(off) & 63)
-		var next int64
-		if issued || k.noSkip {
-			next = now + 1
-		} else {
-			next = k.NextPending()
-			if next == NoWake {
-				return NoWake
-			}
-			if next < now+1 {
-				next = now + 1
-			}
-		}
-		if next >= limit {
-			return next
-		}
-		k.AdvanceTo(next)
-	}
-}

@@ -2,8 +2,7 @@ package trace
 
 // Static descriptors: an optional, non-destructive view of the address
 // structure of a program, for analytical modelling (internal/analytic).
-// Where MemLookahead previews *when* the next memory instruction comes,
-// the describers expose *where* a program's memory instructions go — the
+// The describers expose *where* a program's memory instructions go — the
 // generator parameters (base, stride, extent) and the phase shape — so a
 // predictor can estimate cache hit rates and bandwidth demand without
 // replaying a single instruction. Programs and generators that cannot

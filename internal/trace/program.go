@@ -136,58 +136,6 @@ func (p *PhaseProgram) advance() bool {
 	return false
 }
 
-// MemLookahead is an optional Program capability: a non-destructive preview
-// of how many compute instructions remain before the program's next memory
-// instruction. The quantum-relaxed sharded run loops use it to bound the
-// earliest cycle a warp could next touch shared memory structures (or
-// retire); programs that cannot preview simply don't implement it and the
-// bound degrades to "a memory event is possible immediately", which is
-// always safe.
-type MemLookahead interface {
-	// ComputeRun returns the number of consecutive compute instructions at
-	// the front of the remaining stream — the count before the next memory
-	// instruction or, when no memory instruction remains, before the end of
-	// the program. It must not consume instructions or mutate generator
-	// state.
-	ComputeRun() int
-}
-
-// ComputeRun implements MemLookahead by scanning the cached phase state and
-// the not-yet-loaded phases without touching either. Within the active
-// phase the leading computes are what the k/computePer group cursor allows;
-// a later phase contributes its whole N when it has no generator, or its
-// leading ComputePer group otherwise.
-func (p *PhaseProgram) ComputeRun() int {
-	run := 0
-	if p.rem > 0 {
-		if p.gen != nil {
-			lead := p.computePer - p.k
-			if p.rem <= lead {
-				run += p.rem // phase drains before its next memory instruction
-			} else {
-				return run + lead
-			}
-		} else {
-			run += p.rem
-		}
-	}
-	for i := p.pi; i < len(p.phases); i++ {
-		ph := &p.phases[i]
-		if ph.N <= 0 {
-			continue
-		}
-		if ph.Gen == nil {
-			run += ph.N
-			continue
-		}
-		if ph.N > ph.ComputePer {
-			return run + ph.ComputePer
-		}
-		run += ph.N
-	}
-	return run
-}
-
 // Next implements Program: each phase emits repeating groups of computePer
 // compute instructions followed by one memory instruction (none when the
 // phase has no generator), exactly as the phase-scanning form did.

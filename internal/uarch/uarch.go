@@ -1,10 +1,10 @@
 // Package uarch defines microarchitecture variant configuration: the warp
 // scheduling policy, L1 organisation, NoC routing discipline and SM issue
 // width that a simulation models. A Variant is a first-class, result-relevant
-// input — unlike host-side execution options (shards, barrier quantum,
-// serving tier), changing any of its fields changes simulated statistics, so
-// the canonical wire request keeps it in the cache-key hash (see
-// docs/UARCH.md for the matrix, wire spelling and hash semantics).
+// input — unlike host-side execution options (shards, serving tier),
+// changing any of its fields changes simulated statistics, so the canonical
+// wire request keeps it in the cache-key hash (see docs/UARCH.md for the
+// matrix, wire spelling and hash semantics).
 //
 // The zero Variant means "the paper's Table III baseline": GTO warp
 // scheduling, line-grain L1, crossbar NoC, single issue. Normalize fills the

@@ -12,8 +12,7 @@ package gpuscale
 // canonical hash fully determines its response bytes. Canonicalize
 // therefore (1) validates, (2) normalises — fills in the current schema
 // version and strips fields that cannot change the result, such as the
-// shard count and barrier quantum, which only change host wall-clock time
-// — and (3) marshals
+// shard count, which only changes host wall-clock time — and (3) marshals
 // the normalised struct with encoding/json, whose field order is fixed by
 // the struct definition. Two requests that differ only in JSON field
 // order, schema-version spelling (0 vs 1) or result-invariant options hash
@@ -116,8 +115,8 @@ const DefaultConfidenceThreshold = 0.5
 
 // RequestOptions tunes a simulate request. MaxCycles and
 // WarmupInstructions change the reported statistics, so they are part of
-// the canonical form; Shards and Quantum only change how the host computes
-// the bit-identical result, so Canonicalize strips them.
+// the canonical form; Shards only changes how the host computes the
+// bit-identical result, so Canonicalize strips it (and the ignored Quantum).
 type RequestOptions struct {
 	// MaxCycles aborts the simulation with an error beyond this many
 	// cycles; zero means no limit. Simulate only.
@@ -131,9 +130,9 @@ type RequestOptions struct {
 	// is excluded from the canonical form; servers choose their own shard
 	// count.
 	Shards int `json:"shards,omitempty"`
-	// Quantum relaxes the sharded run's barrier cadence (cycles per safe
-	// window). Like Shards it cannot change the result, only host
-	// wall-clock time, so it too is stripped from the canonical form.
+	// Quantum is accepted for compatibility with clients written when
+	// sharded runs had a relaxed-barrier mode: it is range-checked, ignored
+	// and stripped from the canonical form, so it never reaches the hash.
 	Quantum int `json:"quantum,omitempty"`
 	// Tier selects the latency tier for predict requests: TierCycle
 	// (default), TierAnalytic or TierAuto. The tier routes the request —
@@ -365,9 +364,6 @@ func (r Request) ResolveSimulation() (SimTarget, error) {
 		if r.Options.Shards > 0 {
 			opts = append(opts, WithShards(r.Options.Shards))
 		}
-		if r.Options.Quantum > 0 {
-			opts = append(opts, WithQuantum(r.Options.Quantum))
-		}
 		return SimTarget{MCM: &cfg, Workload: w, Options: opts}, nil
 	}
 	cfg, err := Scale(Baseline128(), r.Target.SMs)
@@ -383,9 +379,6 @@ func (r Request) ResolveSimulation() (SimTarget, error) {
 	}
 	if r.Options.Shards > 0 {
 		opts = append(opts, WithShards(r.Options.Shards))
-	}
-	if r.Options.Quantum > 0 {
-		opts = append(opts, WithQuantum(r.Options.Quantum))
 	}
 	return SimTarget{System: &cfg, Workload: w, Options: opts}, nil
 }

@@ -1,6 +1,7 @@
 package gpuscale_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -15,78 +16,81 @@ func simRequest() gpuscale.Request {
 	}
 }
 
+// validateCases mutate simRequest into the valid and invalid spellings
+// TestRequestValidate pins; FuzzParseCanonicalize seeds its corpus from them.
+var validateCases = []struct {
+	name    string
+	mutate  func(*gpuscale.Request)
+	wantErr string // "" = valid
+}{
+	{"simulate ok", func(r *gpuscale.Request) {}, ""},
+	{"version 1 ok", func(r *gpuscale.Request) { r.Version = gpuscale.RequestVersion }, ""},
+	{"future version", func(r *gpuscale.Request) { r.Version = 99 }, "unsupported request version"},
+	{"no op", func(r *gpuscale.Request) { r.Op = "" }, "no op"},
+	{"unknown op", func(r *gpuscale.Request) { r.Op = "forecast" }, "unknown op"},
+	{"no bench", func(r *gpuscale.Request) { r.Workload.Bench = "" }, "no benchmark"},
+	{"unknown bench", func(r *gpuscale.Request) { r.Workload.Bench = "zzz" }, "unknown benchmark"},
+	{"both targets", func(r *gpuscale.Request) { r.Target.Chiplets = 4 }, "both sms and chiplets"},
+	{"neither target", func(r *gpuscale.Request) { r.Target.SMs = 0 }, "neither sms nor chiplets"},
+	{"negative target", func(r *gpuscale.Request) { r.Target.SMs = -8 }, "negative target"},
+	{"negative max_cycles", func(r *gpuscale.Request) { r.Options.MaxCycles = -1 }, "negative max_cycles"},
+	{"negative shards", func(r *gpuscale.Request) { r.Options.Shards = -1 }, "negative shards"},
+	{"negative quantum", func(r *gpuscale.Request) { r.Options.Quantum = -1 }, "negative quantum"},
+	{"mcm simulate ok", func(r *gpuscale.Request) {
+		r.Target = gpuscale.TargetSpec{Chiplets: 4}
+		r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
+	}, ""},
+	{"mcm warmup", func(r *gpuscale.Request) {
+		r.Target = gpuscale.TargetSpec{Chiplets: 4}
+		r.Options.WarmupInstructions = 100
+	}, "warmup_instructions is not supported on MCM"},
+	{"predict ok", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpPredict
+		r.Target = gpuscale.TargetSpec{}
+	}, ""},
+	{"predict with sms", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpPredict
+	}, "leave target.sms unset"},
+	{"predict mcm ok", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpPredict
+		r.Target = gpuscale.TargetSpec{Chiplets: 16}
+		r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
+	}, ""},
+	{"predict mcm wrong size", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpPredict
+		r.Target = gpuscale.TargetSpec{Chiplets: 8}
+		r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
+	}, "only the 16-chiplet target"},
+	{"predict mcm strong", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpPredict
+		r.Target = gpuscale.TargetSpec{Chiplets: 16}
+	}, "requires a weak-scaling family"},
+	{"predict with max_cycles", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpPredict
+		r.Target = gpuscale.TargetSpec{}
+		r.Options.MaxCycles = 100
+	}, "do not apply to predict"},
+	{"mrc ok", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpMRC
+		r.Target = gpuscale.TargetSpec{}
+	}, ""},
+	{"mrc with target", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpMRC
+	}, "leave target unset"},
+	{"mrc weak", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpMRC
+		r.Target = gpuscale.TargetSpec{}
+		r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
+	}, "strong-scaling benchmarks only"},
+	{"mrc with warmup", func(r *gpuscale.Request) {
+		r.Op = gpuscale.OpMRC
+		r.Target = gpuscale.TargetSpec{}
+		r.Options.WarmupInstructions = 5
+	}, "do not apply to mrc"},
+}
+
 func TestRequestValidate(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func(*gpuscale.Request)
-		wantErr string // "" = valid
-	}{
-		{"simulate ok", func(r *gpuscale.Request) {}, ""},
-		{"version 1 ok", func(r *gpuscale.Request) { r.Version = gpuscale.RequestVersion }, ""},
-		{"future version", func(r *gpuscale.Request) { r.Version = 99 }, "unsupported request version"},
-		{"no op", func(r *gpuscale.Request) { r.Op = "" }, "no op"},
-		{"unknown op", func(r *gpuscale.Request) { r.Op = "forecast" }, "unknown op"},
-		{"no bench", func(r *gpuscale.Request) { r.Workload.Bench = "" }, "no benchmark"},
-		{"unknown bench", func(r *gpuscale.Request) { r.Workload.Bench = "zzz" }, "unknown benchmark"},
-		{"both targets", func(r *gpuscale.Request) { r.Target.Chiplets = 4 }, "both sms and chiplets"},
-		{"neither target", func(r *gpuscale.Request) { r.Target.SMs = 0 }, "neither sms nor chiplets"},
-		{"negative target", func(r *gpuscale.Request) { r.Target.SMs = -8 }, "negative target"},
-		{"negative max_cycles", func(r *gpuscale.Request) { r.Options.MaxCycles = -1 }, "negative max_cycles"},
-		{"negative shards", func(r *gpuscale.Request) { r.Options.Shards = -1 }, "negative shards"},
-		{"negative quantum", func(r *gpuscale.Request) { r.Options.Quantum = -1 }, "negative quantum"},
-		{"mcm simulate ok", func(r *gpuscale.Request) {
-			r.Target = gpuscale.TargetSpec{Chiplets: 4}
-			r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
-		}, ""},
-		{"mcm warmup", func(r *gpuscale.Request) {
-			r.Target = gpuscale.TargetSpec{Chiplets: 4}
-			r.Options.WarmupInstructions = 100
-		}, "warmup_instructions is not supported on MCM"},
-		{"predict ok", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpPredict
-			r.Target = gpuscale.TargetSpec{}
-		}, ""},
-		{"predict with sms", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpPredict
-		}, "leave target.sms unset"},
-		{"predict mcm ok", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpPredict
-			r.Target = gpuscale.TargetSpec{Chiplets: 16}
-			r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
-		}, ""},
-		{"predict mcm wrong size", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpPredict
-			r.Target = gpuscale.TargetSpec{Chiplets: 8}
-			r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
-		}, "only the 16-chiplet target"},
-		{"predict mcm strong", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpPredict
-			r.Target = gpuscale.TargetSpec{Chiplets: 16}
-		}, "requires a weak-scaling family"},
-		{"predict with max_cycles", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpPredict
-			r.Target = gpuscale.TargetSpec{}
-			r.Options.MaxCycles = 100
-		}, "do not apply to predict"},
-		{"mrc ok", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpMRC
-			r.Target = gpuscale.TargetSpec{}
-		}, ""},
-		{"mrc with target", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpMRC
-		}, "leave target unset"},
-		{"mrc weak", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpMRC
-			r.Target = gpuscale.TargetSpec{}
-			r.Workload = gpuscale.WorkloadSpec{Bench: "va", Weak: true}
-		}, "strong-scaling benchmarks only"},
-		{"mrc with warmup", func(r *gpuscale.Request) {
-			r.Op = gpuscale.OpMRC
-			r.Target = gpuscale.TargetSpec{}
-			r.Options.WarmupInstructions = 5
-		}, "do not apply to mrc"},
-	}
-	for _, tc := range cases {
+	for _, tc := range validateCases {
 		r := simRequest()
 		tc.mutate(&r)
 		err := r.Validate()
@@ -167,9 +171,10 @@ func TestCanonicalizeEquivalences(t *testing.T) {
 // TestCanonicalizeStripsShardingOptions pins the daemon cache-key
 // stability contract for the monolithic simulator's sharding knobs: a
 // simulate request with any combination of shards and quantum set must
-// canonicalise to the same bytes and hash as one with neither, because
-// both options are bit-identity-preserving host execution strategy
-// (docs/PARALLELISM.md) and must never fragment the cache key space.
+// canonicalise to the same bytes and hash as one with neither: shards is
+// bit-identity-preserving host execution strategy (docs/PARALLELISM.md),
+// quantum is accepted and ignored, and neither may fragment the cache key
+// space.
 func TestCanonicalizeStripsShardingOptions(t *testing.T) {
 	base := simRequest() // monolithic: target.sms = 8
 	canon, hash, err := gpuscale.Canonicalize(base)
@@ -202,22 +207,25 @@ func TestCanonicalizeStripsShardingOptions(t *testing.T) {
 		}
 	}
 
-	// The stripped options still reach the simulator via ResolveSimulation
-	// (server policy may override them, but the request's spelling works).
+	// The stripped shard count still reaches the simulator via
+	// ResolveSimulation (server policy may override it, but the request's
+	// spelling works); quantum reaches nothing.
 	r := base
 	r.Options.Shards = 4
 	r.Options.Quantum = 256
-	tgt, err := r.ResolveSimulation()
-	if err != nil {
-		t.Fatal(err)
+	if o, err := resolvedOptions(r); err != nil || o != (gpuscale.SimOptions{Shards: 4}) {
+		t.Errorf("resolved options %+v (err %v), want only Shards=4", o, err)
 	}
+}
+
+// resolvedOptions applies r's ResolveSimulation options to a zero SimOptions.
+func resolvedOptions(r gpuscale.Request) (gpuscale.SimOptions, error) {
 	var o gpuscale.SimOptions
+	tgt, err := r.ResolveSimulation()
 	for _, fn := range tgt.Options {
 		fn(&o)
 	}
-	if o.Shards != 4 || o.Quantum != 256 {
-		t.Errorf("resolved options %+v, want Shards=4 Quantum=256", o)
-	}
+	return o, err
 }
 
 // TestCanonicalizeStripsTier pins the tier half of the cache-key
@@ -435,4 +443,75 @@ func TestCanonicalizeKeepsUarch(t *testing.T) {
 	if _, _, err := gpuscale.Canonicalize(bad); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
+}
+
+// FuzzParseCanonicalize checks the wire contract on generated request
+// bytes: ParseRequest never panics; for anything that validates,
+// Canonicalize is idempotent and the hash is invariant under any shard
+// count, any quantum and every tier spelling the op accepts; and
+// ResolveSimulation yields the same SimOptions with and without quantum.
+// The seed corpus is the Validate table plus the strict-parse cases, so
+// plain `go test` exercises it; `go test -fuzz FuzzParseCanonicalize .`
+// explores further.
+func FuzzParseCanonicalize(f *testing.F) {
+	for _, tc := range validateCases {
+		r := simRequest()
+		tc.mutate(&r)
+		buf, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf, uint16(3), uint16(64))
+	}
+	for _, raw := range []string{
+		`{"workload":{"bench":"dct"},"target":{"sms":8},"op":"simulate","version":0}`,
+		`{"op":"simulate","tarrget":{"sms":8}}`,
+		`{"op":"simulate"}{"op":"mrc"}`,
+		`{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"auto","uarch":{"scheduler":"gto","issue_width":1}}}`,
+		`not json`,
+	} {
+		f.Add([]byte(raw), uint16(0), uint16(256))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, shards, quantum uint16) {
+		r, err := gpuscale.ParseRequest(data)
+		if err != nil {
+			return
+		}
+		canon, hash, err := gpuscale.Canonicalize(r)
+		if err != nil {
+			return
+		}
+		cr, err := gpuscale.ParseRequest(canon)
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%s", err, canon)
+		}
+		if again, h, err := gpuscale.Canonicalize(cr); err != nil || h != hash || string(again) != string(canon) {
+			t.Fatalf("Canonicalize is not idempotent (err %v):\n%s\n%s", err, canon, again)
+		}
+
+		tiers := []string{"", gpuscale.TierCycle}
+		if r.Op == gpuscale.OpPredict {
+			tiers = append(tiers, gpuscale.TierAnalytic, gpuscale.TierAuto)
+		}
+		for _, tier := range tiers {
+			v := r
+			v.Options.Shards, v.Options.Quantum, v.Options.Tier = int(shards), int(quantum), tier
+			if _, h, err := gpuscale.Canonicalize(v); err != nil || h != hash {
+				t.Fatalf("shards=%d quantum=%d tier=%q moved the hash (err %v)", shards, quantum, tier, err)
+			}
+		}
+
+		if r.Op != gpuscale.OpSimulate {
+			return
+		}
+		v := r
+		v.Options.Quantum = int(quantum)
+		with, errWith := resolvedOptions(v)
+		v.Options.Quantum = 0
+		without, errWithout := resolvedOptions(v)
+		if (errWith == nil) != (errWithout == nil) || with != without {
+			t.Fatalf("quantum=%d changed the resolved simulation: %+v (%v) vs %+v (%v)",
+				quantum, with, errWith, without, errWithout)
+		}
+	})
 }
