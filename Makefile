@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet short test race quick verify noalloc uarch-gate smoke bench
+.PHONY: build vet short test race quick verify noalloc uarch-gate smoke bench profile microbench
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,24 @@ noalloc:
 # host — do not build or test while it runs.
 bench:
 	$(GO) run ./bench
+
+# Where the sequential loop spends host time: CPU-profile one cycle-mono
+# cell (dct on the 128-SM target, a few seconds) and print the top of the
+# profile — the starting point of a throughput PR. Binary and profile go to
+# a temporary directory that is removed afterwards.
+profile:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d/gpusim ./cmd/gpusim && \
+	$$d/gpusim -bench dct -sms 128 -cpuprofile $$d/cpu.prof >/dev/null && \
+	$(GO) tool pprof -top -nodecount 30 $$d/gpusim $$d/cpu.prof
+
+# The per-structure micro-benchmarks of the hot-path packages (sm: the
+# pending-warp wheel; cache: L1 access and the MSHR file; timing: none yet,
+# listed so the first one is picked up), once each at a fixed iteration
+# count: the nightly run keeps them compiling and running. For numbers,
+# raise -benchtime and compare against a parent checkout.
+microbench:
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/
 
 # Every switch dispatching over uarch variant values ("case uarch.X") must
 # carry a panicking default, so adding a new variant axis value fails loudly

@@ -298,20 +298,22 @@ func SimulateSequenceContext(ctx context.Context, cfg SystemConfig, kernels []Wo
 }
 
 // SimulateMCMContext is SimulateContext on a multi-chiplet GPU. MCM runs
-// honour WithMaxCycles, WithObserver, WithSampleInterval, WithShards and
-// WithUarch; the remaining options do not apply to the chiplet model and
-// are ignored.
+// honour WithMaxCycles, WithObserver, WithSampleInterval, WithShards,
+// WithUarch and SimOptions.UseLegacyLoop (the dense reference loop the
+// golden twins compare against); the remaining options do not apply to the
+// chiplet model and are ignored.
 func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts ...SimOption) (MCMStats, error) {
 	var o SimOptions
 	for _, fn := range opts {
 		fn(&o)
 	}
 	sim, err := chiplet.New(cfg, w, chiplet.Options{
-		MaxCycles:   o.MaxCycles,
-		Recorder:    o.Recorder,
-		SampleEvery: o.SampleEvery,
-		Shards:      o.Shards,
-		Uarch:       o.Uarch,
+		MaxCycles:     o.MaxCycles,
+		Recorder:      o.Recorder,
+		SampleEvery:   o.SampleEvery,
+		Shards:        o.Shards,
+		Uarch:         o.Uarch,
+		UseLegacyLoop: o.UseLegacyLoop,
 	})
 	if err != nil {
 		return MCMStats{}, err

@@ -204,8 +204,9 @@ func mustAnalyzeMCM(t *testing.T, label string, cfg gpuscale.ChipletConfig, benc
 }
 
 // TestAnalyticMatchesGoldenGrid cross-validates the analytic tier against
-// every cell of the committed golden grid, asserting per-family maximum
-// relative error on IPC and f_mem against testdata/analytic_bounds.json.
+// every cell of the committed golden grid that runs a configuration the
+// model covers, asserting per-family maximum relative error on IPC and f_mem
+// against testdata/analytic_bounds.json.
 // Run with -update (after intended model changes, reviewed like any golden
 // update) to regenerate the bounds from observed errors plus margin.
 func TestAnalyticMatchesGoldenGrid(t *testing.T) {
@@ -224,6 +225,13 @@ func TestAnalyticMatchesGoldenGrid(t *testing.T) {
 	maxIPC := map[string]float64{}
 	maxFMem := map[string]float64{}
 	for _, cell := range cells {
+		// The hot-path structure cells pin simulator data structures on
+		// off-baseline configurations (a 16-entry MSHR file, 96 warps per
+		// SM); the analytic model has no MSHR-capacity term and makes no
+		// claim about them.
+		if strings.HasPrefix(cell.Label, "mshr-stall/") || strings.HasPrefix(cell.Label, "wide-sm/") {
+			continue
+		}
 		var actIPC, actFMem float64
 		switch {
 		case cell.Sim != nil:

@@ -36,9 +36,11 @@ type goldenEntry struct {
 // two weak-scaling MCM cells, three horizon-boundary cells with
 // long-latency DRAM, six microarchitecture-variant cells (two-level,
 // sectored and deflect — monolithic and MCM, each checked against a
-// sharded twin in-test), and one multi-kernel sequence. The strong cells
-// are fanned across the worker pool; results are bit-identical to a
-// sequential run.
+// sharded twin in-test), three hot-path structure cells (MSHR files small
+// enough to stall, monolithic and MCM, and an SM with 96 resident warps —
+// each checked against legacy and sharded twins in-test), and one
+// multi-kernel sequence. The strong cells are fanned across the worker
+// pool; results are bit-identical to a sequential run.
 func goldenCells(t *testing.T) []goldenEntry {
 	t.Helper()
 	ctx := context.Background()
@@ -265,6 +267,69 @@ func goldenCells(t *testing.T) []goldenEntry {
 		cells = append(cells, goldenEntry{Label: fmt.Sprintf("uarch-chiplet/%s/bfs/2c", uc), MCM: &mst})
 	}
 
+	// Hot-path structure cells: configurations that reach code no other cell
+	// does — an L1 MSHR file small enough to fill (MSHRStalls > 0, so the
+	// Full -> NextCompletion -> delayed-arrival path runs; capacity below the
+	// live-warp count), in both simulators, and an SM with more than 64
+	// resident warps (multi-word slots in the pending-warp wheel). Each is
+	// re-run through the dense reference loop and the shard loop and asserted
+	// byte-identical in-test. Additive cells: they extend the snapshot, never
+	// replace existing entries.
+	twinOpts := map[string]gpuscale.SimOption{
+		"legacy":   gpuscale.WithOptions(gpuscale.SimOptions{UseLegacyLoop: true}),
+		"shards=2": gpuscale.WithShards(2),
+		"shards=3": gpuscale.WithShards(3),
+	}
+	stallCfg := gpuscale.MustScale(base, 8)
+	stallCfg.L1MSHRs = 16
+	stallCfg.Name += "-mshr16"
+	wideCfg := gpuscale.MustScale(base, 8)
+	wideCfg.WarpsPerSM, wideCfg.MaxCTAsPerSM = 96, 32
+	wideCfg.Name += "-w96"
+	for _, sc := range []struct {
+		label  string
+		cfg    gpuscale.SystemConfig
+		stalls bool
+	}{{"mshr-stall/bfs/8sm-mshr16", stallCfg, true}, {"wide-sm/bfs/8sm-w96", wideCfg, false}} {
+		st, err := gpuscale.SimulateContext(ctx, sc.cfg, hbench.Workload)
+		if err != nil {
+			t.Fatalf("golden cell %s: %v", sc.label, err)
+		}
+		if sc.stalls && st.MSHRStalls == 0 {
+			t.Errorf("%s: no MSHR stalls, the cell no longer reaches the full-file path", sc.label)
+		}
+		for name, opt := range twinOpts {
+			tw, err := gpuscale.SimulateContext(ctx, sc.cfg, hbench.Workload, opt)
+			if err != nil {
+				t.Fatalf("golden cell %s %s twin: %v", sc.label, name, err)
+			}
+			if tw != st {
+				t.Errorf("%s %s twin diverged\n got %+v\nwant %+v", sc.label, name, tw, st)
+			}
+		}
+		cells = append(cells, goldenEntry{Label: sc.label, Sim: &st})
+	}
+	stallMCM, err := gpuscale.ScaleChiplets(gpuscale.Target16Chiplet(), 2)
+	if err != nil {
+		t.Fatalf("golden mshr-stall chiplet config: %v", err)
+	}
+	stallMCM.Chiplet.L1MSHRs = 8
+	stallMCM.Name += "-mshr8"
+	smcm, err := gpuscale.SimulateMCMContext(ctx, stallMCM, hbench.Workload)
+	if err != nil {
+		t.Fatalf("golden mshr-stall chiplet cell: %v", err)
+	}
+	for name, opt := range twinOpts { // shards=3 clamps to the two chiplets
+		tw, err := gpuscale.SimulateMCMContext(ctx, stallMCM, hbench.Workload, opt)
+		if err != nil {
+			t.Fatalf("golden mshr-stall chiplet %s twin: %v", name, err)
+		}
+		if tw != smcm {
+			t.Errorf("mshr-stall/bfs/2c-mshr8 %s twin diverged\n got %+v\nwant %+v", name, tw, smcm)
+		}
+	}
+	cells = append(cells, goldenEntry{Label: "mshr-stall/bfs/2c-mshr8", MCM: &smcm})
+
 	// One multi-kernel sequence: three kernels back to back with a grid
 	// barrier between them and caches persisting across them.
 	var kernels []gpuscale.Workload
@@ -292,7 +357,7 @@ func goldenCells(t *testing.T) []goldenEntry {
 // without -update: identical simulated results, faster host execution.
 func TestGoldenStats(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden grid simulates 66 cells; skipped in -short mode")
+		t.Skip("golden grid simulates 69 cells; skipped in -short mode")
 	}
 	cells := goldenCells(t)
 

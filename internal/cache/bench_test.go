@@ -57,20 +57,36 @@ func BenchmarkCacheAccess(b *testing.B) {
 	})
 }
 
-// BenchmarkMSHR measures the flat MSHR file under the simulator's access
-// pattern: allocate to capacity, merge, lookup, then expire everything.
+// BenchmarkMSHR measures one L1 miss as the run loops handle it — the
+// per-tick Expire, a Lookup that finds nothing to merge into, the Full check
+// and the Allocate — on the baseline 384-entry file. An SM sends a miss
+// every few cycles (8 here) and a miss is outstanding for a few hundred,
+// which sets how many live entries the scans cross; "saturated" shrinks the file until
+// it is full of live entries, so the refused-miss path (on-demand reclaim,
+// NextCompletion scan) is what is timed.
 func BenchmarkMSHR(b *testing.B) {
-	const capacity = 32
-	m := NewMSHRFile(capacity)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		base := int64(i) * 1000
-		for l := uint64(0); l < capacity; l++ {
-			m.Allocate(l, base+100+int64(l))
-		}
-		m.Allocate(capacity/2, base+500) // merge extends one entry
-		m.Lookup(base+50, capacity/2)
-		m.Full(base + 50)
-		m.Expire(base + 999)
+	for _, c := range []struct {
+		name              string
+		capacity, latency int
+	}{{"steady", 384, 300}, {"short-latency", 384, 50}, {"saturated", 16, 300}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := NewMSHRFile(c.capacity)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				now := int64(i) * 8
+				line := uint64(i)
+				m.Expire(now)
+				if _, ok := m.Lookup(now, line); ok {
+					continue
+				}
+				if m.Full(now) {
+					sinkCompletion, _ = m.NextCompletion(now)
+					continue
+				}
+				m.Allocate(line, now+int64(c.latency))
+			}
+		})
 	}
 }
+
+var sinkCompletion int64

@@ -246,8 +246,8 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	if c, _ := m.Lookup(0, 10); c != 150 {
 		t.Errorf("later merge should extend completion, got %d", c)
 	}
-	if m.Outstanding() != 1 {
-		t.Errorf("outstanding = %d, want 1", m.Outstanding())
+	if got := m.Outstanding(0); got != 1 {
+		t.Errorf("outstanding = %d, want 1", got)
 	}
 }
 
@@ -271,11 +271,9 @@ func TestMSHRExpire(t *testing.T) {
 	m.Allocate(1, 10)
 	m.Allocate(2, 20)
 	m.Allocate(3, 30)
-	if n := m.Expire(20); n != 2 {
-		t.Errorf("expired %d, want 2", n)
-	}
-	if m.Outstanding() != 1 {
-		t.Errorf("outstanding = %d, want 1", m.Outstanding())
+	m.Expire(20)
+	if got := m.Outstanding(20); got != 1 {
+		t.Errorf("outstanding = %d, want 1", got)
 	}
 	if _, ok := m.Lookup(20, 3); !ok {
 		t.Error("entry 3 should survive")
@@ -284,13 +282,16 @@ func TestMSHRExpire(t *testing.T) {
 
 func TestMSHRNextCompletion(t *testing.T) {
 	m := NewMSHRFile(4)
-	if _, ok := m.NextCompletion(); ok {
+	if _, ok := m.NextCompletion(0); ok {
 		t.Error("empty file reported a completion")
 	}
 	m.Allocate(1, 30)
 	m.Allocate(2, 10)
-	if c, ok := m.NextCompletion(); !ok || c != 10 {
+	if c, ok := m.NextCompletion(0); !ok || c != 10 {
 		t.Errorf("next completion = %d,%v, want 10,true", c, ok)
+	}
+	if c, ok := m.NextCompletion(10); !ok || c != 30 {
+		t.Errorf("next completion at 10 = %d,%v, want 30,true: completed entries do not count", c, ok)
 	}
 }
 

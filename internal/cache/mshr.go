@@ -1,6 +1,10 @@
 package cache
 
-import "gpuscale/internal/obs"
+import (
+	"math"
+
+	"gpuscale/internal/obs"
+)
 
 // MSHRFile models a miss-status holding register file: a bounded table of
 // outstanding misses keyed by line address. Concurrent misses to the same
@@ -11,227 +15,210 @@ import "gpuscale/internal/obs"
 // Each entry remembers the completion time of the underlying memory request
 // so that merged requesters wake at the same cycle the data returns.
 //
-// The file is a set of flat parallel arrays sized to capacity rather than a
-// map: MSHR capacities are small (tens to hundreds of entries), so a linear
-// scan beats hashing on every Lookup and the structure never allocates
-// after NewMSHRFile. Alongside the slot arrays it keeps an index min-heap
-// ordered by completion time, so reclamation costs O(log n) per completed
-// entry rather than a full-file scan — in a memory-saturated simulation
-// some entry completes almost every cycle, which made scan-based expiry the
-// single hottest function in the run-loop profile.
+// The file is a pair of flat parallel arrays sized to capacity rather than
+// a map: MSHR capacities are small (tens to hundreds of entries), so a linear
+// scan beats hashing on every Lookup and the structure never allocates after
+// NewMSHRFile. Entries are unordered and completed ones are reclaimed
+// lazily: nothing on the per-instruction path needs them sorted, so there is
+// no completion heap to sift. An entry whose completion cycle has passed is
+// dead — Lookup skips it, Allocate of the same line overwrites it (the later
+// completion wins, and a new miss always completes later than a dead one),
+// Outstanding and NextCompletion do not count it — and it costs only its
+// place in the scan until compact sweeps it out.
 //
-// Reclamation of completed entries is batched: the run loop calls
-// Expire(now) once per SM per visited cycle (immediately before the SM's
-// Tick, hence before any Access that cycle). Lookup does not reclaim; it
-// simply ignores entries whose completion cycle has passed, so its answers
-// are exact under any expiry schedule. Full still reclaims, but only when
-// the file looks full — without it a file clogged with completed entries
-// could refuse an Allocate. Between Expire calls Outstanding may overcount
-// (see its doc); every timing-visible answer (Lookup, Full, Allocate, and
-// NextCompletion as consumed after the pre-Tick Expire) is unchanged, which
-// is how the batched contract keeps Stats bit-identical. Slot order is
-// scrambled by swap-removal, but every answer (exact-match lookup, count,
-// minimum) is order-independent — which is also why the old map's random
-// iteration order produced the same results.
+// The run loops call Expire(now) once per SM per visited cycle, immediately
+// before the SM's Tick and hence before any access of that cycle. Expire
+// records the cycle and compacts only when the occupied slots reach twice
+// the survivors of the last compaction (or capacity), so a sweep over n
+// slots is paid for by the n/2 allocations since the last one: amortised
+// O(1) per miss, one comparison per tick. Full and Allocate compact on
+// demand when the arrays look full, so a file clogged with dead entries
+// never refuses a miss. Every timing-visible answer (Lookup, Full, Allocate,
+// NextCompletion) is a function of the live entries alone — exact-match
+// lookup, count, minimum, all order-independent — so Stats are bit-identical
+// to eager reclamation under any compaction schedule
+// (TestMSHRMatchesReferenceModel).
 type MSHRFile struct {
-	capacity int
-	lines    []uint64 // line addresses of outstanding misses, in slots [0, n)
-	comps    []int64  // completion cycle of each outstanding miss
-	// The index heap stores completion times inline (hcomp) next to the
-	// slot they belong to (hslot) instead of indirecting through
-	// comps[heap[i]]: heap comparisons are the hottest loads in a
-	// memory-saturated run, and the inline copy turns each one into a
-	// single sequential read — the four children of a 4-ary node span 32
-	// bytes of hcomp. comps stays authoritative for the slot arrays; the
-	// two are updated together.
-	hcomp []int64 // heap position → completion time (copy of comps[hslot])
-	hslot []int32 // heap position → slot
-	hpos  []int32 // slot → heap position
-	n     int
+	capacity  int
+	lines     []uint64 // line addresses in slots [0, n), live and dead
+	comps     []int64  // completion cycle of each slot; dead once <= now
+	n         int      // occupied slots
+	compactAt int      // occupancy at which Expire next compacts
+	now       int64    // latest cycle passed to Expire, Lookup or Full
+	earliest  int64    // no entry completes before this cycle: sweeping sooner reclaims nothing
+	// Where the latest Lookup's scan for probeLine ended: its slot, or n if
+	// the line has none; -1 once slots have moved or been added. A miss is a
+	// Lookup that finds nothing live followed by an Allocate of the same
+	// line, and this saves the Allocate its scan of the same array.
+	probeLine uint64
+	probeSlot int
 }
+
+// minCompactAt keeps a nearly empty file from compacting on every miss.
+const minCompactAt = 8
 
 // NewMSHRFile returns an MSHR file with the given entry capacity.
 func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &MSHRFile{
+	m := &MSHRFile{
 		capacity: capacity,
 		lines:    make([]uint64, capacity),
 		comps:    make([]int64, capacity),
-		hcomp:    make([]int64, capacity),
-		hslot:    make([]int32, capacity),
-		hpos:     make([]int32, capacity),
 	}
+	m.compact()
+	return m
 }
 
 // Lookup returns the completion cycle of a miss on line still outstanding at
-// cycle now, if one exists. It does not reclaim: an entry whose completion
-// cycle has passed is reported as absent (the data already returned, so
-// there is nothing to merge into) and is left for the next batched Expire.
-// Line addresses are unique in the file (Allocate merges), so at most one
-// entry can match and the expired-entry check cannot mask a live one.
+// cycle now, if one exists. A dead entry is reported as absent: the data
+// already returned, so there is nothing to merge into. Line addresses are
+// unique in the file (Allocate merges), so at most one entry can match.
 func (m *MSHRFile) Lookup(now int64, line uint64) (completion int64, ok bool) {
-	for i := 0; i < m.n; i++ {
-		if m.lines[i] == line {
-			if m.comps[i] <= now {
-				return 0, false // completed; awaiting batched reclamation
-			}
-			return m.comps[i], true
-		}
+	m.now = now
+	i := m.find(line)
+	m.probeLine, m.probeSlot = line, i
+	if i < m.n && m.comps[i] > now {
+		return m.comps[i], true
 	}
 	return 0, false
 }
 
-// Full reports whether a new line can no longer be allocated at cycle now.
-// Entries completing at or before now are reclaimed first.
+// find returns the slot holding line, live or dead, or n if there is none.
+func (m *MSHRFile) find(line uint64) int {
+	for i, l := range m.lines[:m.n] {
+		if l == line {
+			return i
+		}
+	}
+	return m.n
+}
+
+// Full reports whether a new line can no longer be allocated at cycle now,
+// i.e. whether capacity misses are still outstanding.
 func (m *MSHRFile) Full(now int64) bool {
+	m.now = now
 	if m.n < m.capacity {
 		return false
 	}
-	m.Expire(now)
+	m.reclaim()
 	return m.n >= m.capacity
 }
 
 // Allocate records an outstanding miss on line completing at the given
-// cycle. It reports false if the file is full and the line is not already
-// present. Allocating an already-present line merges: the later completion
+// cycle, which must lie after the latest cycle the file was shown. It
+// reports false if capacity misses are outstanding and line is not among
+// them. Allocating an already-present line merges: the later completion
 // time wins (conservative — data cannot arrive before the slowest merge).
 func (m *MSHRFile) Allocate(line uint64, completion int64) bool {
-	for i := 0; i < m.n; i++ {
-		if m.lines[i] == line {
-			if completion > m.comps[i] {
-				m.comps[i] = completion
-				h := int(m.hpos[i])
-				m.hcomp[h] = completion
-				m.siftDown(h) // key increased; may move toward leaves
-			}
-			return true
+	if m.n >= m.capacity {
+		m.reclaim() // only live entries may refuse a miss
+	}
+	i := m.probeSlot
+	if i < 0 || m.probeLine != line {
+		i = m.find(line)
+	}
+	m.probeSlot = -1
+	if i < m.n {
+		if completion > m.comps[i] {
+			m.comps[i] = completion
 		}
+		return true
 	}
 	if m.n >= m.capacity {
 		return false
 	}
-	s := m.n
-	m.lines[s] = line
-	m.comps[s] = completion
-	m.hcomp[s] = completion
-	m.hslot[s] = int32(s)
-	m.hpos[s] = int32(s)
+	m.lines[i] = line
+	m.comps[i] = completion
 	m.n++
-	m.siftUp(s)
+	if completion < m.earliest {
+		m.earliest = completion
+	}
 	return true
 }
 
-// Expire releases every entry whose completion cycle is ≤ now and returns
-// how many were released. The heap root makes the no-op case — nothing has
-// completed yet — a single comparison, and each release costs O(log n).
-func (m *MSHRFile) Expire(now int64) int {
-	released := 0
-	for m.n > 0 && m.hcomp[0] <= now {
-		m.removeSlot(int(m.hslot[0]))
-		released++
-	}
-	return released
-}
-
-// removeSlot deletes occupied slot s: it detaches s from the heap, then
-// compacts the slot arrays by moving the highest occupied slot into s.
-func (m *MSHRFile) removeSlot(s int) {
-	m.n--
-	last := m.n
-	// Heap removal: move the heap's last element into s's position and
-	// restore the invariant in both directions (the moved element is
-	// arbitrary relative to that subtree).
-	h := int(m.hpos[s])
-	if h != last {
-		m.hcomp[h] = m.hcomp[last]
-		moved := m.hslot[last]
-		m.hslot[h] = moved
-		m.hpos[moved] = int32(h)
-		m.siftDown(h)
-		m.siftUp(h)
-	}
-	// Slot compaction: relocate slot `last` into s and redirect its heap
-	// entry. (If the heap move above relocated slot `last` its position was
-	// already updated, and hpos[last] reads the fresh value.)
-	if s != last {
-		m.lines[s] = m.lines[last]
-		m.comps[s] = m.comps[last]
-		hp := m.hpos[last]
-		m.hpos[s] = hp
-		m.hslot[hp] = int32(s)
+// Expire tells the file the clock has reached now and lets it reclaim dead
+// entries — the once-per-tick call. It sweeps only when enough slots have
+// been filled since the last sweep to pay for it.
+func (m *MSHRFile) Expire(now int64) {
+	m.now = now
+	if m.n >= m.compactAt {
+		m.reclaim()
 	}
 }
 
-// The heap is 4-ary: expiry is sift-down dominated (every release sifts a
-// leaf element from the root), and the wider fan-out halves the depth and
-// keeps each level's children in one or two cache lines.
-
-func (m *MSHRFile) siftUp(h int) {
-	for h > 0 {
-		p := (h - 1) / 4
-		if m.hcomp[p] <= m.hcomp[h] {
-			return
-		}
-		m.swap(p, h)
-		h = p
+// reclaim compacts unless no entry can have died yet — the guard that keeps
+// a file full of live entries (the MSHR-stall regime) from sweeping on every
+// tick and every refused miss.
+func (m *MSHRFile) reclaim() {
+	if m.now >= m.earliest {
+		m.compact()
 	}
 }
 
-func (m *MSHRFile) siftDown(h int) {
-	for {
-		c := 4*h + 1
-		if c >= m.n {
-			return
-		}
-		end := c + 4
-		if end > m.n {
-			end = m.n
-		}
-		for r := c + 1; r < end; r++ {
-			if m.hcomp[r] < m.hcomp[c] {
-				c = r
+// compact drops every entry dead at m.now and schedules the next sweep at
+// twice the survivors.
+func (m *MSHRFile) compact() {
+	live := 0
+	m.probeSlot = -1
+	m.earliest = math.MaxInt64
+	for i, c := range m.comps[:m.n] {
+		if c > m.now {
+			m.lines[live], m.comps[live] = m.lines[i], c
+			live++
+			if c < m.earliest {
+				m.earliest = c
 			}
 		}
-		if m.hcomp[h] <= m.hcomp[c] {
-			return
+	}
+	m.n = live
+	m.compactAt = 2 * live
+	if m.compactAt < minCompactAt {
+		m.compactAt = minCompactAt
+	}
+	if m.compactAt > m.capacity {
+		m.compactAt = m.capacity
+	}
+}
+
+// NextCompletion returns the earliest completion cycle among the misses
+// outstanding at cycle now, and false if there are none. Only the MSHR-stall
+// path asks (a full file delays the next miss until an entry frees), so it
+// is a scan, not a maintained minimum.
+func (m *MSHRFile) NextCompletion(now int64) (int64, bool) {
+	next, ok := int64(0), false
+	for _, c := range m.comps[:m.n] {
+		if c > now && (!ok || c < next) {
+			next, ok = c, true
 		}
-		m.swap(c, h)
-		h = c
 	}
+	return next, ok
 }
 
-func (m *MSHRFile) swap(a, b int) {
-	m.hcomp[a], m.hcomp[b] = m.hcomp[b], m.hcomp[a]
-	m.hslot[a], m.hslot[b] = m.hslot[b], m.hslot[a]
-	m.hpos[m.hslot[a]] = int32(a)
-	m.hpos[m.hslot[b]] = int32(b)
-}
-
-// NextCompletion returns the earliest completion cycle among outstanding
-// entries, and false if the file is empty.
-func (m *MSHRFile) NextCompletion() (int64, bool) {
-	if m.n == 0 {
-		return 0, false
+// Outstanding returns the number of misses outstanding at cycle now: entries
+// whose data has not returned yet. Dead entries awaiting compaction are not
+// counted, so the answer does not depend on when the file was last swept.
+func (m *MSHRFile) Outstanding(now int64) int {
+	live := 0
+	for _, c := range m.comps[:m.n] {
+		if c > now {
+			live++
+		}
 	}
-	return m.hcomp[0], true
+	return live
 }
-
-// Outstanding returns the number of occupied slots. Because reclamation is
-// deferred, this may include entries whose completion time has passed; call
-// Expire first for an exact live count.
-func (m *MSHRFile) Outstanding() int { return m.n }
 
 // Capacity returns the entry capacity.
 func (m *MSHRFile) Capacity() int { return m.capacity }
 
-// PublishObs stores the MSHR file's occupancy into the given metrics scope.
-// No-op on a nil scope.
-func (m *MSHRFile) PublishObs(sc *obs.Scope) {
+// PublishObs stores the MSHR file's occupancy at cycle now into the given
+// metrics scope. No-op on a nil scope.
+func (m *MSHRFile) PublishObs(sc *obs.Scope, now int64) {
 	if sc == nil {
 		return
 	}
-	sc.Gauge("outstanding").Set(float64(m.n))
-	sc.Gauge("occupancy").Set(float64(m.n) / float64(m.capacity))
+	live := float64(m.Outstanding(now))
+	sc.Gauge("outstanding").Set(live)
+	sc.Gauge("occupancy").Set(live / float64(m.capacity))
 }

@@ -72,7 +72,7 @@ type chipletState struct {
 type smRef struct {
 	m *sm.SM
 	p *port
-	f *cache.MSHRFile // this SM's MSHR file, for batched per-cycle expiry
+	f *cache.MSHRFile // this SM's MSHR file, for the per-tick Expire
 }
 
 // Simulator is a configured MCM GPU plus workload. Use New.
@@ -327,9 +327,8 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 			return now + int64(ch.L1HitLatency)
 		}
 	}
-	// MSHR reclamation is batched: both run loops Expire this SM's file
-	// once per visited cycle, right before the Tick that issues this
-	// access, so no completed entry is live here (see gpu's port.Access).
+	// Completed MSHR entries are reclaimed lazily; the answers below count
+	// only misses still outstanding at now (see gpu's port.Access).
 	mshr := cs.mshrs[p.smID]
 	load := in.Kind == trace.Load
 	if load && !bypass {
@@ -340,7 +339,7 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 	arrival := now
 	full := mshr.Full(now)
 	if full {
-		if nc, ok := mshr.NextCompletion(); ok && nc > arrival {
+		if nc, ok := mshr.NextCompletion(now); ok && nc > arrival {
 			arrival = nc
 		}
 	}
@@ -490,11 +489,11 @@ func (s *Simulator) flushAllAccruals() {
 	s.tk.FlushAll()
 }
 
-// TickUnit implements timing.Driver: one due SM's visit — batched MSHR
-// expiry (reclaim completed entries before any Access this Tick can
-// issue), the SM tick itself, and retirement bookkeeping. The returned
-// Outcome carries the SM's next wake-up for the kernel's due-wheel; NoWake
-// means the SM is idle until a CTA launch ScheduleNows it.
+// TickUnit implements timing.Driver: one due SM's visit — the MSHR
+// file's per-tick Expire (it may sweep completed entries, before any Access
+// this Tick can issue), the SM tick itself, and retirement bookkeeping. The
+// returned Outcome carries the SM's next wake-up for the kernel's due-wheel;
+// NoWake means the SM is idle until a CTA launch ScheduleNows it.
 func (s *Simulator) TickUnit(now int64, g int) timing.Outcome {
 	r := s.all[g]
 	liveBefore := r.m.LiveWarps()
@@ -608,7 +607,7 @@ func (s *Simulator) runLegacy(ctx context.Context) (Stats, error) {
 		}
 		issued := false
 		for i, r := range all {
-			r.f.Expire(s.now) // batched expiry, as in the event loop
+			r.f.Expire(s.now) // per-tick expiry, as in the event loop
 			kinds[i] = r.m.Tick(s.now, r.p)
 			if kinds[i] == sm.Issued {
 				issued = true
@@ -721,7 +720,7 @@ func (s *Simulator) publishObs() {
 			id := strconv.Itoa(i)
 			m.PublishObs(chipScope.Sub("sm").Sub(id))
 			cs.l1s[i].PublishObs(chipScope.Sub("l1").Sub(id))
-			cs.mshrs[i].PublishObs(chipScope.Sub("mshr").Sub(id))
+			cs.mshrs[i].PublishObs(chipScope.Sub("mshr").Sub(id), s.now)
 		}
 		for i, llc := range cs.llc {
 			llc.PublishObs(chipScope.Sub("llc").Sub(strconv.Itoa(i)))

@@ -19,6 +19,15 @@ func horizonMCM(chiplets, smsPerChiplet, dram int) config.ChipletConfig {
 	return cfg
 }
 
+// mshrStallMCM is a small MCM config whose per-SM MSHR files are far smaller
+// than the warps missing into them, so the full-file stall path runs.
+func mshrStallMCM(chiplets, smsPerChiplet, mshrs int) config.ChipletConfig {
+	cfg := smallMCM(chiplets, smsPerChiplet)
+	cfg.Chiplet.L1MSHRs = mshrs
+	cfg.Name += "-mshrstall"
+	return cfg
+}
+
 // TestEventLoopMatchesLegacy requires the event-driven MCM run loop and the
 // dense reference loop to produce bit-identical statistics across both CTA
 // scheduling policies and a real benchmark workload.
@@ -38,6 +47,7 @@ func TestEventLoopMatchesLegacy(t *testing.T) {
 		{"stream/contiguous", smallMCM(2, 4), func() trace.Workload { return streamWorkload(32, 2, 30) }, "contiguous"},
 		{"bfs/4c", config.MustScaleChiplets(config.Target16Chiplet(), 4), func() trace.Workload { return bfs.Workload }, ""},
 		{"stream/horizon-dram", horizonMCM(2, 4, 15), func() trace.Workload { return streamWorkload(32, 2, 30) }, ""},
+		{"stream/mshr-stall", mshrStallMCM(2, 4, 4), func() trace.Workload { return streamWorkload(64, 4, 30) }, ""},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {

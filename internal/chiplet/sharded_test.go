@@ -64,6 +64,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		{"random/4c", smallMCM(4, 2), func() trace.Workload { return randomTrafficWorkload(24, 2, 20) }, ""},
 		{"bfs/4c", config.MustScaleChiplets(config.Target16Chiplet(), 4), func() trace.Workload { return bfs.Workload }, ""},
 		{"stream/horizon-dram", horizonMCM(4, 2, 15), func() trace.Workload { return streamWorkload(32, 2, 30) }, ""},
+		{"stream/mshr-stall", mshrStallMCM(4, 2, 4), func() trace.Workload { return streamWorkload(64, 4, 30) }, ""},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {

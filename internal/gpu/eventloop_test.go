@@ -23,6 +23,25 @@ func horizonConfig(n, dram int) config.SystemConfig {
 	return cfg
 }
 
+// mshrStallConfig is an n-SM config whose L1 MSHR file is far smaller than
+// the warps that miss into it, so the file fills and the Full ->
+// NextCompletion -> delayed-arrival path runs on most misses.
+func mshrStallConfig(n, mshrs int) config.SystemConfig {
+	cfg := testConfig(n)
+	cfg.L1MSHRs = mshrs
+	cfg.Name += "-mshrstall"
+	return cfg
+}
+
+// wideSMConfig is an n-SM config with more than 64 resident warps per SM, so
+// every slot of the SM's pending-warp wheel spans two words.
+func wideSMConfig(n int) config.SystemConfig {
+	cfg := testConfig(n)
+	cfg.WarpsPerSM, cfg.MaxCTAsPerSM = 96, 32
+	cfg.Name += "-wide"
+	return cfg
+}
+
 func TestEventLoopMatchesLegacy(t *testing.T) {
 	cells := []struct {
 		name string
@@ -37,12 +56,17 @@ func TestEventLoopMatchesLegacy(t *testing.T) {
 		{"stream/noskip", testConfig(8), func() trace.Workload { return streamWorkload(48, 4, 40) }, Options{DisableEventSkip: true}},
 		{"stream/warmup", testConfig(8), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{WarmupInstructions: 5000}},
 		{"stream/horizon-dram", horizonConfig(8, 52), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
+		{"stream/mshr-stall", mshrStallConfig(8, 4), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
+		{"stream/wide-sm", wideSMConfig(8), func() trace.Workload { return streamWorkload(256, 4, 30) }, Options{}},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			ev, err := RunWithOptions(c.cfg, c.w(), c.opt)
 			if err != nil {
 				t.Fatalf("event loop: %v", err)
+			}
+			if c.name == "stream/mshr-stall" && ev.MSHRStalls == 0 {
+				t.Error("no MSHR stalls: the cell no longer reaches the full-file path")
 			}
 			legacyOpt := c.opt
 			legacyOpt.UseLegacyLoop = true

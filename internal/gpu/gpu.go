@@ -418,11 +418,10 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 			return now + int64(s.cfg.L1HitLatency)
 		}
 	}
-	// MSHR reclamation is batched: the run loop Expires this SM's file once
-	// per visited cycle, immediately before the Tick that issues this
-	// access, so no entry here has a completion cycle ≤ now. Lookup and
-	// Full stay exact even if that schedule changes (Lookup skips expired
-	// entries; Full reclaims when the file looks full).
+	// The MSHR file reclaims completed entries lazily (the run loop's
+	// per-tick Expire only sweeps when enough have piled up), but every
+	// answer below counts only the misses still outstanding at now, so the
+	// sweep schedule is invisible here.
 	mshr := s.mshrs[p.smID]
 	load := in.Kind == trace.Load
 	if load && !bypass {
@@ -433,7 +432,7 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 	arrival := now
 	full := mshr.Full(now)
 	if full {
-		if nc, ok := mshr.NextCompletion(); ok && nc > arrival {
+		if nc, ok := mshr.NextCompletion(now); ok && nc > arrival {
 			arrival = nc
 		}
 		if p.sh != nil {
@@ -599,11 +598,11 @@ func (s *Simulator) flushAllAccruals() {
 	s.tk.FlushAll()
 }
 
-// TickUnit implements timing.Driver: one due SM's visit — batched MSHR
-// expiry (reclaim completed entries before any Access this Tick can
-// issue), the SM tick itself, and retirement bookkeeping. The returned
-// Outcome carries the SM's next wake-up for the kernel's due-wheel; NoWake
-// means the SM is idle and stays unscheduled until a CTA launch
+// TickUnit implements timing.Driver: one due SM's visit — the MSHR
+// file's per-tick Expire (it may sweep completed entries, before any Access
+// this Tick can issue), the SM tick itself, and retirement bookkeeping. The
+// returned Outcome carries the SM's next wake-up for the kernel's due-wheel;
+// NoWake means the SM is idle and stays unscheduled until a CTA launch
 // ScheduleNows it.
 func (s *Simulator) TickUnit(now int64, i int) timing.Outcome {
 	m := s.sms[i]
@@ -758,7 +757,7 @@ func (s *Simulator) runLegacy(ctx context.Context) (Stats, error) {
 		}
 		issued := false
 		for i, m := range s.sms {
-			s.mshrs[i].Expire(s.now) // batched expiry, as in the event loop
+			s.mshrs[i].Expire(s.now) // per-tick expiry, as in the event loop
 			kinds[i] = m.Tick(s.now, s.ports[i])
 			if kinds[i] == sm.Issued {
 				issued = true
@@ -854,7 +853,7 @@ func (s *Simulator) sampleObs() {
 	var instr uint64
 	for i, m := range s.sms {
 		liveWarps += m.LiveWarps()
-		mshrOut += s.mshrs[i].Outstanding()
+		mshrOut += s.mshrs[i].Outstanding(s.now)
 		instr += m.Stats().Instructions
 	}
 	ipc := 0.0
@@ -891,7 +890,7 @@ func (s *Simulator) publishObs() {
 		id := strconv.Itoa(i)
 		m.PublishObs(smScope.Sub(id))
 		s.l1s[i].PublishObs(l1Scope.Sub(id))
-		s.mshrs[i].PublishObs(mshrScope.Sub(id))
+		s.mshrs[i].PublishObs(mshrScope.Sub(id), s.now)
 		l1Hits += s.l1s[i].Hits()
 		l1Misses += s.l1s[i].Misses()
 	}

@@ -67,6 +67,12 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 		{"stream/noskip", testConfig(8), func() []trace.Workload {
 			return []trace.Workload{streamWorkload(24, 2, 25)}
 		}, Options{DisableEventSkip: true}},
+		{"stream/mshr-stall", mshrStallConfig(8, 4), func() []trace.Workload {
+			return []trace.Workload{streamWorkload(64, 4, 40)}
+		}, Options{}},
+		{"stream/wide-sm", wideSMConfig(8), func() []trace.Workload {
+			return []trace.Workload{streamWorkload(256, 4, 20)}
+		}, Options{}},
 		{"sequence/2kernels", testConfig(16), func() []trace.Workload {
 			return []trace.Workload{
 				streamWorkload(32, 2, 30),

@@ -1,9 +1,13 @@
 package sm
 
 // warpHeap is an indexed binary min-heap over warp slot indices, keyed by an
-// int64 (launch age for the ready heap, wake-up cycle for the pending heap).
-// It supports O(log n) push/pop/remove and O(1) membership tests, which the
-// GTO scheduler's greedy path needs.
+// int64. It is off the per-instruction path: the SM keeps ready warps in a
+// readyQueue and blocked warps in a wakeWheel, and only the wheel's overflow
+// — wake-ups at or beyond its horizon, i.e. DRAM round trips — lives here,
+// keyed by wake-up cycle. O(log n) push/pop/remove/fix and O(1) membership,
+// which the wheel's fix needs to tell a far warp from a near one. It is also
+// the ordered reference the readyQueue and wakeWheel cross-checks compare
+// against.
 type warpHeap struct {
 	idx  []int   // heap order -> warp index
 	key  []int64 // heap order -> key
@@ -61,10 +65,6 @@ func (h *warpHeap) pop() (int, int64) {
 	w, k := h.idx[0], h.key[0]
 	h.removeAt(0)
 	return w, k
-}
-
-func (h *warpHeap) peek() (int, int64) {
-	return h.idx[0], h.key[0]
 }
 
 // fix rewrites the key of a warp already in the heap and restores heap

@@ -7,10 +7,21 @@
 // (Eq. 3) divides by 1−f_mem, where f_mem is the fraction of cycles an SM
 // fetches nothing because every blocked warp is waiting on memory; this
 // package is where that accounting lives.
+//
+// The per-instruction path touches no ordered structure. A warp that issues
+// is parked in a wakeWheel by its wake-up cycle (two stores for anything
+// nearer than the wheel's horizon) and, when that cycle is ticked, promoted
+// into a readyQueue that pops by scheduling rank. Only wake-ups beyond the
+// horizon — DRAM round trips — pay for a heap. Tick must be called with a
+// non-decreasing clock; the run loops in fact tick an SM no later than its
+// earliest pending wake-up (NextEvent is what they schedule it by), which
+// is the case the wheel is fast for, but a late Tick promotes everything it
+// passed over just the same.
 package sm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpuscale/internal/obs"
 	"gpuscale/internal/trace"
@@ -149,7 +160,7 @@ type SM struct {
 	warps     []warp
 	freeWarps []int
 	ready     readyQueue // assignment-ordered bitmap; pops oldest (GTO) / least recent (LRR)
-	pending   warpHeap   // ordered by readyAt
+	pending   wakeWheel  // blocked warps by wake-up cycle (readyAt)
 	current   int        // greedy warp index, -1 if none
 	recycler  ProgramRecycler
 
@@ -399,21 +410,27 @@ func (s *SM) ResidentCTAs() int { return s.maxCTAs - len(s.freeCTASlots) }
 // configured issue width (one instruction in the baseline) through mem. It
 // returns the cycle's classification but does not accrue classification
 // counters — call Accrue with the desired weight (1 normally, more when the
-// driver fast-forwards).
+// driver fast-forwards). now must not be earlier than the previous Tick's.
 func (s *SM) Tick(now int64, mem MemPort) TickKind {
-	// Promote warps whose dependencies resolved.
-	for s.pending.len() > 0 && s.pending.minKey() <= now {
-		idx, _ := s.pending.pop()
-		w := &s.warps[idx]
-		if w.waitMem {
-			s.blockedMem--
-			w.waitMem = false
+	// Promote warps whose dependencies resolved, in warp-index order. Any
+	// order gives the same schedule: the ready queues pop by rank, not by
+	// arrival, and the other effects are a counter and a flag.
+	due := s.pending.due(now)
+	for i, b := range due {
+		due[i] = 0
+		for ; b != 0; b &= b - 1 {
+			idx := i<<6 + bits.TrailingZeros64(b)
+			w := &s.warps[idx]
+			if w.waitMem {
+				s.blockedMem--
+				w.waitMem = false
+			}
+			if s.policy == GTO && idx == s.current {
+				s.currentReady = true // greedy warp bypasses the ready queue
+				continue
+			}
+			s.readyPush(idx)
 		}
-		if s.policy == GTO && idx == s.current {
-			s.currentReady = true // greedy warp bypasses the ready queue
-			continue
-		}
-		s.readyPush(idx)
 	}
 
 	issued := 0
@@ -478,7 +495,7 @@ func (s *SM) Tick(now int64, mem MemPort) TickKind {
 			mem.Access(now, in)
 			w.readyAt = now + 1
 		}
-		s.pending.push(idx, w.readyAt)
+		s.pending.park(idx, w.readyAt)
 		issued++
 		if issued >= s.issueWidth {
 			return Issued
@@ -543,16 +560,18 @@ func (s *SM) Accrue(kind TickKind, weight uint64) {
 func (s *SM) IssuingWarp() int { return s.current }
 
 // FixPendingWake rewrites a blocked warp's wake-up cycle in place — warp
-// state and the pending heap's ordering both. The sharded run loop parks a
-// deferred load's warp at a provisional far-future cycle during the
-// parallel tick phase and repairs it with the true completion cycle before
-// the next cycle's ticks; the warp must still be pending (it cannot have
-// been promoted: wake-ups are repaired before the cycle they could resolve
-// in). readyAt must be at least the repairing cycle, mirroring Tick's
+// state and its place in the pending wheel both. The sharded run loop parks
+// a deferred load's warp at a provisional far-future cycle (the wheel's
+// heap) during the parallel tick phase and repairs it with the true
+// completion cycle — usually inside the wheel's horizon — before the next
+// cycle's ticks; the warp must still be pending (it cannot have been
+// promoted: wake-ups are repaired before the cycle they could resolve in).
+// readyAt must be later than the SM's latest Tick, mirroring Tick's
 // next-cycle clamp on MemPort completions.
 func (s *SM) FixPendingWake(idx int, readyAt int64) {
-	s.warps[idx].readyAt = readyAt
-	s.pending.fix(idx, readyAt)
+	w := &s.warps[idx]
+	s.pending.fix(idx, w.readyAt, readyAt)
+	w.readyAt = readyAt
 }
 
 // HasReady reports whether a warp could issue (or retire) right now without
@@ -583,10 +602,7 @@ func (s *SM) NextEvent() (int64, bool) {
 	if s.currentReady || s.readyLen() > 0 {
 		return 0, false // a warp is ready immediately; no skipping possible
 	}
-	if s.pending.len() == 0 {
-		return 0, false
-	}
-	return s.pending.minKey(), true
+	return s.pending.next()
 }
 
 // Stats returns a copy of the SM's counters.
