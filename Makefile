@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet short test race quick verify noalloc uarch-gate smoke bench profile microbench
+.PHONY: build vet short test race quick verify noalloc uarch-gate smoke bench profile profile-mrc microbench
 
 build:
 	$(GO) build ./...
@@ -67,13 +67,29 @@ profile:
 	$$d/gpusim -bench dct -sms 128 -cpuprofile $$d/cpu.prof >/dev/null && \
 	$(GO) tool pprof -top -nodecount 30 $$d/gpusim $$d/cpu.prof
 
+# Where a miss-rate-curve sweep spends host time: CPU-profile cmd/mrc on
+# the suite's largest trace (bfs, 1.8 M accesses) and on a compute-bound one
+# (ht) and print the top of each. The cache model (findWay, Access, touch)
+# is expected to lead both; memTrace.replay's own share is the gather of
+# the issue order, mrc.extract the one walk over the warp programs.
+profile-mrc:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d/mrc ./cmd/mrc && \
+	for b in bfs ht; do \
+		$$d/mrc -bench $$b -cpuprofile $$d/$$b.prof >/dev/null && \
+		$(GO) tool pprof -top -nodecount 30 $$d/mrc $$d/$$b.prof || exit 1; \
+	done
+
 # The per-structure micro-benchmarks of the hot-path packages (sm: the
 # pending-warp wheel; cache: L1 access and the MSHR file; timing: none yet,
 # listed so the first one is picked up), once each at a fixed iteration
-# count: the nightly run keeps them compiling and running. For numbers,
-# raise -benchtime and compare against a parent checkout.
+# count, and one whole miss-rate curve per BenchmarkFunctionalSweep case
+# (ht, bfs, dct; replays sequential and at the default bound): the nightly
+# run keeps them compiling and running. For numbers, raise -benchtime and
+# compare against a parent checkout.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/
+	$(GO) test -run '^$$' -bench FunctionalSweep -benchtime 1x ./internal/mrc/
 
 # Every switch dispatching over uarch variant values ("case uarch.X") must
 # carry a panicking default, so adding a new variant axis value fails loudly

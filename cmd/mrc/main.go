@@ -6,12 +6,14 @@
 //
 //	mrc -bench dct
 //	mrc -bench dct -method stack
-//	mrc -bench dct -parallel 4      # fan the five replays across 4 workers
+//	mrc -bench dct -parallel 1      # replay the five configurations one after another
+//	mrc -bench bfs -cpuprofile cpu.prof
 //
-// The -parallel flag (default: all CPUs) fans the per-configuration cache
-// replays of the functional method across a worker pool; the curve is
-// identical at any setting. The stack method is a single pass by nature and
-// ignores the flag.
+// The -parallel flag (default: all CPUs) bounds the goroutines replaying
+// the functional method's configurations; the curve is identical at any
+// setting. The stack method is a single pass by nature and ignores the
+// flag. -cpuprofile and -memprofile write pprof profiles of the run
+// (`make profile-mrc` prints one for bfs and one for ht).
 package main
 
 import (
@@ -29,8 +31,15 @@ func main() {
 		method = flag.String("method", "functional",
 			"curve method: functional (cache sweep, matches the simulator) or stack (single-pass reuse distance, fully associative)")
 		parallel = cliutil.Parallel(flag.CommandLine)
+		prof     = cliutil.Profile(flag.CommandLine)
 	)
 	flag.Parse()
+	stopProf, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mrc:", err)
+		os.Exit(1)
+	}
+	defer stopProf()
 	if *bench == "" {
 		fmt.Fprintln(os.Stderr, "mrc: -bench is required")
 		os.Exit(2)

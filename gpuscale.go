@@ -358,14 +358,16 @@ type (
 
 // MissRateCurve computes w's miss-rate curve by functional simulation (no
 // timing) across the given configurations — the fast path of the paper's
-// Figure 3 workflow.
+// Figure 3 workflow. w's programs are walked once, by the caller's
+// goroutine; the per-configuration cache replays then run concurrently on
+// every processor.
 func MissRateCurve(w Workload, cfgs []SystemConfig) (Curve, error) {
 	return mrc.FunctionalSweep(w, cfgs)
 }
 
-// MissRateCurveParallel is MissRateCurve with the per-configuration replays
-// fanned across workers goroutines (<= 0 means all CPUs). The curve is
-// identical to the sequential one.
+// MissRateCurveParallel is MissRateCurve with an explicit bound on the
+// goroutines replaying configurations (<= 0 means the default, all CPUs; 1
+// replays them one after another). The curve is identical at every bound.
 func MissRateCurveParallel(w Workload, cfgs []SystemConfig, workers int) (Curve, error) {
 	return mrc.FunctionalSweepParallel(w, cfgs, workers)
 }

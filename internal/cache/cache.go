@@ -6,7 +6,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"gpuscale/internal/obs"
 )
@@ -34,7 +36,6 @@ type Cache struct {
 	// led the simulator's CPU profile.
 	prev, next []uint16
 	head       []uint16
-
 	// Sectored mode (the uarch.L1Sectored variant): sectorValid[set*ways+w]
 	// is a bitmask of the valid sectors in way w, and a tag hit whose
 	// sector bit is clear is a sector miss that fills only that sector. Nil
@@ -45,6 +46,17 @@ type Cache struct {
 
 	hits   uint64
 	misses uint64
+
+	// sigs[set*ways+w] is a one-byte hash of the line in way w, kept only by
+	// highly associative caches (the 64-way LLC slices; nil otherwise). A
+	// lookup compares eight signatures per step and checks the full tag of
+	// the few ways that match, where the plain scan reads every tag of the
+	// set — which is all of them on a miss.
+	sigs []uint8
+	// offPlain is set when Access has to leave its plain path — the cache
+	// keeps signatures or is sectored — so that the L1s' line-grain path
+	// tests one flag, as it did when sectoring was the only alternative.
+	offPlain bool
 }
 
 // invalidTag marks an unoccupied way. Line addresses lose their offset bits
@@ -103,15 +115,29 @@ func New(capacityBytes int64, ways, lineSize int) (*Cache, error) {
 	// Each set starts as the circular list 0 → 1 → … → ways-1 with way 0 at
 	// the head, so the first victim is way ways-1 and empty ways fill
 	// back-to-front — the same fill order the recency-array layout had.
-	for s := 0; s < sets; s++ {
-		base := s * ways
-		for w := 0; w < ways; w++ {
-			c.next[base+w] = uint16((w + 1) % ways)
-			c.prev[base+w] = uint16((w + ways - 1) % ways)
+	for base := 0; base < sets*ways; base += ways {
+		next, prev := c.next[base:base+ways], c.prev[base:base+ways]
+		for w := range next {
+			next[w] = uint16(w + 1)
+			prev[w] = uint16(w - 1)
 		}
+		next[ways-1], prev[0] = 0, uint16(ways-1)
+	}
+	if ways >= sigMinWays && ways%8 == 0 {
+		c.sigs = make([]uint8, sets*ways)
+		c.offPlain = true
 	}
 	return c, nil
 }
+
+// sigMinWays is the associativity from which a cache keeps way signatures:
+// below it the tag scan is a handful of compares and the signatures would
+// only add a store to every fill.
+const sigMinWays = 16
+
+// sigOf is the signature of a line: the top byte of a multiplicative hash,
+// so it does not depend on the set-index bits the lines of a set share.
+func sigOf(line uint64) uint8 { return uint8(line * 0x9e3779b97f4a7c15 >> 56) }
 
 // MustNew is New but panics on error.
 func MustNew(capacityBytes int64, ways, lineSize int) *Cache {
@@ -151,6 +177,8 @@ func NewSectored(capacityBytes int64, ways, lineSize, sectorSize int) (*Cache, e
 		sb++
 	}
 	c.sectorValid = make([]uint64, c.sets*c.ways)
+	c.sigs = nil // sectored caches are L1s: accessSectored keeps to the plain scan
+	c.offPlain = true
 	c.sectorShift = sb
 	c.sectorMask = uint64(nSectors - 1)
 	return c, nil
@@ -171,12 +199,32 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits }
 
 // findWay scans one set for the line (the full line address doubles as the
 // tag) and returns the way holding it, or -1 on a miss. base is the set's
-// first index into tags. Shared by Access and Probe so the two can never
-// disagree on residency.
+// first index into tags. Caches that keep signatures (c.sigs != nil) use
+// findWayBySig instead (accessBySig, Probe).
 func (c *Cache) findWay(base int, line uint64) int {
 	for i, t := range c.tags[base : base+c.ways] {
 		if t == line {
 			return i
+		}
+	}
+	return -1
+}
+
+// findWayBySig is findWay over the set's signatures, eight ways per step: a
+// zero byte of sigs^pattern marks a candidate way, whose tag decides. The
+// zero-byte test may also flag the byte above a true match (the borrow
+// travels upwards), and an empty way's stale signature may match; both fail
+// the tag compare, since no line equals invalidTag.
+func (c *Cache) findWayBySig(base int, line uint64) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	pattern := uint64(sigOf(line)) * ones
+	sigs := c.sigs[base : base+c.ways]
+	for i := 0; i < len(sigs); i += 8 {
+		x := binary.LittleEndian.Uint64(sigs[i:]) ^ pattern
+		for m := (x - ones) &^ x & highs; m != 0; m &= m - 1 {
+			if w := i + bits.TrailingZeros64(m)>>3; c.tags[base+w] == line {
+				return w
+			}
 		}
 	}
 	return -1
@@ -206,8 +254,11 @@ func (c *Cache) touch(set, base, w, h int) {
 // sector's valid bit; a clear bit is a sector miss that fills just that
 // sector.
 func (c *Cache) Access(addr uint64) bool {
-	if c.sectorValid != nil {
-		return c.accessSectored(addr)
+	if c.offPlain {
+		if c.sectorValid != nil {
+			return c.accessSectored(addr)
+		}
+		return c.accessBySig(addr)
 	}
 	line := addr >> c.lineBits
 	set := int(line & c.setMask)
@@ -222,6 +273,26 @@ func (c *Cache) Access(addr uint64) bool {
 	// the list order itself is already correct.
 	victim := int(c.prev[base+h])
 	c.tags[base+victim] = line
+	c.head[set] = uint16(victim)
+	c.misses++
+	return false
+}
+
+// accessBySig is the line-grain Access of a cache that keeps signatures:
+// the same steps, with the lookup by signature and the fill recording one.
+func (c *Cache) accessBySig(addr uint64) bool {
+	line := addr >> c.lineBits
+	set := int(line & c.setMask)
+	base := set * c.ways
+	h := int(c.head[set])
+	if w := c.findWayBySig(base, line); w >= 0 {
+		c.hits++
+		c.touch(set, base, w, h)
+		return true
+	}
+	victim := int(c.prev[base+h])
+	c.tags[base+victim] = line
+	c.sigs[base+victim] = sigOf(line)
 	c.head[set] = uint16(victim)
 	c.misses++
 	return false
@@ -258,7 +329,12 @@ func (c *Cache) accessSectored(addr uint64) bool {
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineBits
 	base := int(line&c.setMask) * c.ways
-	w := c.findWay(base, line)
+	var w int
+	if c.sigs != nil {
+		w = c.findWayBySig(base, line)
+	} else {
+		w = c.findWay(base, line)
+	}
 	if w < 0 {
 		return false
 	}

@@ -179,7 +179,7 @@ func (r *shiftLRU) access(line uint64) bool {
 func TestAccessMatchesShiftReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xcac4e))
 	for _, geom := range []struct{ sets, ways int }{
-		{1, 1}, {1, 4}, {4, 2}, {2, 8}, {8, 16}, {1, 32},
+		{1, 1}, {1, 4}, {4, 2}, {2, 8}, {8, 16}, {1, 32}, {2, 64}, // 16 ways and up look up by signature
 	} {
 		lineSize := 128
 		c := MustNew(int64(geom.sets*geom.ways*lineSize), geom.ways, lineSize)

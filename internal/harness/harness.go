@@ -138,11 +138,23 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 }
 
 // Curve computes (memoised, single-flight) the functional-simulation
-// miss-rate curve of w across the given configurations.
+// miss-rate curve of w across the given configurations. The memo key is the
+// workload plus the configuration ladder, so one workload can be swept over
+// several ladders. The replays run on up to the harness's parallelism.
 func (h *Harness) Curve(w trace.Workload, cfgs []config.SystemConfig) (mrc.Curve, error) {
-	e := entryFor(&h.mu, h.mrcs, w.Name())
+	return h.curve(w, cfgs, h.parallel)
+}
+
+// curve is Curve with an explicit bound on the replay goroutines of a sweep
+// this call starts; the pre-warm pool, already h.parallel wide, passes 1.
+func (h *Harness) curve(w trace.Workload, cfgs []config.SystemConfig, workers int) (mrc.Curve, error) {
+	key := w.Name()
+	for _, cfg := range cfgs {
+		key += "/" + cfg.Name
+	}
+	e := entryFor(&h.mu, h.mrcs, key)
 	e.once.Do(func() {
-		c, err := mrc.FunctionalSweep(w, cfgs)
+		c, err := mrc.FunctionalSweepParallel(w, cfgs, workers)
 		if err != nil {
 			e.err = fmt.Errorf("harness: miss-rate curve for %s: %w", w.Name(), err)
 			return
@@ -212,7 +224,7 @@ func (h *Harness) prewarm(units []prewarmUnit) {
 		func(_ context.Context, _ int, u prewarmUnit) (struct{}, error) {
 			switch {
 			case u.curve:
-				_, err := h.Curve(u.w, u.cfgs)
+				_, err := h.curve(u.w, u.cfgs, 1)
 				note(TimedStats{}, err)
 			case u.chiplet:
 				st, err := h.runChiplet(u.chipletCfg, u.w)

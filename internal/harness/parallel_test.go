@@ -146,6 +146,27 @@ func TestPrewarmMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCurveMemoKeyedByLadder: the curve memo once keyed on the workload
+// alone, so a second ladder silently got the first ladder's curve back.
+func TestCurveMemoKeyedByLadder(t *testing.T) {
+	ws, cfgs, _ := tinyGrid()
+	h := New(WithParallel(2))
+	both, err := h.Curve(ws[0], cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper, err := h.Curve(ws[0], cfgs[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(both.Points) != 2 || !reflect.DeepEqual(upper.Points, both.Points[1:]) {
+		t.Errorf("curve over %s alone is %+v, want the upper point of %+v", cfgs[1].Name, upper, both)
+	}
+	if again, _ := h.Curve(ws[0], cfgs); !reflect.DeepEqual(again, both) {
+		t.Errorf("the first ladder's curve changed: %+v, was %+v", again, both)
+	}
+}
+
 // TestPrewarmProgress checks that the pre-warm reports one serialised
 // progress snapshot per unit, ending complete.
 func TestPrewarmProgress(t *testing.T) {

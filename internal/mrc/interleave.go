@@ -28,31 +28,19 @@ func InterleavedStreamN(w trace.Workload, lineSize, perTurn int) (lines []uint64
 	for 1<<lineBits != lineSize {
 		lineBits++
 	}
-	k := w.Kernel()
-	if err := k.Validate(); err != nil {
+	tr, err := extract(w)
+	if err != nil {
 		return nil, 0, err
 	}
-	cursors := make([]*warpCursor, 0, k.TotalWarps())
-	for c := 0; c < k.NumCTAs; c++ {
-		for wp := 0; wp < k.WarpsPerCTA; wp++ {
-			cursors = append(cursors, &warpCursor{prog: w.NewProgram(c, wp)})
+	if len(tr.addrs) > 0 {
+		lines = make([]uint64, 0, len(tr.addrs))
+	}
+	rg := &tr.rings(1)[0]
+	for len(rg.live) > 0 {
+		pos, n := rg.take(perTurn)
+		for _, addr := range tr.addrs[pos : pos+n] {
+			lines = append(lines, addr>>lineBits)
 		}
 	}
-	liveCount := len(cursors)
-	for liveCount > 0 {
-		for _, cur := range cursors {
-			if cur.done {
-				continue
-			}
-			for b := 0; b < perTurn; b++ {
-				in, ok := cur.nextMem(&instrs)
-				if !ok {
-					liveCount--
-					break
-				}
-				lines = append(lines, in.Addr>>lineBits)
-			}
-		}
-	}
-	return lines, instrs, nil
+	return lines, tr.instrs, nil
 }

@@ -6,8 +6,18 @@
 //   - FunctionalSweep replays the workload through the same L1/LLC cache
 //     structures the timing simulator uses — but with no timing — once per
 //     system configuration. This is the "functional simulation" box of the
-//     paper's Figure 3 and is at least two orders of magnitude faster than
-//     timing simulation because no cycle accounting happens.
+//     paper's Figure 3. It is cheaper than timing simulation by a small
+//     factor, not by orders of magnitude: a replay still makes every cache
+//     lookup the timing run makes, five configurations' worth per curve,
+//     and the lookups are most of its time. Measured on the two-core CI
+//     host, one whole curve (five replays, up to 128 SMs) against the
+//     timing simulation of the 128-SM target alone: ht 143 vs 215 ms,
+//     dct 612 vs 750 ms, bfs 1186 vs 735 ms (0.7x, 0.8x, 1.6x of a
+//     simulation) when every replay rebuilt and stepped the warp programs
+//     one after another; 25, 224 and 361 ms (0.1x, 0.3x, 0.5x) now that
+//     the programs are walked once into a memory trace and the replays
+//     run concurrently over it (replay.go;
+//     `go test -bench FunctionalSweep ./internal/mrc`).
 //
 //   - StackDistanceCurve implements the classic Conte-style single-pass
 //     reuse-distance algorithm (with a Fenwick tree, O(N log N)) over a
@@ -19,9 +29,9 @@ package mrc
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 
-	"gpuscale/internal/cache"
 	"gpuscale/internal/config"
 	"gpuscale/internal/engine"
 	"gpuscale/internal/trace"
@@ -80,16 +90,20 @@ func (c Curve) Validate() error {
 // warp accesses are interleaved round-robin within and across SMs,
 // approximating the thread-level parallelism a timing run would exhibit.
 // Configurations must be ordered by ascending LLC capacity.
+//
+// The workload's programs are walked once, by the calling goroutine, into
+// an immutable memory trace; the per-configuration replays read only that
+// trace and run concurrently, replaysPerProc of them per processor. Use
+// FunctionalSweepParallel to bound them.
 func FunctionalSweep(w trace.Workload, cfgs []config.SystemConfig) (Curve, error) {
-	return FunctionalSweepParallel(w, cfgs, 1)
+	return FunctionalSweepParallel(w, cfgs, 0)
 }
 
-// FunctionalSweepParallel is FunctionalSweep with the per-configuration
-// replays fanned across a pool of workers (<= 0 means runtime.NumCPU(); 1
-// runs sequentially in the calling goroutine). Each configuration's replay
-// is independent and deterministic, so the returned curve is identical to
-// FunctionalSweep's; only wall-clock time changes. The workload must be
-// safe for concurrent NewProgram calls, as the built-in suite is.
+// FunctionalSweepParallel is FunctionalSweep with an explicit bound on the
+// goroutines replaying configurations (<= 0 means the default, which uses
+// every processor; 1 replays them one after another in the calling
+// goroutine). Each replay is independent and deterministic, so the curve is
+// identical at every bound; only wall-clock time changes.
 func FunctionalSweepParallel(w trace.Workload, cfgs []config.SystemConfig, workers int) (Curve, error) {
 	if w == nil {
 		return Curve{}, fmt.Errorf("mrc: nil workload")
@@ -97,130 +111,57 @@ func FunctionalSweepParallel(w trace.Workload, cfgs []config.SystemConfig, worke
 	if len(cfgs) == 0 {
 		return Curve{}, fmt.Errorf("mrc: no configurations")
 	}
-	var curve Curve
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return Curve{}, err
+		}
+	}
+	tr, err := extract(w)
+	if err != nil {
+		return Curve{}, err
+	}
+	if tr.instrs == 0 {
+		return Curve{}, fmt.Errorf("mrc: workload %q produced no instructions", w.Name())
+	}
+	if workers <= 0 {
+		workers = replaysPerProc * runtime.GOMAXPROCS(0)
+	}
+	misses := make([]uint64, len(cfgs))
 	if workers == 1 || len(cfgs) == 1 {
-		for _, cfg := range cfgs {
-			mpki, err := functionalRun(w, cfg)
-			if err != nil {
-				return Curve{}, err
-			}
-			curve.Points = append(curve.Points, Point{CapacityBytes: cfg.LLCSizeBytes, MPKI: mpki})
+		for i, cfg := range cfgs {
+			misses[i] = tr.replay(cfg)
 		}
 	} else {
-		mpkis, err := engine.Map(context.Background(), workers, cfgs,
-			func(_ context.Context, _ int, cfg config.SystemConfig) (float64, error) {
-				return functionalRun(w, cfg)
+		// Largest LLC first: when the ladder is longer than the bound, the
+		// configuration with the most SMs and cache metadata is the replay
+		// the others should pack around.
+		order := make([]int, len(cfgs))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return cfgs[order[a]].LLCSizeBytes > cfgs[order[b]].LLCSizeBytes
+		})
+		_, err := engine.Map(context.Background(), workers, order,
+			func(_ context.Context, _ int, i int) (struct{}, error) {
+				misses[i] = tr.replay(cfgs[i])
+				return struct{}{}, nil
 			})
 		if err != nil {
 			return Curve{}, err
 		}
-		for i, cfg := range cfgs {
-			curve.Points = append(curve.Points, Point{CapacityBytes: cfg.LLCSizeBytes, MPKI: mpkis[i]})
-		}
+	}
+	var curve Curve
+	for i, cfg := range cfgs {
+		curve.Points = append(curve.Points, Point{
+			CapacityBytes: cfg.LLCSizeBytes,
+			MPKI:          float64(misses[i]) / (float64(tr.instrs) / 1000),
+		})
 	}
 	if err := curve.Validate(); err != nil {
 		return Curve{}, err
 	}
 	return curve, nil
-}
-
-// warpCursor walks one warp's program, exposing only memory instructions
-// and counting every instruction it passes.
-type warpCursor struct {
-	prog trace.Program
-	done bool
-}
-
-// nextMem advances to the next memory instruction, adding skipped compute
-// instructions (and the memory instruction itself) to *instrs. It returns
-// false when the warp is exhausted.
-func (c *warpCursor) nextMem(instrs *uint64) (trace.Instr, bool) {
-	if c.done {
-		return trace.Instr{}, false
-	}
-	for {
-		in, ok := c.prog.Next()
-		if !ok {
-			c.done = true
-			return trace.Instr{}, false
-		}
-		*instrs++
-		if in.Kind == trace.Load || in.Kind == trace.Store {
-			return in, true
-		}
-	}
-}
-
-func functionalRun(w trace.Workload, cfg config.SystemConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	k := w.Kernel()
-	if err := k.Validate(); err != nil {
-		return 0, err
-	}
-	lineBits := uint(0)
-	for 1<<lineBits != cfg.LineSize {
-		lineBits++
-	}
-	l1s := make([]*cache.Cache, cfg.NumSMs)
-	for i := range l1s {
-		l1s[i] = cache.MustNew(cfg.L1SizeBytes, cfg.L1Ways, cfg.LineSize)
-	}
-	llc := make([]*cache.Cache, cfg.LLCSlices)
-	for i := range llc {
-		llc[i] = cache.MustNew(cfg.LLCSliceSize(), cfg.LLCWays, cfg.LineSize)
-	}
-	// Assign CTAs round-robin to SMs; keep per-SM warp cursor lists.
-	smWarps := make([][]*warpCursor, cfg.NumSMs)
-	for c := 0; c < k.NumCTAs; c++ {
-		s := c % cfg.NumSMs
-		for wp := 0; wp < k.WarpsPerCTA; wp++ {
-			smWarps[s] = append(smWarps[s], &warpCursor{prog: w.NewProgram(c, wp)})
-		}
-	}
-	var instrs, llcMisses uint64
-	nSlices := uint64(cfg.LLCSlices)
-	live := true
-	next := make([]int, cfg.NumSMs)
-	for live {
-		live = false
-		for s := range smWarps {
-			warps := smWarps[s]
-			if len(warps) == 0 {
-				continue
-			}
-			// One access from the next live warp of this SM.
-			for tries := 0; tries < len(warps); tries++ {
-				cur := warps[next[s]%len(warps)]
-				next[s]++
-				if cur.done {
-					continue
-				}
-				in, ok := cur.nextMem(&instrs)
-				if !ok {
-					continue
-				}
-				live = true
-				line := in.Addr >> lineBits
-				if in.Flags&trace.BypassL1 == 0 {
-					if l1s[s].Access(in.Addr) {
-						break // L1 hit: no LLC traffic
-					}
-				}
-				slice := int(line % nSlices)
-				sliceLocal := (line / nSlices) << lineBits
-				if !llc[slice].Access(sliceLocal) {
-					llcMisses++
-				}
-				break
-			}
-		}
-	}
-	if instrs == 0 {
-		return 0, fmt.Errorf("mrc: workload %q produced no instructions", w.Name())
-	}
-	return float64(llcMisses) / (float64(instrs) / 1000), nil
 }
 
 // InterleavedStream materialises the warp-interleaved memory-access stream
@@ -229,41 +170,7 @@ func functionalRun(w trace.Workload, cfg config.SystemConfig) (float64, error) {
 // modelling maximal thread-level interleaving. Used by the stack-distance
 // method and by tests.
 func InterleavedStream(w trace.Workload, lineSize int) (lines []uint64, instrs uint64, err error) {
-	if w == nil {
-		return nil, 0, fmt.Errorf("mrc: nil workload")
-	}
-	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
-		return nil, 0, fmt.Errorf("mrc: line size must be a positive power of two, got %d", lineSize)
-	}
-	lineBits := uint(0)
-	for 1<<lineBits != lineSize {
-		lineBits++
-	}
-	k := w.Kernel()
-	if err := k.Validate(); err != nil {
-		return nil, 0, err
-	}
-	cursors := make([]*warpCursor, 0, k.TotalWarps())
-	for c := 0; c < k.NumCTAs; c++ {
-		for wp := 0; wp < k.WarpsPerCTA; wp++ {
-			cursors = append(cursors, &warpCursor{prog: w.NewProgram(c, wp)})
-		}
-	}
-	liveCount := len(cursors)
-	for liveCount > 0 {
-		for _, cur := range cursors {
-			if cur.done {
-				continue
-			}
-			in, ok := cur.nextMem(&instrs)
-			if !ok {
-				liveCount--
-				continue
-			}
-			lines = append(lines, in.Addr>>lineBits)
-		}
-	}
-	return lines, instrs, nil
+	return InterleavedStreamN(w, lineSize, 1)
 }
 
 // StackDistanceCurve computes the fully-associative LRU miss-rate curve of

@@ -119,12 +119,12 @@ func (s *Server) evalSimulate(ctx context.Context, req gpuscale.Request, hash st
 }
 
 // evalMRC collects a miss-rate curve across the standard configurations.
-func (s *Server) evalMRC(_ context.Context, req gpuscale.Request, hash string) ([]byte, error) {
+func (s *Server) evalMRC(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
 	w, err := req.Workload.Resolve(0)
 	if err != nil {
 		return nil, err
 	}
-	curve, err := gpuscale.MissRateCurve(w, gpuscale.StandardConfigs())
+	curve, err := s.startCurve(req.Workload).wait(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +138,9 @@ func (s *Server) evalMRC(_ context.Context, req gpuscale.Request, hash string) (
 
 // evalPredict runs the scale-model pipeline: simulate the two scale
 // models (concurrently, so the intake can batch them), collect the
-// miss-rate curve for strong scaling, and predict the target sizes the
-// paper never simulates.
+// miss-rate curve for strong scaling — its sweep starts before the scale
+// models are submitted and runs beside them — and predict the target sizes
+// the paper never simulates.
 func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
 	if req.Target.Chiplets > 0 {
 		return s.evalPredictMCM(ctx, req, hash)
@@ -159,6 +160,10 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 			return nil, err
 		}
 		jobs[i] = gpuscale.NewJob(gpuscale.MustScale(base, n), w)
+	}
+	var sweep *curveFlight
+	if !req.Workload.Weak {
+		sweep = s.startCurve(req.Workload)
 	}
 	s.m.simsStart.Add(uint64(len(jobs)))
 	models, err := s.submitAll(ctx, jobs)
@@ -192,11 +197,7 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 	} else {
 		resp.Mode = "strong"
 		in.Mode = gpuscale.StrongScaling
-		w, err := req.Workload.Resolve(0)
-		if err != nil {
-			return nil, err
-		}
-		curve, err := gpuscale.MissRateCurve(w, gpuscale.StandardConfigs())
+		curve, err := sweep.wait(ctx)
 		if err != nil {
 			return nil, err
 		}

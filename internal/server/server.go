@@ -80,6 +80,11 @@ type metrics struct {
 	tierServed map[string]*obs.Counter
 	escalated  *obs.Counter
 	analyticUS *obs.Histogram
+
+	// The curve memo (curves.go): sweeps run, and requests that found their
+	// workload's curve already there or on its way.
+	curveSweeps   *obs.Counter
+	curveMemoHits *obs.Counter
 }
 
 // latencyBoundsMS buckets request latency in host milliseconds: cache hits
@@ -106,6 +111,10 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]chan struct{}
+	curves  map[gpuscale.WorkloadSpec]*curveFlight // curves.go
+
+	sweep    func(gpuscale.WorkloadSpec) (gpuscale.Curve, error) // sweepStandard; a seam for tests
+	sweeping sync.WaitGroup                                      // running sweep goroutines
 }
 
 // New builds a Server (creating the store directory if needed) and starts
@@ -136,6 +145,8 @@ func New(opt Options) (*Server, error) {
 		reg:     reg,
 		store:   store,
 		tenants: make(map[string]chan struct{}),
+		curves:  make(map[gpuscale.WorkloadSpec]*curveFlight),
+		sweep:   sweepStandard,
 	}
 	s.m = metrics{
 		hitsMem:   reg.Counter("server/cache/hits_memory"),
@@ -160,6 +171,9 @@ func New(opt Options) (*Server, error) {
 		},
 		escalated:  reg.Counter("server/tier/escalated"),
 		analyticUS: reg.Histogram("server/tier/analytic_latency_us", analyticBoundsUS),
+
+		curveSweeps:   reg.Counter("server/curve/sweeps"),
+		curveMemoHits: reg.Counter("server/curve/memo_hits"),
 	}
 	s.intake = engine.NewIntake(engine.IntakeOptions{
 		Workers: opt.Workers,
@@ -179,9 +193,13 @@ func New(opt Options) (*Server, error) {
 // Registry returns the server's metrics registry (the one /metrics serves).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close stops the intake and waits for in-flight batches. In-flight HTTP
-// handlers should be drained first (http.Server.Shutdown).
-func (s *Server) Close() { s.intake.Close() }
+// Close stops the intake and waits for in-flight batches and miss-rate
+// sweeps. In-flight HTTP handlers should be drained first
+// (http.Server.Shutdown).
+func (s *Server) Close() {
+	s.intake.Close()
+	s.sweeping.Wait()
+}
 
 // Handler returns the service's HTTP routes:
 //

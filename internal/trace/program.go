@@ -159,6 +159,56 @@ func (p *PhaseProgram) Next() (Instr, bool) {
 	return in, true
 }
 
+// NextMem advances to the next memory instruction without visiting the
+// compute instructions in front of it: one step per memory instruction or
+// phase boundary, where Next takes one per instruction. n is the number of
+// instructions consumed, the returned one included. ok is false when the
+// program ended first; n then counts the trailing compute instructions.
+// Interleaving NextMem with Next is allowed — both leave the same state.
+func (p *PhaseProgram) NextMem() (in Instr, n int, ok bool) {
+	for {
+		for p.rem == 0 {
+			if !p.advance() {
+				return Instr{}, n, false
+			}
+		}
+		if p.gen != nil {
+			skip := p.computePer - p.k
+			if skip < 0 {
+				skip = 0
+			}
+			if skip < p.rem {
+				p.rem -= skip + 1
+				p.k = 0
+				in = p.memInstr
+				in.Addr = p.gen.Next()
+				return in, n + skip + 1, true
+			}
+		}
+		// A pure-compute phase, or one that ends inside its last group.
+		n += p.rem
+		p.rem = 0
+	}
+}
+
+// NextMem is PhaseProgram.NextMem for any Program: the O(1) skip when p is
+// a *PhaseProgram, a Next loop over the compute instructions otherwise.
+func NextMem(p Program) (in Instr, n int, ok bool) {
+	if pp, isPhase := p.(*PhaseProgram); isPhase {
+		return pp.NextMem()
+	}
+	for {
+		in, ok = p.Next()
+		if !ok {
+			return Instr{}, n, false
+		}
+		n++
+		if in.Kind == Load || in.Kind == Store {
+			return in, n, true
+		}
+	}
+}
+
 // XorShift is a tiny deterministic PRNG (xorshift64*). The zero value is not
 // valid; use NewXorShift.
 type XorShift struct{ s uint64 }

@@ -235,6 +235,34 @@ func (p *scanningNext) Next() (Instr, bool) {
 	return Instr{}, false
 }
 
+// randomPhaseList builds n phases from seed: empty and negative-N phases,
+// zero ComputePer (pure memory), nil generators, stores, flags. Every call
+// with the same arguments returns generators with private but identically
+// seeded state, so two programs can be stepped side by side.
+func randomPhaseList(seed int64, n int) []Phase {
+	r := rand.New(rand.NewSource(seed))
+	phases := make([]Phase, n)
+	for i := range phases {
+		ph := Phase{
+			N:          r.Intn(45) - 4, // includes empty and negative phases
+			ComputePer: r.Intn(6),      // includes pure-memory groups
+			Store:      r.Intn(2) == 0,
+		}
+		if r.Intn(4) != 0 {
+			ph.Gen = &SeqGen{
+				Base:   uint64(r.Intn(1 << 20)),
+				Stride: uint64(64 << r.Intn(3)),
+				Extent: uint64(1 + r.Intn(1<<14)),
+			}
+		}
+		if r.Intn(3) == 0 {
+			ph.Flags = BypassL1
+		}
+		phases[i] = ph
+	}
+	return phases
+}
+
 // TestPhaseProgramMatchesScanningReference feeds identical randomized phase
 // sequences — empty and negative-N phases, zero ComputePer (pure memory),
 // nil generators, stores, flags — to the optimized PhaseProgram and the old
@@ -243,31 +271,7 @@ func TestPhaseProgramMatchesScanningReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x9a5e))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(6)
-		mkPhases := func() []Phase {
-			// Rebuild from the same parameters so each run gets generators
-			// with private (but identically seeded) state.
-			r := rand.New(rand.NewSource(int64(trial)))
-			phases := make([]Phase, n)
-			for i := range phases {
-				ph := Phase{
-					N:          r.Intn(45) - 4, // includes empty and negative phases
-					ComputePer: r.Intn(6),      // includes pure-memory groups
-					Store:      r.Intn(2) == 0,
-				}
-				if r.Intn(4) != 0 {
-					ph.Gen = &SeqGen{
-						Base:   uint64(r.Intn(1 << 20)),
-						Stride: uint64(64 << r.Intn(3)),
-						Extent: uint64(1 + r.Intn(1<<14)),
-					}
-				}
-				if r.Intn(3) == 0 {
-					ph.Flags = BypassL1
-				}
-				phases[i] = ph
-			}
-			return phases
-		}
+		mkPhases := func() []Phase { return randomPhaseList(int64(trial), n) }
 		opt := NewPhaseProgram(mkPhases()...)
 		ref := &scanningNext{phases: mkPhases()}
 		for step := 0; ; step++ {
@@ -283,6 +287,83 @@ func TestPhaseProgramMatchesScanningReference(t *testing.T) {
 					t.Fatalf("trial %d: optimized resurrected with %+v", trial, in)
 				}
 				break
+			}
+		}
+	}
+}
+
+// nextOnly hides a program's concrete type, so the package-level NextMem
+// takes its Next-loop fallback.
+type nextOnly struct{ p Program }
+
+func (o nextOnly) Next() (Instr, bool) { return o.p.Next() }
+
+// TestNextMemConsumesWhatNextDoes is the property NextMem is specified by:
+// on random phase lists it returns the same memory instructions as repeated
+// Next calls, reports the same number of instructions consumed in front of
+// each, and runs out at the same point — for the O(1) skip, for the generic
+// fallback, and when Next and NextMem calls are mixed on one program.
+func TestNextMemConsumesWhatNextDoes(t *testing.T) {
+	coin := rand.New(rand.NewSource(0x3e3))
+	variants := []struct {
+		name    string
+		nextMem func(p *PhaseProgram) (Instr, int, bool)
+		mixed   bool // a coin decides between Next and NextMem at every step
+	}{
+		{name: "skip", nextMem: (*PhaseProgram).NextMem},
+		{name: "generic", nextMem: func(p *PhaseProgram) (Instr, int, bool) { return NextMem(p) }},
+		{name: "fallback", nextMem: func(p *PhaseProgram) (Instr, int, bool) { return NextMem(nextOnly{p}) }},
+		{name: "mixed", nextMem: (*PhaseProgram).NextMem, mixed: true},
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + trial%7
+		var want []Instr // the whole stream, from Next alone
+		for p := NewPhaseProgram(randomPhaseList(int64(trial), n)...); ; {
+			in, ok := p.Next()
+			if !ok {
+				break
+			}
+			want = append(want, in)
+		}
+		for _, v := range variants {
+			p := NewPhaseProgram(randomPhaseList(int64(trial), n)...)
+			for pos := 0; ; { // pos: instructions of want consumed so far
+				if v.mixed && coin.Intn(2) == 0 {
+					in, ok := p.Next()
+					if ok != (pos < len(want)) || (ok && in != want[pos]) {
+						t.Fatalf("trial %d %s: Next at %d gave (%+v, %v)", trial, v.name, pos, in, ok)
+					}
+					if !ok {
+						break
+					}
+					pos++
+					continue
+				}
+				in, k, ok := v.nextMem(p)
+				if k < 0 || pos+k > len(want) || (ok && k == 0) {
+					t.Fatalf("trial %d %s: consumed %d at %d, stream has %d", trial, v.name, k, pos, len(want))
+				}
+				skipped := want[pos : pos+k]
+				if ok {
+					skipped = skipped[:k-1]
+					if in != want[pos+k-1] {
+						t.Fatalf("trial %d %s: instruction %d is %+v, Next gives %+v", trial, v.name, pos+k-1, in, want[pos+k-1])
+					}
+				} else if pos+k != len(want) {
+					t.Fatalf("trial %d %s: ended after %d instructions, stream has %d", trial, v.name, pos+k, len(want))
+				}
+				for _, sk := range skipped {
+					if sk.Kind != Compute {
+						t.Fatalf("trial %d %s: skipped over memory instruction %+v", trial, v.name, sk)
+					}
+				}
+				pos += k
+				if !ok {
+					if _, k, ok := v.nextMem(p); ok || k != 0 {
+						t.Fatalf("trial %d %s: exhaustion is not sticky", trial, v.name)
+					}
+					break
+				}
 			}
 		}
 	}
