@@ -69,6 +69,28 @@ type deferredAccess struct {
 	load    bool
 	bypass  bool
 	full    bool
+	// Same-cycle MSHR outcome for SMs issuing more than one instruction a
+	// cycle; see the gpu package's deferredAccess.
+	merged bool
+	dep    int
+	fileNC int64
+}
+
+// allocates reports whether the record takes an MSHR entry.
+func (rec *deferredAccess) allocates() bool {
+	return rec.load && !rec.bypass && !rec.full && !rec.merged
+}
+
+// waitFull is the arrival of an access that found the MSHR file full only
+// counting the SM's earlier same-cycle misses prev (already stamped).
+func (rec *deferredAccess) waitFull(prev []deferredAccess) int64 {
+	at := rec.fileNC
+	for j := range prev {
+		if prev[j].allocates() && prev[j].t < at {
+			at = prev[j].t
+		}
+	}
+	return at
 }
 
 // shard is one runner: a contiguous chiplet group, its private timing
@@ -88,6 +110,7 @@ type shard struct {
 	deferred  []deferredAccess  // accesses this shard's SMs issued this cycle
 	incoming  []*deferredAccess // accesses owned by this shard's chiplets, global order
 	issued    bool
+	dependent bool // a deferred access waits on an earlier one's completion
 	liveDelta int
 	ctaDirty  bool
 	llcAcc    uint64
@@ -120,11 +143,11 @@ func (s *Simulator) buildShards(n int) {
 		}
 		sh.tk = timing.MustNew(timing.Config{Units: sh.nUnits}, sh)
 		sh.arena = trace.NewArena(sh.nUnits * s.cfg.Chiplet.WarpsPerSM)
-		// An SM issues at most one instruction per cycle, so deferred never
-		// outgrows nUnits and incoming never outgrows the package — neither
+		// An SM issues at most issueWidth instructions per cycle, so neither
 		// append reallocates after construction.
-		sh.deferred = make([]deferredAccess, 0, sh.nUnits)
-		sh.incoming = make([]*deferredAccess, 0, len(s.all))
+		iw := s.cfg.Chiplet.Uarch.Normalize().IssueWidth
+		sh.deferred = make([]deferredAccess, 0, sh.nUnits*iw)
+		sh.incoming = make([]*deferredAccess, 0, len(s.all)*iw)
 		for c := firstChip; c < sh.endChip; c++ {
 			s.shardOfChip[c] = sh
 		}
@@ -159,7 +182,7 @@ func (sh *shard) deferAccess(p *port, line, key, page uint64, arrival, now int64
 	if load {
 		warp = m.IssuingWarp()
 	}
-	sh.deferred = append(sh.deferred, deferredAccess{
+	rec := deferredAccess{
 		m:       m,
 		f:       sh.sim.chips[p.chip].mshrs[p.smID],
 		lu:      p.g - sh.firstG,
@@ -173,8 +196,43 @@ func (sh *shard) deferAccess(p *port, line, key, page uint64, arrival, now int64
 		load:    load,
 		bypass:  bypass,
 		full:    full,
-	})
+		dep:     -1,
+	}
+	first := len(sh.deferred)
+	for first > 0 && sh.deferred[first-1].m == m {
+		first--
+	}
+	if first < len(sh.deferred) {
+		sh.sameCycle(&rec, first)
+	}
+	sh.deferred = append(sh.deferred, rec)
 	return provisionalWake
+}
+
+// sameCycle settles rec's MSHR outcome against the entries the SM's earlier
+// accesses of this cycle, deferred[first:], will allocate at the next
+// applyFixups (see the gpu package's gpuShard.sameCycle).
+func (sh *shard) sameCycle(rec *deferredAccess, first int) {
+	pending := 0
+	for j := first; j < len(sh.deferred); j++ {
+		prev := &sh.deferred[j]
+		if !prev.allocates() {
+			continue
+		}
+		if rec.load && !rec.bypass && prev.key == rec.key {
+			rec.merged, rec.dep = true, j
+			return
+		}
+		pending++
+	}
+	if pending > 0 && rec.f.Outstanding(rec.issueAt)+pending >= rec.f.Capacity() {
+		rec.full, rec.dep = true, first
+		rec.fileNC = provisionalWake
+		if nc, ok := rec.f.NextCompletion(rec.issueAt); ok {
+			rec.fileNC = nc
+		}
+		sh.dependent = true
+	}
 }
 
 // applyFixups repairs the previous cycle's deferred wake-ups from the
@@ -186,11 +244,14 @@ func (sh *shard) applyFixups() {
 		if !rec.load {
 			continue
 		}
+		if rec.merged {
+			rec.t = sh.deferred[rec.dep].t
+		}
 		// The MSHR allocation the sequential port did at issue time lands
 		// here instead; nothing can have observed the file in between (the
 		// owner SM's next Lookup/Full/Expire all happen inside its Tick,
 		// after this pass).
-		if !rec.bypass && !rec.full {
+		if rec.allocates() {
 			rec.f.Allocate(rec.key, rec.t)
 		}
 		rdy := rec.t
@@ -223,32 +284,38 @@ func (sh *shard) phaseA() {
 // true completion cycle. This is port.Access's post-page-lookup tail,
 // executed by the owner shard instead of the issuing one.
 func (sh *shard) phaseB() {
+	for _, rec := range sh.incoming {
+		sh.replay(rec)
+	}
+}
+
+// replay resolves one access against its owner chiplet, which this shard
+// owns.
+func (sh *shard) replay(rec *deferredAccess) {
 	s := sh.sim
 	ch := s.cfg.Chiplet
-	for _, rec := range sh.incoming {
-		t := rec.arrival
-		oc := s.chips[rec.owner]
-		remote := rec.owner != rec.chip
-		if remote {
-			t = oc.link.Schedule(t, s.xferBytes) + int64(s.cfg.InterChipletLatency)
-		}
-		nSlices := uint64(len(oc.llc))
-		slice := int(rec.line % nSlices)
-		t = oc.xbar.Transfer(t, slice, s.xferBytes)
-		t += int64(ch.LLCHitLatency)
-		sh.llcAcc++
-		sliceLocal := (rec.line / nSlices) << s.lineBits
-		if !oc.llc[slice].Access(sliceLocal) {
-			sh.llcMiss++
-			t = oc.mem.Access(t, rec.line, s.xferBytes)
-			t += int64((rec.line * 0x9e3779b9 >> 13) % 13)
-		}
-		t += int64(ch.NoCBaseLatency)
-		if remote {
-			t += int64(s.cfg.InterChipletLatency)
-		}
-		rec.t = t
+	t := rec.arrival
+	oc := s.chips[rec.owner]
+	remote := rec.owner != rec.chip
+	if remote {
+		t = oc.link.Schedule(t, s.xferBytes) + int64(s.cfg.InterChipletLatency)
 	}
+	nSlices := uint64(len(oc.llc))
+	slice := int(rec.line % nSlices)
+	t = oc.xbar.Transfer(t, slice, s.xferBytes)
+	t += int64(ch.LLCHitLatency)
+	sh.llcAcc++
+	sliceLocal := (rec.line / nSlices) << s.lineBits
+	if !oc.llc[slice].Access(sliceLocal) {
+		sh.llcMiss++
+		t = oc.mem.Access(t, rec.line, s.xferBytes)
+		t += int64((rec.line * 0x9e3779b9 >> 13) % 13)
+	}
+	t += int64(ch.NoCBaseLatency)
+	if remote {
+		t += int64(s.cfg.InterChipletLatency)
+	}
+	rec.t = t
 }
 
 // stampOwners is the serial barrier reduction between the phases: walking
@@ -260,6 +327,9 @@ func (s *Simulator) stampOwners() {
 	for _, sh := range s.shards {
 		for i := range sh.deferred {
 			rec := &sh.deferred[i]
+			if rec.merged {
+				continue // completes with its entry's miss (applyFixups)
+			}
 			owner, seen := s.pages[rec.page]
 			if !seen {
 				owner = rec.chip
@@ -346,10 +416,12 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 				s.workload.Name(), s.cfg.Name, s.maxCyc)
 		}
 		pool.Run(phaseA)
-		issued := false
+		issued, dependent := false, false
 		nDeferred := 0
 		for _, sh := range s.shards {
 			issued = issued || sh.issued
+			dependent = dependent || sh.dependent
+			sh.dependent = false
 			s.liveTotal -= sh.liveDelta
 			sh.liveDelta = 0
 			if sh.ctaDirty {
@@ -361,7 +433,25 @@ func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
 		s.events += uint64(len(s.all))
 		if nDeferred > 0 {
 			s.stampOwners()
-			pool.Run(phaseB)
+			if dependent {
+				// An access waits on another's completion: replay the cycle
+				// serially in global order, which phase B's per-owner
+				// order is a projection of.
+				for _, sh := range s.shards {
+					for i := range sh.deferred {
+						rec := &sh.deferred[i]
+						if rec.merged {
+							continue
+						}
+						if rec.dep >= 0 {
+							rec.arrival = rec.waitFull(sh.deferred[rec.dep:i])
+						}
+						s.shardOfChip[rec.owner].replay(rec)
+					}
+				}
+			} else {
+				pool.Run(phaseB)
+			}
 			for _, sh := range s.shards {
 				s.llcAcc += sh.llcAcc
 				s.llcMiss += sh.llcMiss

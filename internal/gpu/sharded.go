@@ -80,6 +80,20 @@ type deferredAccess struct {
 	load    bool
 	bypass  bool
 	full    bool
+	// An SM issuing more than one instruction a cycle sees the MSHR entries
+	// its earlier accesses of the cycle allocate. merged: this load merges
+	// into the entry of deferred[dep] and completes with it. Otherwise, when
+	// dep >= 0 the file was full only counting those entries: the access
+	// waits for the earliest of fileNC and the completions of the allocating
+	// records in deferred[dep:], which only the replay knows.
+	merged bool
+	dep    int
+	fileNC int64
+}
+
+// allocates reports whether the record takes an MSHR entry.
+func (rec *deferredAccess) allocates() bool {
+	return rec.load && !rec.bypass && !rec.full && !rec.merged
 }
 
 // gpuShard is one runner: a contiguous SM group, its private timing kernel
@@ -121,9 +135,9 @@ func (s *Simulator) buildShards(n int) {
 		sh := &gpuShard{sim: s, id: i, firstSM: first, endSM: first + cnt}
 		sh.tk = timing.MustNew(timing.Config{Units: cnt, NoSkip: s.opt.DisableEventSkip}, sh)
 		sh.arena = trace.NewArena(cnt * s.cfg.WarpsPerSM)
-		// An SM issues at most one instruction per cycle, so deferred never
-		// outgrows the shard's SM count — the append never reallocates.
-		sh.deferred = make([]deferredAccess, 0, cnt)
+		// An SM issues at most issueWidth instructions per cycle, so the
+		// append never reallocates.
+		sh.deferred = make([]deferredAccess, 0, cnt*s.cfg.Uarch.Normalize().IssueWidth)
 		for g := first; g < sh.endSM; g++ {
 			s.shardOfSM[g] = sh
 			s.ports[g].sh = sh
@@ -155,7 +169,7 @@ func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, l
 	if load {
 		warp = m.IssuingWarp()
 	}
-	sh.deferred = append(sh.deferred, deferredAccess{
+	rec := deferredAccess{
 		m:       m,
 		f:       sh.sim.mshrs[p.smID],
 		lu:      p.smID - sh.firstSM,
@@ -167,8 +181,45 @@ func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, l
 		load:    load,
 		bypass:  bypass,
 		full:    full,
-	})
+		dep:     -1,
+	}
+	first := len(sh.deferred)
+	for first > 0 && sh.deferred[first-1].m == m {
+		first--
+	}
+	if first < len(sh.deferred) {
+		sh.sameCycle(&rec, first)
+	}
+	sh.deferred = append(sh.deferred, rec)
 	return provisionalWake
+}
+
+// sameCycle settles rec's MSHR outcome against the entries the SM's earlier
+// accesses of this cycle, deferred[first:], will allocate at the next
+// applyFixups — entries the sequential port would already hold. The file
+// itself cannot have matched or been full: rec's own Lookup and Full found
+// neither, and only those pending entries are missing from it.
+func (sh *gpuShard) sameCycle(rec *deferredAccess, first int) {
+	pending := 0
+	for j := first; j < len(sh.deferred); j++ {
+		prev := &sh.deferred[j]
+		if !prev.allocates() {
+			continue
+		}
+		if rec.load && !rec.bypass && prev.key == rec.key {
+			rec.merged, rec.dep = true, j
+			return
+		}
+		pending++
+	}
+	if pending > 0 && rec.f.Outstanding(rec.issueAt)+pending >= rec.f.Capacity() {
+		rec.full, rec.dep = true, first
+		rec.fileNC = provisionalWake
+		if nc, ok := rec.f.NextCompletion(rec.issueAt); ok {
+			rec.fileNC = nc
+		}
+		sh.mshrStall++
+	}
 }
 
 // applyFixups lands the previous cycle's deferred loads on this shard's own
@@ -181,11 +232,14 @@ func (sh *gpuShard) applyFixups() {
 		if !rec.load {
 			continue
 		}
+		if rec.merged {
+			rec.t = sh.deferred[rec.dep].t
+		}
 		// The MSHR allocation the sequential port did at issue time lands
 		// here instead; nothing can have observed the file in between (the
 		// SM's next Lookup/Full/Expire all happen inside its Tick, after
 		// this pass).
-		if !rec.bypass && !rec.full {
+		if rec.allocates() {
 			rec.f.Allocate(rec.key, rec.t)
 		}
 		rdy := rec.ready()
@@ -198,6 +252,20 @@ func (sh *gpuShard) applyFixups() {
 		}
 	}
 	sh.deferred = sh.deferred[:0]
+}
+
+// waitFull is the arrival of an access that found the MSHR file full only
+// counting the SM's earlier same-cycle misses prev (already stamped): the
+// earliest completion among everything outstanding, as NextCompletion
+// would have answered the sequential port.
+func (rec *deferredAccess) waitFull(prev []deferredAccess) int64 {
+	at := rec.fileNC
+	for j := range prev {
+		if prev[j].allocates() && prev[j].t < at {
+			at = prev[j].t
+		}
+	}
+	return at
 }
 
 // ready is the cycle a stamped load's warp wakes: its completion, under
@@ -278,8 +346,15 @@ func (s *Simulator) replayDeferred() {
 	for _, sh := range s.shards {
 		for i := range sh.deferred {
 			rec := &sh.deferred[i]
+			if rec.merged {
+				continue // completes with its entry's miss (applyFixups)
+			}
+			arrival := rec.arrival
+			if rec.dep >= 0 {
+				arrival = rec.waitFull(sh.deferred[rec.dep:i])
+			}
 			slice := int(rec.line % nSlices)
-			t := s.xbar.Transfer(rec.arrival, slice, s.xferBytes)
+			t := s.xbar.Transfer(arrival, slice, s.xferBytes)
 			t += int64(s.cfg.LLCHitLatency)
 			s.llcAcc++
 			sliceLocal := (rec.line / nSlices) << s.lineBits

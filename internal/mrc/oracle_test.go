@@ -10,6 +10,7 @@ import (
 	"gpuscale/internal/cache"
 	"gpuscale/internal/config"
 	"gpuscale/internal/trace"
+	"gpuscale/internal/trace/tracetest"
 	"gpuscale/internal/workloads"
 )
 
@@ -199,46 +200,6 @@ func TestSweepMatchesOracleOnSuite(t *testing.T) {
 	}
 }
 
-// randomPhases draws a phase list that visits every corner of PhaseProgram:
-// pure-compute phases (nil generator), skipped phases (N <= 0), phases that
-// end inside a group, stores and BypassL1 accesses. It is a pure function of
-// seed, as Workload.NewProgram requires.
-func randomPhases(seed int64) []trace.Phase {
-	rng := rand.New(rand.NewSource(seed))
-	phases := make([]trace.Phase, rng.Intn(6))
-	for i := range phases {
-		ph := trace.Phase{N: rng.Intn(40) - 3, ComputePer: rng.Intn(5)}
-		switch rng.Intn(4) {
-		case 0: // pure compute
-		case 1:
-			ph.Gen = trace.NewRandGen(uint64(rng.Intn(4))<<14, 128, 1<<14, uint64(seed)+uint64(i))
-		default:
-			ph.Gen = &trace.SeqGen{Base: uint64(rng.Intn(4)) << 14, Start: uint64(rng.Intn(64)) * 128, Stride: 128, Extent: 1 << uint(10+rng.Intn(6))}
-		}
-		ph.Store = rng.Intn(4) == 0
-		if rng.Intn(3) == 0 {
-			ph.Flags = trace.BypassL1
-		}
-		phases[i] = ph
-	}
-	return phases
-}
-
-// smallConfig is a valid system small enough for a few hundred accesses to
-// evict from both cache levels. The tests pass slice counts that are not
-// powers of two as well, which the standard configurations never do.
-func smallConfig(sms, slices int, llcBytes int64) config.SystemConfig {
-	c := config.Baseline128()
-	c.Name = fmt.Sprintf("small-%dsm-%dB", sms, llcBytes)
-	c.NumSMs = sms
-	c.L1SizeBytes = 512
-	c.L1Ways = 2
-	c.LLCSlices = slices
-	c.LLCWays = 4
-	c.LLCSizeBytes = llcBytes
-	return c
-}
-
 // TestSweepMatchesOracleOnGeneratedCases is the same equality on random
 // grids of random phase programs: 1..7 SMs, CTA counts mostly not divisible
 // by the SM count, warps with no memory access at all.
@@ -246,22 +207,15 @@ func TestSweepMatchesOracleOnGeneratedCases(t *testing.T) {
 	for c := int64(0); c < 60; c++ {
 		rng := rand.New(rand.NewSource(c))
 		spec := trace.KernelSpec{NumCTAs: 1 + rng.Intn(23), WarpsPerCTA: 1 + rng.Intn(4)}
-		seed := c
-		w := &trace.FuncWorkload{
-			WName: fmt.Sprintf("gen-%d", c),
-			Spec:  spec,
-			Factory: func(cta, warp int) trace.Program {
-				return trace.NewPhaseProgram(randomPhases(seed<<20 + int64(cta)<<8 + int64(warp))...)
-			},
-		}
+		w := tracetest.RandomWorkload(fmt.Sprintf("gen-%d", c), spec, c)
 		if total, _ := trace.InstructionCount(w); total == 0 {
 			continue // the sweep rejects it, as the oracle does
 		}
 		sms := 1 + rng.Intn(7)
 		cfgs := []config.SystemConfig{
-			smallConfig(sms, 3, 3*4*128),
-			smallConfig(sms+1, 5, 5*8*128),
-			smallConfig(sms, 4, 4*64*128),
+			tracetest.SmallConfig(sms, 3, 3*4*128),
+			tracetest.SmallConfig(sms+1, 5, 5*8*128),
+			tracetest.SmallConfig(sms, 4, 4*64*128),
 		}
 		holdToOracle(t, w, cfgs)
 
@@ -294,7 +248,7 @@ func TestSweepOnForeignProgramType(t *testing.T) {
 		Spec:    inner.Kernel(),
 		Factory: func(cta, warp int) trace.Program { return opaqueProgram{inner.NewProgram(cta, warp)} },
 	}
-	cfgs := []config.SystemConfig{smallConfig(4, 3, 3*4*128), smallConfig(5, 4, 4*64*128)}
+	cfgs := []config.SystemConfig{tracetest.SmallConfig(4, 3, 3*4*128), tracetest.SmallConfig(5, 4, 4*64*128)}
 	holdToOracle(t, w, cfgs)
 	a, err := FunctionalSweep(inner, cfgs)
 	if err != nil {
