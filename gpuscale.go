@@ -10,8 +10,8 @@
 //     private L1s with MSHRs, a crossbar NoC, a sliced shared LLC and
 //     bandwidth-limited memory controllers), playing the role Accel-Sim
 //     plays in the paper;
-//   - a multi-chip-module (MCM) GPU simulator with first-touch page
-//     placement and an inter-chiplet network;
+//   - the same simulator over several chiplets: a multi-chip-module (MCM)
+//     GPU with first-touch page placement and an inter-chiplet network;
 //   - miss-rate-curve collection, both by fast functional simulation and by
 //     the classic single-pass stack-distance algorithm;
 //   - the scale-model prediction model itself (correction factor,
@@ -65,7 +65,6 @@ package gpuscale
 import (
 	"context"
 
-	"gpuscale/internal/chiplet"
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
 	"gpuscale/internal/engine"
@@ -167,7 +166,7 @@ type (
 	// SimOption functional options on SimulateContext.
 	SimOptions = gpu.Options
 	// MCMStats is the result of a multi-chiplet simulation.
-	MCMStats = chiplet.Stats
+	MCMStats = gpu.MCMStats
 )
 
 // Observability: attach an Observer to a simulation (WithObserver) or a
@@ -286,39 +285,32 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, w Workload, opts ...
 // back to back (grid barriers between kernels, caches persisting across
 // them), as multi-kernel GPU applications do.
 func SimulateSequenceContext(ctx context.Context, cfg SystemConfig, kernels []Workload, opts ...SimOption) (SimStats, error) {
-	var o SimOptions
-	for _, fn := range opts {
-		fn(&o)
-	}
-	sim, err := gpu.NewSequence(cfg, kernels, o)
+	sim, err := gpu.New(cfg, kernels, simOptions(opts))
 	if err != nil {
 		return SimStats{}, err
 	}
-	return sim.RunContext(ctx)
+	st, _, err := sim.RunContext(ctx)
+	return st, err
 }
 
-// SimulateMCMContext is SimulateContext on a multi-chiplet GPU. MCM runs
-// honour WithMaxCycles, WithObserver, WithSampleInterval, WithShards,
-// WithUarch and SimOptions.UseLegacyLoop (the dense reference loop the
-// golden twins compare against); the remaining options do not apply to the
-// chiplet model and are ignored.
+// SimulateMCMContext is SimulateContext on a multi-chiplet GPU; every
+// SimOption applies to it as to a monolithic run.
 func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts ...SimOption) (MCMStats, error) {
+	sim, err := gpu.NewMCM(cfg, []Workload{w}, simOptions(opts))
+	if err != nil {
+		return MCMStats{}, err
+	}
+	_, st, err := sim.RunContext(ctx)
+	return st, err
+}
+
+// simOptions folds functional options into the struct form.
+func simOptions(opts []SimOption) SimOptions {
 	var o SimOptions
 	for _, fn := range opts {
 		fn(&o)
 	}
-	sim, err := chiplet.New(cfg, w, chiplet.Options{
-		MaxCycles:     o.MaxCycles,
-		Recorder:      o.Recorder,
-		SampleEvery:   o.SampleEvery,
-		Shards:        o.Shards,
-		Uarch:         o.Uarch,
-		UseLegacyLoop: o.UseLegacyLoop,
-	})
-	if err != nil {
-		return MCMStats{}, err
-	}
-	return sim.RunContext(ctx)
+	return o
 }
 
 // Parallel experiment engine: fan independent simulation jobs across a

@@ -89,6 +89,49 @@ func TestFacadeSimulateMCM(t *testing.T) {
 	}
 }
 
+// TestFacadeSimulateMCMHonoursEveryOption: the options a monolithic run
+// takes reach an MCM run too. Without event skip every cycle is visited, so
+// only SimEvents — a count of visited SM-cycles — grows; a warm-up cutoff
+// shortens the measured window, identically in every run loop.
+func TestFacadeSimulateMCMHonoursEveryOption(t *testing.T) {
+	mcm := gpuscale.Target16Chiplet()
+	mcm.Chiplet.NumSMs = 4
+	cfg, err := gpuscale.ScaleChiplets(mcm, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...gpuscale.SimOption) gpuscale.MCMStats {
+		t.Helper()
+		st, err := gpuscale.SimulateMCMContext(context.Background(), cfg, smallLinear("facade-mcm-opts"), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	plain := run()
+	noSkip := run(gpuscale.WithEventSkip(false))
+	if noSkip.SimEvents <= plain.SimEvents {
+		t.Errorf("WithEventSkip(false) visited no more cycles (SimEvents %d vs %d): option not applied", noSkip.SimEvents, plain.SimEvents)
+	}
+	noSkip.SimEvents = plain.SimEvents
+	if noSkip != plain {
+		t.Errorf("WithEventSkip(false) changed results\nno skip %+v\nskip    %+v", noSkip, plain)
+	}
+	cutoff := plain.Instructions / 2
+	warm := run(gpuscale.WithWarmupInstructions(cutoff))
+	if warm.Cycles >= plain.Cycles || warm.Instructions >= plain.Instructions {
+		t.Errorf("warm-up did not shorten the measured window: %+v vs %+v", warm, plain)
+	}
+	for name, opts := range map[string][]gpuscale.SimOption{
+		"dense":    {gpuscale.WithOptions(gpuscale.SimOptions{UseLegacyLoop: true}), gpuscale.WithWarmupInstructions(cutoff)},
+		"shards=2": {gpuscale.WithShards(2), gpuscale.WithWarmupInstructions(cutoff)},
+	} {
+		if got := run(opts...); got != warm {
+			t.Errorf("warm-up %s run diverged from the event loop\n%s %+v\nevent %+v", name, name, got, warm)
+		}
+	}
+}
+
 func TestFacadeCurveAndPrediction(t *testing.T) {
 	w := smallLinear("facade-curve")
 	cfgs := gpuscale.StandardConfigs()

@@ -208,12 +208,12 @@ func runJob(ctx context.Context, j Job) (res Result) {
 		res.Err = fmt.Errorf("engine: job %q has no kernels", j.Label())
 		return res
 	}
-	sim, err := gpu.NewSequence(j.Config, j.Kernels, j.Options)
+	sim, err := gpu.New(j.Config, j.Kernels, j.Options)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Stats, res.Err = sim.RunContext(ctx)
+	res.Stats, _, res.Err = sim.RunContext(ctx)
 	return res
 }
 

@@ -22,10 +22,7 @@ func BenchmarkSteadyStateCycle(b *testing.B) {
 			var cycles int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				st, err := RunWithOptions(cfg, mk(), loop.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				st := mustSimulate(b, mono(cfg), loop.opt, mk())
 				cycles += st.Cycles
 			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {

@@ -5,13 +5,9 @@ import (
 
 	"gpuscale/internal/config"
 	"gpuscale/internal/trace"
+	"gpuscale/internal/workloads"
 )
 
-// TestEventLoopMatchesLegacy runs the event-driven loop and the dense
-// reference loop over the same (config, workload, options) cells and
-// requires every statistic to match bit for bit. This is the in-package
-// half of the equivalence guard; the package-level golden-stats snapshot
-// additionally pins both against the committed pre-optimisation results.
 // horizonConfig is an n-SM config with DRAM latency lowered so blocked-warp
 // wake-up distances land on both sides of the timing kernel's 64-cycle
 // due-wheel horizon, exercising the wheel/heap hand-off against the dense
@@ -42,39 +38,72 @@ func wideSMConfig(n int) config.SystemConfig {
 	return cfg
 }
 
+// horizonMCM and mshrStallMCM are the same two stress configurations on a
+// small multi-chiplet package.
+func horizonMCM(chiplets, smsPerChiplet, dram int) config.ChipletConfig {
+	cfg := smallMCM(chiplets, smsPerChiplet)
+	cfg.Chiplet.DRAMLatency = dram
+	cfg.Name += "-horizon"
+	return cfg
+}
+
+func mshrStallMCM(chiplets, smsPerChiplet, mshrs int) config.ChipletConfig {
+	cfg := smallMCM(chiplets, smsPerChiplet)
+	cfg.Chiplet.L1MSHRs = mshrs
+	cfg.Name += "-mshrstall"
+	return cfg
+}
+
+// contiguousMCM is smallMCM with the contiguous CTA scheduler.
+func contiguousMCM(chiplets, smsPerChiplet int) config.ChipletConfig {
+	cfg := smallMCM(chiplets, smsPerChiplet)
+	cfg.CTAScheduler = "contiguous"
+	cfg.Name += "-contig"
+	return cfg
+}
+
+// TestEventLoopMatchesLegacy runs the event-driven loop and the dense
+// reference loop over the same (machine, workload, options) cells and
+// requires every statistic to match bit for bit. This is the in-package
+// half of the equivalence guard; the package-level golden-stats snapshot
+// additionally pins both against the committed pre-optimisation results.
 func TestEventLoopMatchesLegacy(t *testing.T) {
+	bfs, err := workloads.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cells := []struct {
 		name string
-		cfg  config.SystemConfig
+		m    machine
 		w    func() trace.Workload
 		opt  Options
 	}{
-		{"compute/8sm", testConfig(8), func() trace.Workload { return computeWorkload(64, 4, 200) }, Options{}},
-		{"stream/8sm", testConfig(8), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
-		{"stream/16sm", testConfig(16), func() trace.Workload { return streamWorkload(96, 4, 60) }, Options{}},
-		{"reuse-ctalimit/8sm", testConfig(8), func() trace.Workload { return reuseWorkload(64, 4, 1<<16, 80, 2) }, Options{}},
-		{"stream/noskip", testConfig(8), func() trace.Workload { return streamWorkload(48, 4, 40) }, Options{DisableEventSkip: true}},
-		{"stream/warmup", testConfig(8), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{WarmupInstructions: 5000}},
-		{"stream/horizon-dram", horizonConfig(8, 52), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
-		{"stream/mshr-stall", mshrStallConfig(8, 4), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
-		{"stream/wide-sm", wideSMConfig(8), func() trace.Workload { return streamWorkload(256, 4, 30) }, Options{}},
+		{"compute/8sm", mono(testConfig(8)), func() trace.Workload { return computeWorkload(64, 4, 200) }, Options{}},
+		{"stream/8sm", mono(testConfig(8)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
+		{"stream/16sm", mono(testConfig(16)), func() trace.Workload { return streamWorkload(96, 4, 60) }, Options{}},
+		{"reuse-ctalimit/8sm", mono(testConfig(8)), func() trace.Workload { return reuseWorkload(64, 4, 1<<16, 80, 2) }, Options{}},
+		{"stream/noskip", mono(testConfig(8)), func() trace.Workload { return streamWorkload(48, 4, 40) }, Options{DisableEventSkip: true}},
+		{"stream/warmup", mono(testConfig(8)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{WarmupInstructions: 5000}},
+		{"stream/horizon-dram", mono(horizonConfig(8, 52)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
+		{"stream/mshr-stall", mono(mshrStallConfig(8, 4)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
+		{"stream/wide-sm", mono(wideSMConfig(8)), func() trace.Workload { return streamWorkload(256, 4, 30) }, Options{}},
+		{"mcm/compute/2c", mcm(smallMCM(2, 4)), func() trace.Workload { return computeWorkload(32, 2, 50) }, Options{}},
+		{"mcm/stream/2c", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
+		{"mcm/stream/contiguous", mcm(contiguousMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
+		{"mcm/bfs/4c", mcm(config.MustScaleChiplets(config.Target16Chiplet(), 4)), func() trace.Workload { return bfs.Workload }, Options{}},
+		{"mcm/stream/horizon-dram", mcm(horizonMCM(2, 4, 15)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
+		{"mcm/stream/mshr-stall", mcm(mshrStallMCM(2, 4, 4)), func() trace.Workload { return mcmStreamWorkload(64, 4, 30) }, Options{}},
+		{"mcm/stream/warmup", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{WarmupInstructions: 3000}},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
-			ev, err := RunWithOptions(c.cfg, c.w(), c.opt)
-			if err != nil {
-				t.Fatalf("event loop: %v", err)
-			}
+			ev := mustSimulate(t, c.m, c.opt, c.w())
 			if c.name == "stream/mshr-stall" && ev.MSHRStalls == 0 {
 				t.Error("no MSHR stalls: the cell no longer reaches the full-file path")
 			}
 			legacyOpt := c.opt
 			legacyOpt.UseLegacyLoop = true
-			lg, err := RunWithOptions(c.cfg, c.w(), legacyOpt)
-			if err != nil {
-				t.Fatalf("legacy loop: %v", err)
-			}
-			if ev != lg {
+			if lg := mustSimulate(t, c.m, legacyOpt, c.w()); ev != lg {
 				t.Errorf("stats diverge between loops\nevent  %+v\nlegacy %+v", ev, lg)
 			}
 		})
@@ -83,7 +112,7 @@ func TestEventLoopMatchesLegacy(t *testing.T) {
 
 // TestEventLoopMatchesLegacySequence covers the multi-kernel path: the grid
 // barrier, cache persistence across kernels, and per-kernel CTA refill all
-// go through the event-driven barrier branch.
+// go through the event-driven barrier branch, on a GPU and on a package.
 func TestEventLoopMatchesLegacySequence(t *testing.T) {
 	mk := func() []trace.Workload {
 		return []trace.Workload{
@@ -92,15 +121,11 @@ func TestEventLoopMatchesLegacySequence(t *testing.T) {
 			streamWorkload(32, 4, 40),
 		}
 	}
-	ev, err := RunSequenceWithOptions(testConfig(8), mk(), Options{})
-	if err != nil {
-		t.Fatalf("event loop: %v", err)
-	}
-	lg, err := RunSequenceWithOptions(testConfig(8), mk(), Options{UseLegacyLoop: true})
-	if err != nil {
-		t.Fatalf("legacy loop: %v", err)
-	}
-	if ev != lg {
-		t.Errorf("sequence stats diverge between loops\nevent  %+v\nlegacy %+v", ev, lg)
+	for _, m := range []machine{mono(testConfig(8)), mcm(smallMCM(2, 4))} {
+		ev := mustSimulate(t, m, Options{}, mk()...)
+		lg := mustSimulate(t, m, Options{UseLegacyLoop: true}, mk()...)
+		if ev != lg {
+			t.Errorf("%s: sequence stats diverge between loops\nevent  %+v\nlegacy %+v", m.cfg.Name, ev, lg)
+		}
 	}
 }

@@ -1,30 +1,37 @@
-// Package gpu assembles the full GPU timing simulator: SMs with private L1
-// caches and MSHRs, a crossbar NoC, an address-interleaved shared LLC, and
-// bandwidth-limited memory controllers. It plays the role Accel-Sim plays in
-// the paper — the "detailed timing model" box of Figure 3 — producing the
-// IPC and f_mem numbers that scale-model prediction consumes.
+// Package gpu is the cycle-level GPU timing simulator: SMs with private L1
+// caches and MSHRs in front of one or more memory domains. It plays the role
+// Accel-Sim plays in the paper — the "detailed timing model" box of Figure 3
+// — producing the IPC and f_mem numbers that scale-model prediction consumes.
+//
+// A memory domain is one crossbar NoC, its address-interleaved LLC slices
+// and its bandwidth-limited memory controllers. A monolithic GPU (New) is one
+// domain. A multi-chip-module GPU (NewMCM, paper Section VII-D) is one domain
+// per chiplet, each the Table III GPU with its own SMs, plus an
+// inter-chiplet link port per chiplet: pages go to the chiplet that touches
+// them first, and an access to another chiplet's page pays the hop latency
+// both ways and the owner's link bandwidth. CTAs are spread round-robin over
+// the chiplets ("distributed", Table V) or fill one chiplet before the next
+// ("contiguous"); on one domain both are ascending SM order.
 //
 // The timing model is a schedule-ahead cycle simulator: every cycle each SM
-// may issue one instruction; a memory instruction's completion time is
-// computed immediately by chaining the L1 lookup, NoC transfer (bisection and
+// may issue; a memory instruction's completion time is computed immediately
+// by chaining the L1 lookup, (remote hop,) NoC transfer (bisection and
 // per-slice queueing), LLC lookup, and — on an LLC miss — memory-controller
 // queueing plus DRAM latency. When no SM can issue, the simulator skips
 // directly to the next warp wake-up, accruing the skipped cycles to each
 // SM's stall classification, so long memory stalls cost nothing to simulate.
 //
-// The run loop is event-driven and built on the shared cycle-advance
-// kernel in internal/timing: SMs with near wake-ups sit in the kernel's
-// due-wheel (one bitset per cycle over a 64-cycle horizon) and far wake-ups
-// in its min-heap, so a cycle touches only the SMs that can issue, promote
-// or retire at that cycle. Stalled and idle SMs pay nothing per cycle;
-// their stall-classification counters are accrued lazily, one Accrue call
-// per stalled interval, when they are next ticked (see AccrueStall for the
-// invariant that makes this exact). This Simulator is the kernel's Driver:
-// it supplies the per-SM tick (batched MSHR expiry + sm.Tick) and the
-// accounting callbacks, while the kernel owns who ticks when. The previous
-// tick-every-SM loop is preserved as the dense reference implementation
-// (Options.UseLegacyLoop): both loops produce bit-identical Stats, which
-// the golden-stats snapshot test and TestEventLoopMatchesLegacy enforce.
+// The run loop is event-driven and built on the cycle-advance kernel in
+// internal/timing: SMs with near wake-ups sit in the kernel's due-wheel and
+// far wake-ups in its min-heap, so a cycle touches only the SMs that can
+// issue, promote or retire at that cycle; stalled SMs' classification
+// counters are accrued lazily, one Accrue call per stalled interval (see
+// AccrueStall for the invariant that makes this exact). The same loop runs
+// sharded (Options.Shards, sharded.go): SM groups — whole domains on a
+// multi-chiplet package — tick in parallel and the post-L1 path is replayed
+// at a cycle barrier. The dense reference loop that ticks every SM every
+// cycle is kept as Options.UseLegacyLoop; every loop produces bit-identical
+// Stats, which the golden-stats snapshot and the equality suites enforce.
 package gpu
 
 import (
@@ -32,13 +39,13 @@ import (
 	"fmt"
 	"strconv"
 
+	"gpuscale/internal/bandwidth"
 	"gpuscale/internal/cache"
 	"gpuscale/internal/config"
 	"gpuscale/internal/dram"
 	"gpuscale/internal/noc"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/sm"
-	"gpuscale/internal/timing"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
 )
@@ -77,13 +84,12 @@ type Options struct {
 	// cycles, for this run. Zero or negative uses the recorder's default.
 	// Ignored when Recorder is nil.
 	SampleEvery int64
-	// Shards enables sharded execution: the simulated package is split into
-	// that many groups — contiguous SM ranges on the monolithic simulator,
-	// chiplet groups on MCM (chiplet.Options.Shards) — each driven by its
-	// own goroutine with a deterministic cycle barrier between them
-	// (docs/PARALLELISM.md). Results are bit-identical to sequential
+	// Shards enables sharded execution: the SMs are split into that many
+	// contiguous groups — whole chiplets on a multi-chiplet package — each
+	// driven by its own goroutine with a deterministic cycle barrier between
+	// them (docs/PARALLELISM.md). Results are bit-identical to sequential
 	// execution at every shard count. 0 or 1 means sequential; values above
-	// the SM count are clamped; Shards > 1 is incompatible with
+	// the SM (chiplet) count are clamped; Shards > 1 is incompatible with
 	// UseLegacyLoop.
 	Shards int
 	// Uarch selects the microarchitecture variant, overriding a zero
@@ -120,7 +126,8 @@ type Stats struct {
 	// LLCMPKI is LLC misses per thousand instructions — the unit of the
 	// paper's miss-rate curves.
 	LLCMPKI float64
-	// NoCUtilization is the bisection busy fraction.
+	// NoCUtilization is the bisection busy fraction (the mean over memory
+	// domains).
 	NoCUtilization float64
 	// NoCBytes counts bytes moved through the NoC bisection.
 	NoCBytes uint64
@@ -130,7 +137,7 @@ type Stats struct {
 	DRAMBytes uint64
 	// CTAs is the number of thread blocks executed.
 	CTAs uint64
-	// Kernels is the number of kernels executed (1 unless NewSequence).
+	// Kernels is the number of kernels executed.
 	Kernels int
 	// MSHRStalls counts accesses delayed by a full MSHR file.
 	MSHRStalls uint64
@@ -144,28 +151,89 @@ type Stats struct {
 	AvgLoadLatency float64
 }
 
-// Simulator is a configured GPU plus workload, ready to Run. Use New. A
-// simulation may span several kernels executed back to back — a grid
-// barrier between kernels, caches persisting across them — as real GPU
-// applications do; see NewSequence.
+// MCMStats is the result shape of a multi-chiplet run: the package-wide
+// subset of Stats plus the share of remote accesses.
+type MCMStats struct {
+	// Cycles is the simulated execution time.
+	Cycles int64
+	// Instructions and MemInstructions count issued warp instructions.
+	Instructions    uint64
+	MemInstructions uint64
+	// IPC aggregates instructions per cycle over all SMs in the package.
+	IPC float64
+	// FMem is the mean SM memory-stall fraction.
+	FMem float64
+	// LLCMPKI is LLC misses per thousand instructions across chiplets.
+	LLCMPKI float64
+	// LLCMisses counts LLC misses across all chiplets.
+	LLCMisses uint64
+	// RemoteFraction is the share of post-L1 accesses served by a remote
+	// chiplet (a first-touch locality measure).
+	RemoteFraction float64
+	// CTAs is the number of thread blocks executed.
+	CTAs uint64
+	// SimEvents is the host-cost proxy (see Stats.SimEvents).
+	SimEvents uint64
+}
+
+// domain is one memory domain: the crossbar, LLC slices and memory
+// controllers one post-L1 access touches, and on a multi-chiplet package
+// the chiplet's inter-chiplet link port (nil on one domain).
+type domain struct {
+	llc  []*cache.Cache
+	xbar noc.Network
+	mem  *dram.Memory
+	link *bandwidth.Server
+}
+
+// counters are the memory-path tallies. Sequential loops count into the
+// Simulator's; a sharded run gives each shard its own, merged at the cycle
+// barrier, so no counter is shared by a parallel phase.
+type counters struct {
+	loads, loadLat, mshrStall, llcAcc, llcMiss uint64
+}
+
+// drainInto adds c to total and zeroes c.
+func (c *counters) drainInto(total *counters) {
+	total.loads += c.loads
+	total.loadLat += c.loadLat
+	total.mshrStall += c.mshrStall
+	total.llcAcc += c.llcAcc
+	total.llcMiss += c.llcMiss
+	*c = counters{}
+}
+
+// Simulator is a configured GPU plus its kernel sequence, ready to run: the
+// kernels execute back to back — a grid barrier between them, caches and
+// memory state persisting across them — as real GPU applications do. Use
+// New or NewMCM.
 type Simulator struct {
-	cfg     config.SystemConfig
+	cfg     config.SystemConfig // one domain's GPU
+	name    string              // the machine's configuration name
+	mcm     bool                // report metrics and samples in the MCM shape
 	kernels []trace.Workload
 	opt     Options
 
-	sms   []*sm.SM
-	l1s   []*cache.Cache
-	mshrs []*cache.MSHRFile
-	llc   []*cache.Cache
-	xbar  noc.Network
-	mem   *dram.Memory
+	// SMs are numbered domain-major: SM i lives in domain i / cfg.NumSMs.
+	sms    []*sm.SM
+	l1s    []*cache.Cache
+	mshrs  []*cache.MSHRFile
+	doms   []*domain
+	launch []int // SM visiting order of the CTA dispatcher
+
+	// First-touch page placement; pages is nil on one domain, where every
+	// access is local.
+	pages    map[uint64]int // page number → owning domain
+	pageBits uint
+	hop      int64 // one-way inter-chiplet latency
+	remote   uint64
 
 	lineBits uint
 	// Variant-dependent memory-path granularity. In the default line-grain
 	// L1 these equal LineSize/lineBits, keeping the access path bit-identical
 	// to the pre-variant code; a sectored L1 moves and merges at sector
 	// granularity while the LLC stays line-indexed.
-	xferBytes   int  // bytes per NoC/DRAM transfer (line or sector)
+	xferBytes   int  // bytes per link/NoC/DRAM transfer (line or sector)
 	mshrBits    uint // address shift for MSHR merge keys
 	kernelIdx   int
 	nextCTA     int
@@ -176,34 +244,23 @@ type Simulator struct {
 	statsSince  int64
 	issuedSoFar uint64
 	warmupDone  bool
-	llcAcc      uint64
-	llcMiss     uint64
-	loadLat     uint64
-	loads       uint64
-	mshrStall   uint64
-	skipped     int64
+	ctr         counters
+	skipped     int64 // dense loop only; the event loop's live in the kernels
 	events      uint64
 
-	// Event-driven scheduler state. All of it is preallocated in
-	// NewSequence so the run loop allocates nothing in steady state. The
-	// wake-up machinery (due-wheel, far-wake heap, lazy accrual intervals)
-	// lives in the shared timing kernel; this Simulator is its Driver.
-	ports       []*port        // one per SM, reused across RunContext calls
-	tk          *timing.Kernel // owns who ticks when; persists across RunContext calls
-	legacyKinds []sm.TickKind  // dense-loop per-cycle scratch
-	liveTotal   int            // incrementally maintained sum of LiveWarps over SMs
-	ctaDirty    bool           // CTA capacity may have changed; fillCTAs must re-scan
+	// Run-loop state, all sized in build so the hot path never allocates.
+	// A sequential run is one shard driven inline (shards[0]); a sharded run
+	// has several, each with its own timing kernel and arena (sharded.go).
+	ports       []*port
+	shards      []*shard
+	shardOfSM   []*shard
+	shardOfDom  []*shard // nil unless shards own whole domains
+	shardFinish bool     // FinishCycle runs inside the parallel phase (warm-up settled)
+	legacyKinds []sm.TickKind
+	liveTotal   int  // incrementally maintained sum of LiveWarps over SMs
+	ctaDirty    bool // CTA capacity may have changed; fillCTAs must re-scan
 	progBuf     []trace.Program
-	arena       *trace.Arena
 	kernelAW    []trace.ArenaWorkload // per kernel: non-nil if arena-managed
-
-	// Sharded execution state (sharded.go); nil/zero when Options.Shards
-	// <= 1. shardFinish gates where FinishCycle runs: serially at the
-	// barrier while the warm-up check can still fire, inside the parallel
-	// tick phase once it has settled.
-	shards      []*gpuShard
-	shardOfSM   []*gpuShard
-	shardFinish bool
 
 	// Observability handles; all nil when Options.Recorder is nil, so
 	// every hook below degrades to one predictable nil-check branch.
@@ -215,16 +272,23 @@ type Simulator struct {
 	kernelStart int64
 }
 
-// New validates cfg and workload and builds a single-kernel Simulator.
-func New(cfg config.SystemConfig, w trace.Workload, opt Options) (*Simulator, error) {
-	return NewSequence(cfg, []trace.Workload{w}, opt)
+// New builds a Simulator for a monolithic GPU: one memory domain.
+func New(cfg config.SystemConfig, kernels []trace.Workload, opt Options) (*Simulator, error) {
+	return build(cfg, nil, kernels, opt)
 }
 
-// NewSequence builds a Simulator over a sequence of kernels executed back
-// to back: kernel i+1 launches only after every CTA of kernel i has
-// retired (a grid barrier), while cache and memory state persist across
-// kernels. Per-kernel occupancy limits apply while that kernel runs.
-func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options) (*Simulator, error) {
+// NewMCM builds a Simulator for a multi-chip-module GPU: cfg.NumChiplets
+// domains, each the cfg.Chiplet GPU, reporting in the MCM shape.
+func NewMCM(cfg config.ChipletConfig, kernels []trace.Workload, opt Options) (*Simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return build(cfg.Chiplet, &cfg, kernels, opt)
+}
+
+// build is the one constructor: cfg is one domain's GPU, pkg the
+// multi-chiplet package around it or nil.
+func build(cfg config.SystemConfig, pkg *config.ChipletConfig, kernels []trace.Workload, opt Options) (*Simulator, error) {
 	if opt.Uarch != (uarch.Variant{}) {
 		if cfg.Uarch != (uarch.Variant{}) && cfg.Uarch != opt.Uarch {
 			return nil, fmt.Errorf("gpu: Options.Uarch %v conflicts with cfg.Uarch %v", opt.Uarch, cfg.Uarch)
@@ -237,13 +301,19 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("gpu: no kernels")
 	}
+	nDom, name := 1, cfg.Name
+	if pkg != nil {
+		nDom, name = pkg.NumChiplets, pkg.Name
+	}
+	nSM := nDom * cfg.NumSMs
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("gpu: Shards must be >= 0, got %d", opt.Shards)
 	}
-	nShards := opt.Shards
-	if nShards > cfg.NumSMs {
-		nShards = cfg.NumSMs
+	units := nSM // what a shard owns: SMs, or whole domains when there are several
+	if nDom > 1 {
+		units = nDom
 	}
+	nShards := min(opt.Shards, units)
 	if nShards > 1 && opt.UseLegacyLoop {
 		return nil, fmt.Errorf("gpu: Shards > 1 is incompatible with UseLegacyLoop")
 	}
@@ -267,20 +337,20 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	k0 := kernels[0].Kernel()
 	s := &Simulator{
 		cfg:      cfg,
+		name:     name,
+		mcm:      pkg != nil,
 		kernels:  kernels,
 		opt:      opt,
 		numCTAs:  k0.NumCTAs,
 		warpsPer: k0.WarpsPerCTA,
+		ctaLimit: k0.CTAsPerSMLimit,
 	}
-	lb := uint(0)
-	for 1<<lb != cfg.LineSize {
-		lb++
+	for 1<<s.lineBits != cfg.LineSize {
+		s.lineBits++
 	}
-	s.lineBits = lb
-	s.ctaLimit = k0.CTAsPerSMLimit
 	variant := cfg.Uarch.Normalize()
 	s.xferBytes = cfg.LineSize
-	s.mshrBits = lb
+	s.mshrBits = s.lineBits
 	sectored := variant.L1 == uarch.L1Sectored
 	if sectored {
 		// A sectored L1 fills, merges and moves at sector granularity; the
@@ -292,9 +362,10 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 			s.mshrBits++
 		}
 	}
-	s.sms = make([]*sm.SM, cfg.NumSMs)
-	s.l1s = make([]*cache.Cache, cfg.NumSMs)
-	s.mshrs = make([]*cache.MSHRFile, cfg.NumSMs)
+	s.sms = make([]*sm.SM, nSM)
+	s.l1s = make([]*cache.Cache, nSM)
+	s.mshrs = make([]*cache.MSHRFile, nSM)
+	s.ports = make([]*port, nSM)
 	for i := range s.sms {
 		m, err := sm.NewVariant(cfg.WarpsPerSM, cfg.MaxCTAsPerSM, cfg.ComputeLatency, variant)
 		if err != nil {
@@ -307,62 +378,74 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 			s.l1s[i] = cache.MustNew(cfg.L1SizeBytes, cfg.L1Ways, cfg.LineSize)
 		}
 		s.mshrs[i] = cache.NewMSHRFile(cfg.L1MSHRs)
-	}
-	s.llc = make([]*cache.Cache, cfg.LLCSlices)
-	for i := range s.llc {
-		s.llc[i] = cache.MustNew(cfg.LLCSliceSize(), cfg.LLCWays, cfg.LineSize)
+		s.ports[i] = &port{sim: s, smID: i, dom: i / cfg.NumSMs, ctr: &s.ctr}
 	}
 	nocCfg := noc.Config{
 		BisectionBytesPerCycle: cfg.BytesPerCycle(cfg.NoCBisectionGBps),
 		Ports:                  cfg.LLCSlices,
 		BaseLatency:            cfg.NoCBaseLatency,
 	}
-	switch variant.NoC {
-	case uarch.RouteXbar:
-		s.xbar = noc.MustNew(nocCfg)
-	case uarch.RouteDeflect:
-		s.xbar = noc.MustNewDeflect(nocCfg)
-	default:
-		panic("gpu: unreachable routing variant " + string(variant.NoC))
+	s.doms = make([]*domain, nDom)
+	for d := range s.doms {
+		dom := &domain{llc: make([]*cache.Cache, cfg.LLCSlices)}
+		for i := range dom.llc {
+			dom.llc[i] = cache.MustNew(cfg.LLCSliceSize(), cfg.LLCWays, cfg.LineSize)
+		}
+		switch variant.NoC {
+		case uarch.RouteXbar:
+			dom.xbar = noc.MustNew(nocCfg)
+		case uarch.RouteDeflect:
+			dom.xbar = noc.MustNewDeflect(nocCfg)
+		default:
+			panic("gpu: unreachable routing variant " + string(variant.NoC))
+		}
+		dom.mem = dram.MustNew(dram.Config{
+			Controllers:        cfg.MemControllers,
+			BytesPerCyclePerMC: cfg.BytesPerCycle(cfg.MemBWPerMCGBps),
+			Latency:            cfg.DRAMLatency,
+		})
+		if nDom > 1 {
+			dom.link = bandwidth.MustNewServer(cfg.BytesPerCycle(pkg.InterChipletGBpsPerChiplet))
+		}
+		s.doms[d] = dom
 	}
-	s.mem = dram.MustNew(dram.Config{
-		Controllers:        cfg.MemControllers,
-		BytesPerCyclePerMC: cfg.BytesPerCycle(cfg.MemBWPerMCGBps),
-		Latency:            cfg.DRAMLatency,
-	})
-	// Everything the run loop needs is sized here so the hot path never
-	// allocates: ports, the timing kernel (due-wheel, far-wake heap, lazy
-	// accrual), the dense loop's scratch, and the CTA-launch program buffer
-	// (sized to the widest CTA across the kernel sequence).
-	s.ports = make([]*port, cfg.NumSMs)
-	for i := range s.ports {
-		s.ports[i] = &port{sim: s, smID: i}
+	if nDom > 1 {
+		s.pages = make(map[uint64]int, 1<<16)
+		for 1<<s.pageBits != pkg.PageSize {
+			s.pageBits++
+		}
+		s.hop = int64(pkg.InterChipletLatency)
 	}
-	s.tk = timing.MustNew(timing.Config{Units: cfg.NumSMs, NoSkip: opt.DisableEventSkip}, s)
-	s.legacyKinds = make([]sm.TickKind, cfg.NumSMs)
-	s.progBuf = make([]trace.Program, maxWarpsPerCTA)
-	// The workload arena recycles programs and address generators across CTA
-	// launches. Peak population is the resident-warp limit; retired programs
-	// come back via the SMs' recycler hook (Release below), but only for
-	// kernels that really draw from the arena — a plain Factory may hand out
+	// The CTA dispatcher's SM order: consecutive CTAs on consecutive domains
+	// ("distributed"), or domain by domain ("contiguous"). Both are
+	// ascending SM order on one domain.
+	contiguous := pkg != nil && pkg.CTAScheduler == "contiguous"
+	s.launch = make([]int, nSM)
+	for g := range s.launch {
+		s.launch[g] = g
+		if !contiguous {
+			s.launch[g] = (g%nDom)*cfg.NumSMs + g/nDom
+		}
+	}
+	// The rest of the run loop's state: shards (timing kernels, arenas),
+	// the dense loop's scratch, and the CTA-launch program buffer (sized to
+	// the widest CTA across the kernel sequence). The arenas recycle
+	// programs and address generators across CTA launches, but only for
+	// kernels that really draw from an arena — a plain Factory may hand out
 	// programs it retains, which must not be pooled behind its back.
-	s.arena = trace.NewArena(cfg.NumSMs * cfg.WarpsPerSM)
+	s.legacyKinds = make([]sm.TickKind, nSM)
+	s.progBuf = make([]trace.Program, maxWarpsPerCTA)
 	s.kernelAW = make([]trace.ArenaWorkload, len(kernels))
 	for i, w := range kernels {
 		if aw, ok := trace.AsArenaWorkload(w); ok {
 			s.kernelAW[i] = aw
 		}
 	}
-	for _, m := range s.sms {
-		m.SetRecycler(s)
-	}
-	if nShards > 1 {
-		s.shardFinish = opt.WarmupInstructions == 0
-		s.buildShards(nShards)
-	}
+	s.shardFinish = opt.WarmupInstructions == 0
+	s.buildShards(max(nShards, 1))
 	s.ctaDirty = true
 	if rec := opt.Recorder; rec.Enabled() {
-		label := cfg.Name + "/" + kernels[0].Name()
+		label := name + "/" + kernels[0].Name()
 		s.stream = rec.Stream(label)
 		// The metrics namespace carries the stream id so that parallel
 		// runs of the same (config, workload) pair under one recorder
@@ -381,17 +464,20 @@ func NewSequence(cfg config.SystemConfig, kernels []trace.Workload, opt Options)
 	return s, nil
 }
 
-// port adapts the simulator's memory hierarchy to one SM's MemPort. Under
-// sharded execution sh is the SM's shard and Access defers everything past
-// the SM-private L1/MSHR to the barrier replay.
+// port adapts the memory hierarchy to one SM's MemPort. Under sharded
+// execution sh is the SM's shard and Access defers everything past the
+// SM-private L1/MSHR to the barrier replay.
 type port struct {
 	sim  *Simulator
 	smID int
-	sh   *gpuShard
+	dom  int       // the SM's home domain
+	ctr  *counters // the Simulator's, or the SM's shard's
+	sh   *shard
 }
 
-// Access implements sm.MemPort: L1 (unless bypassed) → MSHR merge → NoC →
-// LLC slice → memory controller → DRAM, returning the data-return cycle.
+// Access implements sm.MemPort: L1 (unless bypassed) → MSHR merge →
+// (first-touch page owner) → memory domain, returning the data-return
+// cycle.
 func (p *port) Access(now int64, in trace.Instr) int64 {
 	s := p.sim
 	line := in.Addr >> s.lineBits
@@ -399,31 +485,23 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 	// so distinct sectors of one line miss independently.
 	key := in.Addr >> s.mshrBits
 	bypass := in.Flags&trace.BypassL1 != 0
-	if !bypass {
-		if s.l1s[p.smID].Access(in.Addr) {
-			if in.Kind == trace.Load {
-				// Sharded phase A runs on a worker goroutine: count into
-				// shard-local counters, merged at the barrier. The histogram
-				// observation is atomic (order of float observations is the
-				// one documented exemption from bit-identity).
-				if p.sh != nil {
-					p.sh.loads++
-					p.sh.loadLat += uint64(s.cfg.L1HitLatency)
-				} else {
-					s.loads++
-					s.loadLat += uint64(s.cfg.L1HitLatency)
-				}
-				s.loadHist.Observe(float64(s.cfg.L1HitLatency))
-			}
-			return now + int64(s.cfg.L1HitLatency)
+	load := in.Kind == trace.Load
+	if !bypass && s.l1s[p.smID].Access(in.Addr) {
+		if load {
+			// The histogram observation is atomic: sharded phase A runs on
+			// worker goroutines (the order of float observations is the one
+			// documented exemption from bit-identity).
+			p.ctr.loads++
+			p.ctr.loadLat += uint64(s.cfg.L1HitLatency)
+			s.loadHist.Observe(float64(s.cfg.L1HitLatency))
 		}
+		return now + int64(s.cfg.L1HitLatency)
 	}
 	// The MSHR file reclaims completed entries lazily (the run loop's
 	// per-tick Expire only sweeps when enough have piled up), but every
 	// answer below counts only the misses still outstanding at now, so the
 	// sweep schedule is invisible here.
 	mshr := s.mshrs[p.smID]
-	load := in.Kind == trace.Load
 	if load && !bypass {
 		if comp, ok := mshr.Lookup(now, key); ok {
 			return comp // merged into an outstanding miss
@@ -435,61 +513,96 @@ func (p *port) Access(now int64, in trace.Instr) int64 {
 		if nc, ok := mshr.NextCompletion(now); ok && nc > arrival {
 			arrival = nc
 		}
-		if p.sh != nil {
-			p.sh.mshrStall++
-		} else {
-			s.mshrStall++
-		}
+		p.ctr.mshrStall++
 	}
+	page := in.Addr >> s.pageBits
 	if p.sh != nil {
-		// Everything past the SM-private L1/MSHR touches the shared
-		// crossbar/LLC/DRAM path: record it for the barrier's serial replay.
-		return p.sh.deferAccess(p, line, key, arrival, now, load, bypass, full)
+		// Everything past the SM-private L1/MSHR touches state shared
+		// across SMs: record it for the barrier's replay.
+		return p.sh.deferAccess(p, line, key, page, arrival, now, load, bypass, full)
 	}
-	nSlices := uint64(len(s.llc))
-	slice := int(line % nSlices)
-	t := s.xbar.Transfer(arrival, slice, s.xferBytes)
-	t += int64(s.cfg.LLCHitLatency)
-	s.llcAcc++
-	// Index the slice with the slice-select bits stripped, otherwise only
-	// 1/nSlices of each slice's sets would ever be used.
-	sliceLocal := (line / nSlices) << s.lineBits
-	if !s.llc[slice].Access(sliceLocal) {
-		s.llcMiss++
-		t = s.mem.Access(t, line, s.xferBytes)
-		// Deterministic per-line jitter models DRAM bank/row variation
-		// and breaks warp convoys that a constant latency would
-		// otherwise sustain.
-		t += int64((line * 0x9e3779b9 >> 13) % 13)
+	owner := p.dom
+	if s.pages != nil {
+		owner = s.pageOwner(page, p.dom)
 	}
-	t += int64(s.cfg.NoCBaseLatency) // response traversal
+	t := s.serve(p.ctr, owner, p.dom, line, arrival, now, load)
 	if load && !bypass && !full {
 		mshr.Allocate(key, t)
-	}
-	if load {
-		s.loads++
-		s.loadLat += uint64(t - now)
-		s.loadHist.Observe(float64(t - now))
 	}
 	return t
 }
 
-// fillCTAs launches the current kernel's pending CTAs round-robin onto SMs
-// with capacity, honouring the kernel's occupancy limit. Launch capacity
-// changes only when a CTA retires or a new kernel starts, so the
-// event-driven loop calls this only when ctaDirty is set. The per-CTA
-// program slice is pooled in progBuf — LaunchCTA copies the programs into
-// warp slots without retaining the slice — so a launch allocates nothing
-// beyond the workload's own NewProgram; for arena-managed kernels even the
-// programs come from the simulation's arena, making steady-state launches
-// allocation-free end to end.
+// pageOwner returns the domain owning page, giving it to home on first
+// touch, and counts a remote access.
+func (s *Simulator) pageOwner(page uint64, home int) int {
+	owner, seen := s.pages[page]
+	if !seen {
+		owner = home
+		s.pages[page] = owner
+	}
+	if owner != home {
+		s.remote++
+	}
+	return owner
+}
+
+// serve is the post-L1 path of one access issued from domain home and
+// served by domain owner — (link →) crossbar → LLC slice → DRAM (→ link) —
+// returning the completion cycle and counting into c.
+func (s *Simulator) serve(c *counters, owner, home int, line uint64, arrival, issueAt int64, load bool) int64 {
+	d := s.doms[owner]
+	t := arrival
+	remote := owner != home
+	if remote {
+		t = d.link.Schedule(t, s.xferBytes) + s.hop
+	}
+	nSlices := uint64(len(d.llc))
+	slice := int(line % nSlices)
+	t = d.xbar.Transfer(t, slice, s.xferBytes)
+	t += int64(s.cfg.LLCHitLatency)
+	c.llcAcc++
+	// Index the slice with the slice-select bits stripped, otherwise only
+	// 1/nSlices of each slice's sets would ever be used.
+	sliceLocal := (line / nSlices) << s.lineBits
+	if !d.llc[slice].Access(sliceLocal) {
+		c.llcMiss++
+		t = d.mem.Access(t, line, s.xferBytes)
+		// Deterministic per-line jitter models DRAM bank/row variation and
+		// breaks warp convoys that a constant latency would otherwise
+		// sustain.
+		t += int64((line * 0x9e3779b9 >> 13) % 13)
+	}
+	t += int64(s.cfg.NoCBaseLatency) // response traversal
+	if remote {
+		t += s.hop
+	}
+	if load {
+		c.loads++
+		c.loadLat += uint64(t - issueAt)
+		s.loadHist.Observe(float64(t - issueAt))
+	}
+	return t
+}
+
+// fillCTAs launches the current kernel's pending CTAs onto SMs with
+// capacity, visiting them in dispatcher order and honouring the kernel's
+// occupancy limit. Launch capacity changes only when a CTA retires or a new
+// kernel starts, so the event-driven loop calls this only when ctaDirty is
+// set. The per-CTA program slice is pooled in progBuf — LaunchCTA copies the
+// programs into warp slots without retaining the slice — so a launch
+// allocates nothing beyond the workload's own NewProgram; for arena-managed
+// kernels even the programs come from the shard's arena, making
+// steady-state launches allocation-free end to end.
 func (s *Simulator) fillCTAs() {
 	s.ctaDirty = false
 	w := s.kernels[s.kernelIdx]
 	aw := s.kernelAW[s.kernelIdx]
 	for s.nextCTA < s.numCTAs {
 		launched := false
-		for i := 0; i < len(s.sms) && s.nextCTA < s.numCTAs; i++ {
+		for _, i := range s.launch {
+			if s.nextCTA >= s.numCTAs {
+				break
+			}
 			m := s.sms[i]
 			if !m.CanAccept(s.warpsPer) {
 				continue
@@ -497,17 +610,13 @@ func (s *Simulator) fillCTAs() {
 			if s.ctaLimit > 0 && m.ResidentCTAs() >= s.ctaLimit {
 				continue
 			}
+			sh := s.shardOfSM[i]
 			progs := s.progBuf[:s.warpsPer]
 			if aw != nil {
-				// Sharded runs draw from the target SM's shard arena — the
-				// arena its retiring programs are released into (fillCTAs is
-				// serial, so touching it here is race-free).
-				arena := s.arena
-				if s.shardOfSM != nil {
-					arena = s.shardOfSM[i].arena
-				}
+				// Draw from the arena the SM's retiring programs are released
+				// into (fillCTAs is serial, so touching it here is race-free).
 				for wpi := range progs {
-					progs[wpi] = aw.NewProgramIn(arena, s.nextCTA, wpi)
+					progs[wpi] = aw.NewProgramIn(sh.arena, s.nextCTA, wpi)
 				}
 			} else {
 				for wpi := range progs {
@@ -520,11 +629,7 @@ func (s *Simulator) fillCTAs() {
 				// classification (Idle for an empty SM) before residency
 				// changes it, and drops any pending far wake-up so the SM
 				// lives in exactly one wake structure.
-				if sh := s.shardOfSM; sh != nil {
-					sh[i].tk.ScheduleNow(i - sh[i].firstSM)
-				} else {
-					s.tk.ScheduleNow(i)
-				}
+				sh.tk.ScheduleNow(i - sh.firstSM)
 			}
 			m.LaunchCTA(progs)
 			s.liveTotal += s.warpsPer
@@ -534,17 +639,6 @@ func (s *Simulator) fillCTAs() {
 		if !launched {
 			return
 		}
-	}
-}
-
-// Release implements sm.ProgramRecycler: it returns a retired warp's
-// program to the simulation's arena, but only while the running kernel is
-// arena-managed (the grid barrier guarantees a kernel's last retirement
-// precedes the next kernel's first launch, so kernelIdx is always the
-// retiring program's kernel).
-func (s *Simulator) Release(p trace.Program) {
-	if s.kernelAW[s.kernelIdx] != nil {
-		s.arena.Release(p)
 	}
 }
 
@@ -563,134 +657,97 @@ func (s *Simulator) advanceKernel() bool {
 	return true
 }
 
-// Run executes the workload to completion and returns the statistics.
-func (s *Simulator) Run() (Stats, error) {
-	return s.RunContext(context.Background())
+// RunContext runs the kernels to completion and returns the statistics in
+// both public shapes — Stats for a monolithic GPU, MCMStats for a
+// multi-chiplet package; callers keep the one their entry point reports.
+// The run loop checks ctx every ctxCheckEvery iterations and aborts with
+// ctx's error, so a cancelled sweep stops its in-flight simulations, not
+// just unstarted ones.
+func (s *Simulator) RunContext(ctx context.Context) (Stats, MCMStats, error) {
+	var err error
+	if s.opt.UseLegacyLoop {
+		err = s.runLegacy(ctx)
+	} else {
+		err = s.runEvent(ctx)
+	}
+	if err != nil {
+		return Stats{}, MCMStats{}, err
+	}
+	st, m := s.stats()
+	return st, m, nil
 }
 
-// RunContext is Run honouring context cancellation: the run loop checks
-// ctx every ctxCheckEvery iterations and aborts with ctx's error, so a
-// cancelled sweep stops its in-flight simulations, not just unstarted ones.
-func (s *Simulator) RunContext(ctx context.Context) (Stats, error) {
-	if s.opt.UseLegacyLoop {
-		return s.runLegacy(ctx)
-	}
-	if s.shards != nil {
-		return s.runSharded(ctx)
-	}
-	return s.runEvent(ctx)
-}
-
-// flushAllAccruals settles every SM's counters up to s.now so aggregate
-// statistics (stats, the observability registry) read exactly as if every
-// cycle had been accrued eagerly. No-op under the legacy loop, whose
-// accrual already is eager.
-func (s *Simulator) flushAllAccruals() {
-	if s.opt.UseLegacyLoop {
-		return
-	}
-	if s.shards != nil {
-		for _, sh := range s.shards {
-			sh.tk.FlushAll()
+// interrupted polls ctx (every ctxCheckEvery calls) and the cycle limit.
+func (s *Simulator) interrupted(ctx context.Context, iters *int) error {
+	if *iters++; *iters >= ctxCheckEvery {
+		*iters = 0
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("gpu: %q on %s cancelled at cycle %d: %w",
+				s.kernels[s.kernelIdx].Name(), s.name, s.now, err)
 		}
-		return
 	}
-	s.tk.FlushAll()
+	if s.opt.MaxCycles > 0 && s.now > s.opt.MaxCycles {
+		return fmt.Errorf("gpu: %q on %s exceeded MaxCycles=%d",
+			s.kernels[s.kernelIdx].Name(), s.name, s.opt.MaxCycles)
+	}
+	return nil
 }
 
-// TickUnit implements timing.Driver: one due SM's visit — the MSHR
-// file's per-tick Expire (it may sweep completed entries, before any Access
-// this Tick can issue), the SM tick itself, and retirement bookkeeping. The
-// returned Outcome carries the SM's next wake-up for the kernel's due-wheel;
-// NoWake means the SM is idle and stays unscheduled until a CTA launch
-// ScheduleNows it.
-func (s *Simulator) TickUnit(now int64, i int) timing.Outcome {
-	m := s.sms[i]
-	liveBefore := m.LiveWarps()
-	s.mshrs[i].Expire(now)
-	k := m.Tick(now, s.ports[i])
-	out := timing.Outcome{Wake: timing.NoWake, Kind: uint8(k), Issued: k == sm.Issued}
-	if out.Issued {
-		s.issuedSoFar++
+// kernelDone closes the running kernel's trace span and moves to the next
+// kernel, returning false when the sequence is exhausted.
+func (s *Simulator) kernelDone() bool {
+	if s.stream != nil {
+		s.stream.Span(s.kernelStart, s.now, "kernel", s.kernels[s.kernelIdx].Name())
+		s.kernelStart = s.now
 	}
-	if d := liveBefore - m.LiveWarps(); d > 0 {
-		s.liveTotal -= d
-		// Any warp retirement can flip CanAccept (it checks liveWarps, not
-		// just CTA slots), so re-scan for launches even when no whole CTA
-		// completed.
-		s.ctaDirty = true
-	}
-	if m.HasReady() {
-		out.Wake = now + 1
-	} else if ev, ok := m.NextEvent(); ok {
-		out.Wake = ev
-	}
-	return out
+	return s.advanceKernel()
 }
 
-// AccrueStall implements timing.Driver: it settles one SM's standing
-// classification over a whole non-ticked interval in a single Accrue call.
-//
-// Exactness invariant: between two ticks of an SM no warp is ready and no
-// promotion is due, so liveWarps and blockedMem — the only inputs to the
-// classification — cannot change (they change only inside Tick and
-// LaunchCTA, and ScheduleNow flushes before a launch changes them).
-// StallKind() at flush time therefore equals the classification Tick would
-// have returned at every cycle of the interval.
-func (s *Simulator) AccrueStall(i int, cycles uint64) {
-	s.sms[i].Accrue(s.sms[i].StallKind(), cycles)
-}
-
-// AccrueTick implements timing.Driver: a ticked SM's own cycle gets the
-// classification its Tick returned.
-func (s *Simulator) AccrueTick(i int, kind uint8) {
-	s.sms[i].Accrue(sm.TickKind(kind), 1)
-}
-
-// CycleEnd implements timing.Driver. The dense loop charges one simulation
-// event per SM per visited cycle, ticked or not; SimEvents is a host-cost
-// proxy for the *modelled* simulator and must not depend on the loop used.
-// The warm-up check runs here, before the kernel accrues the ticked SMs'
-// cycle, so the triggering cycle's classification lands in the
+// endCycle is the serial end of a visited cycle: it merges the shards'
+// tick deltas and counters, charges one simulation event per SM — ticked or
+// not, since SimEvents is a host-cost proxy for the *modelled* simulator and
+// must not depend on the loop used — and runs the warm-up check, before the
+// ticked SMs' own cycle is classified so the triggering cycle lands in the
 // post-warm-up window exactly as the dense loop orders it.
-func (s *Simulator) CycleEnd(now int64) {
+func (s *Simulator) endCycle() {
+	for _, sh := range s.shards {
+		s.issuedSoFar += sh.issuedD
+		s.liveTotal -= sh.liveDelta
+		s.ctaDirty = s.ctaDirty || sh.ctaDirty
+		sh.issuedD, sh.liveDelta, sh.ctaDirty = 0, 0, false
+		sh.ctr.drainInto(&s.ctr)
+	}
 	s.events += uint64(len(s.sms))
 	if !s.warmupDone && s.opt.WarmupInstructions > 0 && s.issuedSoFar >= s.opt.WarmupInstructions {
 		s.resetStats()
 	}
 }
 
-// runEvent is the event-driven run loop: a thin driver over the timing
-// kernel, which per simulated cycle touches only the SMs whose wake-up is
-// due, in ascending SM order, preserving the dense reference loop's
-// shared-resource access order and therefore its bit-exact results. This
-// loop keeps only the workload-facing control flow: CTA refills, the grid
-// barrier between kernels, cancellation, cycle limits and sampling.
-func (s *Simulator) runEvent(ctx context.Context) (Stats, error) {
+// runEvent is the event-driven run loop: per visited cycle the timing
+// kernel touches only the SMs whose wake-up is due, in ascending SM order,
+// preserving the dense reference loop's shared-resource access order and
+// therefore its bit-exact results. Sequentially that is one kernel Step; a
+// sharded run steps every shard's kernel under the barrier protocol
+// (stepSharded). This loop keeps the workload-facing control flow: CTA
+// refills, the grid barrier between kernels, cancellation, cycle limits and
+// sampling.
+func (s *Simulator) runEvent(ctx context.Context) error {
+	var pb *phases
+	if len(s.shards) > 1 {
+		pb = s.newPhases(ctx)
+		defer pb.pool.Close()
+	}
+	tk := s.shards[0].tk
 	s.kernelStart = s.now
 	iters := 0
 	for {
-		iters++
-		if iters >= ctxCheckEvery {
-			iters = 0
-			select {
-			case <-ctx.Done():
-				return Stats{}, fmt.Errorf("gpu: %q on %s cancelled at cycle %d: %w",
-					s.kernels[s.kernelIdx].Name(), s.cfg.Name, s.now, ctx.Err())
-			default:
-			}
-		}
 		if s.ctaDirty {
 			s.fillCTAs()
 		}
 		if s.liveTotal == 0 {
 			if s.nextCTA >= s.numCTAs {
-				if s.stream != nil {
-					s.stream.Span(s.kernelStart, s.now, "kernel", s.kernels[s.kernelIdx].Name())
-					s.kernelStart = s.now
-				}
-				if !s.advanceKernel() {
-					break
+				if !s.kernelDone() {
+					return nil
 				}
 				s.ctaDirty = true
 				continue
@@ -700,60 +757,44 @@ func (s *Simulator) runEvent(ctx context.Context) (Stats, error) {
 			// idle cycles tick by.
 			s.ctaDirty = true
 		}
-		if s.opt.MaxCycles > 0 && s.now > s.opt.MaxCycles {
-			return Stats{}, fmt.Errorf("gpu: %q on %s exceeded MaxCycles=%d",
-				s.kernels[s.kernelIdx].Name(), s.cfg.Name, s.opt.MaxCycles)
+		if err := s.interrupted(ctx, &iters); err != nil {
+			return err
 		}
-		s.tk.Step()
-		s.now = s.tk.Now()
+		if pb != nil {
+			s.stepSharded(pb)
+		} else {
+			tk.Step()
+			s.now = tk.Now()
+		}
 		if s.stream != nil && s.now >= s.nextSample {
 			s.sampleObs()
-			for s.nextSample <= s.now {
-				s.nextSample += s.sampleEvery
-			}
 		}
 	}
-	return s.stats(), nil
 }
 
 // runLegacy is the dense reference loop: every SM ticks every visited
-// cycle. It is retained verbatim as the executable specification the
-// event-driven loop is checked against (TestEventLoopMatchesLegacy, the
-// golden-stats snapshot, BenchmarkSimulatorHotPath's speedup baseline).
-func (s *Simulator) runLegacy(ctx context.Context) (Stats, error) {
+// cycle. It is the executable specification the event-driven loop is
+// checked against (the equality suites, the golden-stats snapshot,
+// bench's gpu.event_vs_dense).
+func (s *Simulator) runLegacy(ctx context.Context) error {
 	kinds := s.legacyKinds // same length as sms; reused as scratch
 	s.fillCTAs()
 	s.kernelStart = s.now
 	iters := 0
 	for {
-		iters++
-		if iters >= ctxCheckEvery {
-			iters = 0
-			select {
-			case <-ctx.Done():
-				return Stats{}, fmt.Errorf("gpu: %q on %s cancelled at cycle %d: %w",
-					s.kernels[s.kernelIdx].Name(), s.cfg.Name, s.now, ctx.Err())
-			default:
-			}
-		}
 		live := 0
 		for _, m := range s.sms {
 			live += m.LiveWarps()
 		}
 		if live == 0 && s.nextCTA >= s.numCTAs {
-			if s.stream != nil {
-				s.stream.Span(s.kernelStart, s.now, "kernel", s.kernels[s.kernelIdx].Name())
-				s.kernelStart = s.now
-			}
-			if !s.advanceKernel() {
-				break
+			if !s.kernelDone() {
+				return nil
 			}
 			s.fillCTAs()
 			continue
 		}
-		if s.opt.MaxCycles > 0 && s.now > s.opt.MaxCycles {
-			return Stats{}, fmt.Errorf("gpu: %q on %s exceeded MaxCycles=%d",
-				s.kernels[s.kernelIdx].Name(), s.cfg.Name, s.opt.MaxCycles)
+		if err := s.interrupted(ctx, &iters); err != nil {
+			return err
 		}
 		issued := false
 		for i, m := range s.sms {
@@ -793,13 +834,22 @@ func (s *Simulator) runLegacy(ctx context.Context) (Stats, error) {
 		}
 		if s.stream != nil && s.now >= s.nextSample {
 			s.sampleObs()
-			for s.nextSample <= s.now {
-				s.nextSample += s.sampleEvery
-			}
 		}
 		s.fillCTAs()
 	}
-	return s.stats(), nil
+}
+
+// flushAllAccruals settles every SM's counters up to s.now so aggregate
+// statistics (stats, the observability registry) read exactly as if every
+// cycle had been accrued eagerly. No-op under the dense loop, whose accrual
+// already is eager.
+func (s *Simulator) flushAllAccruals() {
+	if s.opt.UseLegacyLoop {
+		return
+	}
+	for _, sh := range s.shards {
+		sh.tk.FlushAll()
+	}
 }
 
 // resetStats discards everything measured so far (the warm-up window)
@@ -814,27 +864,26 @@ func (s *Simulator) resetStats() {
 	// precedes the reset. SMs ticked this cycle already sit at now+1 —
 	// pulling them back down would double-count the triggering cycle, so
 	// the kernel only raises floors, never lowers them.
-	if s.shards != nil {
-		for _, sh := range s.shards {
-			sh.tk.RaiseAccrualFloor()
-			sh.tk.ResetSkipped()
-		}
-	} else {
-		s.tk.RaiseAccrualFloor()
+	for _, sh := range s.shards {
+		sh.tk.RaiseAccrualFloor()
+		sh.tk.ResetSkipped()
 	}
 	for _, c := range s.l1s {
 		c.ResetStats()
 	}
-	for _, c := range s.llc {
-		c.ResetStats()
+	for _, d := range s.doms {
+		for _, c := range d.llc {
+			c.ResetStats()
+		}
+		d.xbar.ResetStats()
+		d.mem.ResetStats()
+		if d.link != nil {
+			d.link.ResetStats()
+		}
 	}
-	s.xbar.ResetStats()
-	s.mem.ResetStats()
-	s.llcAcc, s.llcMiss = 0, 0
-	s.loads, s.loadLat = 0, 0
-	s.mshrStall = 0
+	s.ctr = counters{}
+	s.remote = 0
 	s.skipped = 0
-	s.tk.ResetSkipped()
 	s.events = 0
 	s.loadHist.Reset()
 	if s.stream != nil {
@@ -843,10 +892,18 @@ func (s *Simulator) resetStats() {
 	}
 }
 
-// sampleObs takes one interval-sampler snapshot — occupancy, queue depths,
-// bandwidth utilisation — and refreshes the metrics registry. Called only
-// when a recorder is attached.
+// sampleObs takes one interval-sampler snapshot, refreshes the metrics
+// registry and schedules the next sample. Called only when a recorder is
+// attached. The series are the monolithic shape's — occupancy, IPC, MSHR
+// occupancy, NoC and DRAM utilisation and backlog — or the MCM shape's:
+// occupancy, remote-access share and the worst link backlog.
 func (s *Simulator) sampleObs() {
+	// The sample reads MSHR occupancy, which the sequential loop updates at
+	// issue: land a sharded cycle's fix-ups first (the shards are quiescent
+	// between phases) instead of at the next phase's head.
+	for _, sh := range s.shards {
+		sh.applyFixups()
+	}
 	s.flushAllAccruals()
 	elapsed := s.now - s.statsSince
 	liveWarps, mshrOut := 0, 0
@@ -856,58 +913,97 @@ func (s *Simulator) sampleObs() {
 		mshrOut += s.mshrs[i].Outstanding(s.now)
 		instr += m.Stats().Instructions
 	}
-	ipc := 0.0
-	if elapsed > 0 {
-		ipc = float64(instr) / float64(elapsed)
+	vals := map[string]float64{
+		"occupancy": float64(liveWarps) / float64(len(s.sms)*s.cfg.WarpsPerSM),
 	}
-	s.stream.Sample(s.now, map[string]float64{
-		"occupancy":        float64(liveWarps) / float64(len(s.sms)*s.cfg.WarpsPerSM),
-		"ipc":              ipc,
-		"mshr_outstanding": float64(mshrOut),
-		"noc_util":         s.xbar.BisectionUtilization(elapsed),
-		"noc_backlog":      s.xbar.MaxPortBacklog(s.now),
-		"dram_util":        s.mem.Utilization(elapsed),
-		"dram_backlog":     s.mem.MaxBacklog(s.now),
-	})
+	if s.mcm {
+		vals["remote_fraction"] = 0
+		if s.ctr.llcAcc > 0 {
+			vals["remote_fraction"] = float64(s.remote) / float64(s.ctr.llcAcc)
+		}
+		var backlog float64
+		for _, d := range s.doms {
+			if d.link != nil {
+				backlog = max(backlog, d.link.Backlog(s.now))
+			}
+		}
+		vals["link_backlog"] = backlog
+	} else {
+		d := s.doms[0]
+		vals["ipc"] = 0
+		if elapsed > 0 {
+			vals["ipc"] = float64(instr) / float64(elapsed)
+		}
+		vals["mshr_outstanding"] = float64(mshrOut)
+		vals["noc_util"] = d.xbar.BisectionUtilization(elapsed)
+		vals["noc_backlog"] = d.xbar.MaxPortBacklog(s.now)
+		vals["dram_util"] = d.mem.Utilization(elapsed)
+		vals["dram_backlog"] = d.mem.MaxBacklog(s.now)
+	}
+	s.stream.Sample(s.now, vals)
 	s.publishObs()
+	for s.nextSample <= s.now {
+		s.nextSample += s.sampleEvery
+	}
 }
 
 // publishObs stores the simulation's per-component metrics into the
-// recorder's registry. All totals come from the same counters stats()
-// reads and use Store semantics, so after a run the registry agrees
-// exactly with the returned Stats no matter how often it was refreshed
-// (including across a warm-up reset). No-op without a recorder.
+// recorder's registry: per domain — the root scope on a monolithic GPU,
+// chiplet/<c> on a multi-chiplet package — its SMs, L1s, MSHR files, LLC
+// slices, NoC, DRAM (and link), then the package aggregates. All totals come
+// from the same counters stats() reads and use Store semantics, so after a
+// run the registry agrees exactly with the returned statistics no matter
+// how often it was refreshed (including across a warm-up reset). No-op
+// without a recorder.
 func (s *Simulator) publishObs() {
 	if s.scope == nil {
 		return
 	}
 	elapsed := s.now - s.statsSince
 	var l1Hits, l1Misses uint64
-	smScope := s.scope.Sub("sm")
-	l1Scope := s.scope.Sub("l1")
-	mshrScope := s.scope.Sub("mshr")
-	for i, m := range s.sms {
-		id := strconv.Itoa(i)
-		m.PublishObs(smScope.Sub(id))
-		s.l1s[i].PublishObs(l1Scope.Sub(id))
-		s.mshrs[i].PublishObs(mshrScope.Sub(id), s.now)
-		l1Hits += s.l1s[i].Hits()
-		l1Misses += s.l1s[i].Misses()
+	for di, d := range s.doms {
+		ds := s.scope
+		if s.mcm {
+			ds = s.scope.Sub("chiplet").Sub(strconv.Itoa(di))
+		}
+		smScope, l1Scope, mshrScope := ds.Sub("sm"), ds.Sub("l1"), ds.Sub("mshr")
+		for j := 0; j < s.cfg.NumSMs; j++ {
+			i := di*s.cfg.NumSMs + j
+			id := strconv.Itoa(j)
+			s.sms[i].PublishObs(smScope.Sub(id))
+			s.l1s[i].PublishObs(l1Scope.Sub(id))
+			s.mshrs[i].PublishObs(mshrScope.Sub(id), s.now)
+			l1Hits += s.l1s[i].Hits()
+			l1Misses += s.l1s[i].Misses()
+		}
+		llcScope := ds.Sub("llc")
+		for i, c := range d.llc {
+			c.PublishObs(llcScope.Sub(strconv.Itoa(i)))
+		}
+		d.xbar.PublishObs(ds.Sub("noc"), elapsed, s.now)
+		d.mem.PublishObs(ds.Sub("dram"), elapsed, s.now)
+		if s.mcm {
+			var linkBytes uint64
+			if d.link != nil {
+				linkBytes = d.link.TotalBytes()
+			}
+			ds.Counter("link/bytes").Store(linkBytes)
+		}
 	}
-	llcScope := s.scope.Sub("llc")
-	for i, c := range s.llc {
-		c.PublishObs(llcScope.Sub(strconv.Itoa(i)))
-	}
-	s.xbar.PublishObs(s.scope.Sub("noc"), elapsed, s.now)
-	s.mem.PublishObs(s.scope.Sub("dram"), elapsed, s.now)
 	s.scope.Counter("l1/accesses").Store(l1Hits + l1Misses)
 	s.scope.Counter("l1/misses").Store(l1Misses)
-	s.scope.Counter("llc/accesses").Store(s.llcAcc)
-	s.scope.Counter("llc/misses").Store(s.llcMiss)
-	s.scope.Counter("mshr/stalls").Store(s.mshrStall)
+	s.scope.Counter("llc/accesses").Store(s.ctr.llcAcc)
+	s.scope.Counter("llc/misses").Store(s.ctr.llcMiss)
+	s.scope.Counter("mshr/stalls").Store(s.ctr.mshrStall)
+	if s.mcm {
+		s.scope.Counter("remote_accesses").Store(s.remote)
+		s.scope.Counter("accesses").Store(s.ctr.llcAcc)
+	}
 }
 
-func (s *Simulator) stats() Stats {
+// stats settles any lazily accrued intervals and projects the run's one
+// tally onto both public result shapes.
+func (s *Simulator) stats() (Stats, MCMStats) {
 	s.flushAllAccruals()
 	var st Stats
 	st.Cycles = s.now - s.statsSince
@@ -931,64 +1027,45 @@ func (s *Simulator) stats() Stats {
 	}
 	st.L1Accesses = l1Hits + l1Misses
 	st.L1Misses = l1Misses
-	st.LLCAccesses = s.llcAcc
-	st.LLCMisses = s.llcMiss
+	st.LLCAccesses = s.ctr.llcAcc
+	st.LLCMisses = s.ctr.llcMiss
 	if st.Instructions > 0 {
-		st.LLCMPKI = float64(s.llcMiss) / (float64(st.Instructions) / 1000)
+		st.LLCMPKI = float64(s.ctr.llcMiss) / (float64(st.Instructions) / 1000)
 	}
-	st.NoCUtilization = s.xbar.BisectionUtilization(st.Cycles)
-	st.NoCBytes = s.xbar.TotalBytes()
-	st.DRAMUtilization = s.mem.Utilization(st.Cycles)
-	st.DRAMBytes = s.mem.TotalBytes()
+	var nocUtil, dramUtil float64
+	for _, d := range s.doms {
+		nocUtil += d.xbar.BisectionUtilization(st.Cycles)
+		st.NoCBytes += d.xbar.TotalBytes()
+		dramUtil += d.mem.Utilization(st.Cycles)
+		st.DRAMBytes += d.mem.TotalBytes()
+	}
+	st.NoCUtilization = nocUtil / float64(len(s.doms))
+	st.DRAMUtilization = dramUtil / float64(len(s.doms))
 	st.Kernels = s.kernelIdx + 1
-	st.MSHRStalls = s.mshrStall
-	if s.loads > 0 {
-		st.AvgLoadLatency = float64(s.loadLat) / float64(s.loads)
+	st.MSHRStalls = s.ctr.mshrStall
+	if s.ctr.loads > 0 {
+		st.AvgLoadLatency = float64(s.ctr.loadLat) / float64(s.ctr.loads)
 	}
-	if s.shards != nil {
-		// The coordinator charges skips globally; the shard kernels' own
-		// counters cover only shard-local advances and are not comparable.
-		st.SkippedCycles = s.skipped
-	} else {
-		st.SkippedCycles = s.skipped + s.tk.Skipped()
-	}
+	// Every shard kernel advances over the same cycles, so shard 0's count
+	// is the machine's; the dense loop counts its own.
+	st.SkippedCycles = s.skipped + s.shards[0].tk.Skipped()
 	st.SimEvents = s.events + st.Instructions
-	// Final registry refresh so the published totals match the Stats just
-	// computed from the same counters.
+	m := MCMStats{
+		Cycles:          st.Cycles,
+		Instructions:    st.Instructions,
+		MemInstructions: st.MemInstructions,
+		IPC:             st.IPC,
+		FMem:            st.FMem,
+		LLCMPKI:         st.LLCMPKI,
+		LLCMisses:       st.LLCMisses,
+		CTAs:            st.CTAs,
+		SimEvents:       st.SimEvents,
+	}
+	if st.LLCAccesses > 0 {
+		m.RemoteFraction = float64(s.remote) / float64(st.LLCAccesses)
+	}
+	// Final registry refresh so the published totals match the statistics
+	// just computed from the same counters.
 	s.publishObs()
-	return st
-}
-
-// Run is the one-call convenience API: simulate workload w on cfg.
-func Run(cfg config.SystemConfig, w trace.Workload) (Stats, error) {
-	s, err := New(cfg, w, Options{})
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.Run()
-}
-
-// RunWithOptions is Run with explicit Options.
-func RunWithOptions(cfg config.SystemConfig, w trace.Workload, opt Options) (Stats, error) {
-	s, err := New(cfg, w, opt)
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.Run()
-}
-
-// RunSequence simulates several kernels back to back (grid barriers
-// between kernels, caches persisting across them) and returns the
-// aggregate statistics.
-func RunSequence(cfg config.SystemConfig, kernels []trace.Workload) (Stats, error) {
-	return RunSequenceWithOptions(cfg, kernels, Options{})
-}
-
-// RunSequenceWithOptions is RunSequence with explicit Options.
-func RunSequenceWithOptions(cfg config.SystemConfig, kernels []trace.Workload, opt Options) (Stats, error) {
-	s, err := NewSequence(cfg, kernels, opt)
-	if err != nil {
-		return Stats{}, err
-	}
-	return s.Run()
+	return st, m
 }

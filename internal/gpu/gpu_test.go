@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"gpuscale/internal/config"
@@ -11,6 +12,66 @@ import (
 func testConfig(numSMs int) config.SystemConfig {
 	base := config.Baseline128()
 	return config.MustScale(base, numSMs)
+}
+
+// smallMCM is the paper's chiplet with its SM count cut to smsPerChiplet,
+// scaled to the given chiplet count.
+func smallMCM(chiplets, smsPerChiplet int) config.ChipletConfig {
+	c := config.Target16Chiplet()
+	c.Chiplet.NumSMs = smsPerChiplet
+	return config.MustScaleChiplets(c, chiplets)
+}
+
+// machine is a test cell's hardware: a monolithic GPU, or a multi-chiplet
+// package when pkg is set.
+type machine struct {
+	cfg config.SystemConfig
+	pkg *config.ChipletConfig
+}
+
+func mono(cfg config.SystemConfig) machine { return machine{cfg: cfg} }
+
+func mcm(cfg config.ChipletConfig) machine { return machine{cfg: cfg.Chiplet, pkg: &cfg} }
+
+func (m machine) build(opt Options, kernels ...trace.Workload) (*Simulator, error) {
+	if m.pkg != nil {
+		return NewMCM(*m.pkg, kernels, opt)
+	}
+	return New(m.cfg, kernels, opt)
+}
+
+// outcome is one run's statistics in both shapes, comparable with ==.
+type outcome struct {
+	Stats
+	MCM MCMStats
+}
+
+func simulate(m machine, opt Options, kernels ...trace.Workload) (outcome, error) {
+	s, err := m.build(opt, kernels...)
+	if err != nil {
+		return outcome{}, err
+	}
+	return s.run(context.Background())
+}
+
+// run is RunContext folded into an outcome.
+func (s *Simulator) run(ctx context.Context) (outcome, error) {
+	st, m, err := s.RunContext(ctx)
+	return outcome{st, m}, err
+}
+
+func mustSimulate(t testing.TB, m machine, opt Options, kernels ...trace.Workload) outcome {
+	t.Helper()
+	o, err := simulate(m, opt, kernels...)
+	if err != nil {
+		t.Fatalf("simulating %s: %v", kernels[0].Name(), err)
+	}
+	return o
+}
+
+func mustRun(t testing.TB, cfg config.SystemConfig, w trace.Workload) Stats {
+	t.Helper()
+	return mustSimulate(t, mono(cfg), Options{}, w).Stats
 }
 
 // computeWorkload is embarrassingly parallel compute: linear scaling.
@@ -37,6 +98,21 @@ func streamWorkload(ctas, warpsPerCTA, loads int) trace.Workload {
 	}
 }
 
+// mcmStreamWorkload streams private lines with two compute instructions
+// between loads: every page is touched by one warp, so every access stays
+// on the issuing chiplet.
+func mcmStreamWorkload(ctas, warps, loads int) trace.Workload {
+	return &trace.FuncWorkload{
+		WName: "mcm-stream",
+		Spec:  trace.KernelSpec{NumCTAs: ctas, WarpsPerCTA: warps},
+		Factory: func(cta, warp int) trace.Program {
+			base := uint64(cta*warps+warp) * uint64(loads) * 128
+			g := &trace.SeqGen{Base: base, Stride: 128, Extent: 1 << 40}
+			return trace.NewPhaseProgram(trace.Phase{N: loads * 3, ComputePer: 2, Gen: g})
+		},
+	}
+}
+
 // reuseWorkload loops over a shared working set of wsBytes several times.
 // ctaLimit caps per-SM occupancy (0 = unlimited), modelling shared-memory-
 // limited kernels.
@@ -55,51 +131,72 @@ func reuseWorkload(ctas, warpsPerCTA int, wsBytes uint64, loadsPerWarp, ctaLimit
 	}
 }
 
-func mustRun(t *testing.T, cfg config.SystemConfig, w trace.Workload) Stats {
-	t.Helper()
-	st, err := Run(cfg, w)
-	if err != nil {
-		t.Fatalf("Run(%s, %s): %v", cfg.Name, w.Name(), err)
-	}
-	return st
-}
-
+// TestNewValidation: invalid machines and kernels are rejected on both
+// entry points.
 func TestNewValidation(t *testing.T) {
-	w := computeWorkload(4, 2, 10)
-	bad := testConfig(8)
-	bad.NumSMs = 0
-	if _, err := New(bad, w, Options{}); err == nil {
-		t.Error("invalid config accepted")
-	}
-	if _, err := New(testConfig(8), nil, Options{}); err == nil {
-		t.Error("nil workload accepted")
-	}
-	if _, err := New(testConfig(8), computeWorkload(0, 1, 1), Options{}); err == nil {
-		t.Error("zero CTAs accepted")
-	}
-	if _, err := New(testConfig(8), computeWorkload(1, 500, 1), Options{}); err == nil {
-		t.Error("CTA wider than SM accepted")
+	badGPU := testConfig(8)
+	badGPU.NumSMs = 0
+	badMCM := smallMCM(2, 4)
+	badMCM.NumChiplets = 0
+	for _, c := range []struct {
+		name    string
+		ok, bad machine
+	}{
+		{"mono", mono(testConfig(8)), mono(badGPU)},
+		{"mcm", mcm(smallMCM(2, 4)), mcm(badMCM)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := c.bad.build(Options{}, computeWorkload(4, 2, 10)); err == nil {
+				t.Error("invalid config accepted")
+			}
+			if _, err := c.ok.build(Options{}, nil); err == nil {
+				t.Error("nil workload accepted")
+			}
+			if _, err := c.ok.build(Options{}, computeWorkload(0, 1, 1)); err == nil {
+				t.Error("zero CTAs accepted")
+			}
+			if _, err := c.ok.build(Options{}, computeWorkload(1, 500, 1)); err == nil {
+				t.Error("CTA wider than SM accepted")
+			}
+		})
 	}
 }
 
+// TestComputeWorkloadBasics: a pure-compute kernel runs to completion with
+// exact instruction and CTA counts, no memory traffic and — on a package —
+// no remote access.
 func TestComputeWorkloadBasics(t *testing.T) {
-	cfg := testConfig(8)
-	st := mustRun(t, cfg, computeWorkload(64, 8, 100))
-	wantInstr := uint64(64 * 8 * 100)
-	if st.Instructions != wantInstr {
-		t.Errorf("instructions = %d, want %d", st.Instructions, wantInstr)
-	}
-	if st.CTAs != 64 {
-		t.Errorf("CTAs = %d, want 64", st.CTAs)
-	}
-	if st.MemInstructions != 0 {
-		t.Errorf("mem instructions = %d, want 0", st.MemInstructions)
-	}
-	if st.IPC <= 0 || st.Cycles <= 0 {
-		t.Errorf("degenerate stats: %+v", st)
-	}
-	if st.FMem != 0 {
-		t.Errorf("compute workload FMem = %v, want 0", st.FMem)
+	for _, c := range []struct {
+		name string
+		m    machine
+		w    trace.Workload
+		n    uint64
+		ctas uint64
+	}{
+		{"mono", mono(testConfig(8)), computeWorkload(64, 8, 100), 64 * 8 * 100, 64},
+		{"mcm", mcm(smallMCM(2, 4)), computeWorkload(32, 2, 50), 32 * 2 * 50, 32},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := mustSimulate(t, c.m, Options{}, c.w)
+			if st.Instructions != c.n || st.MCM.Instructions != c.n {
+				t.Errorf("instructions = %d / %d, want %d", st.Instructions, st.MCM.Instructions, c.n)
+			}
+			if st.CTAs != c.ctas {
+				t.Errorf("CTAs = %d, want %d", st.CTAs, c.ctas)
+			}
+			if st.MemInstructions != 0 {
+				t.Errorf("mem instructions = %d, want 0", st.MemInstructions)
+			}
+			if st.IPC <= 0 || st.Cycles <= 0 {
+				t.Errorf("degenerate stats: %+v", st)
+			}
+			if st.FMem != 0 {
+				t.Errorf("compute workload FMem = %v, want 0", st.FMem)
+			}
+			if st.MCM.RemoteFraction != 0 {
+				t.Errorf("compute workload has remote accesses: %v", st.MCM.RemoteFraction)
+			}
+		})
 	}
 }
 
@@ -114,35 +211,50 @@ func TestComputeScalesLinearly(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := testConfig(8)
-	w := reuseWorkload(64, 4, 1<<21, 200, 0)
-	a := mustRun(t, cfg, w)
-	b := mustRun(t, cfg, w)
-	if a != b {
-		t.Errorf("two runs differ:\n%+v\n%+v", a, b)
+	for _, c := range []struct {
+		name string
+		m    machine
+		w    trace.Workload
+	}{
+		{"mono", mono(testConfig(8)), reuseWorkload(64, 4, 1<<21, 200, 0)},
+		{"mcm", mcm(smallMCM(2, 4)), mcmStreamWorkload(32, 2, 60)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := mustSimulate(t, c.m, Options{}, c.w)
+			b := mustSimulate(t, c.m, Options{}, c.w)
+			if a != b {
+				t.Errorf("two runs differ:\n%+v\n%+v", a, b)
+			}
+		})
 	}
 }
 
+// TestEventSkipInvariance: disabling event skip changes host time only, on
+// both entry points.
 func TestEventSkipInvariance(t *testing.T) {
-	cfg := testConfig(8)
-	w := streamWorkload(32, 4, 100)
-	fast, err := RunWithOptions(cfg, w, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := RunWithOptions(cfg, w, Options{DisableEventSkip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Cycles != slow.Cycles || fast.Instructions != slow.Instructions ||
-		fast.IPC != slow.IPC || fast.FMem != slow.FMem || fast.LLCMisses != slow.LLCMisses {
-		t.Errorf("event skip changed results:\nfast: %+v\nslow: %+v", fast, slow)
-	}
-	if fast.SkippedCycles == 0 {
-		t.Error("fast run skipped no cycles; test is vacuous")
-	}
-	if slow.SkippedCycles != 0 {
-		t.Error("slow run skipped cycles despite DisableEventSkip")
+	for _, c := range []struct {
+		name string
+		m    machine
+		w    func() trace.Workload
+	}{
+		{"mono", mono(testConfig(8)), func() trace.Workload { return streamWorkload(32, 4, 100) }},
+		{"mcm", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 60) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fast := mustSimulate(t, c.m, Options{}, c.w())
+			slow := mustSimulate(t, c.m, Options{DisableEventSkip: true}, c.w())
+			if fast.SkippedCycles == 0 {
+				t.Error("fast run skipped no cycles; test is vacuous")
+			}
+			if slow.SkippedCycles != 0 {
+				t.Error("slow run skipped cycles despite DisableEventSkip")
+			}
+			// Skipping changes only how many cycles are visited.
+			fast.SkippedCycles, fast.SimEvents, fast.MCM.SimEvents = 0, slow.SimEvents, slow.MCM.SimEvents
+			if fast != slow {
+				t.Errorf("event skip changed results:\nfast: %+v\nslow: %+v", fast, slow)
+			}
+		})
 	}
 }
 
@@ -198,10 +310,19 @@ func TestCTAStarvationSubLinear(t *testing.T) {
 }
 
 func TestMaxCyclesAborts(t *testing.T) {
-	cfg := testConfig(8)
-	w := streamWorkload(64, 4, 500)
-	if _, err := RunWithOptions(cfg, w, Options{MaxCycles: 10}); err == nil {
-		t.Error("MaxCycles did not abort")
+	for _, c := range []struct {
+		name string
+		m    machine
+		w    trace.Workload
+	}{
+		{"mono", mono(testConfig(8)), streamWorkload(64, 4, 500)},
+		{"mcm", mcm(smallMCM(2, 4)), mcmStreamWorkload(32, 2, 100)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := simulate(c.m, Options{MaxCycles: 10}, c.w); err == nil {
+				t.Error("MaxCycles did not abort")
+			}
+		})
 	}
 }
 
@@ -248,20 +369,37 @@ func TestCampingSlowsSharedHotData(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	st := mustRun(t, testConfig(8), streamWorkload(16, 4, 50))
-	if st.LLCMisses > st.LLCAccesses {
-		t.Error("more LLC misses than accesses")
-	}
-	if st.MemInstructions > st.Instructions {
-		t.Error("more memory instructions than instructions")
-	}
-	if st.NoCUtilization < 0 || st.NoCUtilization > 1 {
-		t.Errorf("NoC utilization out of range: %v", st.NoCUtilization)
-	}
-	if st.DRAMUtilization < 0 || st.DRAMUtilization > 1 {
-		t.Errorf("DRAM utilization out of range: %v", st.DRAMUtilization)
-	}
-	if st.SimEvents == 0 {
-		t.Error("SimEvents not recorded")
+	for _, c := range []struct {
+		name string
+		m    machine
+		w    trace.Workload
+	}{
+		{"mono", mono(testConfig(8)), streamWorkload(16, 4, 50)},
+		{"mcm", mcm(smallMCM(2, 4)), mcmStreamWorkload(32, 2, 60)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := mustSimulate(t, c.m, Options{}, c.w)
+			if st.LLCMisses > st.LLCAccesses {
+				t.Error("more LLC misses than accesses")
+			}
+			if st.MemInstructions > st.Instructions {
+				t.Error("more memory instructions than instructions")
+			}
+			if st.LLCMPKI < 0 || st.MCM.LLCMPKI != st.LLCMPKI {
+				t.Errorf("MPKI %v / %v", st.LLCMPKI, st.MCM.LLCMPKI)
+			}
+			if st.FMem < 0 || st.FMem > 1 {
+				t.Errorf("FMem out of range: %v", st.FMem)
+			}
+			if st.NoCUtilization < 0 || st.NoCUtilization > 1 {
+				t.Errorf("NoC utilization out of range: %v", st.NoCUtilization)
+			}
+			if st.DRAMUtilization < 0 || st.DRAMUtilization > 1 {
+				t.Errorf("DRAM utilization out of range: %v", st.DRAMUtilization)
+			}
+			if st.SimEvents == 0 || st.MCM.SimEvents != st.SimEvents {
+				t.Errorf("SimEvents %d / %d", st.SimEvents, st.MCM.SimEvents)
+			}
+		})
 	}
 }

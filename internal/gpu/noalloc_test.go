@@ -57,15 +57,16 @@ func arenaFactoryWorkload(ctas, warpsPerCTA, loads int) trace.Workload {
 }
 
 // TestSteadyStateNoAllocs pins the allocation-free steady state of the run
-// loops on the no-observer path. Every simulator is pre-warmed by a first
-// RunContext that aborts at MaxCycles — by then each pool, heap, bitset and
-// scratch buffer has been sized, and for the arena-factory workload the
-// arena pools hold a full resident population of released programs — and
-// the measured run resumes it to completion. The remaining kernel work
-// (warp ticks, CTA launches through the workload factory, MSHR and cache
-// traffic, event-skip bookkeeping, final Stats aggregation) must not
-// allocate a single byte. AllocsPerRun is unreliable under the race
-// detector, so `make race` runs this via the separate noalloc target.
+// loops on the no-observer path, on a GPU and on a package (first-touch page
+// lookups included). Every simulator is pre-warmed by a first RunContext
+// that aborts at MaxCycles — by then each pool, heap, bitset and scratch
+// buffer has been sized, and for the arena-factory workload the arena pools
+// hold a full resident population of released programs — and the measured
+// run resumes it to completion. The remaining kernel work (warp ticks, CTA
+// launches through the workload factory, MSHR and cache traffic, event-skip
+// bookkeeping, final statistics) must not allocate a single byte.
+// AllocsPerRun is unreliable under the race detector, so `make race` runs
+// this via the separate noalloc target.
 func TestSteadyStateNoAllocs(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -74,47 +75,55 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 		{"prebuilt", func() trace.Workload { return prebuiltWorkload(64, 4, 50) }},
 		{"arena-factory", func() trace.Workload { return arenaFactoryWorkload(64, 4, 50) }},
 	}
-	for _, loop := range []struct {
-		name string
-		opt  Options
+	for _, m := range []struct {
+		prefix string
+		m      machine
 	}{
-		{"event", Options{MaxCycles: 500}},
-		{"legacy", Options{MaxCycles: 500, UseLegacyLoop: true}},
+		{"", mono(testConfig(8))},
+		{"mcm/", mcm(smallMCM(2, 4))},
 	} {
-		for _, wl := range workloads {
-			t.Run(loop.name+"/"+wl.name, func(t *testing.T) {
-				const runs = 3
-				cfg := testConfig(8)
-				// AllocsPerRun invokes the function runs+1 times (one unmeasured
-				// warm-up call), and each invocation consumes one simulator.
-				sims := make([]*Simulator, 0, runs+1)
-				for len(sims) <= runs {
-					s, err := New(cfg, wl.build(), loop.opt)
-					if err != nil {
-						t.Fatal(err)
+		for _, loop := range []struct {
+			name string
+			opt  Options
+		}{
+			{"event", Options{MaxCycles: 500}},
+			{"legacy", Options{MaxCycles: 500, UseLegacyLoop: true}},
+		} {
+			for _, wl := range workloads {
+				t.Run(m.prefix+loop.name+"/"+wl.name, func(t *testing.T) {
+					const runs = 3
+					// AllocsPerRun invokes the function runs+1 times (one
+					// unmeasured warm-up call), and each invocation consumes
+					// one simulator.
+					sims := make([]*Simulator, 0, runs+1)
+					for len(sims) <= runs {
+						s, err := m.m.build(loop.opt, wl.build())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, _, err := s.RunContext(context.Background()); err == nil {
+							t.Fatal("warm-up run completed before MaxCycles; grow the workload")
+						}
+						s.opt.MaxCycles = 0
+						sims = append(sims, s)
 					}
-					if _, err := s.Run(); err == nil {
-						t.Fatal("warm-up run completed before MaxCycles; grow the workload")
+					ctx := context.Background()
+					var runErr error
+					i := 0
+					n := testing.AllocsPerRun(runs, func() {
+						if _, _, err := sims[i].RunContext(ctx); err != nil && runErr == nil {
+							runErr = err
+						}
+						i++
+					})
+					if runErr != nil {
+						t.Fatal(runErr)
 					}
-					s.opt.MaxCycles = 0
-					sims = append(sims, s)
-				}
-				ctx := context.Background()
-				var runErr error
-				i := 0
-				n := testing.AllocsPerRun(runs, func() {
-					if _, err := sims[i].RunContext(ctx); err != nil && runErr == nil {
-						runErr = err
+					if n != 0 {
+						t.Fatalf("steady-state simulation allocated %.1f times per run, want 0", n)
 					}
-					i++
 				})
-				if runErr != nil {
-					t.Fatal(runErr)
-				}
-				if n != 0 {
-					t.Fatalf("steady-state simulation allocated %.1f times per run, want 0", n)
-				}
-			})
+			}
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestSequenceGridBarrier(t *testing.T) {
 	var order []string
 	a := &markerWorkload{name: "A", spec: trace.KernelSpec{NumCTAs: 8, WarpsPerCTA: 2}, order: &order, n: 20}
 	bk := &markerWorkload{name: "B", spec: trace.KernelSpec{NumCTAs: 4, WarpsPerCTA: 2}, order: &order, n: 20}
-	st, err := RunSequence(testConfig(8), []trace.Workload{a, bk})
+	st, err := simulate(mono(testConfig(8)), Options{}, a, bk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSequenceGridBarrier(t *testing.T) {
 func TestSequenceAggregatesInstructions(t *testing.T) {
 	k1 := computeWorkload(16, 2, 50)
 	k2 := computeWorkload(8, 2, 30)
-	st, err := RunSequence(testConfig(8), []trace.Workload{k1, k2})
+	st, err := simulate(mono(testConfig(8)), Options{}, k1, k2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSequenceCachesPersistAcrossKernels(t *testing.T) {
 			},
 		}
 	}
-	st, err := RunSequence(testConfig(8), []trace.Workload{mk("warm"), mk("reuse")})
+	st, err := simulate(mono(testConfig(8)), Options{}, mk("warm"), mk("reuse"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSequencePerKernelOccupancyLimits(t *testing.T) {
 		},
 	}
 	open := computeWorkload(32, 2, 10)
-	st, err := RunSequence(testConfig(8), []trace.Workload{limited, open})
+	st, err := simulate(mono(testConfig(8)), Options{}, limited, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestSequencePerKernelOccupancyLimits(t *testing.T) {
 }
 
 func TestSequenceValidation(t *testing.T) {
-	if _, err := NewSequence(testConfig(8), nil, Options{}); err == nil {
+	if _, err := New(testConfig(8), nil, Options{}); err == nil {
 		t.Error("empty sequence accepted")
 	}
-	if _, err := NewSequence(testConfig(8), []trace.Workload{nil}, Options{}); err == nil {
+	if _, err := New(testConfig(8), []trace.Workload{nil}, Options{}); err == nil {
 		t.Error("nil kernel accepted")
 	}
-	if _, err := NewSequence(testConfig(8), []trace.Workload{
+	if _, err := New(testConfig(8), []trace.Workload{
 		computeWorkload(4, 2, 10),
 		computeWorkload(0, 2, 10),
 	}, Options{}); err == nil {
@@ -122,17 +122,14 @@ func TestSequenceValidation(t *testing.T) {
 }
 
 func TestSequenceMatchesSingleKernelRun(t *testing.T) {
-	// A one-kernel sequence is exactly Run.
+	// A one-kernel sequence is exactly a single-kernel run.
 	w := streamWorkload(16, 2, 40)
-	a, err := Run(testConfig(8), w)
+	a := mustRun(t, testConfig(8), w)
+	b, err := simulate(mono(testConfig(8)), Options{}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSequence(testConfig(8), []trace.Workload{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("single-kernel sequence differs from Run:\n%+v\n%+v", a, b)
+	if a != b.Stats {
+		t.Errorf("single-kernel sequence differs from a single-kernel run:\n%+v\n%+v", a, b)
 	}
 }

@@ -1,55 +1,54 @@
-// Sharded execution mode for the monolithic GPU: the package's SMs are
-// partitioned into contiguous groups ("shards"), each driven by its own
-// goroutine over a private timing kernel, synchronised once per parallel
-// phase by an internal/parallel fork-join pool (shard 0 runs on the
-// coordinating goroutine itself). Results are bit-identical to the
-// sequential event loop — the contract and the determinism argument live in
-// docs/PARALLELISM.md. The protocol is the MCM simulator's (see
-// internal/chiplet/sharded.go) with one structural difference: the
-// monolithic NoC/LLC/DRAM path is a single shared resource domain (one
-// bisection server feeding every LLC slice), so there is no per-owner
-// parallel replay phase — deferred post-L1 accesses are stamped serially by
-// the coordinator between phases, in ascending shard id (= ascending global
-// SM id, since shards own contiguous SM ranges), which is exactly the
-// sequential drain's within-cycle access order. Everything that touches an
-// SM's own structures — the MSHR allocation, the warp wake-up repair, the
-// kernel reschedule — is applied by the shard that owns the SM, at the head
-// of its next parallel phase, so the coordinator never reads or writes
-// worker-owned SM, MSHR or kernel state.
+// Sharded execution: the SMs are partitioned into contiguous groups
+// ("shards") — SM groups on a one-domain GPU, whole domains (chiplets) on a
+// multi-chiplet package — each driven by its own goroutine over a private
+// timing kernel, synchronised once per parallel phase by an
+// internal/parallel fork-join pool (shard 0 runs on the coordinating
+// goroutine itself). Results are bit-identical to the sequential event loop
+// — the contract and the determinism argument live in docs/PARALLELISM.md.
+// A sequential run is the same structure with one shard whose kernel Steps
+// inline.
 //
-// Per visited cycle:
+// Per visited cycle (stepSharded; the control flow between cycles is
+// runEvent's):
 //
-//  1. Serial: CTA refills, grid barrier, termination, cancellation, cycle
-//     limit — the same control flow runEvent runs between Steps.
-//  2. Phase A (parallel, per shard): apply the previous cycle's fix-ups
+//  1. Phase A (parallel, per shard): apply the previous cycle's fix-ups
 //     (applyFixups: MSHR allocation, wake-up repair and reschedule from the
-//     completion cycles the coordinator stamped), then TickCycle on the
+//     completion cycles stamped at the barrier), then TickCycle on the
 //     shard's kernel. An SM access that misses (or bypasses) its private
 //     L1 is recorded in the shard's deferred list instead of being
 //     resolved, and the issuing warp parks at a provisional far-future
 //     wake-up; L1 hits and MSHR merges resolve locally (they touch only
-//     the SM's own structures), accruing into shard-local counters.
-//  3. Serial: merge issue/live/dirty/counter deltas; replay the deferred
-//     accesses against the shared crossbar/LLC/DRAM in ascending shard id,
-//     stamping each record's completion cycle; charge SimEvents; run the
-//     warm-up check (FinishCycle runs here, serially, until warm-up
-//     settles, so a reset still precedes the triggering cycle's
-//     classification exactly as the sequential ordering has it).
-//  4. Serial: advance every kernel to the same next cycle — now+1 if
+//     the SM's own structures), counting into shard-local counters.
+//  2. Serial: walk the deferred accesses in ascending shard id — ascending
+//     global SM id, since shards own contiguous SM ranges, which is exactly
+//     the sequential drain's within-cycle order — giving each page its
+//     first-touch owner. On one domain the coordinator replays each access
+//     against the shared crossbar/LLC/DRAM right there, stamping its
+//     completion cycle. With several domains each access goes to its owner
+//     domain's shard instead, and
+//  3. Phase B (parallel, per owner shard) replays every shard's incoming
+//     accesses against its own domains' link/crossbar/LLC/DRAM in that same
+//     global order: only the owner shard touches a domain, so each resource
+//     sees its access sequence in sequential order.
+//  4. Serial (endCycle): merge issue/live/dirty/counter deltas, charge
+//     SimEvents, run the warm-up check. FinishCycle runs here, serially,
+//     until warm-up settles, so a reset still precedes the triggering
+//     cycle's classification exactly as the sequential ordering has it;
+//     then it moves into phase A.
+//  5. Serial: advance every kernel to the same next cycle — now+1 if
 //     anything issued, else the minimum NextPending across shards.
 //
 // Repairing a wake-up one phase late is safe because a deferring cycle
-// always issued (the deferred access is an issue): step 4 takes the now+1
+// always issued (the deferred access is an issue): step 5 takes the now+1
 // branch without consulting any kernel's pending wake-ups, so the
 // provisional cycle is never read, and nothing else looks at the warp, its
 // MSHR file or its kernel entry before the owning shard's next phase —
-// Lookup/Full/Expire run inside the SM's own Tick, and a CTA launch in
-// step 1 only ever schedules a unit earlier, which applyFixups respects.
+// Lookup/Full/Expire run inside the SM's own Tick, and a CTA launch between
+// cycles only ever schedules a unit earlier, which applyFixups respects.
 package gpu
 
 import (
 	"context"
-	"fmt"
 
 	"gpuscale/internal/cache"
 	"gpuscale/internal/parallel"
@@ -64,19 +63,23 @@ import (
 const provisionalWake = int64(1) << 62
 
 // deferredAccess is one post-L1 access recorded during the parallel tick
-// phase. The issuing shard writes every field but t in phase A; the
-// coordinator's serial replay stamps t; the issuing shard reads the record
-// back, and clears the list, at the head of its next parallel phase.
+// phase. The issuing shard writes it in phase A; the barrier stamps owner
+// and — serially, or in phase B by the owner shard — t; the issuing shard
+// reads the record back, and clears the list, at the head of its next
+// parallel phase.
 type deferredAccess struct {
 	m       *sm.SM
 	f       *cache.MSHRFile
 	lu      int // issuing SM, local to the shard's kernel
 	warp    int // issuing warp slot; -1 for stores (no wake-up to repair)
+	home    int // issuing SM's domain
+	owner   int // page owner's domain, stamped at the barrier
 	line    uint64
 	key     uint64 // MSHR merge key (== line unless the L1 is sectored)
-	arrival int64  // issue cycle, pushed past a full MSHR's next completion
+	page    uint64
+	arrival int64 // issue cycle, pushed past a full MSHR's next completion
 	issueAt int64
-	t       int64 // true completion cycle, stamped by replayDeferred
+	t       int64 // true completion cycle, stamped by the replay
 	load    bool
 	bypass  bool
 	full    bool
@@ -96,92 +99,116 @@ func (rec *deferredAccess) allocates() bool {
 	return rec.load && !rec.bypass && !rec.full && !rec.merged
 }
 
-// gpuShard is one runner: a contiguous SM group, its private timing kernel
+// shard is one runner: a contiguous SM range, its private timing kernel
 // (unit ids local, 0 = firstSM), arena, and the per-cycle buffers the
 // barrier protocol exchanges. It implements timing.Driver over its own SMs
 // and sm.ProgramRecycler for their retiring programs.
-type gpuShard struct {
+type shard struct {
 	sim     *Simulator
-	id      int
 	firstSM int
 	endSM   int
 	tk      *timing.Kernel
 	arena   *trace.Arena
 
-	deferred  []deferredAccess
+	deferred  []deferredAccess  // accesses this shard's SMs issued this cycle
+	incoming  []*deferredAccess // several domains: accesses its domains own, global order
 	issued    bool
-	issuedD   uint64 // instructions issued this phase, merged into issuedSoFar
+	dependent bool   // a deferred access waits for another's completion
+	issuedD   uint64 // instructions issued this cycle, merged into issuedSoFar
 	liveDelta int
 	ctaDirty  bool
-	loads     uint64 // L1-hit load counters, merged at the barrier
-	loadLat   uint64
-	mshrStall uint64
+	ctr       counters
 }
 
-// buildShards partitions the SMs into n contiguous groups. Contiguity is
-// what lets the barrier's ascending-shard-id reduction reproduce the
-// sequential kernel's ascending-global-SM drain order.
+// buildShards partitions the SMs into n contiguous groups — of whole
+// domains when there are several. Contiguity is what lets the barrier's
+// ascending-shard-id reduction reproduce the sequential kernel's
+// ascending-global-SM drain order. With n == 1 the one shard drives the
+// sequential event loop and its SMs' ports resolve accesses inline.
 func (s *Simulator) buildShards(n int) {
-	nsm := len(s.sms)
-	base, rem := nsm/n, nsm%n
-	s.shards = make([]*gpuShard, n)
-	s.shardOfSM = make([]*gpuShard, nsm)
+	blocks, block := len(s.sms), 1
+	if len(s.doms) > 1 {
+		blocks, block = len(s.doms), s.cfg.NumSMs
+		if n > 1 {
+			s.shardOfDom = make([]*shard, len(s.doms))
+		}
+	}
+	// An SM issues at most issueWidth instructions per cycle, so neither
+	// buffer's append reallocates after construction.
+	iw := s.cfg.Uarch.Normalize().IssueWidth
+	s.shards = make([]*shard, n)
+	s.shardOfSM = make([]*shard, len(s.sms))
 	first := 0
-	for i := 0; i < n; i++ {
-		cnt := base
-		if i < rem {
+	for i := range s.shards {
+		cnt := blocks / n
+		if i < blocks%n {
 			cnt++
 		}
-		sh := &gpuShard{sim: s, id: i, firstSM: first, endSM: first + cnt}
-		sh.tk = timing.MustNew(timing.Config{Units: cnt, NoSkip: s.opt.DisableEventSkip}, sh)
-		sh.arena = trace.NewArena(cnt * s.cfg.WarpsPerSM)
-		// An SM issues at most issueWidth instructions per cycle, so the
-		// append never reallocates.
-		sh.deferred = make([]deferredAccess, 0, cnt*s.cfg.Uarch.Normalize().IssueWidth)
-		for g := first; g < sh.endSM; g++ {
+		sh := &shard{sim: s, firstSM: first * block, endSM: (first + cnt) * block}
+		units := sh.endSM - sh.firstSM
+		sh.tk = timing.MustNew(timing.Config{Units: units, NoSkip: s.opt.DisableEventSkip}, sh)
+		sh.arena = trace.NewArena(units * s.cfg.WarpsPerSM)
+		if n > 1 {
+			sh.deferred = make([]deferredAccess, 0, units*iw)
+		}
+		if s.shardOfDom != nil {
+			sh.incoming = make([]*deferredAccess, 0, len(s.sms)*iw)
+			for d := first; d < first+cnt; d++ {
+				s.shardOfDom[d] = sh
+			}
+		}
+		for g := sh.firstSM; g < sh.endSM; g++ {
 			s.shardOfSM[g] = sh
-			s.ports[g].sh = sh
 			s.sms[g].SetRecycler(sh)
+			if n > 1 {
+				s.ports[g].sh = sh
+				s.ports[g].ctr = &sh.ctr
+			}
 		}
 		s.shards[i] = sh
-		first = sh.endSM
+		first += cnt
 	}
 }
 
-// Release implements sm.ProgramRecycler: a shard's retiring programs return
-// to the shard's own arena (retirement happens inside the parallel tick
-// phase, so a package-wide arena would race).
-func (sh *gpuShard) Release(p trace.Program) {
+// Release implements sm.ProgramRecycler: a retired warp's program returns
+// to its shard's arena (retirement happens inside the parallel tick phase,
+// so a package-wide arena would race), but only while the running kernel is
+// arena-managed — the grid barrier guarantees a kernel's last retirement
+// precedes the next kernel's first launch, so kernelIdx is always the
+// retiring program's kernel.
+func (sh *shard) Release(p trace.Program) {
 	if sh.sim.kernelAW[sh.sim.kernelIdx] != nil {
 		sh.arena.Release(p)
 	}
 }
 
-// deferAccess records a post-L1 access for barrier replay and returns the
-// provisional completion. Called from port.Access, inside the issuing SM's
-// Tick, so IssuingWarp identifies the warp whose wake-up the next phase's
-// fix-up pass must repair. Stores get no fix-up (the SM ignores their
-// completion) but are still recorded: their bandwidth and LLC effects must
-// replay in order.
-func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, load, bypass, full bool) int64 {
+// deferAccess records a post-L1 access for the barrier replay and returns
+// the provisional completion. Called from port.Access, inside the issuing
+// SM's Tick, so IssuingWarp identifies the warp whose wake-up the next
+// phase's fix-up pass must repair. Stores get no fix-up (the SM ignores
+// their completion) but are still recorded: their bandwidth, LLC and page
+// effects must replay in order.
+func (sh *shard) deferAccess(p *port, line, key, page uint64, arrival, now int64, load, bypass, full bool) int64 {
 	m := sh.sim.sms[p.smID]
-	warp := -1
-	if load {
-		warp = m.IssuingWarp()
-	}
 	rec := deferredAccess{
 		m:       m,
 		f:       sh.sim.mshrs[p.smID],
 		lu:      p.smID - sh.firstSM,
-		warp:    warp,
+		warp:    -1,
+		home:    p.dom,
+		owner:   p.dom,
 		line:    line,
 		key:     key,
+		page:    page,
 		arrival: arrival,
 		issueAt: now,
 		load:    load,
 		bypass:  bypass,
 		full:    full,
 		dep:     -1,
+	}
+	if load {
+		rec.warp = m.IssuingWarp()
 	}
 	first := len(sh.deferred)
 	for first > 0 && sh.deferred[first-1].m == m {
@@ -199,7 +226,7 @@ func (sh *gpuShard) deferAccess(p *port, line, key uint64, arrival, now int64, l
 // applyFixups — entries the sequential port would already hold. The file
 // itself cannot have matched or been full: rec's own Lookup and Full found
 // neither, and only those pending entries are missing from it.
-func (sh *gpuShard) sameCycle(rec *deferredAccess, first int) {
+func (sh *shard) sameCycle(rec *deferredAccess, first int) {
 	pending := 0
 	for j := first; j < len(sh.deferred); j++ {
 		prev := &sh.deferred[j]
@@ -218,40 +245,9 @@ func (sh *gpuShard) sameCycle(rec *deferredAccess, first int) {
 		if nc, ok := rec.f.NextCompletion(rec.issueAt); ok {
 			rec.fileNC = nc
 		}
-		sh.mshrStall++
+		sh.ctr.mshrStall++
+		sh.dependent = true
 	}
-}
-
-// applyFixups lands the previous cycle's deferred loads on this shard's own
-// SMs from the completion cycles the coordinator stamped, then clears the
-// records. Runs at the head of the parallel phase, and serially before an
-// observer sample reads MSHR occupancy.
-func (sh *gpuShard) applyFixups() {
-	for i := range sh.deferred {
-		rec := &sh.deferred[i]
-		if !rec.load {
-			continue
-		}
-		if rec.merged {
-			rec.t = sh.deferred[rec.dep].t
-		}
-		// The MSHR allocation the sequential port did at issue time lands
-		// here instead; nothing can have observed the file in between (the
-		// SM's next Lookup/Full/Expire all happen inside its Tick, after
-		// this pass).
-		if rec.allocates() {
-			rec.f.Allocate(rec.key, rec.t)
-		}
-		rdy := rec.ready()
-		rec.m.FixPendingWake(rec.warp, rdy)
-		// The SM's reported wake had this load parked at the provisional
-		// cycle; fold the true completion in. A CTA launch may already have
-		// scheduled the unit earlier — never push a wake-up back.
-		if w := sh.tk.WakeAt(rec.lu); w == timing.NoWake || rdy < w {
-			sh.tk.Reschedule(rec.lu, rdy)
-		}
-	}
-	sh.deferred = sh.deferred[:0]
 }
 
 // waitFull is the arrival of an access that found the MSHR file full only
@@ -268,19 +264,43 @@ func (rec *deferredAccess) waitFull(prev []deferredAccess) int64 {
 	return at
 }
 
-// ready is the cycle a stamped load's warp wakes: its completion, under
-// sm.Tick's next-cycle clamp on MemPort results.
-func (rec *deferredAccess) ready() int64 {
-	if rec.t <= rec.issueAt {
-		return rec.issueAt + 1
+// applyFixups lands the previous cycle's deferred loads on this shard's own
+// SMs from the completion cycles the barrier stamped, then clears the
+// records. Runs at the head of the parallel phase, and serially before an
+// observer sample reads MSHR occupancy.
+func (sh *shard) applyFixups() {
+	for i := range sh.deferred {
+		rec := &sh.deferred[i]
+		if !rec.load {
+			continue
+		}
+		if rec.merged {
+			rec.t = sh.deferred[rec.dep].t
+		}
+		// The MSHR allocation the sequential port did at issue time lands
+		// here instead; nothing can have observed the file in between (the
+		// SM's next Lookup/Full/Expire all happen inside its Tick, after
+		// this pass).
+		if rec.allocates() {
+			rec.f.Allocate(rec.key, rec.t)
+		}
+		// sm.Tick's next-cycle clamp on MemPort results.
+		rdy := max(rec.t, rec.issueAt+1)
+		rec.m.FixPendingWake(rec.warp, rdy)
+		// The SM's reported wake had this load parked at the provisional
+		// cycle; fold the true completion in. A CTA launch may already have
+		// scheduled the unit earlier — never push a wake-up back.
+		if w := sh.tk.WakeAt(rec.lu); w == timing.NoWake || rdy < w {
+			sh.tk.Reschedule(rec.lu, rdy)
+		}
 	}
-	return rec.t
+	sh.deferred = sh.deferred[:0]
 }
 
 // phaseA is the parallel tick phase: repair the previous cycle's deferred
 // wake-ups, drain this shard's due units at the current cycle, then (once
 // warm-up has settled) finish the cycle.
-func (sh *gpuShard) phaseA() {
+func (sh *shard) phaseA() {
 	sh.applyFixups()
 	sh.issued = sh.tk.TickCycle()
 	if sh.sim.shardFinish {
@@ -288,11 +308,24 @@ func (sh *gpuShard) phaseA() {
 	}
 }
 
-// timing.Driver over the shard's own SMs (unit ids local to the shard).
+// phaseB replays this shard's incoming accesses — every deferred access
+// whose owner domain lives here, in ascending global SM id — stamping the
+// true completion cycle: port.Access's post-page-lookup tail, executed by
+// the owner shard instead of the issuing one.
+func (sh *shard) phaseB() {
+	for _, rec := range sh.incoming {
+		rec.t = sh.sim.serve(&sh.ctr, rec.owner, rec.home, rec.line, rec.arrival, rec.issueAt, rec.load)
+	}
+	sh.incoming = sh.incoming[:0]
+}
 
-// TickUnit mirrors Simulator.TickUnit with shard-local issue/live/dirty
-// accumulation; the coordinator merges the deltas at the barrier.
-func (sh *gpuShard) TickUnit(now int64, lu int) timing.Outcome {
+// TickUnit implements timing.Driver: one due SM's visit — the MSHR file's
+// per-tick Expire (it may sweep completed entries, before any Access this
+// Tick can issue), the SM tick itself, and retirement bookkeeping into
+// shard-local deltas that endCycle merges. The returned Outcome carries the
+// SM's next wake-up for the kernel's due-wheel; NoWake means the SM is idle
+// and stays unscheduled until a CTA launch ScheduleNows it.
+func (sh *shard) TickUnit(now int64, lu int) timing.Outcome {
 	s := sh.sim
 	g := sh.firstSM + lu
 	m := s.sms[g]
@@ -305,6 +338,9 @@ func (sh *gpuShard) TickUnit(now int64, lu int) timing.Outcome {
 	}
 	if d := liveBefore - m.LiveWarps(); d > 0 {
 		sh.liveDelta += d
+		// Any warp retirement can flip CanAccept (it checks liveWarps, not
+		// just CTA slots), so re-scan for launches even when no whole CTA
+		// completed.
 		sh.ctaDirty = true
 	}
 	if m.HasReady() {
@@ -315,176 +351,123 @@ func (sh *gpuShard) TickUnit(now int64, lu int) timing.Outcome {
 	return out
 }
 
-// AccrueStall mirrors Simulator.AccrueStall.
-func (sh *gpuShard) AccrueStall(lu int, cycles uint64) {
+// AccrueStall implements timing.Driver: it settles one SM's standing
+// classification over a whole non-ticked interval in a single Accrue call.
+//
+// Exactness invariant: between two ticks of an SM no warp is ready and no
+// promotion is due, so liveWarps and blockedMem — the only inputs to the
+// classification — cannot change (they change only inside Tick and
+// LaunchCTA, and ScheduleNow flushes before a launch changes them).
+// StallKind() at flush time therefore equals the classification Tick would
+// have returned at every cycle of the interval.
+func (sh *shard) AccrueStall(lu int, cycles uint64) {
 	m := sh.sim.sms[sh.firstSM+lu]
 	m.Accrue(m.StallKind(), cycles)
 }
 
-// AccrueTick mirrors Simulator.AccrueTick.
-func (sh *gpuShard) AccrueTick(lu int, kind uint8) {
+// AccrueTick implements timing.Driver: a ticked SM's own cycle gets the
+// classification its Tick returned.
+func (sh *shard) AccrueTick(lu int, kind uint8) {
 	sh.sim.sms[sh.firstSM+lu].Accrue(sm.TickKind(kind), 1)
 }
 
-// CycleEnd is a no-op: SimEvents and the warm-up check are the
-// coordinator's, run serially at the barrier to match the sequential
-// ordering exactly.
-func (sh *gpuShard) CycleEnd(now int64) {}
-
-// replayDeferred resolves the cycle's deferred accesses against the shared
-// crossbar/LLC/DRAM path, walking shards in ascending id — deferred lists
-// are appended in ascending local unit order, so the replay order is
-// ascending global SM id, the sequential within-cycle order. It touches
-// only what the coordinator owns: the shared resources, the package's load
-// counters, and each record's completion stamp. The records stay in place
-// for the owning shard's applyFixups, which lands them on the SM, its MSHR
-// file and its kernel entry at the head of the next parallel phase — safe
-// because the advance decision that follows a deferring cycle is always
-// now+1 and never reads a wake-up (see the file comment).
-func (s *Simulator) replayDeferred() {
-	nSlices := uint64(len(s.llc))
-	for _, sh := range s.shards {
-		for i := range sh.deferred {
-			rec := &sh.deferred[i]
-			if rec.merged {
-				continue // completes with its entry's miss (applyFixups)
-			}
-			arrival := rec.arrival
-			if rec.dep >= 0 {
-				arrival = rec.waitFull(sh.deferred[rec.dep:i])
-			}
-			slice := int(rec.line % nSlices)
-			t := s.xbar.Transfer(arrival, slice, s.xferBytes)
-			t += int64(s.cfg.LLCHitLatency)
-			s.llcAcc++
-			sliceLocal := (rec.line / nSlices) << s.lineBits
-			if !s.llc[slice].Access(sliceLocal) {
-				s.llcMiss++
-				t = s.mem.Access(t, rec.line, s.xferBytes)
-				t += int64((rec.line * 0x9e3779b9 >> 13) % 13)
-			}
-			t += int64(s.cfg.NoCBaseLatency)
-			rec.t = t
-			if rec.load {
-				s.loads++
-				s.loadLat += uint64(t - rec.issueAt)
-				s.loadHist.Observe(float64(t - rec.issueAt))
-			}
-		}
+// CycleEnd implements timing.Driver. A sequential run's lone shard ends the
+// machine's cycle here, inside Step; under sharding the coordinator does it
+// serially at the barrier.
+func (sh *shard) CycleEnd(now int64) {
+	if len(sh.sim.shards) == 1 {
+		sh.sim.endCycle()
 	}
 }
 
-// runSharded is the sharded run loop: runEvent's control flow with Step
-// replaced by the barrier protocol described at the top of this file.
-func (s *Simulator) runSharded(ctx context.Context) (Stats, error) {
-	pool := parallel.NewPoolLabeled(ctx, len(s.shards), "gpu")
-	defer pool.Close()
-	phaseA := func(i int) { s.shards[i].phaseA() }
-	s.kernelStart = s.now
-	iters := 0
-	for {
-		iters++
-		if iters >= ctxCheckEvery {
-			iters = 0
-			select {
-			case <-ctx.Done():
-				return Stats{}, fmt.Errorf("gpu: %q on %s cancelled at cycle %d: %w",
-					s.kernels[s.kernelIdx].Name(), s.cfg.Name, s.now, ctx.Err())
-			default:
-			}
-		}
-		if s.ctaDirty {
-			s.fillCTAs()
-		}
-		if s.liveTotal == 0 {
-			if s.nextCTA >= s.numCTAs {
-				if s.stream != nil {
-					s.stream.Span(s.kernelStart, s.now, "kernel", s.kernels[s.kernelIdx].Name())
-					s.kernelStart = s.now
-				}
-				if !s.advanceKernel() {
-					break
-				}
-				s.ctaDirty = true
-				continue
-			}
-			s.ctaDirty = true // mirror the dense loop's unconditional refill
-		}
-		if s.opt.MaxCycles > 0 && s.now > s.opt.MaxCycles {
-			return Stats{}, fmt.Errorf("gpu: %q on %s exceeded MaxCycles=%d",
-				s.kernels[s.kernelIdx].Name(), s.cfg.Name, s.opt.MaxCycles)
-		}
-		pool.Run(phaseA)
-		issued := false
-		nDeferred := 0
+// phases is a sharded run's pool and its two phase functions, built once
+// per run.
+type phases struct {
+	pool   *parallel.Pool
+	a, b   func(int)
+	serial bool // the post-L1 replay is the coordinator's: one domain
+}
+
+func (s *Simulator) newPhases(ctx context.Context) *phases {
+	label := "gpu"
+	if s.mcm {
+		label = "mcm"
+	}
+	return &phases{
+		pool:   parallel.NewPoolLabeled(ctx, len(s.shards), label),
+		a:      func(i int) { s.shards[i].phaseA() },
+		b:      func(i int) { s.shards[i].phaseB() },
+		serial: s.shardOfDom == nil,
+	}
+}
+
+// stepSharded visits one cycle under the barrier protocol described at the
+// top of this file.
+func (s *Simulator) stepSharded(ph *phases) {
+	ph.pool.Run(ph.a)
+	issued, dependent, deferred := false, false, false
+	for _, sh := range s.shards {
+		issued = issued || sh.issued
+		dependent = dependent || sh.dependent
+		deferred = deferred || len(sh.deferred) > 0
+		sh.dependent = false
+	}
+	if deferred {
+		// An access waiting for another's completion (dependent) forces the
+		// whole cycle's replay into the serial global order, of which phase
+		// B's per-owner order is a projection.
+		serial := ph.serial || dependent
 		for _, sh := range s.shards {
-			issued = issued || sh.issued
-			s.issuedSoFar += sh.issuedD
-			sh.issuedD = 0
-			s.liveTotal -= sh.liveDelta
-			sh.liveDelta = 0
-			if sh.ctaDirty {
-				s.ctaDirty = true
-				sh.ctaDirty = false
-			}
-			s.loads += sh.loads
-			s.loadLat += sh.loadLat
-			s.mshrStall += sh.mshrStall
-			sh.loads, sh.loadLat, sh.mshrStall = 0, 0, 0
-			nDeferred += len(sh.deferred)
-		}
-		if nDeferred > 0 {
-			s.replayDeferred()
-		}
-		s.events += uint64(len(s.sms))
-		if !s.shardFinish {
-			// Warm-up not settled: the reset check must precede the ticked
-			// SMs' cycle classification, so FinishCycle runs here, serially,
-			// exactly where the sequential CycleEnd/AccrueTick ordering puts
-			// it. Once warm-up is done the check can never fire again and
-			// FinishCycle moves into the parallel phase.
-			if !s.warmupDone && s.opt.WarmupInstructions > 0 && s.issuedSoFar >= s.opt.WarmupInstructions {
-				s.resetStats()
-			}
-			for _, sh := range s.shards {
-				sh.tk.FinishCycle()
-			}
-			if s.warmupDone || s.opt.WarmupInstructions == 0 {
-				s.shardFinish = true
-			}
-		}
-		next := s.now + 1
-		if !issued && !s.opt.DisableEventSkip {
-			// Event-skip: the earliest pending wake-up across all shards,
-			// exactly Step's decision over one global kernel. No provisional
-			// wake can be consulted here — a deferring cycle always issued.
-			next = timing.NoWake
-			for _, sh := range s.shards {
-				if p := sh.tk.NextPending(); p != timing.NoWake && (next == timing.NoWake || p < next) {
-					next = p
+			for i := range sh.deferred {
+				rec := &sh.deferred[i]
+				if rec.merged {
+					continue // completes with its entry's miss (applyFixups)
 				}
-			}
-			if next < s.now+1 {
-				next = s.now + 1
+				if s.pages != nil {
+					rec.owner = s.pageOwner(rec.page, rec.home)
+				}
+				if !serial {
+					os := s.shardOfDom[rec.owner]
+					os.incoming = append(os.incoming, rec)
+					continue
+				}
+				if rec.dep >= 0 {
+					rec.arrival = rec.waitFull(sh.deferred[rec.dep:i])
+				}
+				rec.t = s.serve(&s.ctr, rec.owner, rec.home, rec.line, rec.arrival, rec.issueAt, rec.load)
 			}
 		}
-		s.skipped += next - s.now - 1
-		for _, sh := range s.shards {
-			sh.tk.AdvanceTo(next)
-		}
-		s.now = next
-		if s.stream != nil && s.now >= s.nextSample {
-			// The sample reads MSHR occupancy, which the sequential loop
-			// updated at issue: land the cycle's fix-ups now (the shards are
-			// quiescent between phases) instead of at the next phase's head.
-			for _, sh := range s.shards {
-				sh.applyFixups()
-			}
-			s.sampleObs()
-			for s.nextSample <= s.now {
-				s.nextSample += s.sampleEvery
-			}
+		if !serial {
+			ph.pool.Run(ph.b)
 		}
 	}
-	return s.stats(), nil
+	s.endCycle()
+	if !s.shardFinish {
+		// Warm-up not settled: the reset check in endCycle must precede the
+		// ticked SMs' cycle classification, so FinishCycle runs here,
+		// serially, exactly where the sequential CycleEnd/AccrueTick ordering
+		// puts it. Once warm-up is done the check can never fire again and
+		// FinishCycle moves into the parallel phase.
+		for _, sh := range s.shards {
+			sh.tk.FinishCycle()
+		}
+		s.shardFinish = s.warmupDone || s.opt.WarmupInstructions == 0
+	}
+	next := s.now + 1
+	if !issued && !s.opt.DisableEventSkip {
+		// Event-skip: the earliest pending wake-up across all shards,
+		// exactly Step's decision over one global kernel. No provisional
+		// wake can be consulted here — a deferring cycle always issued.
+		next = timing.NoWake
+		for _, sh := range s.shards {
+			if p := sh.tk.NextPending(); p != timing.NoWake && (next == timing.NoWake || p < next) {
+				next = p
+			}
+		}
+		next = max(next, s.now+1)
+	}
+	for _, sh := range s.shards {
+		sh.tk.AdvanceTo(next)
+	}
+	s.now = next
 }

@@ -10,14 +10,15 @@ import (
 	"gpuscale/internal/config"
 	"gpuscale/internal/obs"
 	"gpuscale/internal/trace"
+	"gpuscale/internal/uarch"
 	"gpuscale/internal/workloads"
 )
 
 // randomTrafficWorkload scatters every warp's loads uniformly over a shared
 // region (deterministically seeded per warp): lines interleave across LLC
-// slices and MSHR merges, full-MSHR pushback and DRAM jitter all fire, so
-// every shard keeps injecting traffic into the shared post-L1 path — the
-// randomized stress cell the race gate runs.
+// slices — and pages across chiplets — and MSHR merges, full-MSHR pushback
+// and DRAM jitter all fire, so every shard keeps injecting traffic into the
+// shared post-L1 path — the randomized stress cell the race gate runs.
 func randomTrafficWorkload(ctas, warps, loads int) trace.Workload {
 	return &trace.FuncWorkload{
 		WName: "gpu-random-traffic",
@@ -30,85 +31,102 @@ func randomTrafficWorkload(ctas, warps, loads int) trace.Workload {
 	}
 }
 
-// TestGPUShardedMatchesSequential is the tentpole's bit-identity contract
-// for the monolithic simulator: the same simulation at Shards=1 (sequential
-// event loop) and Shards=N must produce identical Stats — across workload
-// shapes, a real benchmark, warm-up resets, kernel sequences, sampling, and
-// the no-skip ablation.
+// sharedStreamWorkload makes every warp stream over the same region, so
+// first-touch ownership concentrates on the earliest chiplets and most
+// accesses from the others are remote — worst case for cross-shard traffic.
+func sharedStreamWorkload(ctas, warps, loads int) trace.Workload {
+	return &trace.FuncWorkload{
+		WName: "mcm-shared-stream",
+		Spec:  trace.KernelSpec{NumCTAs: ctas, WarpsPerCTA: warps},
+		Factory: func(cta, warp int) trace.Program {
+			g := &trace.SeqGen{Base: 0, Stride: 128, Extent: 1 << 18}
+			return trace.NewPhaseProgram(trace.Phase{N: loads * 3, ComputePer: 2, Gen: g})
+		},
+	}
+}
+
+// dualIssue gives a machine two-wide SMs with a one-entry MSHR file, so an
+// SM's second access of a cycle merges into, or stalls behind, the entry
+// its first access allocates — the same-cycle hazard the sharded runner
+// resolves at the barrier.
+func dualIssue(m machine) machine {
+	m.cfg.Uarch = uarch.Variant{IssueWidth: 2}
+	m.cfg.L1MSHRs = 1
+	if m.pkg != nil {
+		pkg := *m.pkg
+		pkg.Chiplet = m.cfg
+		m.pkg = &pkg
+	}
+	return m
+}
+
+// TestGPUShardedMatchesSequential is the bit-identity contract of the
+// sharded runner: the same simulation at Shards=1 (sequential event loop)
+// and Shards=N must produce identical statistics — across workload shapes,
+// real benchmarks, warm-up resets, kernel sequences, the no-skip ablation,
+// SM groups of a GPU and chiplet groups of a package, and shard counts that
+// divide either evenly and unevenly.
 func TestGPUShardedMatchesSequential(t *testing.T) {
 	bfs, err := workloads.ByName("bfs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	one := func(w trace.Workload) func() []trace.Workload {
+		return func() []trace.Workload { return []trace.Workload{w} }
+	}
 	cells := []struct {
 		name string
-		cfg  config.SystemConfig
+		m    machine
 		mk   func() []trace.Workload
 		base Options
 	}{
-		{"compute/16sm", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{computeWorkload(48, 2, 60)}
+		{"compute/16sm", mono(testConfig(16)), one(computeWorkload(48, 2, 60)), Options{}},
+		{"stream/16sm", mono(testConfig(16)), one(streamWorkload(48, 2, 40)), Options{}},
+		{"reuse/16sm", mono(testConfig(16)), one(reuseWorkload(48, 2, 1<<18, 40, 0)), Options{}},
+		{"random/16sm", mono(testConfig(16)), one(randomTrafficWorkload(32, 2, 25)), Options{}},
+		{"bfs/16sm", mono(testConfig(16)), one(bfs.Workload), Options{}},
+		{"stream/warmup", mono(testConfig(16)), one(streamWorkload(48, 2, 40)), Options{WarmupInstructions: 1500}},
+		{"stream/noskip", mono(testConfig(8)), one(streamWorkload(24, 2, 25)), Options{DisableEventSkip: true}},
+		{"stream/mshr-stall", mono(mshrStallConfig(8, 4)), one(streamWorkload(64, 4, 40)), Options{}},
+		{"stream/wide-sm", mono(wideSMConfig(8)), one(streamWorkload(256, 4, 20)), Options{}},
+		{"reuse/dual-issue", dualIssue(mono(testConfig(8))), one(reuseWorkload(48, 4, 1<<16, 40, 0)), Options{}},
+		{"sequence/2kernels", mono(testConfig(16)), func() []trace.Workload {
+			return []trace.Workload{streamWorkload(32, 2, 30), reuseWorkload(32, 2, 1<<18, 30, 0)}
 		}, Options{}},
-		{"stream/16sm", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{streamWorkload(48, 2, 40)}
-		}, Options{}},
-		{"reuse/16sm", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{reuseWorkload(48, 2, 1<<18, 40, 0)}
-		}, Options{}},
-		{"random/16sm", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{randomTrafficWorkload(32, 2, 25)}
-		}, Options{}},
-		{"bfs/16sm", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{bfs.Workload}
-		}, Options{}},
-		{"stream/warmup", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{streamWorkload(48, 2, 40)}
-		}, Options{WarmupInstructions: 1500}},
-		{"stream/noskip", testConfig(8), func() []trace.Workload {
-			return []trace.Workload{streamWorkload(24, 2, 25)}
-		}, Options{DisableEventSkip: true}},
-		{"stream/mshr-stall", mshrStallConfig(8, 4), func() []trace.Workload {
-			return []trace.Workload{streamWorkload(64, 4, 40)}
-		}, Options{}},
-		{"stream/wide-sm", wideSMConfig(8), func() []trace.Workload {
-			return []trace.Workload{streamWorkload(256, 4, 20)}
-		}, Options{}},
-		{"sequence/2kernels", testConfig(16), func() []trace.Workload {
-			return []trace.Workload{
-				streamWorkload(32, 2, 30),
-				reuseWorkload(32, 2, 1<<18, 30, 0),
-			}
+		{"mcm/compute/4c", mcm(smallMCM(4, 2)), one(computeWorkload(32, 2, 50)), Options{}},
+		{"mcm/stream/4c", mcm(smallMCM(4, 2)), one(mcmStreamWorkload(32, 2, 30)), Options{}},
+		{"mcm/shared/4c", mcm(smallMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{}},
+		{"mcm/shared/contiguous", mcm(contiguousMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{}},
+		{"mcm/random/4c", mcm(smallMCM(4, 2)), one(randomTrafficWorkload(24, 2, 20)), Options{}},
+		{"mcm/bfs/4c", mcm(config.MustScaleChiplets(config.Target16Chiplet(), 4)), one(bfs.Workload), Options{}},
+		{"mcm/stream/horizon-dram", mcm(horizonMCM(4, 2, 15)), one(mcmStreamWorkload(32, 2, 30)), Options{}},
+		{"mcm/stream/mshr-stall", mcm(mshrStallMCM(4, 2, 4)), one(mcmStreamWorkload(64, 4, 30)), Options{}},
+		{"mcm/random/dual-issue", dualIssue(mcm(smallMCM(4, 2))), one(randomTrafficWorkload(32, 4, 25)), Options{}},
+		{"mcm/stream/warmup", mcm(smallMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{WarmupInstructions: 2000}},
+		{"mcm/sequence/2kernels", mcm(smallMCM(4, 2)), func() []trace.Workload {
+			return []trace.Workload{sharedStreamWorkload(16, 2, 20), randomTrafficWorkload(16, 2, 20)}
 		}, Options{}},
 	}
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(opt Options) Stats {
+			run := func(opt Options) outcome {
 				t.Helper()
-				s, err := NewSequence(c.cfg, c.mk(), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
+				return mustSimulate(t, c.m, opt, c.mk()...)
 			}
 			seq := run(c.base)
 			for _, shards := range []int{2, 3, 4} {
 				opt := c.base
 				opt.Shards = shards
 				if got := run(opt); got != seq {
-					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v",
-						shards, got, seq)
+					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
 				}
 			}
 			// One leg on a single processor: the shard pool may not spin
 			// there, so its yield and park stages carry the protocol — the
 			// path a 1-core CI runner takes and a 2-core host never does.
-			// The real benchmark sits it out: tens of seconds there, and no
+			// The real benchmarks sit it out: tens of seconds there, and no
 			// protocol path the synthetic cells lack.
-			if strings.HasPrefix(c.name, "bfs/") {
+			if strings.Contains(c.name, "bfs/") {
 				return
 			}
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -127,87 +145,95 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 // them before sampling, so the sample series (every cycle here, to hit the
 // cycle after each deferral) equals the sequential one value for value.
 func TestGPUShardedSamplesMatchSequential(t *testing.T) {
-	cfg := testConfig(8)
-	samples := func(opt Options) []obs.Sample {
-		t.Helper()
-		rec := obs.New()
-		opt.Recorder = rec
-		opt.SampleEvery = 1
-		if _, err := RunWithOptions(cfg, randomTrafficWorkload(16, 2, 12), opt); err != nil {
-			t.Fatal(err)
+	for _, m := range []machine{mono(testConfig(8)), mcm(smallMCM(4, 2))} {
+		samples := func(opt Options) []obs.Sample {
+			t.Helper()
+			rec := obs.New()
+			opt.Recorder = rec
+			opt.SampleEvery = 1
+			mustSimulate(t, m, opt, randomTrafficWorkload(16, 2, 12))
+			return rec.Samples()
 		}
-		return rec.Samples()
-	}
-	seq := samples(Options{})
-	if len(seq) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	if got := samples(Options{Shards: 3}); !reflect.DeepEqual(got, seq) {
-		t.Errorf("shards=3: sample series diverges from sequential (%d vs %d samples)", len(got), len(seq))
+		seq := samples(Options{})
+		if len(seq) == 0 {
+			t.Fatal("no samples recorded")
+		}
+		if got := samples(Options{Shards: 3}); !reflect.DeepEqual(got, seq) {
+			t.Errorf("%s shards=3: sample series diverges from sequential (%d vs %d samples)", m.cfg.Name, len(got), len(seq))
+		}
 	}
 }
 
 // TestGPUShardedRandomCrossTrafficStress is the larger randomized cell:
-// heavier shared-LLC traffic over more SMs, shard counts that divide the
-// SMs evenly and unevenly — meant to run under the race detector (make
-// race) to check the phase discipline on a real workload.
+// heavier shared traffic over more SMs or chiplets, shard counts that
+// divide them evenly and unevenly — meant to run under the race detector
+// (make race) to check the phase discipline on a real workload.
 func TestGPUShardedRandomCrossTrafficStress(t *testing.T) {
-	cfg := testConfig(16)
-	run := func(opt Options) Stats {
-		t.Helper()
-		st, err := RunWithOptions(cfg, randomTrafficWorkload(64, 2, 30), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	seq := run(Options{})
-	for _, shards := range []int{2, 5, 8, 16} {
-		if got := run(Options{Shards: shards}); got != seq {
-			t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
-		}
+	for _, c := range []struct {
+		name   string
+		m      machine
+		w      func() trace.Workload
+		shards []int
+	}{
+		{"mono", mono(testConfig(16)), func() trace.Workload { return randomTrafficWorkload(64, 2, 30) }, []int{2, 5, 8, 16}},
+		{"mcm", mcm(smallMCM(8, 2)), func() trace.Workload { return randomTrafficWorkload(48, 2, 25) }, []int{2, 4, 8}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			seq := mustSimulate(t, c.m, Options{}, c.w())
+			for _, shards := range c.shards {
+				if got := mustSimulate(t, c.m, Options{Shards: shards}, c.w()); got != seq {
+					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
+				}
+			}
+		})
 	}
 }
 
-// TestGPUShardsValidation pins the option edge cases on the monolithic
-// simulator: negatives rejected, legacy+shards rejected, counts beyond
-// NumSMs clamped (and still bit-identical), 0/1 selecting the plain
+// TestGPUShardsValidation pins the option edge cases: negatives rejected,
+// legacy+shards rejected, counts beyond the SM count — the chiplet count on
+// a package — clamped (and still bit-identical), 0/1 selecting the plain
 // sequential loop.
 func TestGPUShardsValidation(t *testing.T) {
-	cfg := testConfig(8)
-	w := func() trace.Workload { return streamWorkload(16, 2, 10) }
-	if _, err := New(cfg, w(), Options{Shards: -1}); err == nil {
-		t.Error("negative Shards accepted")
-	}
-	if _, err := New(cfg, w(), Options{Shards: 2, UseLegacyLoop: true}); err == nil {
-		t.Error("Shards with UseLegacyLoop accepted")
-	}
-	for _, n := range []int{0, 1} {
-		s, err := New(cfg, w(), Options{Shards: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.shards != nil {
-			t.Errorf("Shards=%d built shard runners", n)
-		}
-	}
-	s, err := New(cfg, w(), Options{Shards: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.shards) != cfg.NumSMs {
-		t.Fatalf("Shards=99 on %d SMs built %d shards", cfg.NumSMs, len(s.shards))
-	}
-	clamped, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Run(cfg, w())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clamped != seq {
-		t.Errorf("clamped sharded run diverged\nsharded    %+v\nsequential %+v", clamped, seq)
+	for _, c := range []struct {
+		name  string
+		m     machine
+		units int
+		w     func() trace.Workload
+	}{
+		{"mono", mono(testConfig(8)), 8, func() trace.Workload { return streamWorkload(16, 2, 10) }},
+		{"mcm", mcm(smallMCM(2, 2)), 2, func() trace.Workload { return mcmStreamWorkload(8, 2, 10) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := c.m.build(Options{Shards: -1}, c.w()); err == nil {
+				t.Error("negative Shards accepted")
+			}
+			if _, err := c.m.build(Options{Shards: 2, UseLegacyLoop: true}, c.w()); err == nil {
+				t.Error("Shards with UseLegacyLoop accepted")
+			}
+			for _, n := range []int{0, 1} {
+				s, err := c.m.build(Options{Shards: n}, c.w())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(s.shards) != 1 {
+					t.Errorf("Shards=%d built %d shard runners", n, len(s.shards))
+				}
+			}
+			s, err := c.m.build(Options{Shards: 99}, c.w())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(s.shards) != c.units {
+				t.Fatalf("Shards=99 built %d shards, want %d", len(s.shards), c.units)
+			}
+			clamped, err := s.run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq := mustSimulate(t, c.m, Options{}, c.w()); clamped != seq {
+				t.Errorf("clamped sharded run diverged\nsharded    %+v\nsequential %+v", clamped, seq)
+			}
+		})
 	}
 }
 
@@ -215,22 +241,26 @@ func TestGPUShardsValidation(t *testing.T) {
 // the sharded loop, and checks context cancellation unwinds the worker pool
 // cleanly.
 func TestGPUShardedMaxCyclesAborts(t *testing.T) {
-	cfg := testConfig(8)
-	s, err := New(cfg, streamWorkload(64, 2, 50), Options{Shards: 2, MaxCycles: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err == nil {
-		t.Error("MaxCycles exceeded without error")
-	}
-
-	s2, err := New(cfg, streamWorkload(64, 2, 50), Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s2.RunContext(ctx); err == nil {
-		t.Error("cancelled context did not abort the sharded run")
+	for _, c := range []struct {
+		name string
+		m    machine
+	}{
+		{"mono", mono(testConfig(8))},
+		{"mcm", mcm(smallMCM(2, 2))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := simulate(c.m, Options{Shards: 2, MaxCycles: 10}, streamWorkload(64, 2, 50)); err == nil {
+				t.Error("MaxCycles exceeded without error")
+			}
+			s, err := c.m.build(Options{Shards: 2}, streamWorkload(64, 2, 50))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := s.run(ctx); err == nil {
+				t.Error("cancelled context did not abort the sharded run")
+			}
+		})
 	}
 }

@@ -24,29 +24,24 @@ var uarchTestVariants = []struct {
 // TestEventLoopMatchesLegacyUarch extends the bit-identity contract to every
 // microarchitecture variant: the event-driven and dense reference loops must
 // agree bit for bit no matter which scheduler, L1 fill granularity, routing
-// discipline or issue width is simulated.
+// discipline or issue width is simulated, on a GPU and on a package.
 func TestEventLoopMatchesLegacyUarch(t *testing.T) {
 	for _, uc := range uarchTestVariants {
 		t.Run(uc.name, func(t *testing.T) {
-			cfg := testConfig(8)
-			cfg.Uarch = uc.v
-			for _, w := range []struct {
+			for _, c := range []struct {
 				name string
+				m    machine
 				mk   func() trace.Workload
 			}{
-				{"stream", func() trace.Workload { return streamWorkload(48, 4, 40) }},
-				{"reuse", func() trace.Workload { return reuseWorkload(48, 4, 1<<16, 40, 2) }},
+				{"stream", mono(testConfig(8)), func() trace.Workload { return streamWorkload(48, 4, 40) }},
+				{"reuse", mono(testConfig(8)), func() trace.Workload { return reuseWorkload(48, 4, 1<<16, 40, 2) }},
+				{"mcm-stream", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }},
 			} {
-				ev, err := RunWithOptions(cfg, w.mk(), Options{})
-				if err != nil {
-					t.Fatalf("%s event loop: %v", w.name, err)
-				}
-				lg, err := RunWithOptions(cfg, w.mk(), Options{UseLegacyLoop: true})
-				if err != nil {
-					t.Fatalf("%s legacy loop: %v", w.name, err)
-				}
-				if ev != lg {
-					t.Errorf("%s: stats diverge between loops\nevent  %+v\nlegacy %+v", w.name, ev, lg)
+				opt := Options{Uarch: uc.v}
+				ev := mustSimulate(t, c.m, opt, c.mk())
+				opt.UseLegacyLoop = true
+				if lg := mustSimulate(t, c.m, opt, c.mk()); ev != lg {
+					t.Errorf("%s: stats diverge between loops\nevent  %+v\nlegacy %+v", c.name, ev, lg)
 				}
 			}
 		})
@@ -55,58 +50,63 @@ func TestEventLoopMatchesLegacyUarch(t *testing.T) {
 
 // TestShardedMatchesSequentialUarch extends the sharded determinism
 // contract to every variant: Shards=N must reproduce the sequential run's
-// Stats bit for bit.
+// statistics bit for bit, over SM groups and over whole chiplets.
 func TestShardedMatchesSequentialUarch(t *testing.T) {
 	for _, uc := range uarchTestVariants {
 		t.Run(uc.name, func(t *testing.T) {
-			cfg := testConfig(16)
-			cfg.Uarch = uc.v
-			run := func(opt Options) Stats {
-				t.Helper()
-				st, err := RunWithOptions(cfg, randomTrafficWorkload(32, 2, 25), opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			}
-			seq := run(Options{})
-			for _, shards := range []int{2, 4} {
-				if got := run(Options{Shards: shards}); got != seq {
-					t.Errorf("shards=%d diverges\nsharded    %+v\nsequential %+v", shards, got, seq)
+			for _, c := range []struct {
+				m  machine
+				mk func() trace.Workload
+			}{
+				{mono(testConfig(16)), func() trace.Workload { return randomTrafficWorkload(32, 2, 25) }},
+				{mcm(smallMCM(4, 4)), func() trace.Workload { return mcmStreamWorkload(48, 2, 30) }},
+			} {
+				seq := mustSimulate(t, c.m, Options{Uarch: uc.v}, c.mk())
+				for _, shards := range []int{2, 4} {
+					if got := mustSimulate(t, c.m, Options{Uarch: uc.v, Shards: shards}, c.mk()); got != seq {
+						t.Errorf("%s shards=%d diverges\nsharded    %+v\nsequential %+v", c.m.cfg.Name, shards, got, seq)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestOptionsUarchThreading pins the Options.Uarch override semantics: it
-// applies when the config is silent, must not conflict with a non-zero
-// cfg.Uarch, and changes simulated timing (a variant is not a no-op).
+// TestOptionsUarchThreading pins the Options.Uarch override semantics on
+// both entry points: it applies when the config is silent, must not
+// conflict with a non-zero cfg.Uarch, and changes simulated timing (a
+// variant is not a no-op).
 func TestOptionsUarchThreading(t *testing.T) {
-	cfg := testConfig(8)
-	viaOpt, err := RunWithOptions(cfg, streamWorkload(48, 4, 40), Options{Uarch: uarch.Variant{NoC: uarch.RouteDeflect}})
-	if err != nil {
-		t.Fatal(err)
+	deflect := uarch.Variant{NoC: uarch.RouteDeflect}
+	gpuWith := func(v uarch.Variant) machine {
+		cfg := testConfig(8)
+		cfg.Uarch = v
+		return mono(cfg)
 	}
-	cfg2 := testConfig(8)
-	cfg2.Uarch = uarch.Variant{NoC: uarch.RouteDeflect}
-	viaCfg, err := RunWithOptions(cfg2, streamWorkload(48, 4, 40), Options{})
-	if err != nil {
-		t.Fatal(err)
+	mcmWith := func(v uarch.Variant) machine {
+		cfg := smallMCM(2, 4)
+		cfg.Chiplet.Uarch = v
+		return mcm(cfg)
 	}
-	if viaOpt != viaCfg {
-		t.Errorf("Options.Uarch and cfg.Uarch disagree\nopt %+v\ncfg %+v", viaOpt, viaCfg)
-	}
-	base, err := RunWithOptions(testConfig(8), streamWorkload(48, 4, 40), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaOpt == base {
-		t.Error("deflect variant produced bit-identical stats to the crossbar baseline; variant not threaded")
-	}
-	cfg3 := testConfig(8)
-	cfg3.Uarch = uarch.Variant{NoC: uarch.RouteXbar}
-	if _, err := New(cfg3, streamWorkload(8, 4, 10), Options{Uarch: uarch.Variant{NoC: uarch.RouteDeflect}}); err == nil {
-		t.Error("conflicting Options.Uarch and cfg.Uarch accepted")
+	for _, c := range []struct {
+		name string
+		with func(uarch.Variant) machine
+		mk   func() trace.Workload
+	}{
+		{"mono", gpuWith, func() trace.Workload { return streamWorkload(48, 4, 40) }},
+		{"mcm", mcmWith, func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			viaOpt := mustSimulate(t, c.with(uarch.Variant{}), Options{Uarch: deflect}, c.mk())
+			if viaCfg := mustSimulate(t, c.with(deflect), Options{}, c.mk()); viaOpt != viaCfg {
+				t.Errorf("Options.Uarch and cfg.Uarch disagree\nopt %+v\ncfg %+v", viaOpt, viaCfg)
+			}
+			if base := mustSimulate(t, c.with(uarch.Variant{}), Options{}, c.mk()); viaOpt == base {
+				t.Error("deflect variant produced bit-identical stats to the crossbar baseline; variant not threaded")
+			}
+			if _, err := c.with(uarch.Variant{NoC: uarch.RouteXbar}).build(Options{Uarch: deflect}, c.mk()); err == nil {
+				t.Error("conflicting Options.Uarch and cfg.Uarch accepted")
+			}
+		})
 	}
 }

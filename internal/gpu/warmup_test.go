@@ -27,12 +27,12 @@ func TestWarmupDiscardsColdStats(t *testing.T) {
 		}
 	}
 	cfg := testConfig(8)
-	plain, err := RunWithOptions(cfg, mk(), Options{})
+	plain, err := simulate(mono(cfg), Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := uint64(16 * 2 * (64 + 512))
-	warm, err := RunWithOptions(cfg, mk(), Options{WarmupInstructions: total / 2})
+	warm, err := simulate(mono(cfg), Options{WarmupInstructions: total / 2}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestWarmupDiscardsColdStats(t *testing.T) {
 
 func TestWarmupZeroIsNoOp(t *testing.T) {
 	w := streamWorkload(16, 2, 40)
-	a, err := RunWithOptions(testConfig(8), w, Options{})
+	a, err := simulate(mono(testConfig(8)), Options{}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWithOptions(testConfig(8), w, Options{WarmupInstructions: 0})
+	b, err := simulate(mono(testConfig(8)), Options{WarmupInstructions: 0}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestWarmupBeyondEndStillReports(t *testing.T) {
 	// A warm-up threshold the run never reaches: stats are never reset,
 	// results equal the plain run.
 	w := streamWorkload(8, 2, 20)
-	a, err := RunWithOptions(testConfig(8), w, Options{})
+	a, err := simulate(mono(testConfig(8)), Options{}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWithOptions(testConfig(8), w, Options{WarmupInstructions: 1 << 40})
+	b, err := simulate(mono(testConfig(8)), Options{WarmupInstructions: 1 << 40}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"gpuscale/internal/chiplet"
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
+	"gpuscale/internal/gpu"
 	"gpuscale/internal/regress"
 	"gpuscale/internal/stats"
 	"gpuscale/internal/trace"
@@ -15,7 +15,7 @@ import (
 
 // ChipletTimedStats is an MCM simulation result plus host cost.
 type ChipletTimedStats struct {
-	chiplet.Stats
+	gpu.MCMStats
 	Wall time.Duration
 }
 
@@ -26,17 +26,12 @@ func (h *Harness) runChiplet(cfg config.ChipletConfig, w trace.Workload) (Chiple
 	e := entryFor(&h.mu, h.chipletRuns, key)
 	e.once.Do(func() {
 		start := time.Now()
-		sim, err := chiplet.New(cfg, w, chiplet.Options{Recorder: h.observer, Shards: h.mcmShards, Uarch: h.uarch})
+		_, st, err := h.simulate(gpu.NewMCM(cfg, []trace.Workload{w}, h.options()))
 		if err != nil {
 			e.err = fmt.Errorf("harness: MCM %s on %s: %w", w.Name(), cfg.Name, err)
 			return
 		}
-		st, err := sim.Run()
-		if err != nil {
-			e.err = fmt.Errorf("harness: MCM %s on %s: %w", w.Name(), cfg.Name, err)
-			return
-		}
-		e.val = ChipletTimedStats{Stats: st, Wall: time.Since(start)}
+		e.val = ChipletTimedStats{MCMStats: st, Wall: time.Since(start)}
 	})
 	return e.val, e.err
 }

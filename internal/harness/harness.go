@@ -16,8 +16,7 @@
 // results. Construction-time functional options tune the behaviour:
 // WithParallel sizes (or disables) the fan-out, WithProgress attaches a
 // live progress callback, WithObserver an observability recorder,
-// WithShards the intra-simulation sharding for every run and
-// WithMCMShards an MCM-specific shard override.
+// and WithShards the intra-simulation sharding for every run.
 //
 // The package also provides ResultStore, a two-level (memory + disk)
 // single-flight byte store keyed by canonical request hashes; it backs the
@@ -89,17 +88,16 @@ type Harness struct {
 	mrcs        map[string]*runEntry[mrc.Curve]
 
 	// Configuration: set by the options in New, read-only afterwards.
-	parallel  int
-	shards    int
-	mcmShards int // MCM runs' shard count: WithMCMShards, else shards
-	uarch     uarch.Variant
-	progress  func(engine.Progress)
-	observer  *obs.Recorder
+	parallel int
+	shards   int
+	uarch    uarch.Variant
+	progress func(engine.Progress)
+	observer *obs.Recorder
 }
 
 // New returns an empty Harness configured by opts; the default is
 // parallelism runtime.NumCPU(), no progress callback, no observer, and
-// sequential MCM simulations. See options.go for the available options.
+// sequential simulations. See options.go for the available options.
 func New(opts ...Option) *Harness {
 	h := &Harness{
 		runs:        make(map[string]*runEntry[TimedStats]),
@@ -109,9 +107,6 @@ func New(opts ...Option) *Harness {
 	}
 	for _, opt := range opts {
 		opt(h)
-	}
-	if h.mcmShards == 0 {
-		h.mcmShards = h.shards
 	}
 	return h
 }
@@ -127,7 +122,7 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 	e := entryFor(&h.mu, h.runs, key)
 	e.once.Do(func() {
 		start := time.Now()
-		st, err := gpu.RunWithOptions(cfg, w, gpu.Options{Recorder: h.observer, Shards: h.shards, Uarch: h.uarch})
+		st, _, err := h.simulate(gpu.New(cfg, []trace.Workload{w}, h.options()))
 		if err != nil {
 			e.err = fmt.Errorf("harness: simulating %s on %s: %w", w.Name(), cfg.Name, err)
 			return
@@ -135,6 +130,19 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 		e.val = TimedStats{Stats: st, Wall: time.Since(start)}
 	})
 	return e.val, e.err
+}
+
+// options are the simulator options every harness run uses.
+func (h *Harness) options() gpu.Options {
+	return gpu.Options{Recorder: h.observer, Shards: h.shards, Uarch: h.uarch}
+}
+
+// simulate runs a freshly built simulator to completion.
+func (h *Harness) simulate(sim *gpu.Simulator, err error) (gpu.Stats, gpu.MCMStats, error) {
+	if err != nil {
+		return gpu.Stats{}, gpu.MCMStats{}, err
+	}
+	return sim.RunContext(context.Background())
 }
 
 // Curve computes (memoised, single-flight) the functional-simulation

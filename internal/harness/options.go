@@ -48,13 +48,12 @@ func WithObserver(rec *obs.Recorder) Option {
 	}
 }
 
-// WithShards sets the intra-simulation shard count for every simulation
-// the harness runs — SM groups on the monolithic simulator
-// (gpu.Options.Shards), chiplet groups on the MCM simulator
-// (chiplet.Options.Shards). Sharded runs are bit-identical to sequential
+// WithShards sets the intra-simulation shard count (gpu.Options.Shards)
+// for every simulation the harness runs — SM groups on a monolithic GPU,
+// chiplet groups on an MCM. Sharded runs are bit-identical to sequential
 // ones, so memo keys stay valid at every setting — only wall clock
-// differs. n <= 1 keeps the sequential event loops; negative n is treated
-// as 0. WithMCMShards, when also set, overrides this count for MCM runs.
+// differs. n <= 1 keeps the sequential event loop; negative n is treated
+// as 0.
 func WithShards(n int) Option {
 	return func(h *Harness) {
 		if n < 0 {
@@ -65,29 +64,14 @@ func WithShards(n int) Option {
 }
 
 // WithUarch sets the microarchitecture variant every harness simulation
-// runs under (gpu.Options.Uarch / chiplet.Options.Uarch). Unlike the
-// sharding knobs, a variant CHANGES simulated timing, so results from
-// differently-configured harnesses must never be compared as if
-// equivalent. The memo key is (config, workload) name only — a harness is
-// therefore fixed to one variant for its lifetime (paperbench runs one
-// variant per process); do not reconfigure a harness that has cached runs.
+// runs under (gpu.Options.Uarch). Unlike the sharding knob, a variant
+// CHANGES simulated timing, so results from differently-configured
+// harnesses must never be compared as if equivalent. The memo key is
+// (config, workload) name only — a harness is therefore fixed to one
+// variant for its lifetime (paperbench runs one variant per process); do
+// not reconfigure a harness that has cached runs.
 func WithUarch(v uarch.Variant) Option {
 	return func(h *Harness) {
 		h.uarch = v
-	}
-}
-
-// WithMCMShards sets the intra-simulation shard count for MCM simulations
-// only (see chiplet.Options.Shards), overriding WithShards for those runs.
-// Sharded runs are bit-identical to sequential ones, so memo keys stay
-// valid at every setting — only wall clock differs. n <= 1 keeps the
-// sequential event loop (unless WithShards set a count); negative n is
-// treated as 0.
-func WithMCMShards(n int) Option {
-	return func(h *Harness) {
-		if n < 0 {
-			n = 0
-		}
-		h.mcmShards = n
 	}
 }

@@ -213,24 +213,3 @@ func TestWithParallelNormalises(t *testing.T) {
 		t.Errorf("WithParallel(5) gave %d", n)
 	}
 }
-
-// TestMCMShardsDefault checks that New resolves the MCM shard count once:
-// the WithMCMShards override when positive, else the WithShards count,
-// with negative counts treated as 0.
-func TestMCMShardsDefault(t *testing.T) {
-	for i, c := range []struct {
-		opts []Option
-		want int
-	}{
-		{nil, 0},
-		{[]Option{WithShards(3)}, 3},
-		{[]Option{WithShards(3), WithMCMShards(2)}, 2},
-		{[]Option{WithMCMShards(4)}, 4},
-		{[]Option{WithShards(3), WithMCMShards(-2)}, 3},
-		{[]Option{WithShards(-1)}, 0},
-	} {
-		if got := New(c.opts...).mcmShards; got != c.want {
-			t.Errorf("case %d: MCM shard count %d, want %d", i, got, c.want)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"gpuscale/internal/config"
 	"gpuscale/internal/gpu"
 	"gpuscale/internal/mrc"
+	"gpuscale/internal/trace"
 )
 
 // TestProbeClasses is a tuning harness, run manually:
@@ -30,7 +32,11 @@ func TestProbeClasses(t *testing.T) {
 		}
 		var ipcs []float64
 		for _, cfg := range cfgs {
-			st, err := gpu.Run(cfg, b.Workload)
+			sim, err := gpu.New(cfg, []trace.Workload{b.Workload}, gpu.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := sim.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("%s on %s: %v", b.Name, cfg.Name, err)
 			}

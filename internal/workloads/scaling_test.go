@@ -1,11 +1,12 @@
 package workloads_test
 
 import (
+	"context"
 	"testing"
 
+	"gpuscale"
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
-	"gpuscale/internal/gpu"
 	"gpuscale/internal/mrc"
 	"gpuscale/internal/workloads"
 )
@@ -34,11 +35,11 @@ func TestScalingClassesEmerge(t *testing.T) {
 	for _, b := range workloads.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			s8, err := gpu.Run(c8, b.Workload)
+			s8, err := gpuscale.SimulateContext(context.Background(), c8, b.Workload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s128, err := gpu.Run(c128, b.Workload)
+			s128, err := gpuscale.SimulateContext(context.Background(), c128, b.Workload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,11 +100,11 @@ func TestWeakScalingClassesEmerge(t *testing.T) {
 	for _, f := range workloads.WeakAll() {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			s8, err := gpu.Run(config.MustScale(base, 8), f.ForSMs(8))
+			s8, err := gpuscale.SimulateContext(context.Background(), config.MustScale(base, 8), f.ForSMs(8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s128, err := gpu.Run(config.MustScale(base, 128), f.ForSMs(128))
+			s128, err := gpuscale.SimulateContext(context.Background(), config.MustScale(base, 128), f.ForSMs(128))
 			if err != nil {
 				t.Fatal(err)
 			}
