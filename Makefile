@@ -20,34 +20,34 @@ test:
 	$(GO) test ./...
 
 # The concurrency gate: race-enabled tests of every code path that runs on
-# or feeds the worker-pool engine, plus the intra-simulation shard runners
+# or feeds the worker-pool engine, plus the intra-simulation shard runner
 # (internal/parallel's fork-join pool — its wait-ladder tests at GOMAXPROCS=1
 # and with two pools oversubscribing two processors run here — and the
-# gpu/chiplet sharded loops' randomized cross-shard stress cells — see
-# docs/PARALLELISM.md). The harness run is restricted to its concurrency
-# tests (singleflight, pre-warm, progress) and the gpu/chiplet runs to the
-# sharded stress/abort cells because the rest of those suites is sequential
-# simulation that the race detector slows ~7x for no extra coverage;
-# `go test -race ./internal/harness/ ./internal/gpu/ ./internal/chiplet/`
-# still passes if you want the whole packages raced. AllocsPerRun is
-# unreliable under -race, so the zero-allocation guard for the disabled
-# observability path runs as a separate non-race step (noalloc).
+# sharded loop's randomized cross-shard stress cells, over SM groups and
+# over chiplets — see docs/PARALLELISM.md). The harness run is restricted to
+# its concurrency tests (singleflight, pre-warm, progress) and the gpu run to
+# the sharded stress/abort cells because the rest of those suites is
+# sequential simulation that the race detector slows ~7x for no extra
+# coverage; `go test -race ./internal/harness/ ./internal/gpu/` still passes
+# if you want the whole packages raced. AllocsPerRun is unreliable under
+# -race, so the zero-allocation guard for the disabled observability path
+# runs as a separate non-race step (noalloc).
 race: noalloc
 	$(GO) test -race -short ./internal/engine/... ./internal/mrc/... ./internal/obs/... ./internal/parallel/... ./internal/server/... ./internal/uarch/...
 	$(GO) test -race -short -run 'Singleflight|Prewarm|Parallel|ResultStore' ./internal/harness/
-	$(GO) test -race -short -run 'TestShardedRandomCrossTrafficStress|TestShardedMaxCyclesAborts' ./internal/chiplet/
 	$(GO) test -race -short -run 'TestGPUShardedRandomCrossTrafficStress|TestGPUShardedMaxCyclesAborts' ./internal/gpu/
 
 # The zero-cost-when-disabled guard: with a nil observer the simulator hot
 # path must not allocate — neither the observability hooks themselves nor a
-# post-warm-up steady-state kernel run (warp ticks, CTA launches, cache and
-# MSHR traffic, event-skip bookkeeping) — and a sharded run loop's phase
+# post-warm-up steady-state kernel run on a GPU or a multi-chiplet package
+# (warp ticks, CTA launches, cache and MSHR traffic, first-touch page
+# lookups, event-skip bookkeeping) — and a sharded run loop's phase
 # fork-join (Pool.Run) must not either. Run without -race (see above).
 noalloc:
 	$(GO) test -run 'TestNilObserverNoAllocs' .
 	$(GO) test -run 'TestNilHooksNoAllocs' ./internal/obs/
 	$(GO) test -run 'TestPoolRunNoAllocs' ./internal/parallel/
-	$(GO) test -run 'TestSteadyStateNoAllocs' ./internal/gpu/ ./internal/chiplet/
+	$(GO) test -run 'TestSteadyStateNoAllocs' ./internal/gpu/
 
 # The repository benchmark (contract in BENCHMARK.json, method in
 # bench/README.md): five workloads from SM tick to gpuscaled response bytes.

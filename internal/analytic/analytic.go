@@ -1,6 +1,6 @@
 // Package analytic is the microsecond-scale prediction tier: a purely
-// analytical model of the simulators in internal/gpu and internal/chiplet
-// that estimates IPC, f_mem and the LLC miss-rate curve from a workload's
+// analytical model of the internal/gpu simulator, monolithic and
+// multi-chiplet, that estimates IPC, f_mem and the LLC miss-rate curve from a workload's
 // *static* structure — no instruction is ever replayed and no simulator
 // state exists.
 //

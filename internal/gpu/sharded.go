@@ -383,9 +383,8 @@ func (sh *shard) CycleEnd(now int64) {
 // phases is a sharded run's pool and its two phase functions, built once
 // per run.
 type phases struct {
-	pool   *parallel.Pool
-	a, b   func(int)
-	serial bool // the post-L1 replay is the coordinator's: one domain
+	pool *parallel.Pool
+	a, b func(int)
 }
 
 func (s *Simulator) newPhases(ctx context.Context) *phases {
@@ -394,10 +393,9 @@ func (s *Simulator) newPhases(ctx context.Context) *phases {
 		label = "mcm"
 	}
 	return &phases{
-		pool:   parallel.NewPoolLabeled(ctx, len(s.shards), label),
-		a:      func(i int) { s.shards[i].phaseA() },
-		b:      func(i int) { s.shards[i].phaseB() },
-		serial: s.shardOfDom == nil,
+		pool: parallel.NewPoolLabeled(ctx, len(s.shards), label),
+		a:    func(i int) { s.shards[i].phaseA() },
+		b:    func(i int) { s.shards[i].phaseB() },
 	}
 }
 
@@ -413,10 +411,11 @@ func (s *Simulator) stepSharded(ph *phases) {
 		sh.dependent = false
 	}
 	if deferred {
-		// An access waiting for another's completion (dependent) forces the
-		// whole cycle's replay into the serial global order, of which phase
+		// One domain has no owner shard: the coordinator replays. An access
+		// waiting for another's completion (dependent) forces the whole
+		// cycle's replay into that serial global order too, of which phase
 		// B's per-owner order is a projection.
-		serial := ph.serial || dependent
+		serial := s.shardOfDom == nil || dependent
 		for _, sh := range s.shards {
 			for i := range sh.deferred {
 				rec := &sh.deferred[i]

@@ -180,7 +180,7 @@ type prewarmUnit struct {
 	curve bool                  // collect the MRC instead of a timing run
 	cfgs  []config.SystemConfig // curve configurations (curve units only)
 
-	chiplet    bool // run on the MCM simulator instead
+	chiplet    bool // run the MCM configuration instead
 	chipletCfg config.ChipletConfig
 }
 

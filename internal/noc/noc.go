@@ -21,7 +21,7 @@ import (
 	"gpuscale/internal/obs"
 )
 
-// Network is the interface the gpu and chiplet simulators drive: a
+// Network is the interface the gpu simulator drives, one per memory domain: a
 // destination-ported interconnect that schedules transfers and reports
 // utilisation. Both Crossbar and Deflect implement it.
 type Network interface {

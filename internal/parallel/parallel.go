@@ -1,6 +1,5 @@
-// Package parallel is the shard-runner pool behind both cycle simulators'
-// sharded execution modes (internal/gpu and internal/chiplet with
-// Options.Shards > 1). It owns exactly one thing: a fork-join over a fixed
+// Package parallel is the shard-runner pool behind the cycle simulator's
+// sharded execution mode (internal/gpu with Options.Shards > 1). It owns exactly one thing: a fork-join over a fixed
 // set of shards. Run(fn) executes fn(shard) once per shard — shard 0 on the
 // calling goroutine, shards 1..n-1 on worker goroutines pinned to their
 // shard id for the pool's lifetime — and returns when every shard has

@@ -1,9 +1,8 @@
-// Package timing is the shared cycle-advance kernel behind the event-driven
-// run loops of internal/gpu and internal/chiplet. It owns the wake-up
-// machinery both simulators previously duplicated — which units are due at
-// which cycle, in what order they tick within a cycle, how far the clock may
-// skip when nobody can issue, and the lazy stall-accrual bookkeeping that
-// keeps per-cycle classification exact without touching stalled units.
+// Package timing is the cycle-advance kernel behind the event-driven run
+// loop of internal/gpu. It owns the wake-up machinery — which units are due
+// at which cycle, in what order they tick within a cycle, how far the clock
+// may skip when nobody can issue, and the lazy stall-accrual bookkeeping
+// that keeps per-cycle classification exact without touching stalled units.
 //
 // The wake-up structure is hierarchical:
 //
@@ -59,9 +58,8 @@
 // # Phase API and barrier ordering
 //
 // Step is also exposed as its composable phases, which is how the sharded
-// run loops (internal/gpu and internal/chiplet with Options.Shards > 1,
-// coordinated by internal/parallel) drive one private Kernel per shard in
-// lockstep:
+// run loop (internal/gpu with Options.Shards > 1, coordinated by
+// internal/parallel) drives one private Kernel per shard in lockstep:
 //
 //   - TickCycle drains the current cycle's due units (ascending unit id
 //     within each shard's kernel) and reports whether any unit issued.
@@ -98,7 +96,7 @@ const NoWake int64 = -1
 // DefaultHorizon is the due-wheel span in cycles when Config.Horizon is 0.
 // 64 keeps the occupancy mask a single word while covering the short
 // wake-up distances (compute latencies, L1/LLC hits and queueing) that
-// dominate both simulators' reschedules.
+// dominate the simulator's reschedules.
 const DefaultHorizon = 64
 
 // Outcome is what Driver.TickUnit reports back for one unit tick.
@@ -142,8 +140,8 @@ type Driver interface {
 
 // Config sizes a Kernel.
 type Config struct {
-	// Units is the number of tickable units (SMs, chip-major across
-	// chiplets in the MCM simulator).
+	// Units is the number of tickable units (SMs, domain-major on a
+	// multi-chiplet package).
 	Units int
 	// Horizon is the due-wheel span in cycles: a power of two in [1, 64],
 	// or 0 for DefaultHorizon. Wake-ups closer than Horizon cycles go to
