@@ -72,12 +72,24 @@ func TestEventLoopMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := []struct {
+	type cell struct {
 		name string
 		m    machine
 		w    func() trace.Workload
 		opt  Options
-	}{
+	}
+	check := func(t *testing.T, c cell) {
+		ev := mustSimulate(t, c.m, c.opt, c.w())
+		if c.name == "stream/mshr-stall" && ev.MSHRStalls == 0 {
+			t.Error("no MSHR stalls: the cell no longer reaches the full-file path")
+		}
+		legacyOpt := c.opt
+		legacyOpt.UseLegacyLoop = true
+		if lg := mustSimulate(t, c.m, legacyOpt, c.w()); ev != lg {
+			t.Errorf("stats diverge between loops\nevent  %+v\nlegacy %+v", ev, lg)
+		}
+	}
+	for _, c := range []cell{
 		{"compute/8sm", mono(testConfig(8)), func() trace.Workload { return computeWorkload(64, 4, 200) }, Options{}},
 		{"stream/8sm", mono(testConfig(8)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
 		{"stream/16sm", mono(testConfig(16)), func() trace.Workload { return streamWorkload(96, 4, 60) }, Options{}},
@@ -87,27 +99,22 @@ func TestEventLoopMatchesLegacy(t *testing.T) {
 		{"stream/horizon-dram", mono(horizonConfig(8, 52)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
 		{"stream/mshr-stall", mono(mshrStallConfig(8, 4)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
 		{"stream/wide-sm", mono(wideSMConfig(8)), func() trace.Workload { return streamWorkload(256, 4, 30) }, Options{}},
-		{"mcm/compute/2c", mcm(smallMCM(2, 4)), func() trace.Workload { return computeWorkload(32, 2, 50) }, Options{}},
-		{"mcm/stream/2c", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
-		{"mcm/stream/contiguous", mcm(contiguousMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
-		{"mcm/bfs/4c", mcm(config.MustScaleChiplets(config.Target16Chiplet(), 4)), func() trace.Workload { return bfs.Workload }, Options{}},
-		{"mcm/stream/horizon-dram", mcm(horizonMCM(2, 4, 15)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
-		{"mcm/stream/mshr-stall", mcm(mshrStallMCM(2, 4, 4)), func() trace.Workload { return mcmStreamWorkload(64, 4, 30) }, Options{}},
-		{"mcm/stream/warmup", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{WarmupInstructions: 3000}},
+	} {
+		t.Run(c.name, func(t *testing.T) { check(t, c) })
 	}
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			ev := mustSimulate(t, c.m, c.opt, c.w())
-			if c.name == "stream/mshr-stall" && ev.MSHRStalls == 0 {
-				t.Error("no MSHR stalls: the cell no longer reaches the full-file path")
-			}
-			legacyOpt := c.opt
-			legacyOpt.UseLegacyLoop = true
-			if lg := mustSimulate(t, c.m, legacyOpt, c.w()); ev != lg {
-				t.Errorf("stats diverge between loops\nevent  %+v\nlegacy %+v", ev, lg)
-			}
-		})
-	}
+	t.Run("mcm", func(t *testing.T) {
+		for _, c := range []cell{
+			{"compute/2c", mcm(smallMCM(2, 4)), func() trace.Workload { return computeWorkload(32, 2, 50) }, Options{}},
+			{"stream/2c", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
+			{"stream/contiguous", mcm(contiguousMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
+			{"bfs/4c", mcm(config.MustScaleChiplets(config.Target16Chiplet(), 4)), func() trace.Workload { return bfs.Workload }, Options{}},
+			{"stream/horizon-dram", mcm(horizonMCM(2, 4, 15)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{}},
+			{"stream/mshr-stall", mcm(mshrStallMCM(2, 4, 4)), func() trace.Workload { return mcmStreamWorkload(64, 4, 30) }, Options{}},
+			{"stream/warmup", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }, Options{WarmupInstructions: 3000}},
+		} {
+			t.Run(c.name, func(t *testing.T) { check(t, c) })
+		}
+	})
 }
 
 // TestEventLoopMatchesLegacySequence covers the multi-kernel path: the grid

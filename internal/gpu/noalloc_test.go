@@ -75,13 +75,7 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 		{"prebuilt", func() trace.Workload { return prebuiltWorkload(64, 4, 50) }},
 		{"arena-factory", func() trace.Workload { return arenaFactoryWorkload(64, 4, 50) }},
 	}
-	for _, m := range []struct {
-		prefix string
-		m      machine
-	}{
-		{"", mono(testConfig(8))},
-		{"mcm/", mcm(smallMCM(2, 4))},
-	} {
+	cells := func(t *testing.T, m machine) {
 		for _, loop := range []struct {
 			name string
 			opt  Options
@@ -90,14 +84,14 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 			{"legacy", Options{MaxCycles: 500, UseLegacyLoop: true}},
 		} {
 			for _, wl := range workloads {
-				t.Run(m.prefix+loop.name+"/"+wl.name, func(t *testing.T) {
+				t.Run(loop.name+"/"+wl.name, func(t *testing.T) {
 					const runs = 3
 					// AllocsPerRun invokes the function runs+1 times (one
 					// unmeasured warm-up call), and each invocation consumes
 					// one simulator.
 					sims := make([]*Simulator, 0, runs+1)
 					for len(sims) <= runs {
-						s, err := m.m.build(loop.opt, wl.build())
+						s, err := m.build(loop.opt, wl.build())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -126,4 +120,6 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 			}
 		}
 	}
+	cells(t, mono(testConfig(8)))
+	t.Run("mcm", func(t *testing.T) { cells(t, mcm(smallMCM(2, 4))) })
 }

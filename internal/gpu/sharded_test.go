@@ -74,12 +74,41 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 	one := func(w trace.Workload) func() []trace.Workload {
 		return func() []trace.Workload { return []trace.Workload{w} }
 	}
-	cells := []struct {
+	type cell struct {
 		name string
 		m    machine
 		mk   func() []trace.Workload
 		base Options
-	}{
+	}
+	check := func(t *testing.T, c cell) {
+		run := func(opt Options) outcome {
+			t.Helper()
+			return mustSimulate(t, c.m, opt, c.mk()...)
+		}
+		seq := run(c.base)
+		for _, shards := range []int{2, 3, 4} {
+			opt := c.base
+			opt.Shards = shards
+			if got := run(opt); got != seq {
+				t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
+			}
+		}
+		// One leg on a single processor: the shard pool may not spin
+		// there, so its yield and park stages carry the protocol — the
+		// path a 1-core CI runner takes and a 2-core host never does.
+		// The real benchmarks sit it out: tens of seconds there, and no
+		// protocol path the synthetic cells lack.
+		if strings.HasPrefix(c.name, "bfs/") {
+			return
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		opt := c.base
+		opt.Shards = 3
+		if got := run(opt); got != seq {
+			t.Errorf("GOMAXPROCS=1 shards=3 stats diverge\nsharded    %+v\nsequential %+v", got, seq)
+		}
+	}
+	for _, c := range []cell{
 		{"compute/16sm", mono(testConfig(16)), one(computeWorkload(48, 2, 60)), Options{}},
 		{"stream/16sm", mono(testConfig(16)), one(streamWorkload(48, 2, 40)), Options{}},
 		{"reuse/16sm", mono(testConfig(16)), one(reuseWorkload(48, 2, 1<<18, 40, 0)), Options{}},
@@ -93,50 +122,28 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 		{"sequence/2kernels", mono(testConfig(16)), func() []trace.Workload {
 			return []trace.Workload{streamWorkload(32, 2, 30), reuseWorkload(32, 2, 1<<18, 30, 0)}
 		}, Options{}},
-		{"mcm/compute/4c", mcm(smallMCM(4, 2)), one(computeWorkload(32, 2, 50)), Options{}},
-		{"mcm/stream/4c", mcm(smallMCM(4, 2)), one(mcmStreamWorkload(32, 2, 30)), Options{}},
-		{"mcm/shared/4c", mcm(smallMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{}},
-		{"mcm/shared/contiguous", mcm(contiguousMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{}},
-		{"mcm/random/4c", mcm(smallMCM(4, 2)), one(randomTrafficWorkload(24, 2, 20)), Options{}},
-		{"mcm/bfs/4c", mcm(config.MustScaleChiplets(config.Target16Chiplet(), 4)), one(bfs.Workload), Options{}},
-		{"mcm/stream/horizon-dram", mcm(horizonMCM(4, 2, 15)), one(mcmStreamWorkload(32, 2, 30)), Options{}},
-		{"mcm/stream/mshr-stall", mcm(mshrStallMCM(4, 2, 4)), one(mcmStreamWorkload(64, 4, 30)), Options{}},
-		{"mcm/random/dual-issue", dualIssue(mcm(smallMCM(4, 2))), one(randomTrafficWorkload(32, 4, 25)), Options{}},
-		{"mcm/stream/warmup", mcm(smallMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{WarmupInstructions: 2000}},
-		{"mcm/sequence/2kernels", mcm(smallMCM(4, 2)), func() []trace.Workload {
-			return []trace.Workload{sharedStreamWorkload(16, 2, 20), randomTrafficWorkload(16, 2, 20)}
-		}, Options{}},
+	} {
+		t.Run(c.name, func(t *testing.T) { check(t, c) })
 	}
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			run := func(opt Options) outcome {
-				t.Helper()
-				return mustSimulate(t, c.m, opt, c.mk()...)
-			}
-			seq := run(c.base)
-			for _, shards := range []int{2, 3, 4} {
-				opt := c.base
-				opt.Shards = shards
-				if got := run(opt); got != seq {
-					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
-				}
-			}
-			// One leg on a single processor: the shard pool may not spin
-			// there, so its yield and park stages carry the protocol — the
-			// path a 1-core CI runner takes and a 2-core host never does.
-			// The real benchmarks sit it out: tens of seconds there, and no
-			// protocol path the synthetic cells lack.
-			if strings.Contains(c.name, "bfs/") {
-				return
-			}
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			opt := c.base
-			opt.Shards = 3
-			if got := run(opt); got != seq {
-				t.Errorf("GOMAXPROCS=1 shards=3 stats diverge\nsharded    %+v\nsequential %+v", got, seq)
-			}
-		})
-	}
+	t.Run("mcm", func(t *testing.T) {
+		for _, c := range []cell{
+			{"compute/4c", mcm(smallMCM(4, 2)), one(computeWorkload(32, 2, 50)), Options{}},
+			{"stream/4c", mcm(smallMCM(4, 2)), one(mcmStreamWorkload(32, 2, 30)), Options{}},
+			{"shared/4c", mcm(smallMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{}},
+			{"shared/contiguous", mcm(contiguousMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{}},
+			{"random/4c", mcm(smallMCM(4, 2)), one(randomTrafficWorkload(24, 2, 20)), Options{}},
+			{"bfs/4c", mcm(config.MustScaleChiplets(config.Target16Chiplet(), 4)), one(bfs.Workload), Options{}},
+			{"stream/horizon-dram", mcm(horizonMCM(4, 2, 15)), one(mcmStreamWorkload(32, 2, 30)), Options{}},
+			{"stream/mshr-stall", mcm(mshrStallMCM(4, 2, 4)), one(mcmStreamWorkload(64, 4, 30)), Options{}},
+			{"random/dual-issue", dualIssue(mcm(smallMCM(4, 2))), one(randomTrafficWorkload(32, 4, 25)), Options{}},
+			{"stream/warmup", mcm(smallMCM(4, 2)), one(sharedStreamWorkload(32, 2, 30)), Options{WarmupInstructions: 2000}},
+			{"sequence/2kernels", mcm(smallMCM(4, 2)), func() []trace.Workload {
+				return []trace.Workload{sharedStreamWorkload(16, 2, 20), randomTrafficWorkload(16, 2, 20)}
+			}, Options{}},
+		} {
+			t.Run(c.name, func(t *testing.T) { check(t, c) })
+		}
+	})
 }
 
 // TestGPUShardedSamplesMatchSequential: the interval sampler reads MSHR

@@ -24,52 +24,60 @@ var uarchTestVariants = []struct {
 // TestEventLoopMatchesLegacyUarch extends the bit-identity contract to every
 // microarchitecture variant: the event-driven and dense reference loops must
 // agree bit for bit no matter which scheduler, L1 fill granularity, routing
-// discipline or issue width is simulated, on a GPU and on a package.
+// discipline or issue width is simulated, on a GPU and, under mcm/, on a
+// package.
 func TestEventLoopMatchesLegacyUarch(t *testing.T) {
-	for _, uc := range uarchTestVariants {
-		t.Run(uc.name, func(t *testing.T) {
-			for _, c := range []struct {
-				name string
-				m    machine
-				mk   func() trace.Workload
-			}{
-				{"stream", mono(testConfig(8)), func() trace.Workload { return streamWorkload(48, 4, 40) }},
-				{"reuse", mono(testConfig(8)), func() trace.Workload { return reuseWorkload(48, 4, 1<<16, 40, 2) }},
-				{"mcm-stream", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }},
-			} {
-				opt := Options{Uarch: uc.v}
-				ev := mustSimulate(t, c.m, opt, c.mk())
-				opt.UseLegacyLoop = true
-				if lg := mustSimulate(t, c.m, opt, c.mk()); ev != lg {
-					t.Errorf("%s: stats diverge between loops\nevent  %+v\nlegacy %+v", c.name, ev, lg)
-				}
-			}
-		})
+	type cell struct {
+		name string
+		m    machine
+		mk   func() trace.Workload
 	}
+	variants := func(t *testing.T, cells []cell) {
+		for _, uc := range uarchTestVariants {
+			t.Run(uc.name, func(t *testing.T) {
+				for _, c := range cells {
+					opt := Options{Uarch: uc.v}
+					ev := mustSimulate(t, c.m, opt, c.mk())
+					opt.UseLegacyLoop = true
+					if lg := mustSimulate(t, c.m, opt, c.mk()); ev != lg {
+						t.Errorf("%s: stats diverge between loops\nevent  %+v\nlegacy %+v", c.name, ev, lg)
+					}
+				}
+			})
+		}
+	}
+	variants(t, []cell{
+		{"stream", mono(testConfig(8)), func() trace.Workload { return streamWorkload(48, 4, 40) }},
+		{"reuse", mono(testConfig(8)), func() trace.Workload { return reuseWorkload(48, 4, 1<<16, 40, 2) }},
+	})
+	t.Run("mcm", func(t *testing.T) {
+		variants(t, []cell{
+			{"mcm-stream", mcm(smallMCM(2, 4)), func() trace.Workload { return mcmStreamWorkload(32, 2, 30) }},
+		})
+	})
 }
 
 // TestShardedMatchesSequentialUarch extends the sharded determinism
 // contract to every variant: Shards=N must reproduce the sequential run's
-// statistics bit for bit, over SM groups and over whole chiplets.
+// statistics bit for bit, over SM groups and, under mcm/, over whole
+// chiplets.
 func TestShardedMatchesSequentialUarch(t *testing.T) {
-	for _, uc := range uarchTestVariants {
-		t.Run(uc.name, func(t *testing.T) {
-			for _, c := range []struct {
-				m  machine
-				mk func() trace.Workload
-			}{
-				{mono(testConfig(16)), func() trace.Workload { return randomTrafficWorkload(32, 2, 25) }},
-				{mcm(smallMCM(4, 4)), func() trace.Workload { return mcmStreamWorkload(48, 2, 30) }},
-			} {
-				seq := mustSimulate(t, c.m, Options{Uarch: uc.v}, c.mk())
+	variants := func(t *testing.T, m machine, mk func() trace.Workload) {
+		for _, uc := range uarchTestVariants {
+			t.Run(uc.name, func(t *testing.T) {
+				seq := mustSimulate(t, m, Options{Uarch: uc.v}, mk())
 				for _, shards := range []int{2, 4} {
-					if got := mustSimulate(t, c.m, Options{Uarch: uc.v, Shards: shards}, c.mk()); got != seq {
-						t.Errorf("%s shards=%d diverges\nsharded    %+v\nsequential %+v", c.m.cfg.Name, shards, got, seq)
+					if got := mustSimulate(t, m, Options{Uarch: uc.v, Shards: shards}, mk()); got != seq {
+						t.Errorf("%s shards=%d diverges\nsharded    %+v\nsequential %+v", m.cfg.Name, shards, got, seq)
 					}
 				}
-			}
-		})
+			})
+		}
 	}
+	variants(t, mono(testConfig(16)), func() trace.Workload { return randomTrafficWorkload(32, 2, 25) })
+	t.Run("mcm", func(t *testing.T) {
+		variants(t, mcm(smallMCM(4, 4)), func() trace.Workload { return mcmStreamWorkload(48, 2, 30) })
+	})
 }
 
 // TestOptionsUarchThreading pins the Options.Uarch override semantics on
