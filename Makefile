@@ -1,17 +1,26 @@
 # Development targets. `make quick` is the fast pre-commit gate; `make
 # verify` is the full tier-1 gate (ROADMAP.md) plus static analysis, the
-# race-enabled concurrency tests guarding the parallel experiment engine,
-# and the uarch dispatch gate.
+# gofmt gate, the race-enabled concurrency tests guarding the parallel
+# experiment engine, and the uarch dispatch gate.
 
 GO ?= go
 
-.PHONY: build vet short test race quick verify noalloc uarch-gate smoke bench profile profile-mrc microbench
+.PHONY: build vet fmt short test race quick verify noalloc uarch-gate smoke bench profile profile-mrc microbench
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The formatting gate: gofmt must have nothing to rewrite in any Go file git
+# tracks or would track (ignored build and benchmark leftovers are skipped).
+fmt:
+	@bad=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	if [ -n "$$bad" ]; then \
+		echo "gofmt would rewrite (run gofmt -w on them):"; echo "$$bad"; exit 1; \
+	fi
+	@echo "fmt: ok"
 
 short:
 	$(GO) test -short ./...
@@ -24,7 +33,10 @@ test:
 # (internal/parallel's fork-join pool — its wait-ladder tests at GOMAXPROCS=1
 # and with two pools oversubscribing two processors run here — and the
 # sharded loop's randomized cross-shard stress cells, over SM groups and
-# over chiplets — see docs/PARALLELISM.md). The harness run is restricted to
+# over chiplets, each with phase A always forked, forked by the production
+# rule and always run inline on the coordinator, so shard state handed
+# between worker and coordinator is raced too — see docs/PARALLELISM.md).
+# The harness run is restricted to
 # its concurrency tests (singleflight, pre-warm, progress) and the gpu run to
 # the sharded stress/abort cells because the rest of those suites is
 # sequential simulation that the race detector slows ~7x for no extra
@@ -41,8 +53,9 @@ race: noalloc
 # path must not allocate — neither the observability hooks themselves nor a
 # post-warm-up steady-state kernel run on a GPU or a multi-chiplet package
 # (warp ticks, CTA launches, cache and MSHR traffic, first-touch page
-# lookups, event-skip bookkeeping) — and a sharded run loop's phase
-# fork-join (Pool.Run) must not either. Run without -race (see above).
+# lookups, event-skip bookkeeping) — and a sharded run loop's phase, forked
+# (Pool.Run) or inline (Pool.RunInline), must not either. Run without -race
+# (see above).
 noalloc:
 	$(GO) test -run 'TestNilObserverNoAllocs' .
 	$(GO) test -run 'TestNilHooksNoAllocs' ./internal/obs/
@@ -86,9 +99,13 @@ profile-mrc:
 # count, and one whole miss-rate curve per BenchmarkFunctionalSweep case
 # (ht, bfs, dct; replays sequential and at the default bound): the nightly
 # run keeps them compiling and running. For numbers, raise -benchtime and
-# compare against a parent checkout.
+# compare against a parent checkout. The shard pool's fork-join and the
+# host's bare cross-core round trip run long enough to print a real ns/op:
+# the second is the input internal/gpu's forkMinWork was derived from, so
+# the nightly log tracks it.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/
+	$(GO) test -run '^$$' -bench 'PoolRun|CrossCoreRoundTrip' -benchtime 200000x ./internal/parallel/
 	$(GO) test -run '^$$' -bench FunctionalSweep -benchtime 1x ./internal/mrc/
 
 # Every switch dispatching over uarch variant values ("case uarch.X") must
@@ -122,6 +139,6 @@ uarch-gate:
 smoke:
 	$(GO) run ./cmd/gpuscaled -smoke
 
-quick: build vet race short uarch-gate smoke
+quick: build vet fmt race short uarch-gate smoke
 
-verify: build vet race test uarch-gate smoke
+verify: build vet fmt race test uarch-gate smoke

@@ -244,11 +244,12 @@ func WithOptions(opt SimOptions) SimOption {
 // survives). 0 or 1 means sequential; n above the unit count is clamped
 // to it.
 //
-// Sharding is for target-size runs. Measured on a 2-vCPU host
-// (docs/PARALLELISM.md, "Performance expectations"): two shards pay at
-// >= 64 SMs per shard — 1.24–1.30x on 4-chiplet cells, 1.3x at 128 SMs —
-// and lose at <= 8 SMs per shard — 0.37–0.44x on the 8/16-SM scale models.
-// Run scale models sequentially and parallelise across them (RunJobs).
+// Sharding is for multi-chiplet targets. Measured with two shards on a
+// 2-vCPU host (docs/PARALLELISM.md, "Performance expectations"): 1.0–1.4x
+// on 4-chiplet cells and about 1.1x on the 16-chiplet package; 0.8–1.0x at
+// 128 SMs, where the sequential loop is now as fast; 0.6–1.2x on the
+// 8/16-SM scale models, whose small cycles run on one core anyway. Run
+// scale models sequentially and parallelise across them (RunJobs).
 func WithShards(n int) SimOption {
 	return func(o *SimOptions) { o.Shards = n }
 }

@@ -1,6 +1,7 @@
 // The generated differential test of the simulator's run loops. It draws
 // small random machines — monolithic GPUs of 1–12 SMs or multi-chiplet
-// packages of 1–4 chiplets x 1–4 SMs — with 3–5 LLC slices, MSHR files down
+// packages of 1–4 chiplets x 1–4 SMs, and for a quarter of the cases 32–64
+// SMs or 2–4 chiplets x 8–16 SMs — with 3–5 LLC slices, MSHR files down
 // to one entry, resident-warp counts on both sides of the 64-warp bitmap
 // word, a random microarchitecture variant, sampler interval and warm-up
 // cutoff, and runs random phase programs (1–3 kernels back to back on
@@ -100,6 +101,23 @@ func drawDiffCase(seed int64) diffCase {
 	}
 	for i := 0; i < kernels; i++ {
 		c.Kernels = append(c.Kernels, diffKernel{CTAs: 1 + rng.Intn(24), Warps: 1 + rng.Intn(4), Limit: rng.Intn(4), Seed: rng.Int63()})
+	}
+	// A quarter of the machines are big and busy enough for the sharded
+	// runner's per-cycle work to cross its fork threshold (internal/gpu's
+	// forkMinWork) and fall back under it, so its forked and inline phase A
+	// hand over to each other within one run. Drawn last: the other cases
+	// keep the draws they had before. Their sampler runs no finer than every
+	// 100 cycles; every cycle at 64 SMs took seconds a case.
+	if rng.Intn(4) == 0 {
+		if c.Chiplets > 0 {
+			c.Chiplets, c.SMs = 2+rng.Intn(3), 8+rng.Intn(9)
+		} else {
+			c.SMs = 32 + rng.Intn(33)
+		}
+		for i := range c.Kernels {
+			c.Kernels[i].CTAs = 32 + rng.Intn(32)
+		}
+		c.SampleEvery = max(c.SampleEvery, 100)
 	}
 	return c
 }

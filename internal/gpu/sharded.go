@@ -14,11 +14,14 @@
 //  1. Phase A (parallel, per shard): apply the previous cycle's fix-ups
 //     (applyFixups: MSHR allocation, wake-up repair and reschedule from the
 //     completion cycles stamped at the barrier), then TickCycle on the
-//     shard's kernel. An SM access that misses (or bypasses) its private
-//     L1 is recorded in the shard's deferred list instead of being
-//     resolved, and the issuing warp parks at a provisional far-future
-//     wake-up; L1 hits and MSHR merges resolve locally (they touch only
-//     the SM's own structures), counting into shard-local counters.
+//     shard's kernel. A cycle with too little of that work to pay for the
+//     fork (forkMinWork) runs every shard's phase A on the coordinator
+//     instead, in ascending shard id. An SM access that misses (or
+//     bypasses) its private L1 is recorded in the shard's deferred list
+//     instead of being resolved, and the issuing warp parks at a
+//     provisional far-future wake-up; L1 hits and MSHR merges resolve
+//     locally (they touch only the SM's own structures), counting into
+//     shard-local counters.
 //  2. Serial: walk the deferred accesses in ascending shard id — ascending
 //     global SM id, since shards own contiguous SM ranges, which is exactly
 //     the sequential drain's within-cycle order — giving each page its
@@ -381,10 +384,11 @@ func (sh *shard) CycleEnd(now int64) {
 }
 
 // phases is a sharded run's pool and its two phase functions, built once
-// per run.
+// per run, and whether the last cycle's phase A forked.
 type phases struct {
-	pool *parallel.Pool
-	a, b func(int)
+	pool    *parallel.Pool
+	a, b    func(int)
+	forking bool
 }
 
 func (s *Simulator) newPhases(ctx context.Context) *phases {
@@ -399,10 +403,51 @@ func (s *Simulator) newPhases(ctx context.Context) *phases {
 	}
 }
 
+// forkMinWork is the phase-A work, in SM ticks summed over every shard, at
+// which a cycle's phase A is worth handing to the workers; below it the
+// coordinator runs every shard's phase A itself (Pool.RunInline). Two
+// shards split the ticks about evenly, so forking saves at most half of
+// them and costs one cross-core round trip: fork when n/2 * tick > round
+// trip, i.e. n > 2 * 450 ns (BenchmarkCrossCoreRoundTrip) / 30 ns (the
+// bench's sm.tick_ns) = 30 on a 2-vCPU Xeon host, rounded to 32.
+//
+// Once forking, a run keeps forking until the work drops below half of
+// that: each switch between the two executions moves the ticking SMs'
+// cache lines to the other core, and a 4-chiplet bfs run, whose work
+// hovers around 32, switched every eight cycles and paid 1-3 us for each
+// cycle near the threshold without this. Either execution gives
+// bit-identical results: phase A touches only shard-private state.
+const forkMinWork = 32
+
+// forkAt is the threshold stepSharded applies: forkMinWork, except where
+// the package's tests pin one execution by assigning 0 (always fork) or
+// math.MaxInt (never fork).
+var forkAt = forkMinWork
+
+// phaseAWork counts the SM ticks the coming phase A will run: every shard's
+// due units plus its deferred records from the last cycle, whose fix-ups
+// may make their SMs due now (an upper bound — a store's record wakes
+// nothing, and its SM may be due already).
+func (s *Simulator) phaseAWork() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.tk.Due() + len(sh.deferred)
+	}
+	return n
+}
+
 // stepSharded visits one cycle under the barrier protocol described at the
 // top of this file.
 func (s *Simulator) stepSharded(ph *phases) {
-	ph.pool.Run(ph.a)
+	at := forkAt
+	if ph.forking {
+		at /= 2
+	}
+	if ph.forking = s.phaseAWork() >= at; ph.forking {
+		ph.pool.Run(ph.a)
+	} else {
+		ph.pool.RunInline(ph.a)
+	}
 	issued, dependent, deferred := false, false, false
 	for _, sh := range s.shards {
 		issued = issued || sh.issued

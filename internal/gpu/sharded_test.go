@@ -2,8 +2,10 @@ package gpu
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,6 +62,25 @@ func dualIssue(m machine) machine {
 	return m
 }
 
+// forkThresholds are the values the sharded suites run stepSharded's fork
+// decision at: always fork, the production rule, never fork. The machines
+// here are small enough that the production rule alone would run most of
+// their cycles inline and leave the forked phase A untested.
+var forkThresholds = []struct {
+	name string
+	at   int
+}{{"fork=always", 0}, {"fork=" + strconv.Itoa(forkMinWork), forkMinWork}, {"fork=never", math.MaxInt}}
+
+// atForkThresholds runs leg once per forkThresholds entry with forkAt set to
+// it, and restores the production value afterwards.
+func atForkThresholds(leg func(fork string)) {
+	defer func() { forkAt = forkMinWork }()
+	for _, ft := range forkThresholds {
+		forkAt = ft.at
+		leg(ft.name)
+	}
+}
+
 // TestGPUShardedMatchesSequential is the bit-identity contract of the
 // sharded runner: the same simulation at Shards=1 (sequential event loop)
 // and Shards=N must produce identical statistics — across workload shapes,
@@ -86,13 +107,15 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 			return mustSimulate(t, c.m, opt, c.mk()...)
 		}
 		seq := run(c.base)
-		for _, shards := range []int{2, 3, 4} {
-			opt := c.base
-			opt.Shards = shards
-			if got := run(opt); got != seq {
-				t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
+		atForkThresholds(func(fork string) {
+			for _, shards := range []int{2, 3, 4} {
+				opt := c.base
+				opt.Shards = shards
+				if got := run(opt); got != seq {
+					t.Errorf("%s shards=%d stats diverge\nsharded    %+v\nsequential %+v", fork, shards, got, seq)
+				}
 			}
-		}
+		})
 		// One leg on a single processor: the shard pool may not spin
 		// there, so its yield and park stages carry the protocol — the
 		// path a 1-core CI runner takes and a 2-core host never does.
@@ -104,9 +127,11 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		opt := c.base
 		opt.Shards = 3
-		if got := run(opt); got != seq {
-			t.Errorf("GOMAXPROCS=1 shards=3 stats diverge\nsharded    %+v\nsequential %+v", got, seq)
-		}
+		atForkThresholds(func(fork string) {
+			if got := run(opt); got != seq {
+				t.Errorf("GOMAXPROCS=1 %s shards=3 stats diverge\nsharded    %+v\nsequential %+v", fork, got, seq)
+			}
+		})
 	}
 	for _, c := range []cell{
 		{"compute/16sm", mono(testConfig(16)), one(computeWorkload(48, 2, 60)), Options{}},
@@ -165,9 +190,11 @@ func TestGPUShardedSamplesMatchSequential(t *testing.T) {
 		if len(seq) == 0 {
 			t.Fatal("no samples recorded")
 		}
-		if got := samples(Options{Shards: 3}); !reflect.DeepEqual(got, seq) {
-			t.Errorf("%s shards=3: sample series diverges from sequential (%d vs %d samples)", m.cfg.Name, len(got), len(seq))
-		}
+		atForkThresholds(func(fork string) {
+			if got := samples(Options{Shards: 3}); !reflect.DeepEqual(got, seq) {
+				t.Errorf("%s %s shards=3: sample series diverges from sequential (%d vs %d samples)", m.cfg.Name, fork, len(got), len(seq))
+			}
+		})
 	}
 }
 
@@ -187,11 +214,13 @@ func TestGPUShardedRandomCrossTrafficStress(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			seq := mustSimulate(t, c.m, Options{}, c.w())
-			for _, shards := range c.shards {
-				if got := mustSimulate(t, c.m, Options{Shards: shards}, c.w()); got != seq {
-					t.Errorf("shards=%d stats diverge\nsharded    %+v\nsequential %+v", shards, got, seq)
+			atForkThresholds(func(fork string) {
+				for _, shards := range c.shards {
+					if got := mustSimulate(t, c.m, Options{Shards: shards}, c.w()); got != seq {
+						t.Errorf("%s shards=%d stats diverge\nsharded    %+v\nsequential %+v", fork, shards, got, seq)
+					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -226,20 +255,23 @@ func TestGPUShardsValidation(t *testing.T) {
 					t.Errorf("Shards=%d built %d shard runners", n, len(s.shards))
 				}
 			}
-			s, err := c.m.build(Options{Shards: 99}, c.w())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(s.shards) != c.units {
-				t.Fatalf("Shards=99 built %d shards, want %d", len(s.shards), c.units)
-			}
-			clamped, err := s.run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq := mustSimulate(t, c.m, Options{}, c.w()); clamped != seq {
-				t.Errorf("clamped sharded run diverged\nsharded    %+v\nsequential %+v", clamped, seq)
-			}
+			seq := mustSimulate(t, c.m, Options{}, c.w())
+			atForkThresholds(func(fork string) {
+				s, err := c.m.build(Options{Shards: 99}, c.w())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(s.shards) != c.units {
+					t.Fatalf("Shards=99 built %d shards, want %d", len(s.shards), c.units)
+				}
+				clamped, err := s.run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if clamped != seq {
+					t.Errorf("%s: clamped sharded run diverged\nsharded    %+v\nsequential %+v", fork, clamped, seq)
+				}
+			})
 		})
 	}
 }
@@ -256,18 +288,20 @@ func TestGPUShardedMaxCyclesAborts(t *testing.T) {
 		{"mcm", mcm(smallMCM(2, 2))},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := simulate(c.m, Options{Shards: 2, MaxCycles: 10}, streamWorkload(64, 2, 50)); err == nil {
-				t.Error("MaxCycles exceeded without error")
-			}
-			s, err := c.m.build(Options{Shards: 2}, streamWorkload(64, 2, 50))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if _, err := s.run(ctx); err == nil {
-				t.Error("cancelled context did not abort the sharded run")
-			}
+			atForkThresholds(func(fork string) {
+				if _, err := simulate(c.m, Options{Shards: 2, MaxCycles: 10}, streamWorkload(64, 2, 50)); err == nil {
+					t.Errorf("%s: MaxCycles exceeded without error", fork)
+				}
+				s, err := c.m.build(Options{Shards: 2}, streamWorkload(64, 2, 50))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if _, err := s.run(ctx); err == nil {
+					t.Errorf("%s: cancelled context did not abort the sharded run", fork)
+				}
+			})
 		})
 	}
 }

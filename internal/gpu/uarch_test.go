@@ -66,11 +66,13 @@ func TestShardedMatchesSequentialUarch(t *testing.T) {
 		for _, uc := range uarchTestVariants {
 			t.Run(uc.name, func(t *testing.T) {
 				seq := mustSimulate(t, m, Options{Uarch: uc.v}, mk())
-				for _, shards := range []int{2, 4} {
-					if got := mustSimulate(t, m, Options{Uarch: uc.v, Shards: shards}, mk()); got != seq {
-						t.Errorf("%s shards=%d diverges\nsharded    %+v\nsequential %+v", m.cfg.Name, shards, got, seq)
+				atForkThresholds(func(fork string) {
+					for _, shards := range []int{2, 4} {
+						if got := mustSimulate(t, m, Options{Uarch: uc.v, Shards: shards}, mk()); got != seq {
+							t.Errorf("%s %s shards=%d diverges\nsharded    %+v\nsequential %+v", m.cfg.Name, fork, shards, got, seq)
+						}
 					}
-				}
+				})
 			})
 		}
 	}

@@ -77,7 +77,7 @@ type ResultStore struct {
 	maxBytes int64  // memory-level budget; <= 0 = unbounded
 	mu       sync.Mutex
 	settled  map[string]*storeEntry
-	memBytes int64      // sum of settled entry sizes
+	memBytes int64       // sum of settled entry sizes
 	mru, lru *storeEntry // list ends: mru = most recently used
 	flight   map[string]*storeCall
 }

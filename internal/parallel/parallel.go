@@ -4,7 +4,11 @@
 // calling goroutine, shards 1..n-1 on worker goroutines pinned to their
 // shard id for the pool's lifetime — and returns when every shard has
 // finished. That fork and that join are the two synchronisation points the
-// deterministic sharded run loops are built on.
+// deterministic sharded run loops are built on. RunInline(fn) is the same
+// phase without them: fn(0..n-1) in ascending shard order on the calling
+// goroutine, for a phase whose work would not cover the hand-off. A run
+// loop may pick either entry phase by phase; the workers simply wait
+// through inline phases.
 //
 // # Determinism contract
 //
@@ -61,7 +65,8 @@
 // A panic in a phase function, shard 0's included, is captured; the phase
 // still joins every worker (nobody is stranded mid-phase), and Run re-panics
 // with the lowest shard's panic value — deterministic even when several
-// shards fail in the same phase.
+// shards fail in the same phase. RunInline captures the same way: every
+// shard still runs, and the lowest shard's panic is re-raised.
 package parallel
 
 import (
@@ -175,14 +180,15 @@ type shardPanic struct {
 
 // Pool runs a phase function across a fixed set of shards in lockstep. Use
 // NewPool or NewPoolLabeled; the zero value is unusable. A Pool is not safe
-// for concurrent Run calls — it belongs to one coordinator goroutine, the way
-// a sharded run loop owns one for the duration of a simulation.
+// for concurrent Run or RunInline calls — it belongs to one coordinator
+// goroutine, the way a sharded run loop owns one for the duration of a
+// simulation.
 type Pool struct {
 	n      int
 	procs  int64 // GOMAXPROCS when the pool was built
 	rel    release
 	slots  []slot       // slot i belongs to worker i; slot 0 is unused
-	panics []shardPanic // shard i writes only entry i
+	panics []shardPanic // shard i writes only entry i (the caller, under RunInline)
 	wg     sync.WaitGroup
 
 	// Shard 0 runs on the caller: Run switches the calling goroutine to
@@ -206,7 +212,9 @@ func NewPool(n int) *Pool {
 // the caller's own labels came from (context.Background() if it has none).
 // CPU profiles (-cpuprofile on the CLIs) then attribute samples per shard
 // per simulator, waits included, which is how imbalance between shards is
-// diagnosed.
+// diagnosed. RunInline switches no labels — an inline phase is too short
+// to pay for a switch per shard — so its samples carry the caller's own
+// labels and RunInline on the stack.
 func NewPoolLabeled(ctx context.Context, n int, sim string) *Pool {
 	return newPool(ctx, n, sim)
 }
@@ -257,22 +265,22 @@ func (p *Pool) worker(shard int, labels context.Context) {
 			return
 		}
 		spins = p.rel.spins // for the wait after this phase
-		p.runOne(shard)
+		p.runOne(p.rel.fn, shard)
 		s.arrived.Store(epoch)
 		p.rel.caller.wakeIfParked()
 	}
 }
 
-// runOne executes the current phase function for one shard, capturing a
-// panic so the shard still reaches the join.
-func (p *Pool) runOne(shard int) {
+// runOne executes fn for one shard, capturing a panic so the shard still
+// reaches the join.
+func (p *Pool) runOne(fn func(shard int), shard int) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 16<<10)
 			p.panics[shard] = shardPanic{val: r, stack: buf[:runtime.Stack(buf, false)]}
 		}
 	}()
-	p.rel.fn(shard)
+	fn(shard)
 }
 
 // fork publishes the next epoch to the workers.
@@ -302,7 +310,7 @@ func (p *Pool) Run(fn func(shard int)) {
 		p.rel.spins = spinBudget
 	}
 	epoch := p.fork()
-	p.runOne(0)
+	p.runOne(fn, 0)
 	for i := 1; i < p.n; i++ {
 		p.rel.caller.await(&p.slots[i].arrived, epoch, p.rel.spins)
 	}
@@ -310,6 +318,28 @@ func (p *Pool) Run(fn func(shard int)) {
 	if p.shard0 != nil {
 		pprof.SetGoroutineLabels(p.base)
 	}
+	p.repanic()
+}
+
+// RunInline is Run without the hand-off: fn(0), fn(1), ..., fn(n-1) in
+// ascending shard order, all on the calling goroutine, while the workers
+// stay where they are (spinning, yielding or parked on their wait for the
+// next Run). It is for a phase too small to pay one cross-core round trip.
+// Panics behave exactly as in Run: every shard still runs, and RunInline
+// re-panics with the lowest shard's panic value.
+func (p *Pool) RunInline(fn func(shard int)) {
+	if p.rel.closing {
+		panic("parallel: RunInline on closed pool")
+	}
+	for i := 0; i < p.n; i++ {
+		p.runOne(fn, i)
+	}
+	p.repanic()
+}
+
+// repanic clears the phase's captured panics and, if there were any,
+// re-raises the lowest shard's.
+func (p *Pool) repanic() {
 	for i := range p.panics {
 		if p.panics[i].val != nil {
 			r := p.panics[i]
@@ -322,7 +352,7 @@ func (p *Pool) Run(fn func(shard int)) {
 }
 
 // Close releases the worker goroutines and returns once every one of them
-// has exited. Idempotent; Run after Close panics.
+// has exited. Idempotent; Run or RunInline after Close panics.
 func (p *Pool) Close() {
 	if p.rel.closing {
 		return

@@ -3,6 +3,7 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -184,33 +185,76 @@ func TestParkedWorkersWake(t *testing.T) {
 
 // TestPanicPropagation: a panicking shard must not strand the others, Run
 // must re-panic with the lowest shard's value, and the pool must stay usable
-// for subsequent phases.
+// for subsequent phases. RunInline must behave the same, message for
+// message up to the stack trace.
 func TestPanicPropagation(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	caught := func() (msg string) {
+	caught := func(entry func(func(int))) (msg string) {
 		defer func() {
 			if r := recover(); r != nil {
 				msg = r.(string)
 			}
 		}()
-		p.Run(func(shard int) {
+		entry(func(shard int) {
 			if shard == 1 || shard == 3 {
 				panic("boom")
 			}
 		})
 		return ""
-	}()
-	if !strings.Contains(caught, "shard 1 panicked: boom") {
-		t.Fatalf("Run panic = %q, want lowest-shard panic (shard 1)", caught)
 	}
-	// The pool recovers: the next phase runs cleanly on all shards.
-	ran := make([]bool, 4)
-	p.Run(func(shard int) { ran[shard] = true })
-	for s, ok := range ran {
-		if !ok {
-			t.Fatalf("shard %d did not run after a panic phase", s)
+	head := func(msg string) string { return strings.SplitN(msg, "\n", 2)[0] }
+	forked := caught(p.Run)
+	if !strings.Contains(forked, "shard 1 panicked: boom") {
+		t.Fatalf("Run panic = %q, want lowest-shard panic (shard 1)", forked)
+	}
+	if inline := caught(p.RunInline); head(inline) != head(forked) {
+		t.Fatalf("RunInline panic = %q, Run's = %q", head(inline), head(forked))
+	}
+	// The pool recovers: the next phase runs cleanly on all shards, by
+	// either entry.
+	for _, entry := range []func(func(int)){p.Run, p.RunInline} {
+		ran := make([]bool, 4)
+		entry(func(shard int) { ran[shard] = true })
+		for s, ok := range ran {
+			if !ok {
+				t.Fatalf("shard %d did not run after a panic phase", s)
+			}
 		}
+	}
+}
+
+// TestRunInline pins the inline entry's shape: every shard runs on the
+// calling goroutine in ascending order, and a forked Run after a long
+// inline stretch — long enough for the worker to park — wakes it. Close
+// then leaves no goroutine behind.
+func TestRunInline(t *testing.T) {
+	before := settledGoroutines(t)
+	p := NewPool(3)
+	var order []int
+	caller := goid()
+	p.RunInline(func(shard int) {
+		if g := goid(); g != caller {
+			t.Errorf("shard %d ran on goroutine %s, caller is %s", shard, g, caller)
+		}
+		order = append(order, shard)
+	})
+	if !reflect.DeepEqual(order, []int{0, 1, 2}) {
+		t.Fatalf("RunInline visited shards %v, want [0 1 2]", order)
+	}
+	p.Run(func(int) {}) // the workers wait for the next fork from here
+	deadline := time.Now().Add(ladderBound)
+	for !p.slots[1].parked.Load() || !p.slots[2].parked.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never parked through an inline stretch")
+		}
+		p.RunInline(func(int) {})
+		runtime.Gosched()
+	}
+	runCounted(t, p, 1000)
+	p.Close()
+	if after := settledGoroutines(t); after > before {
+		t.Fatalf("%d goroutines after Close, %d before NewPool", after, before)
 	}
 }
 
@@ -219,7 +263,7 @@ func TestPanicPropagation(t *testing.T) {
 // (with shard 0's value: it is the lowest), and Close must leave no
 // goroutine behind.
 func TestCallerPanicJoinsWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	p := NewPool(4)
 	finished := make([]bool, 4)
 	caught := func() (msg string) {
@@ -249,22 +293,40 @@ func TestCallerPanicJoinsWorkers(t *testing.T) {
 		}
 	}
 	p.Close()
-	if after := runtime.NumGoroutine(); after != before {
+	if after := settledGoroutines(t); after > before {
 		t.Fatalf("%d goroutines after Close, %d before NewPool", after, before)
 	}
+}
+
+// settledGoroutines waits up to a few seconds for every pool worker — this
+// test's or an earlier one's — to be gone, then returns the goroutine count:
+// a worker's deferred wg.Done lets Close return a moment before the
+// goroutine itself exits. Callers compare counts with >, because an earlier
+// test's own goroutine may still be exiting when the baseline is taken.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for strings.Contains(string(buf[:runtime.Stack(buf, true)]), "parallel.(*Pool).worker") {
+		if time.Now().After(deadline) {
+			t.Fatal("a pool worker outlived Close")
+		}
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
 }
 
 // TestCloseWaitsForWorkers: Close returns only once the workers are gone,
 // whichever stage of the ladder they were waiting in.
 func TestCloseWaitsForWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines(t)
 	for _, idle := range []time.Duration{0, 20 * time.Millisecond} {
 		p := NewPool(5)
 		p.Run(func(int) {})
 		time.Sleep(idle)
 		p.Close()
 		p.Close()
-		if after := runtime.NumGoroutine(); after != before {
+		if after := settledGoroutines(t); after > before {
 			t.Fatalf("idle %v: %d goroutines after Close, %d before NewPool", idle, after, before)
 		}
 	}
@@ -336,8 +398,9 @@ func labelsOfWorker(t *testing.T) string { return goroutineLabels(t, "labelsOfWo
 func labelsAfterRun(t *testing.T) string { return goroutineLabels(t, "labelsAfterRun") }
 
 // TestPoolRunNoAllocs: a phase costs no allocation once the phase function
-// is built — the sharded run loops call Run millions of times (`make
-// noalloc`; AllocsPerRun is unreliable under -race).
+// is built, forked or inline — the sharded run loops call Run and RunInline
+// millions of times (`make noalloc`; AllocsPerRun is unreliable under
+// -race).
 func TestPoolRunNoAllocs(t *testing.T) {
 	for _, labeled := range []bool{false, true} {
 		var p *Pool
@@ -350,20 +413,27 @@ func TestPoolRunNoAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(1000, func() { p.Run(fn) }); a != 0 {
 			t.Errorf("labeled=%v: Pool.Run allocates %.1f times per phase, want 0", labeled, a)
 		}
+		if a := testing.AllocsPerRun(1000, func() { p.RunInline(fn) }); a != 0 {
+			t.Errorf("labeled=%v: Pool.RunInline allocates %.1f times per phase, want 0", labeled, a)
+		}
 		p.Close()
 	}
 }
 
-// TestRunAfterClosePanics pins the misuse guard.
+// TestRunAfterClosePanics pins the misuse guard on both entries.
 func TestRunAfterClosePanics(t *testing.T) {
 	p := NewPool(2)
 	p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run after Close did not panic")
-		}
-	}()
-	p.Run(func(int) {})
+	for name, entry := range map[string]func(func(int)){"Run": p.Run, "RunInline": p.RunInline} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Close did not panic", name)
+				}
+			}()
+			entry(func(int) {})
+		}()
+	}
 }
 
 // TestPoolSizeValidation pins the constructor guard.

@@ -49,6 +49,17 @@ func (h *Heap) Contains(unit int) bool { return h.pos[unit] >= 0 }
 // empty heap.
 func (h *Heap) MinKey() int64 { return h.key[0] }
 
+// Due returns how many units are scheduled at or before cycle c. It visits
+// only those entries and their children, so it costs O(result).
+func (h *Heap) Due(c int64) int { return h.due(0, c) }
+
+func (h *Heap) due(i int, c int64) int {
+	if i >= h.size || h.key[i] > c {
+		return 0
+	}
+	return 1 + h.due(2*i+1, c) + h.due(2*i+2, c)
+}
+
 // Pop removes and returns the unit with the earliest wake-up cycle; among
 // equal cycles, the smallest unit index.
 func (h *Heap) Pop() (unit int, key int64) {

@@ -68,7 +68,8 @@ func TestHeapRemove(t *testing.T) {
 }
 
 // TestHeapRandomizedAgainstSort drives the heap with random Set/Remove/Pop
-// traffic and checks every drain comes out in (cycle, unit) order.
+// traffic and checks that Due counts the entries at or before a cycle and
+// every drain comes out in (cycle, unit) order.
 func TestHeapRandomizedAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const units = 64
@@ -103,6 +104,16 @@ func TestHeapRandomizedAgainstSort(t *testing.T) {
 		})
 		if h.Len() != len(want) {
 			t.Fatalf("trial %d: Len() = %d, want %d", trial, h.Len(), len(want))
+		}
+		c := int64(rng.Intn(52)) - 1
+		due := 0
+		for _, w := range want {
+			if w.key <= c {
+				due++
+			}
+		}
+		if got := h.Due(c); got != due {
+			t.Fatalf("trial %d: Due(%d) = %d, want %d", trial, c, got, due)
 		}
 		for i, w := range want {
 			u, k := h.Pop()

@@ -313,7 +313,7 @@ func TestServerProtocol(t *testing.T) {
 	}{
 		{"/v1/simulate", `not json`, http.StatusBadRequest},
 		{"/v1/simulate", `{"op":"simulate","workload":{"bench":"zzz"},"target":{"sms":8}}`, http.StatusBadRequest},
-		{"/v1/simulate", `{"op":"predict","workload":{"bench":"dct"}}`, http.StatusBadRequest}, // op/path mismatch
+		{"/v1/simulate", `{"op":"predict","workload":{"bench":"dct"}}`, http.StatusBadRequest},  // op/path mismatch
 		{"/v1/simulate", `{"op":"simulate","workload":{"bench":"dct"}}`, http.StatusBadRequest}, // no target
 		{"/v1/predict", `{"workload":{"bench":"dct"}}`, http.StatusOK},                          // op filled from path
 	}

@@ -62,7 +62,8 @@
 // internal/parallel) drives one private Kernel per shard in lockstep:
 //
 //   - TickCycle drains the current cycle's due units (ascending unit id
-//     within each shard's kernel) and reports whether any unit issued.
+//     within each shard's kernel) and reports whether any unit issued; Due
+//     counts them beforehand, so a coordinator can size the cycle's work.
 //   - FinishCycle runs the driver's CycleEnd hook and the AccrueTick batch.
 //   - NextPending exposes the earliest pending wake-up so a coordinator can
 //     take the minimum across kernels.
@@ -289,6 +290,18 @@ func (k *Kernel) Reschedule(unit int, c int64) {
 
 // WakeAt returns the unit's pending wake-up cycle, or NoWake if it is idle.
 func (k *Kernel) WakeAt(unit int) int64 { return k.wakeAt[unit] }
+
+// Due returns how many units the next TickCycle will tick, as things stand:
+// the current wheel slot's units plus the heap entries that have come due.
+// A coordinator reads it to size a cycle's work before dispatching it.
+func (k *Kernel) Due() int {
+	n := k.heap.Due(k.now)
+	base := int(k.now&k.hmask) * k.words
+	for _, w := range k.wheel[base : base+k.words] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // dropBusyIfEmpty clears the slot's occupancy bit when its bitset drained
 // to zero, so the skip scan cannot stop at a cycle with nothing due (which

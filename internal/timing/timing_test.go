@@ -308,7 +308,8 @@ func TestScheduleNowReplacesPendingWake(t *testing.T) {
 // runKernelPhases replays a script through the decomposed phase API the way
 // the sharded coordinator does — TickCycle, FinishCycle, then NextPending /
 // AdvanceTo with the caller making Step's advance decision — so any drift
-// between Step and its pieces fails the property test below.
+// between Step and its pieces fails the property test below. Before each
+// TickCycle it checks that Due predicts exactly how many units will tick.
 func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver, *Kernel) {
 	t.Helper()
 	d := newScriptDriver(script)
@@ -328,7 +329,11 @@ func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver,
 		if !k.Pending() {
 			break
 		}
+		due, before := k.Due(), len(d.ticks)
 		issued := k.TickCycle()
+		if ticked := len(d.ticks) - before; ticked != due {
+			t.Fatalf("cycle %d: Due() = %d, TickCycle ticked %d units", k.Now(), due, ticked)
+		}
 		k.FinishCycle()
 		next := k.NextPending()
 		if issued || next < k.Now()+1 {

@@ -52,7 +52,7 @@ func TestDescribePhases(t *testing.T) {
 	p := NewPhaseProgram(
 		Phase{N: 14, ComputePer: 6, Gen: &SeqGen{Stride: 128, Extent: 1 << 20}},
 		Phase{N: 0, ComputePer: 1, Gen: &SeqGen{Stride: 128, Extent: 128}}, // skipped
-		Phase{N: 5, ComputePer: 2},                                        // pure compute
+		Phase{N: 5, ComputePer: 2}, // pure compute
 		Phase{N: 3, ComputePer: 0, Store: true, Flags: BypassL1, Gen: NewRandGen(0, 128, 1<<16, 1)},
 	)
 	descs := p.DescribePhases()
