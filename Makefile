@@ -102,11 +102,14 @@ profile-mrc:
 # compare against a parent checkout. The shard pool's fork-join and the
 # host's bare cross-core round trip run long enough to print a real ns/op:
 # the second is the input internal/gpu's forkMinWork was derived from, so
-# the nightly log tracks it.
+# the nightly log tracks it. BenchmarkHandleCachedAnalytic is the daemon's
+# cheapest answer (a stored analytic body through Handler, no loopback),
+# also long enough for a real ns/op and allocs/op.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/
 	$(GO) test -run '^$$' -bench 'PoolRun|CrossCoreRoundTrip' -benchtime 200000x ./internal/parallel/
 	$(GO) test -run '^$$' -bench FunctionalSweep -benchtime 1x ./internal/mrc/
+	$(GO) test -run '^$$' -bench HandleCachedAnalytic -benchtime 20000x ./internal/server/
 
 # Every switch dispatching over uarch variant values ("case uarch.X") must
 # carry a panicking default, so adding a new variant axis value fails loudly

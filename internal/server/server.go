@@ -115,6 +115,8 @@ type Server struct {
 
 	sweep    func(gpuscale.WorkloadSpec) (gpuscale.Curve, error) // sweepStandard; a seam for tests
 	sweeping sync.WaitGroup                                      // running sweep goroutines
+
+	predict func(gpuscale.Request) (gpuscale.AnalyticPrediction, error) // gpuscale.PredictAnalytic; a seam for tests
 }
 
 // New builds a Server (creating the store directory if needed) and starts
@@ -147,6 +149,7 @@ func New(opt Options) (*Server, error) {
 		tenants: make(map[string]chan struct{}),
 		curves:  make(map[gpuscale.WorkloadSpec]*curveFlight),
 		sweep:   sweepStandard,
+		predict: gpuscale.PredictAnalytic,
 	}
 	s.m = metrics{
 		hitsMem:   reg.Counter("server/cache/hits_memory"),
@@ -290,7 +293,7 @@ func (s *Server) handle(op string, w http.ResponseWriter, r *http.Request) {
 	body, src, err := s.store.Do(r.Context(), hash, func() ([]byte, error) {
 		return s.eval(r.Context(), req, hash)
 	})
-	s.m.latencyMS.Observe(float64(time.Since(start).Milliseconds()))
+	s.m.latencyMS.Observe(sinceMS(start))
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client is gone; nothing useful can be written.
@@ -308,45 +311,61 @@ func (s *Server) handle(op string, w http.ResponseWriter, r *http.Request) {
 
 // servePredictFast is the analytic latency tier (docs/ANALYTIC.md): answer
 // a predict request in microseconds from the analytical model, with no
-// simulation anywhere on the path. It reports whether the request was
-// fully served; false means an auto-tier request whose analytic
-// confidence fell below the escalation threshold — the caller then runs
-// the cycle pipeline.
+// simulation anywhere on the path. A tier=analytic request asks the store
+// first and runs the model only when no body is stored under its analytic
+// key; tier=auto serves a settled cycle body if there is one, and
+// otherwise runs the model for its confidence before the analytic lookup.
+// It reports whether the request was fully served; false means an
+// auto-tier request whose analytic confidence fell below the escalation
+// threshold — the caller then runs the cycle pipeline.
 func (s *Server) servePredictFast(w http.ResponseWriter, r *http.Request, req gpuscale.Request, hash string, start time.Time) bool {
+	compute := func() ([]byte, error) {
+		ap, err := s.predict(req)
+		if err != nil {
+			return nil, err
+		}
+		return marshalAnalytic(ap, req, hash)
+	}
 	if req.Options.Tier == gpuscale.TierAuto {
 		// A settled cycle response outranks any estimate, and serving it
 		// costs no more than the analytic path would.
 		if body, src, ok := s.store.Lookup(hash); ok {
-			s.m.latencyMS.Observe(float64(time.Since(start).Milliseconds()))
+			s.m.latencyMS.Observe(sinceMS(start))
 			s.countSource(src)
 			s.m.tierServed[gpuscale.TierCycle].Inc()
 			writeBody(w, hash, gpuscale.TierCycle, src, body)
 			return true
 		}
+		ap, err := s.predict(req)
+		if err != nil {
+			s.m.errors.Inc()
+			writeError(w, http.StatusInternalServerError, err)
+			return true
+		}
+		if ap.Confidence < s.opt.ConfidenceThreshold {
+			return false
+		}
+		compute = func() ([]byte, error) { return marshalAnalytic(ap, req, hash) }
 	}
-	ap, err := gpuscale.PredictAnalytic(req)
-	if err != nil {
-		s.m.errors.Inc()
-		writeError(w, http.StatusInternalServerError, err)
-		return true
-	}
-	if req.Options.Tier == gpuscale.TierAuto && ap.Confidence < s.opt.ConfidenceThreshold {
-		return false
-	}
-	body, src, err := s.store.Do(r.Context(), gpuscale.AnalyticCacheKey(hash), func() ([]byte, error) {
-		return marshalAnalytic(ap, req, hash)
-	})
+	body, src, err := s.store.Do(r.Context(), gpuscale.AnalyticCacheKey(hash), compute)
 	if err != nil {
 		s.m.errors.Inc()
 		writeError(w, http.StatusInternalServerError, err)
 		return true
 	}
 	s.m.analyticUS.Observe(float64(time.Since(start).Microseconds()))
-	s.m.latencyMS.Observe(float64(time.Since(start).Milliseconds()))
+	s.m.latencyMS.Observe(sinceMS(start))
 	s.countSource(src)
 	s.m.tierServed[gpuscale.TierAnalytic].Inc()
 	writeBody(w, hash, gpuscale.TierAnalytic, src, body)
 	return true
+}
+
+// sinceMS is the host time since start in fractional milliseconds, the
+// unit of server/latency_ms: a cache hit takes well under a millisecond and
+// must still move the histogram's sum.
+func sinceMS(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // countSource bumps the cache counter matching a store source.

@@ -327,3 +327,60 @@ func TestServerProtocol(t *testing.T) {
 		}
 	}
 }
+
+// TestServerLatencyHistogramFractional pins server/latency_ms's unit:
+// observations are fractional milliseconds, so cache hits — each well under
+// a millisecond — still move the histogram's sum instead of recording 0.
+func TestServerLatencyHistogramFractional(t *testing.T) {
+	eval := func(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
+		return []byte(`{}`), nil
+	}
+	s, ts := newTestServer(t, Options{Eval: eval})
+	body := `{"op":"simulate","target":{"sms":8},"workload":{"bench":"dct"}}`
+	if code, _, got := post(t, ts.Client(), ts.URL, "/v1/simulate", body, ""); code != http.StatusOK {
+		t.Fatalf("first simulate: %d %s", code, got)
+	}
+	before := s.m.latencyMS.Sum()
+	const hits = 8
+	for i := 0; i < hits; i++ {
+		code, hdr, got := post(t, ts.Client(), ts.URL, "/v1/simulate", body, "")
+		if code != http.StatusOK || hdr.Get("X-Cache") != "memory" {
+			t.Fatalf("hit %d: %d X-Cache=%q %s, want a 200 memory hit", i, code, hdr.Get("X-Cache"), got)
+		}
+	}
+	if n := s.m.latencyMS.Count(); n != hits+1 {
+		t.Errorf("latency histogram count = %d, want %d", n, hits+1)
+	}
+	if after := s.m.latencyMS.Sum(); after <= before {
+		t.Errorf("latency sum stayed at %v ms over %d cache hits; sub-millisecond hits must count", after, hits)
+	}
+}
+
+// BenchmarkHandleCachedAnalytic measures the daemon's cheapest answer: a
+// tier=analytic predict whose body the memory store already holds, served
+// by Handler into a recorder with no network in between — intake, hash,
+// store lookup and response headers.
+func BenchmarkHandleCachedAnalytic(b *testing.B) {
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	body := `{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"analytic"}}`
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)))
+		return rec
+	}
+	if rec := serve(); rec.Code != http.StatusOK {
+		b.Fatalf("filling the store: %d %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "memory" {
+			b.Fatalf("cached analytic predict: %d X-Cache=%q", rec.Code, rec.Header().Get("X-Cache"))
+		}
+	}
+}

@@ -9,9 +9,15 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"gpuscale"
+	"gpuscale/internal/harness"
 )
 
 // TestServerAnalyticTier exercises the simulation-free fast path: an
@@ -62,6 +68,73 @@ func TestServerAnalyticTier(t *testing.T) {
 	}
 	if v := metric(t, ts.URL, "server_sims_started"); v != 0 {
 		t.Errorf("server_sims_started = %d, want 0 (no simulation on the analytic path)", v)
+	}
+}
+
+// TestServerAnalyticStoreFirst pins the analytic tier's order: a direct
+// analytic request asks the store before it runs the model. A sentinel body
+// stored under the request's analytic key must come back verbatim from
+// disk while the injected model records every call; a request with nothing
+// stored runs the model, whose error answers 500 and counts a server error.
+func TestServerAnalyticStoreFirst(t *testing.T) {
+	dir := t.TempDir()
+	stored := `{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"analytic"}}`
+	req, err := gpuscale.ParseRequest([]byte(stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hash, err := gpuscale.Canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinel := []byte(`{"sentinel":"stored analytic body"}`)
+	seed, err := harness.NewResultStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := seed.Do(context.Background(), gpuscale.AnalyticCacheKey(hash), func() ([]byte, error) {
+		return sentinel, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Options{StoreDir: dir, Workers: 1})
+	var runs atomic.Int32
+	s.predict = func(gpuscale.Request) (gpuscale.AnalyticPrediction, error) {
+		runs.Add(1)
+		return gpuscale.AnalyticPrediction{}, errors.New("model failure")
+	}
+
+	code, hdr, got := post(t, ts.Client(), ts.URL, "/v1/predict", stored, "")
+	if code != http.StatusOK {
+		t.Fatalf("stored analytic predict: %d %s", code, got)
+	}
+	if !bytes.Equal(got, sentinel) {
+		t.Errorf("body = %s, want the stored sentinel %s", got, sentinel)
+	}
+	if v := hdr.Get("X-Cache"); v != "disk" {
+		t.Errorf("X-Cache = %q, want disk", v)
+	}
+	if v := hdr.Get("X-Tier"); v != "analytic" {
+		t.Errorf("X-Tier = %q, want analytic", v)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("the model ran %d times for a stored analytic body, want 0", n)
+	}
+
+	fresh := `{"op":"predict","workload":{"bench":"bfs"},"options":{"tier":"analytic"}}`
+	code, _, got = post(t, ts.Client(), ts.URL, "/v1/predict", fresh, "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(got), "model failure") {
+		t.Errorf("unstored analytic predict with a failing model: %d %s, want 500 with the model error", code, got)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("the model ran %d times for an unstored body, want 1", n)
+	}
+	if v := metric(t, ts.URL, "server_errors"); v != 1 {
+		t.Errorf("server_errors = %d, want 1", v)
+	}
+	if v := metric(t, ts.URL, "server_tier_analytic"); v != 1 {
+		t.Errorf("server_tier_analytic = %d, want 1", v)
 	}
 }
 

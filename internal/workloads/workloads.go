@@ -14,6 +14,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"gpuscale/internal/trace"
 )
@@ -134,22 +135,40 @@ func hotWalk(a *trace.Arena, cta, warp int, hot uint64) *trace.SeqGen {
 	return a.Seq(hotRegion, start, lineSize, hot)
 }
 
-// All returns the 21 strong-scaling benchmarks in the paper's Table II
+// suite lists the strong-scaling constructors in the paper's Table II
 // order: super-linear first, then sub-linear, then linear.
-func All() []Benchmark {
-	return []Benchmark{
-		DCT(), FWT(), BP(), VA(), AS(), LU(), ST(),
-		BFS(), UNet(), SR(), GR(), BTree(),
-		PF(), Res50(), Res34(), HT(), AT(), GEMM(), TwoMM(), LBM(), BS(),
-	}
+var suite = []func() Benchmark{
+	DCT, FWT, BP, VA, AS, LU, ST,
+	BFS, UNet, SR, GR, BTree,
+	PF, Res50, Res34, HT, AT, GEMM, TwoMM, LBM, BS,
 }
 
-// ByName returns the benchmark with the given abbreviation.
+// All returns the 21 strong-scaling benchmarks in the paper's Table II
+// order.
+func All() []Benchmark {
+	out := make([]Benchmark, len(suite))
+	for i, ctor := range suite {
+		out[i] = ctor()
+	}
+	return out
+}
+
+// byName maps each abbreviation to its constructor. It is built once, on
+// the first ByName call, by running every constructor a single time: the
+// serving path resolves a benchmark several times per request and must
+// not rebuild the whole suite for each lookup.
+var byName = sync.OnceValue(func() map[string]func() Benchmark {
+	m := make(map[string]func() Benchmark, len(suite))
+	for _, ctor := range suite {
+		m[ctor().Name] = ctor
+	}
+	return m
+})
+
+// ByName returns a freshly built benchmark with the given abbreviation.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, nil
-		}
+	if ctor, ok := byName()[name]; ok {
+		return ctor(), nil
 	}
 	return Benchmark{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }

@@ -66,6 +66,52 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameMatchesAll pins the name index against the suite: for every
+// entry of All, ByName builds the same benchmark — metadata, launch
+// geometry and the leading instruction streams of warps (0,0) and (7,3).
+func TestByNameMatchesAll(t *testing.T) {
+	for _, want := range All() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMeta, wantMeta := got, want
+		gotMeta.Workload, wantMeta.Workload = nil, nil
+		if gotMeta != wantMeta {
+			t.Errorf("ByName(%q) metadata = %+v, want %+v", want.Name, gotMeta, wantMeta)
+		}
+		if got.Workload.Name() != want.Workload.Name() {
+			t.Errorf("ByName(%q) workload name = %q, want %q", want.Name, got.Workload.Name(), want.Workload.Name())
+		}
+		k := want.Workload.Kernel()
+		if gk := got.Workload.Kernel(); gk != k {
+			t.Errorf("ByName(%q) kernel = %+v, want %+v", want.Name, gk, k)
+			continue
+		}
+		for _, cw := range [][2]int{{0, 0}, {7, 3}} {
+			cta, warp := cw[0], cw[1]
+			if cta >= k.NumCTAs || warp >= k.WarpsPerCTA {
+				continue
+			}
+			gp, wp := got.Workload.NewProgram(cta, warp), want.Workload.NewProgram(cta, warp)
+			for i := 0; i < 200; i++ {
+				gi, gok := gp.Next()
+				wi, wok := wp.Next()
+				if gi != wi || gok != wok {
+					t.Errorf("ByName(%q) warp (%d,%d) instruction %d = %+v %v, want %+v %v", want.Name, cta, warp, i, gi, gok, wi, wok)
+					break
+				}
+				if !wok {
+					break
+				}
+			}
+		}
+	}
+	if _, err := ByName("nope"); err == nil || err.Error() != `workloads: unknown benchmark "nope"` {
+		t.Errorf("ByName(nope) error = %v", err)
+	}
+}
+
 func TestNames(t *testing.T) {
 	names := Names()
 	if len(names) != 21 {

@@ -305,6 +305,32 @@ func TestParseRequestStrict(t *testing.T) {
 	}
 }
 
+// TestRequestIntakeAllocs bounds the allocations of the daemon's
+// per-request intake. ParseRequest plus Canonicalize resolves the benchmark
+// by name several times, so a lookup that rebuilds the whole suite (about
+// 58 allocations a call) breaks both bounds.
+func TestRequestIntakeAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := gpuscale.BenchmarkByName("ht"); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("BenchmarkByName allocates %.0f times per call, want <= 4", n)
+	}
+	body := []byte(`{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"analytic"}}`)
+	if n := testing.AllocsPerRun(100, func() {
+		r, err := gpuscale.ParseRequest(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := gpuscale.Canonicalize(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 40 {
+		t.Errorf("ParseRequest + Canonicalize allocates %.0f times per request, want <= 40", n)
+	}
+}
+
 func TestResolveSimulation(t *testing.T) {
 	// Monolithic: scaled config, workload, warmup option.
 	r := simRequest()
