@@ -94,11 +94,11 @@ profile-mrc:
 	done
 
 # The per-structure micro-benchmarks of the hot-path packages (sm: the
-# pending-warp wheel; cache: L1 access and the MSHR file; timing: none yet,
-# listed so the first one is picked up), once each at a fixed iteration
-# count, and one whole miss-rate curve per BenchmarkFunctionalSweep case
-# (ht, bfs, dct; replays sequential and at the default bound): the nightly
-# run keeps them compiling and running. For numbers, raise -benchtime and
+# pending-warp wheel; cache: L1 access and the MSHR file; timing: the
+# kernel's Step), once each at a fixed iteration count, and one whole
+# miss-rate curve per BenchmarkFunctionalSweep case (ht, bfs, dct; replays
+# sequential and at the default bound): the nightly run keeps them
+# compiling and running. For numbers, raise -benchtime and
 # compare against a parent checkout. The shard pool's fork-join and the
 # host's bare cross-core round trip run long enough to print a real ns/op:
 # the second is the input internal/gpu's forkMinWork was derived from, so

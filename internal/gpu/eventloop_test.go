@@ -8,9 +8,10 @@ import (
 	"gpuscale/internal/workloads"
 )
 
-// horizonConfig is an n-SM config with DRAM latency lowered so blocked-warp
-// wake-up distances land on both sides of the timing kernel's 64-cycle
-// due-wheel horizon, exercising the wheel/heap hand-off against the dense
+// horizonConfig is an n-SM config with DRAM latency moved so blocked-warp
+// wake-up distances land on both sides of a wheel horizon — the timing
+// kernel's 64-cycle due-wheel at dram ~52, the SM's 512-cycle pending-warp
+// wheel at dram ~440 — exercising the wheel/heap hand-off against the dense
 // reference.
 func horizonConfig(n, dram int) config.SystemConfig {
 	cfg := testConfig(n)
@@ -97,6 +98,7 @@ func TestEventLoopMatchesLegacy(t *testing.T) {
 		{"stream/noskip", mono(testConfig(8)), func() trace.Workload { return streamWorkload(48, 4, 40) }, Options{DisableEventSkip: true}},
 		{"stream/warmup", mono(testConfig(8)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{WarmupInstructions: 5000}},
 		{"stream/horizon-dram", mono(horizonConfig(8, 52)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
+		{"stream/sm-horizon-dram", mono(horizonConfig(8, 440)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
 		{"stream/mshr-stall", mono(mshrStallConfig(8, 4)), func() trace.Workload { return streamWorkload(64, 4, 60) }, Options{}},
 		{"stream/wide-sm", mono(wideSMConfig(8)), func() trace.Workload { return streamWorkload(256, 4, 30) }, Options{}},
 	} {

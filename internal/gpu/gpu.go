@@ -18,20 +18,19 @@
 // by chaining the L1 lookup, (remote hop,) NoC transfer (bisection and
 // per-slice queueing), LLC lookup, and — on an LLC miss — memory-controller
 // queueing plus DRAM latency. When no SM can issue, the simulator skips
-// directly to the next warp wake-up, accruing the skipped cycles to each
-// SM's stall classification, so long memory stalls cost nothing to simulate.
+// directly to the next warp wake-up, so long memory stalls cost nothing to
+// simulate: each SM classifies the cycles it was not ticked in itself, in
+// one addition when it is next ticked or settled (sm.SM.Settle).
 //
 // The run loop is event-driven and built on the cycle-advance kernel in
 // internal/timing: SMs with near wake-ups sit in the kernel's due-wheel and
 // far wake-ups in its min-heap, so a cycle touches only the SMs that can
-// issue, promote or retire at that cycle; stalled SMs' classification
-// counters are accrued lazily, one Accrue call per stalled interval (see
-// AccrueStall for the invariant that makes this exact). The same loop runs
-// sharded (Options.Shards, sharded.go): SM groups — whole domains on a
-// multi-chiplet package — tick in parallel and the post-L1 path is replayed
-// at a cycle barrier. The dense reference loop that ticks every SM every
-// cycle is kept as Options.UseLegacyLoop; every loop produces bit-identical
-// Stats, which the golden-stats snapshot and the equality suites enforce.
+// issue, promote or retire at that cycle. The same loop runs sharded
+// (Options.Shards, sharded.go): SM groups — whole domains on a multi-chiplet
+// package — tick in parallel and the post-L1 path is replayed at a cycle
+// barrier. The dense reference loop that ticks every SM every cycle is kept
+// as Options.UseLegacyLoop; every loop produces bit-identical Stats, which
+// the golden-stats snapshot and the equality suites enforce.
 package gpu
 
 import (
@@ -251,16 +250,14 @@ type Simulator struct {
 	// Run-loop state, all sized in build so the hot path never allocates.
 	// A sequential run is one shard driven inline (shards[0]); a sharded run
 	// has several, each with its own timing kernel and arena (sharded.go).
-	ports       []*port
-	shards      []*shard
-	shardOfSM   []*shard
-	shardOfDom  []*shard // nil unless shards own whole domains
-	shardFinish bool     // FinishCycle runs inside the parallel phase (warm-up settled)
-	legacyKinds []sm.TickKind
-	liveTotal   int  // incrementally maintained sum of LiveWarps over SMs
-	ctaDirty    bool // CTA capacity may have changed; fillCTAs must re-scan
-	progBuf     []trace.Program
-	kernelAW    []trace.ArenaWorkload // per kernel: non-nil if arena-managed
+	ports      []*port
+	shards     []*shard
+	shardOfSM  []*shard
+	shardOfDom []*shard // nil unless shards own whole domains
+	liveTotal  int      // incrementally maintained sum of LiveWarps over SMs
+	ctaDirty   bool     // CTA capacity may have changed; fillCTAs must re-scan
+	progBuf    []trace.Program
+	kernelAW   []trace.ArenaWorkload // per kernel: non-nil if arena-managed
 
 	// Observability handles; all nil when Options.Recorder is nil, so
 	// every hook below degrades to one predictable nil-check branch.
@@ -427,13 +424,12 @@ func build(cfg config.SystemConfig, pkg *config.ChipletConfig, kernels []trace.W
 			s.launch[g] = (g%nDom)*cfg.NumSMs + g/nDom
 		}
 	}
-	// The rest of the run loop's state: shards (timing kernels, arenas),
-	// the dense loop's scratch, and the CTA-launch program buffer (sized to
-	// the widest CTA across the kernel sequence). The arenas recycle
-	// programs and address generators across CTA launches, but only for
-	// kernels that really draw from an arena — a plain Factory may hand out
-	// programs it retains, which must not be pooled behind its back.
-	s.legacyKinds = make([]sm.TickKind, nSM)
+	// The rest of the run loop's state: shards (timing kernels, arenas) and
+	// the CTA-launch program buffer (sized to the widest CTA across the
+	// kernel sequence). The arenas recycle programs and address generators
+	// across CTA launches, but only for kernels that really draw from an
+	// arena — a plain Factory may hand out programs it retains, which must
+	// not be pooled behind its back.
 	s.progBuf = make([]trace.Program, maxWarpsPerCTA)
 	s.kernelAW = make([]trace.ArenaWorkload, len(kernels))
 	for i, w := range kernels {
@@ -441,7 +437,6 @@ func build(cfg config.SystemConfig, pkg *config.ChipletConfig, kernels []trace.W
 			s.kernelAW[i] = aw
 		}
 	}
-	s.shardFinish = opt.WarmupInstructions == 0
 	s.buildShards(max(nShards, 1))
 	s.ctaDirty = true
 	if rec := opt.Recorder; rec.Enabled() {
@@ -623,12 +618,13 @@ func (s *Simulator) fillCTAs() {
 					progs[wpi] = w.NewProgram(s.nextCTA, wpi)
 				}
 			}
+			// The cycles before the launch keep the SM's classification
+			// from before it (Idle for an empty SM).
+			m.Settle(s.now)
 			if !s.opt.UseLegacyLoop {
 				// Schedule the SM to act this cycle — launched warps are
-				// ready at once. The kernel settles the SM's standing
-				// classification (Idle for an empty SM) before residency
-				// changes it, and drops any pending far wake-up so the SM
-				// lives in exactly one wake structure.
+				// ready at once. The kernel drops any pending far wake-up
+				// so the SM lives in exactly one wake structure.
 				sh.tk.ScheduleNow(i - sh.firstSM)
 			}
 			m.LaunchCTA(progs)
@@ -706,9 +702,9 @@ func (s *Simulator) kernelDone() bool {
 // endCycle is the serial end of a visited cycle: it merges the shards'
 // tick deltas and counters, charges one simulation event per SM — ticked or
 // not, since SimEvents is a host-cost proxy for the *modelled* simulator and
-// must not depend on the loop used — and runs the warm-up check, before the
-// ticked SMs' own cycle is classified so the triggering cycle lands in the
-// post-warm-up window exactly as the dense loop orders it.
+// must not depend on the loop used — and runs the warm-up check. A reset
+// here keeps the triggering cycle in the post-warm-up window
+// (sm.SM.ResetStats), exactly as the dense loop orders it.
 func (s *Simulator) endCycle() {
 	for _, sh := range s.shards {
 		s.issuedSoFar += sh.issuedD
@@ -777,7 +773,6 @@ func (s *Simulator) runEvent(ctx context.Context) error {
 // checked against (the equality suites, the golden-stats snapshot,
 // bench's gpu.event_vs_dense).
 func (s *Simulator) runLegacy(ctx context.Context) error {
-	kinds := s.legacyKinds // same length as sms; reused as scratch
 	s.fillCTAs()
 	s.kernelStart = s.now
 	iters := 0
@@ -799,8 +794,7 @@ func (s *Simulator) runLegacy(ctx context.Context) error {
 		issued := false
 		for i, m := range s.sms {
 			s.mshrs[i].Expire(s.now) // per-tick expiry, as in the event loop
-			kinds[i] = m.Tick(s.now, s.ports[i])
-			if kinds[i] == sm.Issued {
+			if m.Tick(s.now, s.ports[i]) == sm.Issued {
 				issued = true
 				s.issuedSoFar++
 			}
@@ -810,12 +804,11 @@ func (s *Simulator) runLegacy(ctx context.Context) error {
 			s.resetStats()
 		}
 		if issued || s.opt.DisableEventSkip {
-			for i, m := range s.sms {
-				m.Accrue(kinds[i], 1)
-			}
 			s.now++
 		} else {
-			// Every SM stalled: skip to the earliest wake-up.
+			// Every SM stalled: skip to the earliest wake-up. Each SM
+			// classifies the skipped cycles at its next Tick or Settle, by
+			// StallKind — the kind its stalled Tick just returned.
 			next := int64(-1)
 			for _, m := range s.sms {
 				if ev, ok := m.NextEvent(); ok && (next < 0 || ev < next) {
@@ -825,11 +818,7 @@ func (s *Simulator) runLegacy(ctx context.Context) error {
 			if next <= s.now {
 				next = s.now + 1
 			}
-			w := uint64(next - s.now)
-			for i, m := range s.sms {
-				m.Accrue(kinds[i], w)
-			}
-			s.skipped += int64(w) - 1
+			s.skipped += next - s.now - 1
 			s.now = next
 		}
 		if s.stream != nil && s.now >= s.nextSample {
@@ -839,16 +828,12 @@ func (s *Simulator) runLegacy(ctx context.Context) error {
 	}
 }
 
-// flushAllAccruals settles every SM's counters up to s.now so aggregate
+// settleSMs brings every SM's cycle counters up to s.now so aggregate
 // statistics (stats, the observability registry) read exactly as if every
-// cycle had been accrued eagerly. No-op under the dense loop, whose accrual
-// already is eager.
-func (s *Simulator) flushAllAccruals() {
-	if s.opt.UseLegacyLoop {
-		return
-	}
-	for _, sh := range s.shards {
-		sh.tk.FlushAll()
+// SM had been ticked every cycle.
+func (s *Simulator) settleSMs() {
+	for _, m := range s.sms {
+		m.Settle(s.now)
 	}
 }
 
@@ -858,14 +843,9 @@ func (s *Simulator) resetStats() {
 	s.warmupDone = true
 	s.statsSince = s.now
 	for _, m := range s.sms {
-		m.ResetStats()
+		m.ResetStats(s.now)
 	}
-	// Event-driven loop: discard any un-flushed accrual interval that
-	// precedes the reset. SMs ticked this cycle already sit at now+1 —
-	// pulling them back down would double-count the triggering cycle, so
-	// the kernel only raises floors, never lowers them.
 	for _, sh := range s.shards {
-		sh.tk.RaiseAccrualFloor()
 		sh.tk.ResetSkipped()
 	}
 	for _, c := range s.l1s {
@@ -904,7 +884,7 @@ func (s *Simulator) sampleObs() {
 	for _, sh := range s.shards {
 		sh.applyFixups()
 	}
-	s.flushAllAccruals()
+	s.settleSMs()
 	elapsed := s.now - s.statsSince
 	liveWarps, mshrOut := 0, 0
 	var instr uint64
@@ -1001,10 +981,10 @@ func (s *Simulator) publishObs() {
 	}
 }
 
-// stats settles any lazily accrued intervals and projects the run's one
+// stats settles every SM's cycle counters and projects the run's one
 // tally onto both public result shapes.
 func (s *Simulator) stats() (Stats, MCMStats) {
-	s.flushAllAccruals()
+	s.settleSMs()
 	var st Stats
 	st.Cycles = s.now - s.statsSince
 	var fmemSum float64

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"gpuscale/internal/config"
@@ -46,12 +47,31 @@ type outcome struct {
 	MCM MCMStats
 }
 
+// simulate builds and runs one simulation. Every run it completes also
+// passes the cycle-conservation check: each SM's classified cycles must add
+// up to the measured window, under every run loop, with or without a
+// warm-up reset — so every cell of every suite built on it checks that.
 func simulate(m machine, opt Options, kernels ...trace.Workload) (outcome, error) {
 	s, err := m.build(opt, kernels...)
 	if err != nil {
 		return outcome{}, err
 	}
-	return s.run(context.Background())
+	o, err := s.run(context.Background())
+	if err == nil {
+		err = s.checkCycleConservation(o.Cycles)
+	}
+	return o, err
+}
+
+// checkCycleConservation reports an SM whose classified cycles differ from
+// the run's measured window.
+func (s *Simulator) checkCycleConservation(window int64) error {
+	for i, m := range s.sms {
+		if got := m.Stats().TotalCycles(); got != uint64(window) {
+			return fmt.Errorf("cycle conservation: SM %d classified %d cycles, window is %d", i, got, window)
+		}
+	}
+	return nil
 }
 
 // run is RunContext folded into an outcome.

@@ -34,10 +34,9 @@
 //     global order: only the owner shard touches a domain, so each resource
 //     sees its access sequence in sequential order.
 //  4. Serial (endCycle): merge issue/live/dirty/counter deltas, charge
-//     SimEvents, run the warm-up check. FinishCycle runs here, serially,
-//     until warm-up settles, so a reset still precedes the triggering
-//     cycle's classification exactly as the sequential ordering has it;
-//     then it moves into phase A.
+//     SimEvents, run the warm-up check. Each SM classified its own cycle in
+//     its Tick, in phase A; a reset here re-adds the ticked SMs' cycle
+//     (sm.SM.ResetStats), which is where the sequential ordering puts it.
 //  5. Serial: advance every kernel to the same next cycle — now+1 if
 //     anything issued, else the minimum NextPending across shards.
 //
@@ -301,14 +300,10 @@ func (sh *shard) applyFixups() {
 }
 
 // phaseA is the parallel tick phase: repair the previous cycle's deferred
-// wake-ups, drain this shard's due units at the current cycle, then (once
-// warm-up has settled) finish the cycle.
+// wake-ups, then drain this shard's due units at the current cycle.
 func (sh *shard) phaseA() {
 	sh.applyFixups()
 	sh.issued = sh.tk.TickCycle()
-	if sh.sim.shardFinish {
-		sh.tk.FinishCycle()
-	}
 }
 
 // phaseB replays this shard's incoming accesses — every deferred access
@@ -335,7 +330,7 @@ func (sh *shard) TickUnit(now int64, lu int) timing.Outcome {
 	liveBefore := m.LiveWarps()
 	s.mshrs[g].Expire(now)
 	k := m.Tick(now, s.ports[g])
-	out := timing.Outcome{Wake: timing.NoWake, Kind: uint8(k), Issued: k == sm.Issued}
+	out := timing.Outcome{Wake: timing.NoWake, Issued: k == sm.Issued}
 	if out.Issued {
 		sh.issuedD++
 	}
@@ -352,26 +347,6 @@ func (sh *shard) TickUnit(now int64, lu int) timing.Outcome {
 		out.Wake = ev
 	}
 	return out
-}
-
-// AccrueStall implements timing.Driver: it settles one SM's standing
-// classification over a whole non-ticked interval in a single Accrue call.
-//
-// Exactness invariant: between two ticks of an SM no warp is ready and no
-// promotion is due, so liveWarps and blockedMem — the only inputs to the
-// classification — cannot change (they change only inside Tick and
-// LaunchCTA, and ScheduleNow flushes before a launch changes them).
-// StallKind() at flush time therefore equals the classification Tick would
-// have returned at every cycle of the interval.
-func (sh *shard) AccrueStall(lu int, cycles uint64) {
-	m := sh.sim.sms[sh.firstSM+lu]
-	m.Accrue(m.StallKind(), cycles)
-}
-
-// AccrueTick implements timing.Driver: a ticked SM's own cycle gets the
-// classification its Tick returned.
-func (sh *shard) AccrueTick(lu int, kind uint8) {
-	sh.sim.sms[sh.firstSM+lu].Accrue(sm.TickKind(kind), 1)
 }
 
 // CycleEnd implements timing.Driver. A sequential run's lone shard ends the
@@ -486,17 +461,6 @@ func (s *Simulator) stepSharded(ph *phases) {
 		}
 	}
 	s.endCycle()
-	if !s.shardFinish {
-		// Warm-up not settled: the reset check in endCycle must precede the
-		// ticked SMs' cycle classification, so FinishCycle runs here,
-		// serially, exactly where the sequential CycleEnd/AccrueTick ordering
-		// puts it. Once warm-up is done the check can never fire again and
-		// FinishCycle moves into the parallel phase.
-		for _, sh := range s.shards {
-			sh.tk.FinishCycle()
-		}
-		s.shardFinish = s.warmupDone || s.opt.WarmupInstructions == 0
-	}
 	next := s.now + 1
 	if !issued && !s.opt.DisableEventSkip {
 		// Event-skip: the earliest pending wake-up across all shards,

@@ -142,6 +142,7 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 		{"stream/warmup", mono(testConfig(16)), one(streamWorkload(48, 2, 40)), Options{WarmupInstructions: 1500}},
 		{"stream/noskip", mono(testConfig(8)), one(streamWorkload(24, 2, 25)), Options{DisableEventSkip: true}},
 		{"stream/mshr-stall", mono(mshrStallConfig(8, 4)), one(streamWorkload(64, 4, 40)), Options{}},
+		{"stream/sm-horizon-dram", mono(horizonConfig(8, 440)), one(streamWorkload(64, 4, 40)), Options{}},
 		{"stream/wide-sm", mono(wideSMConfig(8)), one(streamWorkload(256, 4, 20)), Options{}},
 		{"reuse/dual-issue", dualIssue(mono(testConfig(8))), one(reuseWorkload(48, 4, 1<<16, 40, 0)), Options{}},
 		{"sequence/2kernels", mono(testConfig(16)), func() []trace.Workload {

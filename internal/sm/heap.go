@@ -3,8 +3,8 @@ package sm
 // warpHeap is an indexed binary min-heap over warp slot indices, keyed by an
 // int64. It is off the per-instruction path: the SM keeps ready warps in a
 // readyQueue and blocked warps in a wakeWheel, and only the wheel's overflow
-// — wake-ups at or beyond its horizon, i.e. DRAM round trips — lives here,
-// keyed by wake-up cycle. O(log n) push/pop/remove/fix and O(1) membership,
+// — wake-ups at or beyond its 512-cycle horizon, and the sharded runner's
+// provisional parks — lives here, keyed by wake-up cycle. O(log n) push/pop/remove/fix and O(1) membership,
 // which the wheel's fix needs to tell a far warp from a near one. It is also
 // the ordered reference the readyQueue and wakeWheel cross-checks compare
 // against.

@@ -10,13 +10,21 @@
 //
 // The per-instruction path touches no ordered structure. A warp that issues
 // is parked in a wakeWheel by its wake-up cycle (two stores for anything
-// nearer than the wheel's horizon) and, when that cycle is ticked, promoted
-// into a readyQueue that pops by scheduling rank. Only wake-ups beyond the
-// horizon — DRAM round trips — pay for a heap. Tick must be called with a
-// non-decreasing clock; the run loops in fact tick an SM no later than its
-// earliest pending wake-up (NextEvent is what they schedule it by), which
-// is the case the wheel is fast for, but a late Tick promotes everything it
-// passed over just the same.
+// nearer than the wheel's 512-cycle horizon, DRAM round trips included)
+// and, when that cycle is ticked, promoted into a readyQueue that pops by
+// scheduling rank. Only wake-ups beyond the horizon pay for a heap. Tick
+// must be called with a non-decreasing clock; the run loops in fact tick an
+// SM no later than its earliest pending wake-up (NextEvent is what they
+// schedule it by), which is the case the wheel is fast for, but a late Tick
+// promotes everything it passed over just the same.
+//
+// The SM classifies its own cycles. Tick classifies the cycle it runs in
+// and, first, every cycle since the previous Tick — in one addition, with
+// StallKind, because nothing that StallKind reads can change between ticks
+// except a CTA launch, before which the caller settles (Settle). Settle
+// brings the counters up to a cycle for a reader, and ResetStats starts a
+// new measurement window at one. A run loop therefore ticks an SM only when
+// it can act and still gets every cycle classified exactly once.
 package sm
 
 import (
@@ -120,9 +128,9 @@ type warp struct {
 	live      bool
 }
 
-// Stats aggregates per-SM counters. Cycle classification counters are
-// accrued by the driver (via Accrue) so that event-skip fast-forwarding can
-// weight a classification by the number of skipped cycles.
+// Stats aggregates per-SM counters. The four cycle counters partition the
+// cycles since construction or the last ResetStats, up to the latest Tick
+// or Settle.
 type Stats struct {
 	Instructions    uint64
 	MemInstructions uint64
@@ -187,7 +195,13 @@ type SM struct {
 	// it is ready, so it never competes in the heap's oldest-first ordering.
 	currentReady bool
 
-	stats Stats
+	// Cycle accounting: every cycle before accAt is classified in stats
+	// (or fell before the last ResetStats); lastKind is the classification
+	// of the latest Tick, which ResetStats re-adds when it lands on the
+	// cycle that Tick ran in.
+	accAt    int64
+	lastKind TickKind
+	stats    Stats
 }
 
 // New constructs an SM with the default microarchitecture variant (GTO
@@ -369,7 +383,9 @@ func (s *SM) CanAccept(warps int) bool {
 
 // LaunchCTA makes the given warp programs resident. The caller must check
 // CanAccept first; LaunchCTA panics otherwise (a scheduler bug, not a user
-// error).
+// error). A launch changes StallKind, so a caller that wants exact cycle
+// counts calls Settle with the launch cycle first: the cycles before the
+// launch belong to the residency before it.
 func (s *SM) LaunchCTA(programs []trace.Program) {
 	if !s.CanAccept(len(programs)) {
 		panic("sm: LaunchCTA without CanAccept")
@@ -407,11 +423,12 @@ func (s *SM) FreeCTASlots() int { return len(s.freeCTASlots) }
 func (s *SM) ResidentCTAs() int { return s.maxCTAs - len(s.freeCTASlots) }
 
 // Tick advances the SM by one cycle at time now, issuing up to the
-// configured issue width (one instruction in the baseline) through mem. It
-// returns the cycle's classification but does not accrue classification
-// counters — call Accrue with the desired weight (1 normally, more when the
-// driver fast-forwards). now must not be earlier than the previous Tick's.
+// configured issue width (one instruction in the baseline) through mem, and
+// returns the cycle's classification. It first classifies the cycles since
+// the previous Tick (Settle), then the cycle now itself. now must not be
+// earlier than the previous Tick's.
 func (s *SM) Tick(now int64, mem MemPort) TickKind {
+	s.Settle(now)
 	// Promote warps whose dependencies resolved, in warp-index order. Any
 	// order gives the same schedule: the ready queues pop by rank, not by
 	// arrival, and the other effects are a counter and a flag.
@@ -433,8 +450,9 @@ func (s *SM) Tick(now int64, mem MemPort) TickKind {
 		}
 	}
 
-	issued := 0
-	for {
+	kind := Issued
+issue:
+	for issued := 0; issued < s.issueWidth; {
 		var idx int
 		switch {
 		case s.currentReady:
@@ -445,22 +463,13 @@ func (s *SM) Tick(now int64, mem MemPort) TickKind {
 			// Then-oldest: the ready warp with the smallest scheduling key.
 			idx = s.readyPop()
 		default:
-			if issued > 0 {
-				return Issued // width not filled, but the cycle did issue
+			// Width not filled; a cycle that issued nothing is the stall
+			// StallKind names, which is also what every following cycle
+			// until the next Tick will be.
+			if issued == 0 {
+				kind = s.StallKind()
 			}
-			if s.liveWarps == 0 {
-				return Idle
-			}
-			// A no-issue cycle counts toward f_mem (Eq. 3) when any
-			// blocked warp is waiting on memory: if memory returned
-			// instantly that warp would be ready and the cycle would
-			// not exist, so memory is the binding cause. Only cycles
-			// where every blocked warp sits in a short arithmetic
-			// dependency are pipeline stalls.
-			if s.blockedMem > 0 {
-				return StallMem
-			}
-			return StallPipe
+			break issue
 		}
 
 		w := &s.warps[idx]
@@ -496,14 +505,14 @@ func (s *SM) Tick(now int64, mem MemPort) TickKind {
 			w.readyAt = now + 1
 		}
 		s.pending.park(idx, w.readyAt)
-		issued++
-		if issued >= s.issueWidth {
-			return Issued
-		}
 		// A just-issued warp's earliest wake-up is now+1, so it cannot be
 		// picked again within this cycle; the remaining issue slots go to
 		// other ready warps.
+		issued++
 	}
+	s.accrue(kind, 1)
+	s.lastKind, s.accAt = kind, now+1
+	return kind
 }
 
 func (s *SM) retire(idx int) {
@@ -538,8 +547,8 @@ func (s *SM) readyKey(idx int) int64 {
 	return s.warps[idx].launch
 }
 
-// Accrue adds weight cycles of the given classification to the statistics.
-func (s *SM) Accrue(kind TickKind, weight uint64) {
+// accrue adds weight cycles of the given classification to the statistics.
+func (s *SM) accrue(kind TickKind, weight uint64) {
 	switch kind {
 	case Issued:
 		s.stats.IssuedCycles += weight
@@ -581,14 +590,19 @@ func (s *SM) HasReady() bool { return s.currentReady || s.readyLen() > 0 }
 // StallKind returns the classification Tick would report for a cycle in
 // which this SM cannot act — no ready warp and no promotion due: Idle
 // without live warps, StallMem while any blocked warp waits on memory,
-// StallPipe otherwise. It is pure, so the event-driven run loop can accrue
-// a whole stalled interval in one call instead of ticking every cycle; the
-// classification is constant between wake-ups because liveWarps and
-// blockedMem only change inside Tick or LaunchCTA.
+// StallPipe otherwise. Its inputs, liveWarps and blockedMem, change only
+// inside Tick and LaunchCTA, so it holds for every cycle from one Tick to
+// the next; that is what lets Tick and Settle classify a whole stretch of
+// un-ticked cycles with one addition.
 func (s *SM) StallKind() TickKind {
 	if s.liveWarps == 0 {
 		return Idle
 	}
+	// A no-issue cycle counts toward f_mem (Eq. 3) when any blocked warp is
+	// waiting on memory: if memory returned instantly that warp would be
+	// ready and the cycle would not exist, so memory is the binding cause.
+	// Only cycles where every blocked warp sits in a short arithmetic
+	// dependency are pipeline stalls.
 	if s.blockedMem > 0 {
 		return StallMem
 	}
@@ -603,6 +617,18 @@ func (s *SM) NextEvent() (int64, bool) {
 		return 0, false // a warp is ready immediately; no skipping possible
 	}
 	return s.pending.next()
+}
+
+// Settle classifies the cycles from the latest Tick (or Settle) up to, not
+// including, now with StallKind, so the counters read as if the SM had been
+// ticked every cycle. Tick settles by itself; a run loop calls Settle before
+// a CTA launch and before it reads the counters. No-op when the SM is
+// already settled past now.
+func (s *SM) Settle(now int64) {
+	if d := now - s.accAt; d > 0 {
+		s.accrue(s.StallKind(), uint64(d))
+		s.accAt = now
+	}
 }
 
 // Stats returns a copy of the SM's counters.
@@ -627,5 +653,15 @@ func (s *SM) PublishObs(sc *obs.Scope) {
 }
 
 // ResetStats zeroes the SM's counters without touching warp or CTA state,
-// so measurement can start after a warm-up period.
-func (s *SM) ResetStats() { s.stats = Stats{} }
+// so measurement can start after a warm-up period, and starts the new
+// window at cycle now: a Tick at now stays counted (its classification is
+// re-added — the reset follows the cycle's ticks, and the cycle belongs to
+// the new window), and the un-ticked cycles before now are dropped.
+func (s *SM) ResetStats(now int64) {
+	s.stats = Stats{}
+	if s.accAt > now {
+		s.accrue(s.lastKind, 1)
+	} else {
+		s.accAt = now
+	}
+}

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -40,8 +41,7 @@ func run(t *testing.T, s *SM, mem MemPort, maxCycles int64) int64 {
 		if now > maxCycles {
 			t.Fatalf("SM did not drain within %d cycles", maxCycles)
 		}
-		kind := s.Tick(now, mem)
-		s.Accrue(kind, 1)
+		s.Tick(now, mem)
 		now++
 	}
 	return now
@@ -169,8 +169,7 @@ func TestCTACompletionFreesSlot(t *testing.T) {
 	mem := &fixedMem{lat: 1}
 	now := int64(0)
 	for s.FreeCTASlots() == 0 {
-		kind := s.Tick(now, mem)
-		s.Accrue(kind, 1)
+		s.Tick(now, mem)
 		now++
 		if now > 1000 {
 			t.Fatal("first CTA never completed")
@@ -200,7 +199,7 @@ func TestNextEvent(t *testing.T) {
 	if _, ok := s.NextEvent(); ok {
 		t.Error("ready warp should inhibit skipping")
 	}
-	s.Accrue(s.Tick(0, &fixedMem{lat: 100}), 1)
+	s.Tick(0, &fixedMem{lat: 100})
 	ev, ok := s.NextEvent()
 	if !ok || ev != 100 {
 		t.Errorf("NextEvent = %d,%v, want 100,true", ev, ok)
@@ -209,10 +208,10 @@ func TestNextEvent(t *testing.T) {
 
 func TestAccrueWeights(t *testing.T) {
 	s := MustNew(4, 1, 4)
-	s.Accrue(Issued, 2)
-	s.Accrue(StallMem, 3)
-	s.Accrue(StallPipe, 5)
-	s.Accrue(Idle, 7)
+	s.accrue(Issued, 2)
+	s.accrue(StallMem, 3)
+	s.accrue(StallPipe, 5)
+	s.accrue(Idle, 7)
 	st := s.Stats()
 	if st.IssuedCycles != 2 || st.MemStallCycles != 3 || st.PipeStallCycles != 5 || st.IdleCycles != 7 {
 		t.Errorf("accrued counters wrong: %+v", st)
@@ -305,7 +304,7 @@ func TestDeferredWakeRepairMatchesImmediate(t *testing.T) {
 				}
 				s.FixPendingWake(m.warp, rdy)
 			}
-			s.Accrue(s.Tick(now, m), 1)
+			s.Tick(now, m)
 			now++
 		}
 		if now != refCycles {
@@ -335,7 +334,7 @@ func TestDrainAlwaysTerminatesProperty(t *testing.T) {
 			if now > 1_000_000 {
 				return false
 			}
-			s.Accrue(s.Tick(now, mem), 1)
+			s.Tick(now, mem)
 			now++
 		}
 		return s.Stats().Instructions == uint64(w*n)
@@ -448,7 +447,7 @@ func TestLRRRotatesAcrossWarps(t *testing.T) {
 	})
 	now := int64(0)
 	for s.LiveWarps() > 0 && now < 1000 {
-		s.Accrue(s.Tick(now, mem), 1)
+		s.Tick(now, mem)
 		now++
 	}
 	if len(order) != 8 {
@@ -550,7 +549,7 @@ func TestTwoLevelRotatesWithinGroup(t *testing.T) {
 	})
 	now := int64(0)
 	for s.LiveWarps() > 0 && now < 1000 {
-		s.Accrue(s.Tick(now, mem), 1)
+		s.Tick(now, mem)
 		now++
 	}
 	if len(order) != 8 {
@@ -601,5 +600,104 @@ func TestResidentCTAs(t *testing.T) {
 	s.LaunchCTA([]trace.Program{computeProg(1)})
 	if s.ResidentCTAs() != 1 {
 		t.Errorf("ResidentCTAs = %d, want 1", s.ResidentCTAs())
+	}
+}
+
+// cycleCounts is the cycle-classification part of Stats.
+func cycleCounts(st Stats) [4]uint64 {
+	return [4]uint64{st.IssuedCycles, st.MemStallCycles, st.PipeStallCycles, st.IdleCycles}
+}
+
+// TestCycleAccountingMatchesEager drives an SM the way the run loops do —
+// ticked at its next wake-up, at the next cycle while it issues, now and
+// then late or on a cycle it had nothing due; CTAs launched between ticks,
+// settled first; warm-up resets on cycles it ticked and on cycles it did
+// not; counters read mid-run — and classifies every cycle eagerly beside
+// it: a ticked cycle by what Tick returned, any other by StallKind() at
+// that cycle. The SM's lazy accounting must equal the eager counts whenever
+// it is settled, and TotalCycles() the cycles since the last reset.
+func TestCycleAccountingMatchesEager(t *testing.T) {
+	var resets [2]int // warm-up resets on un-ticked, ticked cycles
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		warpsPer := 1 + rng.Intn(8)
+		s := MustNewVariant(warpsPer*(1+rng.Intn(4)), 4, 1+rng.Intn(6), uarch.Variant{IssueWidth: 1 + rng.Intn(2)})
+		lats := make([]int64, 1+rng.Intn(4))
+		for i := range lats {
+			lats[i] = wakeDistances[rng.Intn(len(wakeDistances))]
+		}
+		mem := &latencyMem{lats: lats}
+		ctas := 4 + rng.Intn(12)
+		cta := func(c int) []trace.Program {
+			ps := make([]trace.Program, warpsPer)
+			for i := range ps {
+				g := &trace.SeqGen{Base: uint64(c*warpsPer+i) << 24, Stride: 128, Extent: 1 << 20}
+				ps[i] = trace.NewPhaseProgram(
+					trace.Phase{N: 5 + rng.Intn(40), ComputePer: rng.Intn(4), Gen: g},
+					trace.Phase{N: rng.Intn(6), Gen: g, Store: true})
+			}
+			return ps
+		}
+
+		var want [4]uint64
+		var windowStart int64
+		check := func(now int64) {
+			t.Helper()
+			s.Settle(now)
+			if got := cycleCounts(s.Stats()); got != want {
+				t.Fatalf("seed %d, cycle %d: counters %v, eager %v", seed, now, got, want)
+			}
+			if got := s.Stats().TotalCycles(); got != uint64(now-windowStart) {
+				t.Fatalf("seed %d: TotalCycles() = %d after Settle(%d), window starts at %d", seed, got, now, windowStart)
+			}
+		}
+		launched := 0
+		nextTick := int64(-1) // no pending wake-up until a launch
+		now := int64(0)
+		for idleFor := 0; idleFor < 50; now++ {
+			if now > 1<<20 {
+				t.Fatalf("seed %d: did not drain", seed)
+			}
+			if rng.Intn(40) == 0 {
+				check(now) // a reader between cycles (stats, a sample)
+			}
+			if launched < ctas && s.CanAccept(warpsPer) && rng.Intn(3) == 0 {
+				s.Settle(now)
+				s.LaunchCTA(cta(launched))
+				launched++
+				nextTick = now // launched warps are ready at once
+			}
+			kind := s.StallKind()
+			ticked := now == nextTick || rng.Intn(20) == 0
+			if ticked {
+				kind = s.Tick(now, mem)
+				nextTick = -1
+				if kind == Issued || s.HasReady() {
+					nextTick = now + 1
+				} else if at, ok := s.NextEvent(); ok {
+					nextTick = at
+					if rng.Intn(6) == 0 {
+						nextTick += rng.Int63n(2 * wakeHorizon) // late
+					}
+				}
+			}
+			if rng.Intn(150) == 0 {
+				s.ResetStats(now)
+				want, windowStart = [4]uint64{}, now
+				if ticked {
+					resets[1]++
+				} else {
+					resets[0]++
+				}
+			}
+			want[kind]++
+			if launched == ctas && s.LiveWarps() == 0 {
+				idleFor++
+			}
+		}
+		check(now)
+	}
+	if resets[0] == 0 || resets[1] == 0 {
+		t.Fatalf("resets on un-ticked/ticked cycles: %v; both paths must run", resets)
 	}
 }

@@ -10,11 +10,11 @@ import (
 	"gpuscale/internal/uarch"
 )
 
-// wakeDistances are the park distances the cross-checks draw from: both
-// sides of the wheel/heap hand-off (horizon-1 takes the wheel, horizon and
-// horizon+1 the heap), the short latencies that dominate real runs, and
-// DRAM-like round trips.
-var wakeDistances = []int64{1, 1, 2, 4, 4, 30, wakeHorizon - 1, wakeHorizon, wakeHorizon + 1, 2*wakeHorizon - 1, 300, 1000}
+// wakeDistances are the park distances the cross-checks draw from: the
+// short latencies that dominate real runs, DRAM-like round trips (which
+// the wheel holds, up to horizon-1), both sides of the wheel/heap hand-off
+// (horizon and horizon+1 take the heap), and beyond.
+var wakeDistances = []int64{1, 1, 2, 4, 4, 30, 64, 177, 300, 310, 420, wakeHorizon - 1, wakeHorizon, wakeHorizon + 1, 2*wakeHorizon - 1, 1000}
 
 // TestWakeWheelMatchesHeap drives the wheel and a single warpHeap — the
 // structure it replaced — through randomized park / fix / tick schedules and
@@ -351,9 +351,10 @@ func (m *latencyMem) Access(now int64, in trace.Instr) int64 {
 // SM — pick a warp, issue, park it, promote whatever came due — which is
 // where the pending structure is paid for: once in, once out, per
 // instruction. "compute" parks every warp 4 cycles out; "near" is loads that
-// all return inside the wheel's horizon (L1/LLC hits); "mixed" sends every
-// other load on a DRAM-length round trip through the far heap. The clock
-// moves as the event loop moves it, so nearly every tick issues.
+// all return within 64 cycles (L1/LLC hits); "mixed" sends every other load
+// on a DRAM-length round trip; "dram" sends every load 256-511 cycles out,
+// the distance band that fell past a 64-cycle wheel into the far heap. The
+// clock moves as the event loop moves it, so nearly every tick issues.
 func BenchmarkPendingWake(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -363,6 +364,7 @@ func BenchmarkPendingWake(b *testing.B) {
 		{"compute", 1 << 30, nil},
 		{"near", 2, []int64{4, 34, 50}},
 		{"mixed", 2, []int64{34, 310, 50, 420}},
+		{"dram", 2, []int64{256, 310, 377, 420, 511}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			const nWarps = 48

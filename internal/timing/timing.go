@@ -1,8 +1,9 @@
 // Package timing is the cycle-advance kernel behind the event-driven run
 // loop of internal/gpu. It owns the wake-up machinery — which units are due
-// at which cycle, in what order they tick within a cycle, how far the clock
-// may skip when nobody can issue, and the lazy stall-accrual bookkeeping
-// that keeps per-cycle classification exact without touching stalled units.
+// at which cycle, in what order they tick within a cycle, and how far the
+// clock may skip when nobody can issue. It keeps no per-unit accounting:
+// a unit that is not ticked for a stretch of cycles classifies them itself
+// when it is next ticked (internal/sm's SM does, see sm.SM.Settle).
 //
 // The wake-up structure is hierarchical:
 //
@@ -34,10 +35,8 @@
 //     launch in the simulators).
 //   - The clock never skips past a pending wake-up: the skip target is the
 //     minimum of the wheel's next occupied slot and the heap's minimum key.
-//   - Every unit's every cycle is classified exactly once: the interval
-//     [accrueAt[u], now) is settled with one Driver.AccrueStall call before
-//     the unit ticks (or when a reader flushes), and the visited cycle
-//     itself with one Driver.AccrueTick call at the end of Step.
+//     Every visited cycle advances the clock by one plus the cycles it
+//     skips, so visited and skipped cycles partition the run.
 //
 // The kernel is deliberately ignorant of what a "unit" is. The simulator
 // supplies a Driver; per-visited-cycle work the simulators batch (MSHR
@@ -47,13 +46,10 @@
 // # Driver contract
 //
 // The kernel decides which units tick at which cycle; the Driver does the
-// ticking and the accounting. TickUnit runs once per due unit per visited
-// cycle, in ascending unit id; AccrueStall settles a unit's un-ticked
-// interval in one call; AccrueTick classifies each ticked unit's own cycle;
-// CycleEnd runs once per visited cycle between the last TickUnit and the
-// AccrueTick batch. Driver methods must not call back into the Kernel
-// except CycleEnd, which may call RaiseAccrualFloor and ResetSkipped (the
-// warm-up reset path).
+// ticking. TickUnit runs once per due unit per visited cycle, in ascending
+// unit id; CycleEnd runs once per visited cycle after the last TickUnit.
+// Driver methods must not call back into the Kernel except CycleEnd, which
+// may call ResetSkipped (the warm-up reset path).
 //
 // # Phase API and barrier ordering
 //
@@ -64,7 +60,7 @@
 //   - TickCycle drains the current cycle's due units (ascending unit id
 //     within each shard's kernel) and reports whether any unit issued; Due
 //     counts them beforehand, so a coordinator can size the cycle's work.
-//   - FinishCycle runs the driver's CycleEnd hook and the AccrueTick batch.
+//     The coordinator ends the cycle itself, in place of CycleEnd.
 //   - NextPending exposes the earliest pending wake-up so a coordinator can
 //     take the minimum across kernels.
 //   - AdvanceTo moves the clock to the cycle the coordinator picked,
@@ -73,8 +69,8 @@
 //     wake-up between cycles (the sharded loop's deferred-memory fix-ups).
 //
 // The ordering rules a parallel coordinator must preserve for bit-identity
-// with sequential Step are: every kernel finishes TickCycle+FinishCycle for
-// cycle c before any cross-kernel effect of cycle c is applied (the cycle
+// with sequential Step are: every kernel finishes TickCycle for cycle c
+// before any cross-kernel effect of cycle c is applied (the cycle
 // barrier); cross-kernel effects are applied in ascending shard id, which —
 // because shards own contiguous unit-id ranges — is ascending global unit
 // id, the same order the sequential drain produces; and all kernels
@@ -106,9 +102,6 @@ type Outcome struct {
 	// idle (no ready warp, nothing pending). It must be NoWake or a cycle
 	// strictly greater than the tick's now.
 	Wake int64
-	// Kind is the cycle classification the driver's AccrueTick will receive
-	// for this tick (the simulators store sm.TickKind here).
-	Kind uint8
 	// Issued reports whether the unit did work that forces the clock to
 	// advance by exactly one cycle (an instruction issue). If no ticked
 	// unit issues, the kernel event-skips to the next wake-up.
@@ -116,26 +109,18 @@ type Outcome struct {
 }
 
 // Driver is the simulator half of the kernel contract. The kernel decides
-// which units tick at which cycle; the driver does the ticking and the
-// accounting. None of the methods may call back into the Kernel except
-// CycleEnd, which may call RaiseAccrualFloor and ResetSkipped (the warm-up
-// reset path).
+// which units tick at which cycle; the driver does the ticking. Neither
+// method may call back into the Kernel except CycleEnd, which may call
+// ResetSkipped (the warm-up reset path).
 type Driver interface {
 	// TickUnit ticks one due unit at the given cycle. The simulators run
 	// their per-visited-cycle batched work here (MSHR expiry immediately
 	// before the SM tick) and their own bookkeeping (issue counters,
 	// retirement-driven launch re-scans).
 	TickUnit(now int64, unit int) Outcome
-	// AccrueStall settles a unit's standing stall classification over an
-	// interval of cycles in which it was not ticked (one call per interval,
-	// not per cycle).
-	AccrueStall(unit int, cycles uint64)
-	// AccrueTick classifies a ticked unit's own cycle with the Kind its
-	// TickUnit returned.
-	AccrueTick(unit int, kind uint8)
 	// CycleEnd runs once per visited cycle after every due unit has ticked
-	// and before their cycle classifications are accrued — the point where
-	// the simulators charge per-cycle simulation events and check warm-up.
+	// — the point where the simulators charge per-cycle simulation events
+	// and check warm-up.
 	CycleEnd(now int64)
 }
 
@@ -155,12 +140,11 @@ type Config struct {
 }
 
 // Kernel is the shared cycle-advance engine. Use New; the zero value is
-// unusable. A Kernel allocates only at construction — Step, ScheduleNow and
-// the flush methods are allocation-free, which the simulators' steady-state
-// zero-alloc guards depend on.
+// unusable. A Kernel allocates only at construction — Step and the
+// scheduling methods are allocation-free, which the simulators'
+// steady-state zero-alloc guards depend on.
 type Kernel struct {
 	d       Driver
-	units   int
 	horizon int
 	hmask   int64       // horizon - 1
 	words   int         // bitset words per wheel slot: ceil(units/64)
@@ -171,11 +155,6 @@ type Kernel struct {
 	now     int64
 	noSkip  bool
 	skipped int64
-
-	accrueAt   []int64 // unit → first cycle not yet classified
-	tickedID   []int   // scratch: units ticked this cycle
-	tickedKind []uint8
-	nTicked    int // ticked units recorded for the current cycle's FinishCycle
 }
 
 // New builds a Kernel over cfg.Units units driven by d.
@@ -194,17 +173,13 @@ func New(cfg Config, d Driver) (*Kernel, error) {
 		return nil, fmt.Errorf("timing: nil driver")
 	}
 	k := &Kernel{
-		d:          d,
-		units:      cfg.Units,
-		horizon:    h,
-		hmask:      int64(h - 1),
-		words:      (cfg.Units + 63) / 64,
-		wakeAt:     make([]int64, cfg.Units),
-		heap:       sched.NewHeap(cfg.Units),
-		noSkip:     cfg.NoSkip,
-		accrueAt:   make([]int64, cfg.Units),
-		tickedID:   make([]int, cfg.Units),
-		tickedKind: make([]uint8, cfg.Units),
+		d:       d,
+		horizon: h,
+		hmask:   int64(h - 1),
+		words:   (cfg.Units + 63) / 64,
+		wakeAt:  make([]int64, cfg.Units),
+		heap:    sched.NewHeap(cfg.Units),
+		noSkip:  cfg.NoSkip,
 	}
 	k.wheel = make([]uint64, h*k.words)
 	for i := range k.wakeAt {
@@ -237,11 +212,9 @@ func (k *Kernel) Pending() bool { return k.busy != 0 || k.heap.Len() > 0 }
 // ScheduleNow schedules a unit to tick at the current cycle, before the
 // next Step — the simulators call it when a CTA launch makes an idle (or
 // later-scheduled) unit actionable immediately. Any pending future wake-up
-// is dropped first, preserving the at-most-one-entry invariant; the unit's
-// standing accrual interval is settled up to now before the launch can
-// change its classification. Must not be called from inside Step.
+// is dropped first, preserving the at-most-one-entry invariant. Must not be
+// called from inside Step.
 func (k *Kernel) ScheduleNow(unit int) {
-	k.flushAccrual(unit)
 	if k.wakeAt[unit] == k.now {
 		return // already due this cycle
 	}
@@ -275,11 +248,9 @@ func (k *Kernel) drop(unit int) {
 
 // Reschedule replaces a unit's pending wake-up (if any) with cycle c >= now.
 // A wake-up at now lands in the current cycle's drain, so calling this
-// before TickCycle makes the unit tick this very cycle. Unlike ScheduleNow
-// it does not settle the unit's accrual interval: the sharded run loop uses
-// it to repair a provisional wake-up between cycles, where the unit's stall
-// classification is unchanged and flushing here would diverge from the
-// sequential accounting. Must not be called from inside Step/TickCycle.
+// before TickCycle makes the unit tick this very cycle. The sharded run
+// loop uses it to repair a provisional wake-up between cycles. Must not be
+// called from inside Step/TickCycle.
 func (k *Kernel) Reschedule(unit int, c int64) {
 	if k.wakeAt[unit] == c {
 		return
@@ -331,46 +302,15 @@ func (k *Kernel) wake(unit int, c int64) {
 	k.heap.Set(unit, c)
 }
 
-// flushAccrual settles a unit's standing classification over
-// [accrueAt[unit], now) with one Driver.AccrueStall call. Exact because the
-// classification cannot change between the unit's ticks (see the gpu
-// simulator's stall-kind invariant).
-func (k *Kernel) flushAccrual(unit int) {
-	if d := k.now - k.accrueAt[unit]; d > 0 {
-		k.d.AccrueStall(unit, uint64(d))
-		k.accrueAt[unit] = k.now
-	}
-}
-
-// FlushAll settles every unit's accrual interval up to now, so aggregate
-// statistics read exactly as if every cycle had been accrued eagerly.
-func (k *Kernel) FlushAll() {
-	for u := 0; u < k.units; u++ {
-		k.flushAccrual(u)
-	}
-}
-
-// RaiseAccrualFloor discards any un-flushed accrual interval preceding the
-// current cycle — the warm-up statistics reset. Units already settled past
-// now (those ticked this cycle sit at now+1) are left alone: lowering them
-// would double-count the triggering cycle.
-func (k *Kernel) RaiseAccrualFloor() {
-	for u := range k.accrueAt {
-		if k.accrueAt[u] < k.now {
-			k.accrueAt[u] = k.now
-		}
-	}
-}
-
 // Step visits the current cycle: it ticks every due unit in ascending id
-// order, runs the driver's cycle-end hook, classifies the ticked units'
-// cycle, and advances the clock — by one cycle if any unit issued (or
-// NoSkip is set), otherwise straight to the earliest pending wake-up. It is
-// exactly TickCycle + FinishCycle + the advance decision; a parallel
-// coordinator runs the same phases with barriers between them.
+// order, runs the driver's cycle-end hook, and advances the clock — by one
+// cycle if any unit issued (or NoSkip is set), otherwise straight to the
+// earliest pending wake-up. It is exactly TickCycle + CycleEnd + the
+// advance decision; a parallel coordinator runs the same phases with
+// barriers between them.
 func (k *Kernel) Step() {
 	issued := k.TickCycle()
-	k.FinishCycle()
+	k.d.CycleEnd(k.now)
 	if issued || k.noSkip {
 		k.AdvanceTo(k.now + 1)
 		return
@@ -383,9 +323,8 @@ func (k *Kernel) Step() {
 }
 
 // TickCycle visits the current cycle's drain phase: it merges due heap
-// entries into the wheel and ticks every due unit in ascending id order,
-// recording each tick's classification for FinishCycle. It reports whether
-// any unit issued. A cycle with no due units is a valid no-op (TickCycle
+// entries into the wheel and ticks every due unit in ascending id order. It
+// reports whether any unit issued. A cycle with no due units is a valid no-op (TickCycle
 // reports false); the sharded run loop hits that when another shard owns
 // the cycle's only work.
 func (k *Kernel) TickCycle() bool {
@@ -400,7 +339,6 @@ func (k *Kernel) TickCycle() bool {
 		k.wheel[base+u>>6] |= 1 << (uint(u) & 63)
 	}
 	issued := false
-	k.nTicked = 0
 	for w := 0; w < k.words; w++ {
 		idx := base + w
 		for k.wheel[idx] != 0 {
@@ -408,12 +346,7 @@ func (k *Kernel) TickCycle() bool {
 			k.wheel[idx] &^= 1 << uint(b)
 			u := w<<6 + b
 			k.wakeAt[u] = NoWake
-			k.flushAccrual(u)
 			out := k.d.TickUnit(now, u)
-			k.accrueAt[u] = now + 1
-			k.tickedID[k.nTicked] = u
-			k.tickedKind[k.nTicked] = out.Kind
-			k.nTicked++
 			if out.Issued {
 				issued = true
 			}
@@ -426,21 +359,8 @@ func (k *Kernel) TickCycle() bool {
 	return issued
 }
 
-// FinishCycle completes the cycle TickCycle drained: it runs the driver's
-// CycleEnd hook, then classifies the ticked units' own cycle. Ticked units
-// are classified after CycleEnd because a warm-up reset there must land the
-// triggering cycle in the post-reset window, matching the dense reference
-// loops' ordering.
-func (k *Kernel) FinishCycle() {
-	k.d.CycleEnd(k.now)
-	for j := 0; j < k.nTicked; j++ {
-		k.d.AccrueTick(k.tickedID[j], k.tickedKind[j])
-	}
-	k.nTicked = 0
-}
-
 // NextPending returns the earliest pending wake-up cycle, or NoWake when no
-// unit has one. Called between FinishCycle and AdvanceTo it is the kernel's
+// unit has one. Called between TickCycle and AdvanceTo it is the kernel's
 // event-skip candidate; a coordinator over several kernels takes the
 // minimum across them. The result can be at or before now when a heap entry
 // came due but the slot was not drained — callers clamp to now+1 exactly as

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -23,25 +24,17 @@ type tick struct {
 }
 
 // scriptDriver drives a Kernel from a per-unit script and records the tick
-// sequence plus the accrual bookkeeping the kernel dispatches.
+// sequence and the visited cycles.
 type scriptDriver struct {
 	script   [][]step
 	pos      []int
 	ticks    []tick
-	stalls   []uint64 // AccrueStall cycles per unit
-	tickAcc  []uint64 // AccrueTick calls per unit
-	visited  int64    // CycleEnd calls
-	launches []int    // collected during Step, applied by the harness after
+	visited  int64 // CycleEnd calls
+	launches []int // collected during Step, applied by the harness after
 }
 
 func newScriptDriver(script [][]step) *scriptDriver {
-	n := len(script)
-	return &scriptDriver{
-		script:  script,
-		pos:     make([]int, n),
-		stalls:  make([]uint64, n),
-		tickAcc: make([]uint64, n),
-	}
+	return &scriptDriver{script: script, pos: make([]int, len(script))}
 }
 
 func (d *scriptDriver) TickUnit(now int64, u int) Outcome {
@@ -59,9 +52,7 @@ func (d *scriptDriver) TickUnit(now int64, u int) Outcome {
 	return out
 }
 
-func (d *scriptDriver) AccrueStall(u int, cycles uint64) { d.stalls[u] += cycles }
-func (d *scriptDriver) AccrueTick(u int, kind uint8)     { d.tickAcc[u]++ }
-func (d *scriptDriver) CycleEnd(now int64)               { d.visited++ }
+func (d *scriptDriver) CycleEnd(now int64) { d.visited++ }
 
 // runKernel plays a script through a Kernel with the given horizon: all
 // units seeded at cycle 0 (the initial CTA fill), launches applied between
@@ -158,16 +149,6 @@ func compareRuns(t *testing.T, d *scriptDriver, k *Kernel, want []tick, wantNow 
 	}
 	if k.Now() != wantNow {
 		t.Fatalf("final cycle: kernel %d, reference %d", k.Now(), wantNow)
-	}
-	// Every unit's every cycle in [0, Now) must be classified exactly once:
-	// the lazy stall intervals plus the per-tick classifications telescope
-	// to the full run length.
-	k.FlushAll()
-	for u := range d.stalls {
-		if got := d.stalls[u] + d.tickAcc[u]; got != uint64(k.Now()) {
-			t.Fatalf("unit %d: accrued %d cycles (stall %d + tick %d), want %d",
-				u, got, d.stalls[u], d.tickAcc[u], k.Now())
-		}
 	}
 	// Every visited cycle advances the clock by 1 + its skip, so skipped
 	// cycles and visited cycles partition the run exactly.
@@ -306,10 +287,11 @@ func TestScheduleNowReplacesPendingWake(t *testing.T) {
 }
 
 // runKernelPhases replays a script through the decomposed phase API the way
-// the sharded coordinator does — TickCycle, FinishCycle, then NextPending /
-// AdvanceTo with the caller making Step's advance decision — so any drift
-// between Step and its pieces fails the property test below. Before each
-// TickCycle it checks that Due predicts exactly how many units will tick.
+// the sharded coordinator does — TickCycle, its own end of the cycle, then
+// NextPending / AdvanceTo with the caller making Step's advance decision —
+// so any drift between Step and its pieces fails the property test below.
+// Before each TickCycle it checks that Due predicts exactly how many units
+// will tick.
 func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver, *Kernel) {
 	t.Helper()
 	d := newScriptDriver(script)
@@ -334,7 +316,7 @@ func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver,
 		if ticked := len(d.ticks) - before; ticked != due {
 			t.Fatalf("cycle %d: Due() = %d, TickCycle ticked %d units", k.Now(), due, ticked)
 		}
-		k.FinishCycle()
+		d.visited++ // the coordinator's end of the cycle
 		next := k.NextPending()
 		if issued || next < k.Now()+1 {
 			next = k.Now() + 1
@@ -345,9 +327,8 @@ func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver,
 }
 
 // TestPhaseAPIMatchesStep is the decomposition property test: driving the
-// kernel through TickCycle/FinishCycle/NextPending/AdvanceTo must reproduce
-// Step's tick sequence, final cycle, accrual totals and skip accounting on
-// arbitrary schedules.
+// kernel through TickCycle/NextPending/AdvanceTo must reproduce Step's tick
+// sequence, final cycle and skip accounting on arbitrary schedules.
 func TestPhaseAPIMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xfa5e))
 	for _, horizon := range []int{1, 8, 64} {
@@ -417,7 +398,6 @@ func TestRescheduleReplacesPendingWake(t *testing.T) {
 			if issued := k.TickCycle(); issued {
 				t.Fatalf("scripted unit issued unexpectedly")
 			}
-			k.FinishCycle()
 			if len(d.ticks) != 3 || d.ticks[2].cycle != k.Now() {
 				t.Fatalf("Reschedule at now did not tick this cycle: ticks %v, now %d", d.ticks, k.Now())
 			}
@@ -443,5 +423,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if k, err := New(Config{Units: 1}, d); err != nil || k.horizon != DefaultHorizon {
 		t.Errorf("default horizon: kernel %+v, err %v", k, err)
+	}
+}
+
+// benchDistances is the wake-up distance cycle of benchDriver: mostly near
+// (inside the default 64-cycle wheel), one in four a DRAM-length round
+// trip through the heap.
+var benchDistances = [8]int64{1, 4, 1, 30, 2, 300, 12, 450}
+
+// benchDriver re-arms every unit it ticks at a distance from
+// benchDistances and issues on every other tick, with no work behind it.
+type benchDriver struct{ ticks int }
+
+func (d *benchDriver) TickUnit(now int64, u int) Outcome {
+	d.ticks++
+	return Outcome{Wake: now + benchDistances[(d.ticks+u)&7], Issued: d.ticks&1 == 0}
+}
+
+func (d *benchDriver) CycleEnd(int64) {}
+
+// BenchmarkKernelStep measures one Step — drain the due units, tick them,
+// re-arm them in the wheel or the heap, advance — of a kernel whose units
+// wake at mixed near and far distances. ticks/step reports how many unit
+// ticks one Step dispatched on average, to compare per tick.
+func BenchmarkKernelStep(b *testing.B) {
+	for _, units := range []int{16, 128} {
+		b.Run(fmt.Sprintf("%dunits", units), func(b *testing.B) {
+			d := &benchDriver{}
+			k := MustNew(Config{Units: units}, d)
+			for u := 0; u < units; u++ {
+				k.ScheduleNow(u)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+			b.ReportMetric(float64(d.ticks)/float64(b.N), "ticks/step")
+		})
 	}
 }
