@@ -106,7 +106,7 @@ profile-mrc:
 # cheapest answer (a stored analytic body through Handler, no loopback),
 # also long enough for a real ns/op and allocs/op.
 microbench:
-	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/
+	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/ ./internal/sched/
 	$(GO) test -run '^$$' -bench 'PoolRun|CrossCoreRoundTrip' -benchtime 200000x ./internal/parallel/
 	$(GO) test -run '^$$' -bench FunctionalSweep -benchtime 1x ./internal/mrc/
 	$(GO) test -run '^$$' -bench HandleCachedAnalytic -benchtime 20000x ./internal/server/

@@ -48,7 +48,7 @@ func main() {
 		bench    = flag.String("bench", "", "benchmark abbreviation (see -list)")
 		sms      = flag.Int("sms", 16, "number of SMs (monolithic GPU)")
 		chiplets = flag.Int("chiplets", 0, "simulate an MCM GPU with this many chiplets instead")
-		shards   = flag.Int("shards", 0, "run the simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential). For multi-chiplet targets — measured with 2 shards on 2 vCPUs: 1.0-1.4x on 4-chiplet cells, ~1.1x on 16 chiplets, 0.8-1.0x at 128 SMs, 0.6-1.2x on 8/16-SM scale models")
+		shards   = flag.Int("shards", 0, "run the simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential). For the speedup to expect, see docs/PARALLELISM.md \"Performance expectations\"")
 		weak     = flag.Bool("weak", false, "use the weak-scaling variant (input scales with size)")
 		uarchStr = flag.String("uarch", "", "microarchitecture variant, e.g. \"two-level,sectored,deflect,iw=2\" (empty = Table III baseline; part of the request hash)")
 		tier     = flag.String("tier", "cycle", "latency tier: cycle simulates; analytic answers from the microsecond model; auto answers analytically unless confidence is low")

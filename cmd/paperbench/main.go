@@ -56,7 +56,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate (table1..table5, fig1..fig8, artifact, all)")
 	csvDir := flag.String("csv", "", "also export raw results as CSV files into this directory")
-	shards := flag.Int("shards", 0, "run each simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential). For multi-chiplet targets — measured with 2 shards on 2 vCPUs: 1.0-1.4x on 4-chiplet cells, ~1.1x on 16 chiplets, 0.8-1.0x at 128 SMs, 0.6-1.2x on 8/16-SM scale models; use -parallel for scale models")
+	shards := flag.Int("shards", 0, "run each simulation on this many parallel shard goroutines (bit-identical results; 0/1 = sequential). For the speedup to expect, see docs/PARALLELISM.md \"Performance expectations\"; use -parallel for scale models")
 	uarchStr := flag.String("uarch", "", "regenerate everything under this microarchitecture variant, e.g. \"two-level,sectored,deflect,iw=2\" (empty = Table III baseline; CHANGES results)")
 	parallel := cliutil.Parallel(flag.CommandLine)
 	quiet := cliutil.Quiet(flag.CommandLine)

@@ -175,11 +175,10 @@ func goldenCells(t *testing.T) []goldenEntry {
 	}
 
 	// Horizon-boundary cells: DRAM latencies tuned so blocked-warp wake-up
-	// distances cluster around the timing kernel's 64-cycle due-wheel
-	// horizon, exercising the wheel/heap hand-off — wakes just inside the
-	// wheel, exactly at the horizon (which must take the heap), and just
-	// past it — in both simulators. Grid growth is additive: these cells
-	// extend the snapshot, never replace existing entries.
+	// distances clustered around the 64-cycle horizon the timing kernel's
+	// wheel had when they were added (it is sched.Horizon, 512, now). They
+	// stay as short-latency DRAM cells: grid growth is additive, so cells
+	// extend the snapshot and never replace existing entries.
 	for _, hc := range []struct {
 		bench string
 		dram  int

@@ -9,10 +9,11 @@ import (
 )
 
 // horizonConfig is an n-SM config with DRAM latency moved so blocked-warp
-// wake-up distances land on both sides of a wheel horizon — the timing
-// kernel's 64-cycle due-wheel at dram ~52, the SM's 512-cycle pending-warp
-// wheel at dram ~440 — exercising the wheel/heap hand-off against the dense
-// reference.
+// wake-up distances land around a wheel horizon: at dram ~440 on both sides
+// of sched.Horizon (512 cycles), where the SM's and the timing kernel's
+// wheels hand off to the heap, exercising that hand-off against the dense
+// reference. The dram ~52 cells straddled a 64-cycle kernel wheel that is
+// gone; they stay as short-latency DRAM cells.
 func horizonConfig(n, dram int) config.SystemConfig {
 	cfg := testConfig(n)
 	cfg.DRAMLatency = dram

@@ -1,24 +1,26 @@
-// Package sched provides the event-driven scheduling primitive shared by
-// the GPU and MCM run loops: an indexed min-heap of per-unit wake-up cycles.
+// Package sched provides the wake-up structures of the event-driven timing
+// model: Wheel, which holds ids by wake-up cycle, and the indexed min-heap
+// behind it, which takes the wake-ups beyond the wheel's horizon.
 //
-// The dense reference loop ticks every SM every simulated cycle, paying
-// O(NumSMs) bookkeeping even when all but one SM sits in a hundred-cycle
-// memory stall. The event-driven loop instead keeps each SM's next
-// actionable cycle in this heap and ticks only the SMs whose wake-up is due,
-// which turns the per-cycle cost into O(active · log NumSMs).
+// Two layers park their wake-ups in a Wheel. An SM parks each blocked warp
+// until its dependency resolves (internal/sm), and the timing kernel parks
+// each SM until its next actionable cycle (internal/timing). The dense
+// reference loop ticks every SM every simulated cycle, paying O(NumSMs)
+// bookkeeping even when all but one SM sits in a hundred-cycle memory
+// stall; the event-driven loop ticks only the SMs whose wake-up is due.
 //
-// Bit-identical results depend on one property of this heap: among units
-// with the same wake-up cycle, Pop returns the smallest unit index first.
-// The shared memory hierarchy (NoC, LLC, DRAM queues) is stateful, so the
-// order in which SMs access it within one cycle is architecturally visible;
-// the dense loop established ascending-SM-ID order and the heap preserves
-// it via the (cycle, unit) lexicographic key.
+// Bit-identical results depend on one property of both structures: the ids
+// due at one cycle come out in ascending id order. The shared memory
+// hierarchy (NoC, LLC, DRAM queues) is stateful, so the order in which SMs
+// access it within one cycle is architecturally visible; the dense loop
+// established ascending-SM-ID order. Wheel.Due returns a bitset, walked low
+// to high, and the heap breaks key ties toward the smaller index.
 package sched
 
 // Heap is an indexed binary min-heap over unit indices 0..n-1 keyed by an
 // int64 wake-up cycle, with ties broken toward the smaller unit index. Each
-// unit appears at most once. The zero value is unusable; use NewHeap. All
-// operations after NewHeap are allocation-free.
+// unit appears at most once. The zero value is unusable; use NewHeap (a
+// Wheel sizes its own). All operations after that are allocation-free.
 type Heap struct {
 	idx  []int   // heap order -> unit index
 	key  []int64 // heap order -> wake-up cycle
@@ -28,15 +30,20 @@ type Heap struct {
 
 // NewHeap returns a heap for unit indices in [0, units).
 func NewHeap(units int) *Heap {
-	h := &Heap{
-		idx: make([]int, units),
-		key: make([]int64, units),
-		pos: make([]int, units),
-	}
+	h := &Heap{}
+	h.init(units)
+	return h
+}
+
+// init empties the heap and sizes it for unit indices in [0, units).
+func (h *Heap) init(units int) {
+	h.idx = make([]int, units)
+	h.key = make([]int64, units)
+	h.pos = make([]int, units)
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
-	return h
+	h.size = 0
 }
 
 // Len returns the number of scheduled units.

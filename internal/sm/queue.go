@@ -2,15 +2,15 @@ package sm
 
 import "math/bits"
 
-// readyQueue replaces the ready warpHeap with a sequence-ordered bitmap. It
+// readyQueue keeps an SM's ready warps in a sequence-ordered bitmap. It
 // exploits an invariant of both scheduling policies: the ready key of a warp
 // (launch age under GTO, last-issue recency under LRR) is drawn from the SM's
 // single monotone launchSeq counter at the moment the key is (re)assigned, so
 // the order in which keys are assigned IS the order of the key values, and no
 // two live keys are ever equal. That turns "pop the smallest key" into "find
 // the first set bit in assignment order" — one TrailingZeros64 over a couple
-// of words instead of a log-n heap sift — while reproducing the warpHeap's
-// pop order bit-for-bit (TestReadyQueueMatchesHeap cross-checks this on
+// of words instead of a log-n heap sift — while reproducing a heap's pop
+// order bit-for-bit (TestReadyQueueMatchesHeap cross-checks this on
 // randomized schedules).
 //
 // Layout: seq records warp slot indices in key-assignment order; rank maps a

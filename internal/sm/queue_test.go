@@ -3,10 +3,12 @@ package sm
 import (
 	"math/rand"
 	"testing"
+
+	"gpuscale/internal/sched"
 )
 
-// TestReadyQueueMatchesHeap drives the bucketed readyQueue and the old
-// warpHeap through randomized launch-age sequences — launches into reused
+// TestReadyQueueMatchesHeap drives the bucketed readyQueue and a sched.Heap
+// through randomized launch-age sequences — launches into reused
 // slots, GTO-style re-pushes under the original key, LRR-style re-keying,
 // the two-level scheduler's re-key-at-issue/push-at-promote split, and
 // retirements — and demands identical pop order. Keys are drawn from a
@@ -32,10 +34,10 @@ func readyQueueCrossCheck(t *testing.T, nGroups, iters int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	qs := make([]readyQueue, nGroups)
-	hs := make([]warpHeap, nGroups)
+	hs := make([]*sched.Heap, nGroups)
 	for g := range qs {
 		qs[g].grow(maxWarps)
-		hs[g].grow(maxWarps)
+		hs[g] = sched.NewHeap(maxWarps)
 	}
 	grp := func(idx int) int { return idx % nGroups }
 
@@ -78,14 +80,14 @@ func readyQueueCrossCheck(t *testing.T, nGroups, iters int, seed int64) {
 			seq++
 			qs[grp(idx)].assign(idx)
 			qs[grp(idx)].push(idx)
-			hs[grp(idx)].push(idx, key[idx])
+			hs[grp(idx)].Set(idx, key[idx])
 			state[idx] = queued
 		case op < 6 && queuedLen() > 0: // pop a random non-empty group and cross-check
 			g := rng.Intn(nGroups)
 			for qs[g].len() == 0 {
 				g = (g + 1) % nGroups
 			}
-			want, wantKey := hs[g].pop()
+			want, wantKey := hs[g].Pop()
 			got := qs[g].pop()
 			if got != want {
 				t.Fatalf("iter %d: group %d queue popped warp %d, heap popped warp %d (key %d)", i, g, got, want, wantKey)
@@ -100,7 +102,7 @@ func readyQueueCrossCheck(t *testing.T, nGroups, iters int, seed int64) {
 			var idx int
 			idx, runningSlots = pick(runningSlots)
 			qs[grp(idx)].push(idx)
-			hs[grp(idx)].push(idx, key[idx])
+			hs[grp(idx)].Set(idx, key[idx])
 			state[idx] = queued
 		case op < 8 && len(runningSlots) > 0: // LRR issue: re-key then push
 			var idx int
@@ -109,7 +111,7 @@ func readyQueueCrossCheck(t *testing.T, nGroups, iters int, seed int64) {
 			seq++
 			qs[grp(idx)].assign(idx)
 			qs[grp(idx)].push(idx)
-			hs[grp(idx)].push(idx, key[idx])
+			hs[grp(idx)].Set(idx, key[idx])
 			state[idx] = queued
 		case op < 9 && len(runningSlots) > 0:
 			// Two-level issue: the warp re-keys to the back of its group's
@@ -127,8 +129,8 @@ func readyQueueCrossCheck(t *testing.T, nGroups, iters int, seed int64) {
 			freeSlots = append(freeSlots, idx)
 		}
 		for g := range qs {
-			if qs[g].len() != hs[g].len() {
-				t.Fatalf("iter %d: group %d queue len %d != heap len %d", i, g, qs[g].len(), hs[g].len())
+			if qs[g].len() != hs[g].Len() {
+				t.Fatalf("iter %d: group %d queue len %d != heap len %d", i, g, qs[g].len(), hs[g].Len())
 			}
 		}
 	}
@@ -137,8 +139,8 @@ func readyQueueCrossCheck(t *testing.T, nGroups, iters int, seed int64) {
 	}
 	// Drain what remains; order must still agree.
 	for g := range qs {
-		for hs[g].len() > 0 {
-			want, _ := hs[g].pop()
+		for hs[g].Len() > 0 {
+			want, _ := hs[g].Pop()
 			if got := qs[g].pop(); got != want {
 				t.Fatalf("drain: group %d queue popped %d, heap popped %d", g, got, want)
 			}

@@ -9,7 +9,7 @@
 // package is where that accounting lives.
 //
 // The per-instruction path touches no ordered structure. A warp that issues
-// is parked in a wakeWheel by its wake-up cycle (two stores for anything
+// is parked in a sched.Wheel by its wake-up cycle (two stores for anything
 // nearer than the wheel's 512-cycle horizon, DRAM round trips included)
 // and, when that cycle is ticked, promoted into a readyQueue that pops by
 // scheduling rank. Only wake-ups beyond the horizon pay for a heap. Tick
@@ -32,6 +32,7 @@ import (
 	"math/bits"
 
 	"gpuscale/internal/obs"
+	"gpuscale/internal/sched"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
 )
@@ -167,9 +168,9 @@ type SM struct {
 
 	warps     []warp
 	freeWarps []int
-	ready     readyQueue // assignment-ordered bitmap; pops oldest (GTO) / least recent (LRR)
-	pending   wakeWheel  // blocked warps by wake-up cycle (readyAt)
-	current   int        // greedy warp index, -1 if none
+	ready     readyQueue  // assignment-ordered bitmap; pops oldest (GTO) / least recent (LRR)
+	pending   sched.Wheel // blocked warps by wake-up cycle (readyAt)
+	current   int         // greedy warp index, -1 if none
 	recycler  ProgramRecycler
 
 	// Two-level scheduler state: one ready queue per fetch group plus a
@@ -187,12 +188,12 @@ type SM struct {
 	launchSeq    int64
 
 	// currentReady marks the GTO greedy warp as ready without it sitting in
-	// the ready heap. Greedy re-issue is the dominant pattern — a warp
+	// the ready queue. Greedy re-issue is the dominant pattern — a warp
 	// issues, blocks on its own load, is promoted, and issues again — and
-	// keeping it out of the heap turns that promote/pick cycle from a heap
-	// push plus an arbitrary-position removal into two flag writes. The
-	// scheduling decision is unchanged: GTO picks the current warp whenever
-	// it is ready, so it never competes in the heap's oldest-first ordering.
+	// keeping it out of the queue turns that promote/pick cycle into two
+	// flag writes. The scheduling decision is unchanged: GTO picks the
+	// current warp whenever it is ready, so it never competes in the
+	// queue's oldest-first ordering.
 	currentReady bool
 
 	// Cycle accounting: every cycle before accAt is classified in stats
@@ -209,23 +210,6 @@ type SM struct {
 // dependent-issue compute latency. It is a thin wrapper over NewVariant.
 func New(maxWarps, maxCTAs, computeLatency int) (*SM, error) {
 	return NewVariant(maxWarps, maxCTAs, computeLatency, uarch.Variant{})
-}
-
-// NewWithPolicy is New with an explicit warp scheduling policy; the other
-// variant dimensions stay at their defaults.
-func NewWithPolicy(maxWarps, maxCTAs, computeLatency int, policy Policy) (*SM, error) {
-	var sched uarch.Scheduler
-	switch policy {
-	case GTO:
-		sched = uarch.SchedGTO
-	case LRR:
-		sched = uarch.SchedLRR
-	case TwoLevel:
-		sched = uarch.SchedTwoLevel
-	default:
-		return nil, fmt.Errorf("sm: unknown policy %v", policy)
-	}
-	return NewVariant(maxWarps, maxCTAs, computeLatency, uarch.Variant{Scheduler: sched})
 }
 
 // NewVariant is the variant-aware SM constructor every other form wraps: it
@@ -272,7 +256,7 @@ func NewVariant(maxWarps, maxCTAs, computeLatency int, v uarch.Variant) (*SM, er
 	// block, promote and retire must not allocate in steady state
 	// (TestSteadyStateNoAllocs in internal/gpu pins this).
 	s.ready.grow(maxWarps)
-	s.pending.grow(maxWarps)
+	s.pending.Init(maxWarps)
 	if policy == TwoLevel {
 		nGroups := (maxWarps + uarch.TwoLevelGroupSize - 1) / uarch.TwoLevelGroupSize
 		s.groups = make([]readyQueue, nGroups)
@@ -432,7 +416,7 @@ func (s *SM) Tick(now int64, mem MemPort) TickKind {
 	// Promote warps whose dependencies resolved, in warp-index order. Any
 	// order gives the same schedule: the ready queues pop by rank, not by
 	// arrival, and the other effects are a counter and a flag.
-	due := s.pending.due(now)
+	due := s.pending.Due(now)
 	for i, b := range due {
 		due[i] = 0
 		for ; b != 0; b &= b - 1 {
@@ -504,7 +488,7 @@ issue:
 			mem.Access(now, in)
 			w.readyAt = now + 1
 		}
-		s.pending.park(idx, w.readyAt)
+		s.pending.Park(idx, w.readyAt)
 		// A just-issued warp's earliest wake-up is now+1, so it cannot be
 		// picked again within this cycle; the remaining issue slots go to
 		// other ready warps.
@@ -535,16 +519,6 @@ func (s *SM) retire(idx int) {
 		s.freeCTASlots = append(s.freeCTASlots, slot)
 		s.stats.CTAsCompleted++
 	}
-}
-
-// readyKey returns the priority key for the ready heap: launch age under
-// GTO (oldest first), last-issue recency under LRR and the two-level
-// scheduler (least recently issued first, per fetch group for the latter).
-func (s *SM) readyKey(idx int) int64 {
-	if s.policy == LRR || s.policy == TwoLevel {
-		return s.warps[idx].lastIssue
-	}
-	return s.warps[idx].launch
 }
 
 // accrue adds weight cycles of the given classification to the statistics.
@@ -579,7 +553,8 @@ func (s *SM) IssuingWarp() int { return s.current }
 // next-cycle clamp on MemPort completions.
 func (s *SM) FixPendingWake(idx int, readyAt int64) {
 	w := &s.warps[idx]
-	s.pending.fix(idx, w.readyAt, readyAt)
+	s.pending.Remove(idx, w.readyAt)
+	s.pending.Park(idx, readyAt)
 	w.readyAt = readyAt
 }
 
@@ -616,7 +591,7 @@ func (s *SM) NextEvent() (int64, bool) {
 	if s.currentReady || s.readyLen() > 0 {
 		return 0, false // a warp is ready immediately; no skipping possible
 	}
-	return s.pending.next()
+	return s.pending.Next()
 }
 
 // Settle classifies the cycles from the latest Tick (or Settle) up to, not

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gpuscale/internal/sched"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
 )
@@ -344,73 +345,6 @@ func TestDrainAlwaysTerminatesProperty(t *testing.T) {
 	}
 }
 
-func TestHeapPushPopOrder(t *testing.T) {
-	var h warpHeap
-	h.push(0, 30)
-	h.push(1, 10)
-	h.push(2, 20)
-	if h.len() != 3 || h.minKey() != 10 {
-		t.Fatalf("len/min = %d/%d, want 3/10", h.len(), h.minKey())
-	}
-	i, k := h.pop()
-	if i != 1 || k != 10 {
-		t.Errorf("pop = %d,%d, want 1,10", i, k)
-	}
-	if h.contains(1) {
-		t.Error("popped element still contained")
-	}
-	h.remove(2)
-	if h.contains(2) || h.len() != 1 {
-		t.Error("remove failed")
-	}
-}
-
-func TestHeapDoublePushPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	var h warpHeap
-	h.push(0, 1)
-	h.push(0, 2)
-}
-
-func TestHeapRemoveAbsentPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	var h warpHeap
-	h.push(0, 1)
-	h.remove(5)
-}
-
-func TestHeapOrderingProperty(t *testing.T) {
-	f := func(keys []int16) bool {
-		if len(keys) > 64 {
-			keys = keys[:64]
-		}
-		var h warpHeap
-		for i, k := range keys {
-			h.push(i, int64(k))
-		}
-		last := int64(-1 << 62)
-		for h.len() > 0 {
-			_, k := h.pop()
-			if k < last {
-				return false
-			}
-			last = k
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if GTO.String() != "gto" || LRR.String() != "lrr" || TwoLevel.String() != "two-level" {
 		t.Error("policy strings wrong")
@@ -420,20 +354,10 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestNewWithPolicyValidation(t *testing.T) {
-	if _, err := NewWithPolicy(4, 1, 4, Policy(9)); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	s, err := NewWithPolicy(4, 1, 4, LRR)
-	if err != nil || s == nil {
-		t.Fatalf("LRR construction failed: %v", err)
-	}
-}
-
 func TestLRRRotatesAcrossWarps(t *testing.T) {
 	// Three compute-only warps under LRR with latency 1: issues rotate
 	// round-robin rather than sticking with one warp.
-	s, err := NewWithPolicy(4, 1, 1, LRR)
+	s, err := NewVariant(4, 1, 1, uarch.Variant{Scheduler: uarch.SchedLRR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +397,7 @@ func TestNewVariantValidation(t *testing.T) {
 	if _, err := NewVariant(0, 1, 4, uarch.Variant{}); err == nil {
 		t.Error("zero warps accepted")
 	}
-	if _, err := NewWithPolicy(4, 1, 4, TwoLevel); err != nil {
+	if _, err := NewVariant(4, 1, 4, uarch.Variant{Scheduler: uarch.SchedTwoLevel}); err != nil {
 		t.Errorf("two-level construction failed: %v", err)
 	}
 }
@@ -677,7 +601,7 @@ func TestCycleAccountingMatchesEager(t *testing.T) {
 				} else if at, ok := s.NextEvent(); ok {
 					nextTick = at
 					if rng.Intn(6) == 0 {
-						nextTick += rng.Int63n(2 * wakeHorizon) // late
+						nextTick += rng.Int63n(2 * sched.Horizon) // late
 					}
 				}
 			}

@@ -2,96 +2,23 @@ package sm
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"testing"
 
+	"gpuscale/internal/sched"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
 )
 
-// wakeDistances are the park distances the cross-checks draw from: the
-// short latencies that dominate real runs, DRAM-like round trips (which
-// the wheel holds, up to horizon-1), both sides of the wheel/heap hand-off
-// (horizon and horizon+1 take the heap), and beyond.
-var wakeDistances = []int64{1, 1, 2, 4, 4, 30, 64, 177, 300, 310, 420, wakeHorizon - 1, wakeHorizon, wakeHorizon + 1, 2*wakeHorizon - 1, 1000}
-
-// TestWakeWheelMatchesHeap drives the wheel and a single warpHeap — the
-// structure it replaced — through randomized park / fix / tick schedules and
-// demands the same set of promoted warps at every tick and the same next
-// wake-up after every step. Ticks advance by one cycle, skip exactly to the
-// next wake-up as the event loops do, or arrive late by up to several
-// horizons; fixes move warps near -> near, near -> far, far -> near and
-// far -> far. 130 warps make every slot three words wide.
-func TestWakeWheelMatchesHeap(t *testing.T) {
-	for _, nWarps := range []int{48, 64, 130} {
-		rng := rand.New(rand.NewSource(int64(nWarps)))
-		var w wakeWheel
-		var ref warpHeap
-		w.grow(nWarps)
-		ref.grow(nWarps)
-		readyAt := make([]int64, nWarps) // 0 = not parked
-		parked := 0
-		now := int64(0) // cycle of the latest tick, the wheel's base
-		w.due(now)
-		dist := func() int64 { return wakeDistances[rng.Intn(len(wakeDistances))] }
-		for iter := 0; iter < 300000; iter++ {
-			switch op := rng.Intn(10); {
-			case op < 4 && parked < nWarps: // park a free warp
-				idx := rng.Intn(nWarps)
-				for readyAt[idx] != 0 {
-					idx = (idx + 1) % nWarps
-				}
-				readyAt[idx] = now + dist()
-				w.park(idx, readyAt[idx])
-				ref.push(idx, readyAt[idx])
-				parked++
-			case op < 6 && parked > 0: // repair a parked warp's wake-up
-				idx := rng.Intn(nWarps)
-				for readyAt[idx] == 0 {
-					idx = (idx + 1) % nWarps
-				}
-				to := now + dist()
-				w.fix(idx, readyAt[idx], to)
-				ref.fix(idx, to)
-				readyAt[idx] = to
-			case op >= 6: // tick
-				switch at, ok := w.next(); {
-				case rng.Intn(3) == 0 && ok:
-					now = at // event skip: exactly the earliest wake-up
-				case rng.Intn(8) == 0:
-					now += 1 + int64(rng.Intn(3*wakeHorizon)) // late: past any number of wake-ups
-				default:
-					now++
-				}
-				want := make([]uint64, (nWarps+63)/64)
-				for ref.len() > 0 && ref.minKey() <= now {
-					idx, _ := ref.pop()
-					want[idx>>6] |= 1 << (uint(idx) & 63)
-				}
-				got := w.due(now)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%d warps, iter %d: due(%d) word %d = %#x, heap pops %#x", nWarps, iter, now, i, got[i], want[i])
-					}
-					got[i] = 0 // due's contract: the consumer zeroes what it read
-					for b := want[i]; b != 0; b &= b - 1 {
-						readyAt[i<<6+bits.TrailingZeros64(b)] = 0
-						parked--
-					}
-				}
-			}
-			at, ok := w.next()
-			if ok != (ref.len() > 0) || (ok && at != ref.minKey()) {
-				t.Fatalf("%d warps, iter %d: next() = %d,%v, heap has %d entries, min %d", nWarps, iter, at, ok, ref.len(), ref.minKey())
-			}
-		}
-	}
-}
+// wakeDistances are the load latencies scriptedMem draws from: the short
+// latencies that dominate real runs, DRAM-like round trips (which the wheel
+// holds, up to sched.Horizon-1), both sides of the wheel/heap hand-off
+// (sched.Horizon and sched.Horizon+1 take the heap), and beyond.
+var wakeDistances = []int64{1, 1, 2, 4, 4, 30, 64, 177, 300, 310, 420, sched.Horizon - 1, sched.Horizon, sched.Horizon + 1, 2*sched.Horizon - 1, 1000}
 
 // refSM is the naive model of the warp scheduler the SM is checked against:
-// blocked warps wait in one warpHeap and are promoted in (wake-up cycle,
-// heap) order — the structure and order the wheel replaced — and the next
+// blocked warps wait in one sched.Heap and are promoted in (wake-up cycle,
+// warp) order — the structure and order the wheel replaced — and the next
 // warp to issue is found by scanning every warp's key, with no ready queue,
 // rank table or greedy-warp flag. Single issue; all warps launched up front.
 type refSM struct {
@@ -103,7 +30,7 @@ type refSM struct {
 	lastIssue  []int64
 	ready      []bool
 	waitMem    []bool
-	pending    warpHeap
+	pending    *sched.Heap
 	seq        int64
 	current    int
 	active     int // two-level: active fetch group
@@ -116,7 +43,7 @@ func newRefSM(policy Policy, computeLat int, progs []trace.Program) *refSM {
 	n := len(progs)
 	r := &refSM{policy: policy, computeLat: int64(computeLat), prog: progs, current: -1, live: n,
 		readyAt: make([]int64, n), launch: make([]int64, n), lastIssue: make([]int64, n),
-		ready: make([]bool, n), waitMem: make([]bool, n)}
+		ready: make([]bool, n), waitMem: make([]bool, n), pending: sched.NewHeap(n)}
 	for i := range progs {
 		r.launch[i], r.lastIssue[i], r.ready[i] = r.seq, r.seq, true
 		r.seq++
@@ -157,8 +84,8 @@ func (r *refSM) pick() (idx, group int) {
 }
 
 func (r *refSM) tick(now int64, mem MemPort) TickKind {
-	for r.pending.len() > 0 && r.pending.minKey() <= now {
-		idx, _ := r.pending.pop()
+	for r.pending.Len() > 0 && r.pending.MinKey() <= now {
+		idx, _ := r.pending.Pop()
 		if r.waitMem[idx] {
 			r.waitMem[idx] = false
 			r.blockedMem--
@@ -203,21 +130,21 @@ func (r *refSM) tick(now int64, mem MemPort) TickKind {
 			mem.Access(now, in)
 			r.readyAt[idx] = now + 1
 		}
-		r.pending.push(idx, r.readyAt[idx])
+		r.pending.Set(idx, r.readyAt[idx])
 		return Issued
 	}
 }
 
 func (r *refSM) fixPendingWake(idx int, readyAt int64) {
 	r.readyAt[idx] = readyAt
-	r.pending.fix(idx, readyAt)
+	r.pending.Set(idx, readyAt)
 }
 
 func (r *refSM) nextEvent() (int64, bool) {
-	if idx, _ := r.pick(); idx >= 0 || r.pending.len() == 0 {
+	if idx, _ := r.pick(); idx >= 0 || r.pending.Len() == 0 {
 		return 0, false
 	}
-	return r.pending.minKey(), true
+	return r.pending.MinKey(), true
 }
 
 // scriptedMem answers each load with a latency drawn from wakeDistances by a
@@ -253,6 +180,9 @@ func (m *scriptedMem) Access(now int64, in trace.Instr) int64 {
 	return now + 3
 }
 
+// schedulers maps each Policy to the uarch scheduler that selects it.
+var schedulers = map[Policy]uarch.Scheduler{GTO: uarch.SchedGTO, LRR: uarch.SchedLRR, TwoLevel: uarch.SchedTwoLevel}
+
 // TestPendingWakeMatchesReferenceSM runs the SM and the naive reference in
 // lockstep on mixed compute / load / store warps under every scheduling
 // policy and demands the same classification at every tick, the same next
@@ -281,7 +211,7 @@ func TestPendingWakeMatchesReferenceSM(t *testing.T) {
 					}
 					return ps
 				}
-				s, err := NewWithPolicy(nWarps, 1, 4, policy)
+				s, err := NewVariant(nWarps, 1, 4, uarch.Variant{Scheduler: schedulers[policy]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -315,7 +245,7 @@ func TestPendingWakeMatchesReferenceSM(t *testing.T) {
 					case got == Issued || !ok:
 						now++
 					case rng.Intn(8) == 0:
-						now = at + 1 + int64(rng.Intn(2*wakeHorizon)) // late tick
+						now = at + 1 + int64(rng.Intn(2*sched.Horizon)) // late tick
 					default:
 						now = at
 					}

@@ -5,38 +5,30 @@
 // a unit that is not ticked for a stretch of cycles classifies them itself
 // when it is next ticked (internal/sm's SM does, see sm.SM.Settle).
 //
-// The wake-up structure is hierarchical:
+// The wake-up structure is a sched.Wheel over unit ids, the same structure
+// an SM parks its blocked warps in: one bitset of units per cycle over the
+// next sched.Horizon (512) cycles, which absorbs compute latencies, cache
+// hits and DRAM round trips in two stores each, and an indexed min-heap for
+// the rare wake-up beyond that. wakeAt records the cycle each unit is
+// parked at.
 //
-//   - A due-wheel: one bitset of units per cycle over a small power-of-two
-//     horizon (default 64 cycles). A wake-up landing within the horizon is
-//     two stores (set a bit in the slot's bitset, set the slot's bit in a
-//     one-word occupancy mask) and never pays for heap ordering. This
-//     absorbs not just next-cycle wake-ups but the short memory latencies —
-//     L1 hits, LLC hits, near-horizon DRAM returns — that previously
-//     spilled into the heap on every miss.
-//   - An indexed min-heap (internal/sched) for wake-ups at or beyond the
-//     horizon (DRAM round trips, inter-chiplet hops). Entries whose cycle
-//     comes due are merged into the wheel's current slot at the top of
-//     Step, so the drain below sees one uniform structure.
-//
-// Within a visited cycle, units tick in ascending unit id: the slot bitset
-// is walked with bits.TrailingZeros64 (low to high = ascending id) and the
-// heap breaks key ties toward the smaller index, so merged entries preserve
-// the same order. That order is architecturally visible — the simulators'
-// shared resources (NoC ports, LLC slices, memory controllers, CTA queues)
-// are order-sensitive within a cycle — and matches the dense reference
-// loops, which is what keeps event-driven results bit-identical to them.
+// Within a visited cycle, units tick in ascending unit id: the wheel hands
+// the due units back as one bitset, heap entries merged in, which is walked
+// with bits.TrailingZeros64 (low to high = ascending id). That order is
+// architecturally visible — the simulators' shared resources (NoC ports,
+// LLC slices, memory controllers, CTA queues) are order-sensitive within a
+// cycle — and matches the dense reference loops, which is what keeps
+// event-driven results bit-identical to them.
 //
 // Invariants the kernel maintains (and the simulators rely on):
 //
-//   - A unit has at most one pending wake-up, recorded in wakeAt: it lives
-//     in exactly one wheel slot or the heap, never both. A unit with no
-//     pending wake-up is idle and is only re-entered via ScheduleNow (a CTA
-//     launch in the simulators).
+//   - A unit has at most one pending wake-up, recorded in wakeAt and parked
+//     in the wheel. A unit with no pending wake-up is idle and is only
+//     re-entered via ScheduleNow (a CTA launch in the simulators).
 //   - The clock never skips past a pending wake-up: the skip target is the
-//     minimum of the wheel's next occupied slot and the heap's minimum key.
-//     Every visited cycle advances the clock by one plus the cycles it
-//     skips, so visited and skipped cycles partition the run.
+//     wheel's earliest parked cycle. Every visited cycle advances the clock
+//     by one plus the cycles it skips, so visited and skipped cycles
+//     partition the run.
 //
 // The kernel is deliberately ignorant of what a "unit" is. The simulator
 // supplies a Driver; per-visited-cycle work the simulators batch (MSHR
@@ -90,12 +82,6 @@ import (
 // and goes idle until ScheduleNow re-enters it.
 const NoWake int64 = -1
 
-// DefaultHorizon is the due-wheel span in cycles when Config.Horizon is 0.
-// 64 keeps the occupancy mask a single word while covering the short
-// wake-up distances (compute latencies, L1/LLC hits and queueing) that
-// dominate the simulator's reschedules.
-const DefaultHorizon = 64
-
 // Outcome is what Driver.TickUnit reports back for one unit tick.
 type Outcome struct {
 	// Wake is the next cycle the unit can act, or NoWake if the unit is
@@ -129,11 +115,6 @@ type Config struct {
 	// Units is the number of tickable units (SMs, domain-major on a
 	// multi-chiplet package).
 	Units int
-	// Horizon is the due-wheel span in cycles: a power of two in [1, 64],
-	// or 0 for DefaultHorizon. Wake-ups closer than Horizon cycles go to
-	// the wheel; the rest to the heap. Horizon 1 degenerates to a pure
-	// heap (useful as a property-test reference point).
-	Horizon int
 	// NoSkip disables event-skipping: the clock advances one cycle at a
 	// time even when nothing issues (the event-skip ablation mode).
 	NoSkip bool
@@ -145,13 +126,8 @@ type Config struct {
 // steady-state zero-alloc guards depend on.
 type Kernel struct {
 	d       Driver
-	horizon int
-	hmask   int64       // horizon - 1
-	words   int         // bitset words per wheel slot: ceil(units/64)
-	wheel   []uint64    // horizon × words slot bitsets, slot = cycle & hmask
-	busy    uint64      // bit s set ⇒ slot s may hold entries
+	wheel   sched.Wheel // pending wake-ups by cycle
 	wakeAt  []int64     // unit → pending wake-up cycle, NoWake if none
-	heap    *sched.Heap // beyond-horizon wake-ups
 	now     int64
 	noSkip  bool
 	skipped int64
@@ -162,26 +138,15 @@ func New(cfg Config, d Driver) (*Kernel, error) {
 	if cfg.Units <= 0 {
 		return nil, fmt.Errorf("timing: units must be positive, got %d", cfg.Units)
 	}
-	h := cfg.Horizon
-	if h == 0 {
-		h = DefaultHorizon
-	}
-	if h < 1 || h > 64 || h&(h-1) != 0 {
-		return nil, fmt.Errorf("timing: horizon must be a power of two in [1, 64], got %d", cfg.Horizon)
-	}
 	if d == nil {
 		return nil, fmt.Errorf("timing: nil driver")
 	}
 	k := &Kernel{
-		d:       d,
-		horizon: h,
-		hmask:   int64(h - 1),
-		words:   (cfg.Units + 63) / 64,
-		wakeAt:  make([]int64, cfg.Units),
-		heap:    sched.NewHeap(cfg.Units),
-		noSkip:  cfg.NoSkip,
+		d:      d,
+		wakeAt: make([]int64, cfg.Units),
+		noSkip: cfg.NoSkip,
 	}
-	k.wheel = make([]uint64, h*k.words)
+	k.wheel.Init(cfg.Units)
 	for i := range k.wakeAt {
 		k.wakeAt[i] = NoWake
 	}
@@ -206,45 +171,12 @@ func (k *Kernel) Skipped() int64 { return k.skipped }
 // ResetSkipped zeroes the skipped-cycle counter (the warm-up reset path).
 func (k *Kernel) ResetSkipped() { k.skipped = 0 }
 
-// Pending reports whether any unit has a pending wake-up.
-func (k *Kernel) Pending() bool { return k.busy != 0 || k.heap.Len() > 0 }
-
 // ScheduleNow schedules a unit to tick at the current cycle, before the
 // next Step — the simulators call it when a CTA launch makes an idle (or
 // later-scheduled) unit actionable immediately. Any pending future wake-up
 // is dropped first, preserving the at-most-one-entry invariant. Must not be
 // called from inside Step.
-func (k *Kernel) ScheduleNow(unit int) {
-	if k.wakeAt[unit] == k.now {
-		return // already due this cycle
-	}
-	k.drop(unit)
-	slot := int(k.now & k.hmask)
-	k.wheel[slot*k.words+unit>>6] |= 1 << (uint(unit) & 63)
-	k.busy |= 1 << uint(slot)
-	k.wakeAt[unit] = k.now
-}
-
-// drop removes a unit's pending wake-up entry, wherever it lives. The entry
-// is in the wheel iff the unit's bit is set in the slot its wake cycle maps
-// to — only this unit ever sets that bit, and it has at most one entry.
-// Heap entries can sit at any distance (they are merged only when due), so
-// a distance test would lie. No-op when the unit has no pending wake-up.
-func (k *Kernel) drop(unit int) {
-	c := k.wakeAt[unit]
-	if c == NoWake {
-		return
-	}
-	w := int(c&k.hmask)*k.words + unit>>6
-	bit := uint64(1) << (uint(unit) & 63)
-	if k.wheel[w]&bit != 0 {
-		k.wheel[w] &^= bit
-		k.dropBusyIfEmpty(int(c & k.hmask))
-	} else {
-		k.heap.Remove(unit)
-	}
-	k.wakeAt[unit] = NoWake
-}
+func (k *Kernel) ScheduleNow(unit int) { k.Reschedule(unit, k.now) }
 
 // Reschedule replaces a unit's pending wake-up (if any) with cycle c >= now.
 // A wake-up at now lands in the current cycle's drain, so calling this
@@ -252,55 +184,21 @@ func (k *Kernel) drop(unit int) {
 // loop uses it to repair a provisional wake-up between cycles. Must not be
 // called from inside Step/TickCycle.
 func (k *Kernel) Reschedule(unit int, c int64) {
-	if k.wakeAt[unit] == c {
+	if old := k.wakeAt[unit]; old == c {
 		return
+	} else if old != NoWake {
+		k.wheel.Remove(unit, old)
 	}
-	k.drop(unit)
-	k.wake(unit, c)
+	k.wakeAt[unit] = c
+	k.wheel.Park(unit, c)
 }
 
 // WakeAt returns the unit's pending wake-up cycle, or NoWake if it is idle.
 func (k *Kernel) WakeAt(unit int) int64 { return k.wakeAt[unit] }
 
-// Due returns how many units the next TickCycle will tick, as things stand:
-// the current wheel slot's units plus the heap entries that have come due.
+// Due returns how many units the next TickCycle will tick, as things stand.
 // A coordinator reads it to size a cycle's work before dispatching it.
-func (k *Kernel) Due() int {
-	n := k.heap.Due(k.now)
-	base := int(k.now&k.hmask) * k.words
-	for _, w := range k.wheel[base : base+k.words] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// dropBusyIfEmpty clears the slot's occupancy bit when its bitset drained
-// to zero, so the skip scan cannot stop at a cycle with nothing due (which
-// would charge phantom per-cycle events and break bit-identity).
-func (k *Kernel) dropBusyIfEmpty(slot int) {
-	base := slot * k.words
-	for _, w := range k.wheel[base : base+k.words] {
-		if w != 0 {
-			return
-		}
-	}
-	k.busy &^= 1 << uint(slot)
-}
-
-// wake registers a unit's next wake-up cycle c > now: within the horizon it
-// goes to the wheel, at or beyond it to the heap. (Distance exactly equal
-// to the horizon must use the heap — its slot would alias the cycle
-// currently being drained.)
-func (k *Kernel) wake(unit int, c int64) {
-	k.wakeAt[unit] = c
-	if d := c - k.now; d > 0 && d < int64(k.horizon) {
-		slot := int(c & k.hmask)
-		k.wheel[slot*k.words+unit>>6] |= 1 << (uint(unit) & 63)
-		k.busy |= 1 << uint(slot)
-		return
-	}
-	k.heap.Set(unit, c)
-}
+func (k *Kernel) Due() int { return k.wheel.Count(k.now) }
 
 // Step visits the current cycle: it ticks every due unit in ascending id
 // order, runs the driver's cycle-end hook, and advances the clock — by one
@@ -317,70 +215,48 @@ func (k *Kernel) Step() {
 	}
 	next := k.NextPending()
 	if next < k.now+1 {
-		next = k.now + 1 // NoWake, or a heap entry already due this cycle
+		next = k.now + 1 // NoWake, or a wake-up already due this cycle
 	}
 	k.AdvanceTo(next)
 }
 
-// TickCycle visits the current cycle's drain phase: it merges due heap
-// entries into the wheel and ticks every due unit in ascending id order. It
-// reports whether any unit issued. A cycle with no due units is a valid no-op (TickCycle
-// reports false); the sharded run loop hits that when another shard owns
-// the cycle's only work.
+// TickCycle visits the current cycle's drain phase: it ticks every due
+// unit in ascending id order and reports whether any unit issued. A cycle
+// with no due units is a valid no-op (TickCycle reports false); the sharded
+// run loop hits that when another shard owns the cycle's only work.
 func (k *Kernel) TickCycle() bool {
 	now := k.now
-	slot := int(now & k.hmask)
-	base := slot * k.words
-	// Merge due heap entries into the current slot so the drain below sees
-	// one structure. Keys below now cannot exist (the clock never skips
-	// past a pending wake-up).
-	for k.heap.Len() > 0 && k.heap.MinKey() <= now {
-		u, _ := k.heap.Pop()
-		k.wheel[base+u>>6] |= 1 << (uint(u) & 63)
-	}
 	issued := false
-	for w := 0; w < k.words; w++ {
-		idx := base + w
-		for k.wheel[idx] != 0 {
-			b := bits.TrailingZeros64(k.wheel[idx])
-			k.wheel[idx] &^= 1 << uint(b)
-			u := w<<6 + b
+	due := k.wheel.Due(now)
+	for i, b := range due {
+		due[i] = 0
+		for ; b != 0; b &= b - 1 {
+			u := i<<6 + bits.TrailingZeros64(b)
 			k.wakeAt[u] = NoWake
 			out := k.d.TickUnit(now, u)
 			if out.Issued {
 				issued = true
 			}
 			if out.Wake != NoWake {
-				k.wake(u, out.Wake)
+				k.wakeAt[u] = out.Wake
+				k.wheel.Park(u, out.Wake)
 			}
 		}
 	}
-	k.busy &^= 1 << uint(slot)
 	return issued
 }
 
 // NextPending returns the earliest pending wake-up cycle, or NoWake when no
 // unit has one. Called between TickCycle and AdvanceTo it is the kernel's
 // event-skip candidate; a coordinator over several kernels takes the
-// minimum across them. The result can be at or before now when a heap entry
-// came due but the slot was not drained — callers clamp to now+1 exactly as
-// Step does.
+// minimum across them. The result can be at or before now when a unit was
+// rescheduled at now after the cycle's drain — callers clamp to now+1
+// exactly as Step does.
 func (k *Kernel) NextPending() int64 {
-	// The wheel's candidate comes from rotating the occupancy mask so the
-	// scan starts at now+1; the low horizon bits of r are the true rotation
-	// (garbage above them cannot win TrailingZeros64 when busy is non-zero).
-	next := NoWake
-	if k.busy != 0 {
-		start := uint((k.now + 1) & k.hmask)
-		r := k.busy>>start | k.busy<<(uint(k.horizon)-start)
-		next = k.now + 1 + int64(bits.TrailingZeros64(r))
+	if at, ok := k.wheel.Next(); ok {
+		return at
 	}
-	if k.heap.Len() > 0 {
-		if mk := k.heap.MinKey(); next == NoWake || mk < next {
-			next = mk
-		}
-	}
-	return next
+	return NoWake
 }
 
 // AdvanceTo moves the clock to cycle c > now, charging the cycles in

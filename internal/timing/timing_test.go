@@ -54,27 +54,26 @@ func (d *scriptDriver) TickUnit(now int64, u int) Outcome {
 
 func (d *scriptDriver) CycleEnd(now int64) { d.visited++ }
 
-// runKernel plays a script through a Kernel with the given horizon: all
-// units seeded at cycle 0 (the initial CTA fill), launches applied between
+// runKernel plays a script through a Kernel: all units seeded at cycle 0 (the initial CTA fill), launches applied between
 // Steps at the advanced cycle (the way fillCTAs runs at the top of the
 // simulators' outer loops).
-func runKernel(t *testing.T, script [][]step, horizon int, noSkip bool) (*scriptDriver, *Kernel) {
+func runKernel(t *testing.T, script [][]step, noSkip bool) (*scriptDriver, *Kernel) {
 	t.Helper()
 	d := newScriptDriver(script)
-	k := MustNew(Config{Units: len(script), Horizon: horizon, NoSkip: noSkip}, d)
+	k := MustNew(Config{Units: len(script), NoSkip: noSkip}, d)
 	for u := range script {
 		k.ScheduleNow(u)
 	}
 	const maxSteps = 1 << 22
 	for i := 0; ; i++ {
 		if i > maxSteps {
-			t.Fatalf("kernel did not drain after %d steps (horizon %d)", maxSteps, horizon)
+			t.Fatalf("kernel did not drain after %d steps", maxSteps)
 		}
 		for _, u := range d.launches {
 			k.ScheduleNow(u)
 		}
 		d.launches = d.launches[:0]
-		if !k.Pending() {
+		if k.NextPending() == NoWake {
 			break
 		}
 		k.Step()
@@ -165,70 +164,66 @@ func cloneScript(script [][]step) [][]step {
 	return out
 }
 
-// TestWheelMatchesHeapReference is the due-wheel property test: arbitrary
+// TestWheelMatchesHeapReference is the wake-up property test: arbitrary
 // wake schedules — horizon-boundary distances, duplicate cycles, idle
 // units relaunched mid-run — must produce the identical tick sequence as a
-// plain sched.Heap, for every horizon including the degenerate heap-only
-// horizon 1 and multi-word unit counts.
+// plain sched.Heap, for single- and multi-word unit counts.
 func TestWheelMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
-	for _, horizon := range []int{1, 2, 8, 64} {
-		for _, n := range []int{1, 5, 64, 130} {
-			for trial := 0; trial < 4; trial++ {
-				h64 := int64(horizon)
-				// Boundary-heavy delta palette: next cycle, inside the
-				// wheel, one each side of the horizon, exactly the horizon
-				// (must take the heap — its slot aliases the cycle being
-				// drained), and far beyond it.
-				palette := []int64{1, 1, 2, 3, h64 - 1, h64, h64 + 1, 2 * h64, 3*h64 + 7}
-				script := make([][]step, n)
-				for u := range script {
-					steps := 8 + rng.Intn(24)
-					for j := 0; j < steps; j++ {
-						st := step{issued: rng.Intn(2) == 0}
-						switch rng.Intn(10) {
-						case 0:
-							st.delta = 0 // go idle; only a launch revives it
-						case 1, 2:
-							st.delta = 1 + rng.Int63n(3*h64)
-						default:
-							st.delta = palette[rng.Intn(len(palette))]
-						}
-						if st.delta < 1 && rng.Intn(4) != 0 {
-							st.delta = 1
-						}
-						if rng.Intn(12) == 0 {
-							st.launch = []int{rng.Intn(n)}
-							// A launch-triggering tick always issues, as in
-							// the simulators (capacity frees on an issuing
-							// retirement) — this is what makes NoSkip visit
-							// the launch cycle at the same point.
-							st.issued = true
-						}
-						script[u] = append(script[u], st)
+	const h = sched.Horizon
+	// Boundary-heavy delta palette: next cycle, inside the wheel, one each
+	// side of the horizon, exactly the horizon (must take the heap — its
+	// slot aliases the cycle being drained), and far beyond it.
+	palette := []int64{1, 1, 2, 3, h - 1, h, h + 1, 2 * h, 3*h + 7}
+	for _, n := range []int{1, 5, 64, 130} {
+		for trial := 0; trial < 16; trial++ {
+			script := make([][]step, n)
+			for u := range script {
+				steps := 8 + rng.Intn(24)
+				for j := 0; j < steps; j++ {
+					st := step{issued: rng.Intn(2) == 0}
+					switch rng.Intn(10) {
+					case 0:
+						st.delta = 0 // go idle; only a launch revives it
+					case 1, 2:
+						st.delta = 1 + rng.Int63n(3*h)
+					default:
+						st.delta = palette[rng.Intn(len(palette))]
 					}
+					if st.delta < 1 && rng.Intn(4) != 0 {
+						st.delta = 1
+					}
+					if rng.Intn(12) == 0 {
+						st.launch = []int{rng.Intn(n)}
+						// A launch-triggering tick always issues, as in
+						// the simulators (capacity frees on an issuing
+						// retirement) — this is what makes NoSkip visit
+						// the launch cycle at the same point.
+						st.issued = true
+					}
+					script[u] = append(script[u], st)
 				}
-				wantTicks, wantNow, _ := runReference(cloneScript(script))
-				d, k := runKernel(t, cloneScript(script), horizon, false)
-				compareRuns(t, d, k, wantTicks, wantNow)
+			}
+			wantTicks, wantNow, _ := runReference(cloneScript(script))
+			d, k := runKernel(t, cloneScript(script), false)
+			compareRuns(t, d, k, wantTicks, wantNow)
 
-				// NoSkip visits every cycle but must tick the same
-				// sequence with nothing skipped.
-				dn, kn := runKernel(t, cloneScript(script), horizon, true)
-				if len(dn.ticks) != len(wantTicks) {
-					t.Fatalf("noskip tick count: %d want %d", len(dn.ticks), len(wantTicks))
+			// NoSkip visits every cycle but must tick the same
+			// sequence with nothing skipped.
+			dn, kn := runKernel(t, cloneScript(script), true)
+			if len(dn.ticks) != len(wantTicks) {
+				t.Fatalf("noskip tick count: %d want %d", len(dn.ticks), len(wantTicks))
+			}
+			for i := range wantTicks {
+				if dn.ticks[i] != wantTicks[i] {
+					t.Fatalf("noskip tick %d diverged", i)
 				}
-				for i := range wantTicks {
-					if dn.ticks[i] != wantTicks[i] {
-						t.Fatalf("noskip tick %d diverged", i)
-					}
-				}
-				if kn.Skipped() != 0 {
-					t.Fatalf("noskip skipped %d cycles", kn.Skipped())
-				}
-				if dn.visited != kn.Now() {
-					t.Fatalf("noskip visited %d cycles, final now %d", dn.visited, kn.Now())
-				}
+			}
+			if kn.Skipped() != 0 {
+				t.Fatalf("noskip skipped %d cycles", kn.Skipped())
+			}
+			if dn.visited != kn.Now() {
+				t.Fatalf("noskip visited %d cycles, final now %d", dn.visited, kn.Now())
 			}
 		}
 	}
@@ -236,22 +231,22 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 
 // TestHorizonBoundary pins the wheel/heap hand-off deterministically: a
 // wake exactly one horizon away must take the heap (its slot aliases the
-// cycle being drained), one cycle closer must take the wheel, and both must
-// tick at exactly their scheduled cycle.
+// cycle being drained), one cycle closer must take the wheel, one further
+// the heap, and all must tick at exactly their scheduled cycle.
 func TestHorizonBoundary(t *testing.T) {
-	const horizon = 4
+	const h = sched.Horizon
 	script := [][]step{
-		{{delta: horizon}, {delta: horizon - 1}, {delta: horizon + 1}, {delta: 0}},
-		{{delta: 1}, {delta: horizon}, {delta: 2 * horizon}, {delta: 0}},
+		{{delta: h}, {delta: h - 1}, {delta: h + 1}, {delta: 0}},
+		{{delta: 1}, {delta: h}, {delta: 2 * h}, {delta: 0}},
 	}
 	wantTicks, wantNow, _ := runReference(cloneScript(script))
-	d, k := runKernel(t, cloneScript(script), horizon, false)
+	d, k := runKernel(t, cloneScript(script), false)
 	compareRuns(t, d, k, wantTicks, wantNow)
 	// Pin the absolute cycles, not just agreement with the reference: both
-	// seeded at 0, unit 1 hops 1→5→13 (exact-horizon then beyond-horizon
-	// wakes), unit 0 hops 4→7→12 (exact horizon, then one inside, then one
-	// beyond).
-	want := []tick{{0, 0}, {0, 1}, {1, 1}, {4, 0}, {5, 1}, {7, 0}, {12, 0}, {13, 1}}
+	// seeded at 0, unit 1 hops 1→h+1→3h+1 (exact-horizon then
+	// beyond-horizon wakes), unit 0 hops h→2h-1→3h (exact horizon, then one
+	// inside, then one beyond).
+	want := []tick{{0, 0}, {0, 1}, {1, 1}, {h, 0}, {h + 1, 1}, {2*h - 1, 0}, {3 * h, 0}, {3*h + 1, 1}}
 	if len(d.ticks) != len(want) {
 		t.Fatalf("ticks %v, want %v", d.ticks, want)
 	}
@@ -267,21 +262,19 @@ func TestHorizonBoundary(t *testing.T) {
 // tick it at the launch cycle only, and the stale entry must neither tick
 // again nor stop the clock at an empty cycle.
 func TestScheduleNowReplacesPendingWake(t *testing.T) {
-	for _, horizon := range []int{1, 8, 64} {
-		// Unit 0 reschedules far ahead but unit 1's tick at cycle 1
-		// launches it immediately; the stale wake at cycle 100 (heap) or 5
-		// (wheel) must vanish.
-		for _, staleDelta := range []int64{5, 100} {
-			script := [][]step{
-				{{delta: staleDelta}, {delta: 0}},
-				{{delta: 1}, {delta: 0, launch: []int{0}}},
-			}
-			wantTicks, wantNow, _ := runReference(cloneScript(script))
-			d, k := runKernel(t, cloneScript(script), horizon, false)
-			compareRuns(t, d, k, wantTicks, wantNow)
-			if k.Pending() {
-				t.Fatalf("horizon %d staleDelta %d: kernel still pending after drain", horizon, staleDelta)
-			}
+	// Unit 0 reschedules far ahead but unit 1's tick at cycle 1 launches it
+	// immediately; the stale wake at cycle 5 (wheel) or beyond the horizon
+	// (heap) must vanish.
+	for _, staleDelta := range []int64{5, sched.Horizon + 100} {
+		script := [][]step{
+			{{delta: staleDelta}, {delta: 0}},
+			{{delta: 1}, {delta: 0, launch: []int{0}}},
+		}
+		wantTicks, wantNow, _ := runReference(cloneScript(script))
+		d, k := runKernel(t, cloneScript(script), false)
+		compareRuns(t, d, k, wantTicks, wantNow)
+		if k.NextPending() != NoWake {
+			t.Fatalf("staleDelta %d: kernel still pending after drain", staleDelta)
 		}
 	}
 }
@@ -292,23 +285,23 @@ func TestScheduleNowReplacesPendingWake(t *testing.T) {
 // so any drift between Step and its pieces fails the property test below.
 // Before each TickCycle it checks that Due predicts exactly how many units
 // will tick.
-func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver, *Kernel) {
+func runKernelPhases(t *testing.T, script [][]step) (*scriptDriver, *Kernel) {
 	t.Helper()
 	d := newScriptDriver(script)
-	k := MustNew(Config{Units: len(script), Horizon: horizon}, d)
+	k := MustNew(Config{Units: len(script)}, d)
 	for u := range script {
 		k.ScheduleNow(u)
 	}
 	const maxSteps = 1 << 22
 	for i := 0; ; i++ {
 		if i > maxSteps {
-			t.Fatalf("phase kernel did not drain after %d steps (horizon %d)", maxSteps, horizon)
+			t.Fatalf("phase kernel did not drain after %d steps", maxSteps)
 		}
 		for _, u := range d.launches {
 			k.ScheduleNow(u)
 		}
 		d.launches = d.launches[:0]
-		if !k.Pending() {
+		if k.NextPending() == NoWake {
 			break
 		}
 		due, before := k.Due(), len(d.ticks)
@@ -331,15 +324,16 @@ func runKernelPhases(t *testing.T, script [][]step, horizon int) (*scriptDriver,
 // sequence, final cycle and skip accounting on arbitrary schedules.
 func TestPhaseAPIMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xfa5e))
-	for _, horizon := range []int{1, 8, 64} {
-		for _, n := range []int{1, 7, 70} {
-			for trial := 0; trial < 4; trial++ {
-				h64 := int64(horizon)
+	for _, n := range []int{1, 7, 70} {
+		for trial := 0; trial < 12; trial++ {
+			// Short reach crowds units into the same cycles; long reach
+			// crosses the horizon.
+			for _, reach := range []int64{8, 3 * sched.Horizon} {
 				script := make([][]step, n)
 				for u := range script {
 					steps := 4 + rng.Intn(20)
 					for j := 0; j < steps; j++ {
-						st := step{issued: rng.Intn(2) == 0, delta: 1 + rng.Int63n(3*h64)}
+						st := step{issued: rng.Intn(2) == 0, delta: 1 + rng.Int63n(reach)}
 						if rng.Intn(10) == 0 {
 							st.delta = 0
 						}
@@ -351,7 +345,7 @@ func TestPhaseAPIMatchesStep(t *testing.T) {
 					}
 				}
 				wantTicks, wantNow, _ := runReference(cloneScript(script))
-				d, k := runKernelPhases(t, cloneScript(script), horizon)
+				d, k := runKernelPhases(t, cloneScript(script))
 				compareRuns(t, d, k, wantTicks, wantNow)
 			}
 		}
@@ -363,46 +357,41 @@ func TestPhaseAPIMatchesStep(t *testing.T) {
 // pending wake wherever it lives (wheel or heap), revive an idle unit, be
 // drainable at the current cycle, and leave WakeAt telling the truth.
 func TestRescheduleReplacesPendingWake(t *testing.T) {
-	for _, horizon := range []int{1, 8, 64} {
-		for _, staleDelta := range []int64{5, 100} { // wheel entry, heap entry
-			// The seed tick issues so Step advances to cycle 1 instead of
-			// event-skipping straight to the stale wake.
-			d := newScriptDriver([][]step{{{delta: staleDelta, issued: true}}})
-			k := MustNew(Config{Units: 1, Horizon: horizon}, d)
-			k.ScheduleNow(0)
-			k.Step() // ticks at 0, re-arms at staleDelta
-			if got := k.WakeAt(0); got != staleDelta {
-				t.Fatalf("horizon %d: WakeAt after tick = %d, want %d", horizon, got, staleDelta)
-			}
-			// Replace the stale entry with a nearer wake; the stale one must
-			// neither tick nor stop the skip scan.
-			k.Reschedule(0, 3)
-			if got := k.WakeAt(0); got != 3 {
-				t.Fatalf("horizon %d: WakeAt after Reschedule = %d, want 3", horizon, got)
-			}
-			for k.Pending() {
-				k.Step()
-			}
-			wantTicks := []tick{{0, 0}, {3, 0}}
-			if len(d.ticks) != len(wantTicks) || d.ticks[1] != wantTicks[1] {
-				t.Fatalf("horizon %d staleDelta %d: ticks %v, want %v", horizon, staleDelta, d.ticks, wantTicks)
-			}
-			if k.Pending() {
-				t.Fatalf("horizon %d staleDelta %d: stale wake survived Reschedule", horizon, staleDelta)
-			}
-			// Reschedule from idle revives the unit (WakeAt == NoWake first).
-			if k.WakeAt(0) != NoWake {
-				t.Fatalf("unit not idle after drain")
-			}
-			k.Reschedule(0, k.Now())
-			if issued := k.TickCycle(); issued {
-				t.Fatalf("scripted unit issued unexpectedly")
-			}
-			if len(d.ticks) != 3 || d.ticks[2].cycle != k.Now() {
-				t.Fatalf("Reschedule at now did not tick this cycle: ticks %v, now %d", d.ticks, k.Now())
-			}
-			k.AdvanceTo(k.Now() + 1)
+	for _, staleDelta := range []int64{5, sched.Horizon + 100} { // wheel entry, heap entry
+		// The seed tick issues so Step advances to cycle 1 instead of
+		// event-skipping straight to the stale wake.
+		d := newScriptDriver([][]step{{{delta: staleDelta, issued: true}}})
+		k := MustNew(Config{Units: 1}, d)
+		k.ScheduleNow(0)
+		k.Step() // ticks at 0, re-arms at staleDelta
+		if got := k.WakeAt(0); got != staleDelta {
+			t.Fatalf("WakeAt after tick = %d, want %d", got, staleDelta)
 		}
+		// Replace the stale entry with a nearer wake; the stale one must
+		// neither tick nor stop the skip scan.
+		k.Reschedule(0, 3)
+		if got := k.WakeAt(0); got != 3 {
+			t.Fatalf("WakeAt after Reschedule = %d, want 3", got)
+		}
+		for k.NextPending() != NoWake {
+			k.Step()
+		}
+		wantTicks := []tick{{0, 0}, {3, 0}}
+		if len(d.ticks) != len(wantTicks) || d.ticks[1] != wantTicks[1] {
+			t.Fatalf("staleDelta %d: ticks %v, want %v", staleDelta, d.ticks, wantTicks)
+		}
+		// Reschedule from idle revives the unit (WakeAt == NoWake first).
+		if k.WakeAt(0) != NoWake {
+			t.Fatalf("unit not idle after drain")
+		}
+		k.Reschedule(0, k.Now())
+		if issued := k.TickCycle(); issued {
+			t.Fatalf("scripted unit issued unexpectedly")
+		}
+		if len(d.ticks) != 3 || d.ticks[2].cycle != k.Now() {
+			t.Fatalf("Reschedule at now did not tick this cycle: ticks %v, now %d", d.ticks, k.Now())
+		}
+		k.AdvanceTo(k.Now() + 1)
 	}
 }
 
@@ -412,23 +401,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Units: 0}, d); err == nil {
 		t.Error("want error for zero units")
 	}
-	if _, err := New(Config{Units: 1, Horizon: 3}, d); err == nil {
-		t.Error("want error for non-power-of-two horizon")
-	}
-	if _, err := New(Config{Units: 1, Horizon: 128}, d); err == nil {
-		t.Error("want error for horizon beyond 64")
-	}
 	if _, err := New(Config{Units: 1}, nil); err == nil {
 		t.Error("want error for nil driver")
 	}
-	if k, err := New(Config{Units: 1}, d); err != nil || k.horizon != DefaultHorizon {
-		t.Errorf("default horizon: kernel %+v, err %v", k, err)
+	if _, err := New(Config{Units: 1}, d); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
-// benchDistances is the wake-up distance cycle of benchDriver: mostly near
-// (inside the default 64-cycle wheel), one in four a DRAM-length round
-// trip through the heap.
+// benchDistances is the wake-up distance cycle of benchDriver: mostly near,
+// one in four a DRAM-length round trip, all inside the wheel's horizon.
 var benchDistances = [8]int64{1, 4, 1, 30, 2, 300, 12, 450}
 
 // benchDriver re-arms every unit it ticks at a distance from
@@ -443,7 +425,7 @@ func (d *benchDriver) TickUnit(now int64, u int) Outcome {
 func (d *benchDriver) CycleEnd(int64) {}
 
 // BenchmarkKernelStep measures one Step — drain the due units, tick them,
-// re-arm them in the wheel or the heap, advance — of a kernel whose units
+// re-arm them in the wheel, advance — of a kernel whose units
 // wake at mixed near and far distances. ticks/step reports how many unit
 // ticks one Step dispatched on average, to compare per tick.
 func BenchmarkKernelStep(b *testing.B) {
