@@ -94,22 +94,26 @@ profile-mrc:
 	done
 
 # The per-structure micro-benchmarks of the hot-path packages (sm: the
-# pending-warp wheel; cache: L1 access and the MSHR file; timing: the
-# kernel's Step), once each at a fixed iteration count, and one whole
-# miss-rate curve per BenchmarkFunctionalSweep case (ht, bfs, dct; replays
-# sequential and at the default bound): the nightly run keeps them
-# compiling and running. For numbers, raise -benchtime and
-# compare against a parent checkout. The shard pool's fork-join and the
-# host's bare cross-core round trip run long enough to print a real ns/op:
-# the second is the input internal/gpu's forkMinWork was derived from, so
-# the nightly log tracks it. BenchmarkHandleCachedAnalytic is the daemon's
-# cheapest answer (a stored analytic body through Handler, no loopback),
-# also long enough for a real ns/op and allocs/op.
+# pending-warp wake; cache: L1 access and the MSHR file; timing: the
+# kernel's Step; sched: the wake wheel the SM and the kernel share), once
+# each at a fixed iteration count, and one whole miss-rate curve per
+# BenchmarkFunctionalSweep case (ht, bfs, dct; replays sequential and at the
+# default bound): the nightly run keeps them compiling and running. For
+# numbers, raise -benchtime and compare against a parent checkout. The
+# shard pool's fork-join and the host's bare cross-core round trip run long
+# enough to print a real ns/op: the second is the input internal/gpu's
+# forkMinWork was derived from, so the nightly log tracks it.
+# BenchmarkHandleCachedAnalytic is the daemon's cheapest answer (a stored
+# analytic body through Handler, no loopback) and BenchmarkAnalyticPredict
+# the analytic tier's model call (gpuscale.PredictAnalytic; each case also
+# runs its cycle pipeline once for the speedup), both long enough for a
+# real ns/op and allocs/op.
 microbench:
 	$(GO) test -run '^$$' -bench . -benchtime 100x ./internal/sm/ ./internal/cache/ ./internal/timing/ ./internal/sched/
 	$(GO) test -run '^$$' -bench 'PoolRun|CrossCoreRoundTrip' -benchtime 200000x ./internal/parallel/
 	$(GO) test -run '^$$' -bench FunctionalSweep -benchtime 1x ./internal/mrc/
 	$(GO) test -run '^$$' -bench HandleCachedAnalytic -benchtime 20000x ./internal/server/
+	$(GO) test -run '^$$' -bench AnalyticPredict -benchtime 2000x .
 
 # Every switch dispatching over uarch variant values ("case uarch.X") must
 # carry a panicking default, so adding a new variant axis value fails loudly

@@ -9,10 +9,7 @@ package gpuscale
 // whether to escalate to the cycle simulator (docs/ANALYTIC.md).
 
 import (
-	"fmt"
-
 	"gpuscale/internal/analytic"
-	"gpuscale/internal/config"
 )
 
 // AnalyticEstimate is one microsecond-scale analytical prediction of a
@@ -55,121 +52,54 @@ type AnalyticPrediction struct {
 }
 
 // PredictAnalytic runs the full scale-model prediction ladder analytically
-// for a predict-op request: estimate the two scale models, estimate the
-// miss-rate curve (strong scaling), and assemble the PredictionInput that
-// Predict extrapolates to the target sizes — all without simulating.
+// for a predict-op request: estimate the two scale models of
+// Request.ScaleModels, estimate the miss-rate curve (strong scaling), and
+// assemble the PredictionInput that Predict extrapolates to the target
+// sizes — all without simulating.
 func PredictAnalytic(req Request) (AnalyticPrediction, error) {
 	if req.Op == "" {
 		req.Op = OpPredict
 	}
-	if err := req.Validate(); err != nil {
-		return AnalyticPrediction{}, err
-	}
-	if req.Op != OpPredict {
-		return AnalyticPrediction{}, fmt.Errorf("gpuscale: PredictAnalytic on %q request", req.Op)
-	}
-	if req.Target.Chiplets > 0 {
-		return predictAnalyticMCM(req)
-	}
-
-	sizes := config.StandardSizes
-	base := Baseline128()
-	if req.Options.Uarch != nil {
-		// The variant is part of the simulated hardware: thread it into the
-		// ladder configs so the estimates carry the variant confidence
-		// discount and auto-tier requests escalate (docs/UARCH.md).
-		base.Uarch = *req.Options.Uarch
-	}
-	ests := make([]AnalyticEstimate, 2)
-	for i, n := range sizes[:2] {
-		w, err := req.Workload.Resolve(n)
-		if err != nil {
-			return AnalyticPrediction{}, err
-		}
-		est, err := analytic.EstimateCell(MustScale(base, n), w)
-		if err != nil {
-			return AnalyticPrediction{}, err
-		}
-		ests[i] = est
-	}
-	out := AnalyticPrediction{Small: ests[0], Large: ests[1]}
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
-	}
-	out.Input = PredictionInput{
-		Sizes:    fsizes,
-		SmallIPC: ests[0].IPC,
-		LargeIPC: ests[1].IPC,
-	}
-	out.Confidence = minConf(ests[0].Confidence, ests[1].Confidence)
-	if req.Workload.Weak {
-		out.Input.Mode = WeakScaling
-		return out, nil
-	}
-	out.Input.Mode = StrongScaling
-	w, err := req.Workload.Resolve(0)
+	sizes, cells, err := req.scaleModels()
 	if err != nil {
 		return AnalyticPrediction{}, err
 	}
-	mpki, err := analytic.MPKICurve(w, StandardConfigs())
-	if err != nil {
-		return AnalyticPrediction{}, err
-	}
-	out.Input.MPKI = mpki
-	// FMemLarge feeds Eq. 3's 1/(1-f_mem·r) term and must stay in [0, 1).
-	out.Input.FMemLarge = ests[1].FMem
-	if out.Input.FMemLarge > 0.999 {
-		out.Input.FMemLarge = 0.999
-	}
-	return out, nil
-}
-
-// predictAnalyticMCM is the multi-chip-module ladder: 4- and 8-chiplet
-// analytic scale models predicting the 16-chiplet target, weak scaling.
-func predictAnalyticMCM(req Request) (AnalyticPrediction, error) {
-	base := Target16Chiplet()
-	if req.Options.Uarch != nil {
-		base.Chiplet.Uarch = *req.Options.Uarch
-	}
-	sizes := config.ChipletStandardSizes
-	ests := make([]AnalyticEstimate, 2)
-	for i, n := range sizes[:2] {
-		cfg, err := ScaleChiplets(base, n)
+	var ests [2]AnalyticEstimate
+	for i, c := range cells {
+		// The variant sits in the configurations, so the estimates carry
+		// its confidence discount and auto-tier requests escalate
+		// (docs/UARCH.md).
+		if c.mcm.NumChiplets > 0 {
+			ests[i], err = analytic.EstimateMCM(c.mcm, c.w)
+		} else {
+			ests[i], err = analytic.EstimateCell(c.sys, c.w)
+		}
 		if err != nil {
 			return AnalyticPrediction{}, err
 		}
-		w, err := req.Workload.Resolve(cfg.TotalSMs())
-		if err != nil {
-			return AnalyticPrediction{}, err
-		}
-		est, err := analytic.EstimateMCM(cfg, w)
-		if err != nil {
-			return AnalyticPrediction{}, err
-		}
-		ests[i] = est
 	}
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
-	}
-	return AnalyticPrediction{
+	out := AnalyticPrediction{
 		Input: PredictionInput{
-			Sizes:    fsizes,
+			Sizes:    sizes,
 			SmallIPC: ests[0].IPC,
 			LargeIPC: ests[1].IPC,
 			Mode:     WeakScaling,
 		},
 		Small:      ests[0],
 		Large:      ests[1],
-		MCM:        true,
-		Confidence: minConf(ests[0].Confidence, ests[1].Confidence),
-	}, nil
-}
-
-func minConf(a, b float64) float64 {
-	if a < b {
-		return a
+		MCM:        req.Target.Chiplets > 0,
+		Confidence: min(ests[0].Confidence, ests[1].Confidence),
 	}
-	return b
+	if req.Workload.Weak {
+		return out, nil
+	}
+	mpki, err := analytic.MPKICurve(cells[1].w, StandardConfigs())
+	if err != nil {
+		return AnalyticPrediction{}, err
+	}
+	out.Input.Mode = StrongScaling
+	out.Input.MPKI = mpki
+	// FMemLarge feeds Eq. 3's 1/(1-f_mem·r) term and must stay in [0, 1).
+	out.Input.FMemLarge = min(ests[1].FMem, 0.999)
+	return out, nil
 }

@@ -91,7 +91,7 @@ func TestAnalyticPredictLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// About 32 allocations are ordinary response assembly; the bound
+	// About 30 allocations are ordinary response assembly; the bound
 	// catches a per-request cache, feature re-extraction or benchmark-table
 	// rebuild sneaking in.
 	if allocs > 64 {

@@ -46,6 +46,7 @@ import (
 
 	"gpuscale"
 	"gpuscale/cmd/internal/cliutil"
+	"gpuscale/internal/core"
 	"gpuscale/internal/server"
 )
 
@@ -223,7 +224,7 @@ func runNumeric(smallSMs int, fmem float64, weak, quiet bool) {
 	if !weak {
 		in.MPKI = mpki
 	}
-	preds, err := gpuscale.Predict(in)
+	targets, err := core.PredictTargets(in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "predict:", err)
 		os.Exit(1)
@@ -241,26 +242,9 @@ func runNumeric(smallSMs int, fmem float64, weak, quiet bool) {
 			}
 		}
 	}
-
-	baselines, err := gpuscale.FitBaselines([]gpuscale.RegressionPoint{
-		{Size: sizes[0], IPC: smallIPC},
-		{Size: sizes[1], IPC: largeIPC},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "predict:", err)
-		os.Exit(1)
+	preds := make([]server.PredictionPoint, len(targets))
+	for i, t := range targets {
+		preds[i] = server.PredictionPoint{Size: t.Size, IPC: t.IPC, Region: t.Region.String(), Baselines: t.Baselines}
 	}
-
-	fmt.Printf("\n%-8s %-12s %-12s %-12s %-12s %-12s %s\n",
-		"size", "scale-model", "log", "proportional", "linear", "power-law", "region")
-	for _, p := range preds {
-		fmt.Printf("%-8.0f %-12.2f %-12.2f %-12.2f %-12.2f %-12.2f %s\n",
-			p.Size,
-			p.IPC,
-			baselines["logarithmic"].Predict(p.Size),
-			baselines["proportional"].Predict(p.Size),
-			baselines["linear"].Predict(p.Size),
-			baselines["power-law"].Predict(p.Size),
-			p.Region)
-	}
+	printTable(preds)
 }

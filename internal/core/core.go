@@ -29,6 +29,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"gpuscale/internal/regress"
 )
 
 // ScalingMode selects the workload scenario.
@@ -269,6 +271,41 @@ func Predict(in Input) ([]Prediction, error) {
 			}
 		}
 		out = append(out, p)
+	}
+	return out, nil
+}
+
+// Target is the prediction for one target size beside the baseline
+// extrapolations the paper compares it against.
+type Target struct {
+	Prediction
+	// Baselines maps each baseline method (regress.BaselineNames) to its
+	// IPC at Size, fit on the same two scale models.
+	Baselines map[string]float64
+}
+
+// PredictTargets is the paper's whole prediction step: Predict for every
+// target size, plus every regress.FitAll baseline fit on the two scale
+// models (Sizes[0] and Sizes[1]) and evaluated at each target.
+func PredictTargets(in Input) ([]Target, error) {
+	preds, err := Predict(in)
+	if err != nil {
+		return nil, err
+	}
+	models, err := regress.FitAll([]regress.Point{
+		{Size: in.Sizes[0], IPC: in.SmallIPC},
+		{Size: in.Sizes[1], IPC: in.LargeIPC},
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Target, len(preds))
+	for i, p := range preds {
+		bl := make(map[string]float64, len(models))
+		for name, m := range models {
+			bl[name] = m.Predict(p.Size)
+		}
+		out[i] = Target{Prediction: p, Baselines: bl}
 	}
 	return out, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gpuscale/internal/regress"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -345,5 +347,57 @@ func TestPredictExactRecoveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPredictTargets pins the prediction step the service, the harness and
+// the CLI share: on the inputs of the tests above — no cliff, a compounding
+// sub-linear trend, an Eq. 3 cliff, an Eq. 4 post-cliff chain and weak
+// scaling — its IPC and Region are Predict's, and its baselines are
+// regress.FitAll's fit on the two scale models, evaluated at each target.
+func TestPredictTargets(t *testing.T) {
+	sizes := []float64{8, 16, 32, 64, 128}
+	cases := []struct {
+		name string
+		in   Input
+	}{
+		{"linear", Input{Sizes: sizes, SmallIPC: 100, LargeIPC: 200, MPKI: []float64{4, 4, 4, 4, 4}}},
+		{"sub-linear", Input{Sizes: sizes, SmallIPC: 100, LargeIPC: 180, MPKI: []float64{8, 7, 6, 5.2, 4.6}}},
+		{"cliff", Input{Sizes: sizes, SmallIPC: 100, LargeIPC: 198, MPKI: []float64{8, 8, 8, 7.5, 0.3}, FMemLarge: 0.75}},
+		{"post-cliff", Input{Sizes: sizes, SmallIPC: 100, LargeIPC: 200, MPKI: []float64{8, 8, 7.5, 0.3, 0.3}, FMemLarge: 0.5}},
+		{"weak", Input{Sizes: sizes, SmallIPC: 100, LargeIPC: 190, Mode: WeakScaling}},
+	}
+	for _, c := range cases {
+		preds, err := Predict(c.in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		targets, err := PredictTargets(c.in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		models, err := regress.FitAll([]regress.Point{{Size: 8, IPC: c.in.SmallIPC}, {Size: 16, IPC: c.in.LargeIPC}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(targets) != len(preds) {
+			t.Fatalf("%s: %d targets, want %d", c.name, len(targets), len(preds))
+		}
+		for i, tg := range targets {
+			if tg.Prediction != preds[i] {
+				t.Errorf("%s: target %d = %+v, want Predict's %+v", c.name, i, tg.Prediction, preds[i])
+			}
+			if len(tg.Baselines) != len(regress.BaselineNames) {
+				t.Errorf("%s: %d baselines at %v, want %d", c.name, len(tg.Baselines), tg.Size, len(regress.BaselineNames))
+			}
+			for _, name := range regress.BaselineNames {
+				if got, want := tg.Baselines[name], models[name].Predict(tg.Size); got != want {
+					t.Errorf("%s: %s at %v = %v, want %v", c.name, name, tg.Size, got, want)
+				}
+			}
+		}
+	}
+	if _, err := PredictTargets(Input{Sizes: sizes[:1]}); err == nil {
+		t.Error("PredictTargets accepted an input without both scale models")
 	}
 }

@@ -145,42 +145,12 @@ func (e *PanicError) Error() string {
 // when ctx is cancelled, in which case jobs not yet started carry ctx's
 // error in their Result.Err.
 func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
-	start := time.Now()
-	var mu sync.Mutex
-	var done, failed int
-	var cycles int64
-	note := func(r Result) {
-		if opt.OnProgress == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		if r.Err != nil {
-			failed++
-		} else {
-			cycles += r.Stats.Cycles
-		}
-		p := Progress{
-			Done:    done,
-			Failed:  failed,
-			Total:   len(jobs),
-			Cycles:  cycles,
-			Elapsed: time.Since(start),
-		}
-		if secs := p.Elapsed.Seconds(); secs > 0 {
-			p.CyclesPerSec = float64(cycles) / secs
-		}
-		if done > 0 && done < len(jobs) {
-			p.ETA = time.Duration(float64(p.Elapsed) / float64(done) * float64(len(jobs)-done))
-		}
-		opt.OnProgress(p)
-		mu.Unlock()
-	}
+	note := Tally(len(jobs), opt.OnProgress)
 	ran := make([]bool, len(jobs))
 	results, err := Map(ctx, opt.Workers, jobs, func(ctx context.Context, i int, j Job) (Result, error) {
 		ran[i] = true
 		r := runJob(ctx, j)
-		note(r)
+		note(r.Stats.Cycles, r.Err)
 		return r, nil
 	})
 	for i := range results {
@@ -190,6 +160,45 @@ func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
 		}
 	}
 	return results, err
+}
+
+// Tally is the progress bookkeeping behind Options.OnProgress for a sweep
+// of total units starting now: each call of the returned func records one
+// finished unit — its simulated cycles, or its failure — and hands the
+// updated snapshot to on. The calls may come from any goroutine; on sees
+// them one at a time. A nil on makes the returned func a no-op.
+func Tally(total int, on func(Progress)) func(cycles int64, err error) {
+	if on == nil {
+		return func(int64, error) {}
+	}
+	start := time.Now()
+	var mu sync.Mutex
+	var done, failed int
+	var cycles int64
+	return func(c int64, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if err != nil {
+			failed++
+		} else {
+			cycles += c
+		}
+		p := Progress{
+			Done:    done,
+			Failed:  failed,
+			Total:   total,
+			Cycles:  cycles,
+			Elapsed: time.Since(start),
+		}
+		if secs := p.Elapsed.Seconds(); secs > 0 {
+			p.CyclesPerSec = float64(cycles) / secs
+		}
+		if done < total {
+			p.ETA = time.Duration(float64(p.Elapsed) / float64(done) * float64(total-done))
+		}
+		on(p)
+	}
 }
 
 // runJob executes one job, converting panics into the job's error. The

@@ -2,38 +2,19 @@ package harness
 
 import (
 	"fmt"
+	"time"
 
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
 	"gpuscale/internal/gpu"
-	"gpuscale/internal/regress"
 	"gpuscale/internal/stats"
-	"gpuscale/internal/trace"
 	"gpuscale/internal/workloads"
-	"time"
 )
 
 // ChipletTimedStats is an MCM simulation result plus host cost.
 type ChipletTimedStats struct {
 	gpu.MCMStats
 	Wall time.Duration
-}
-
-// runChiplet simulates w on the MCM configuration cfg, memoised by
-// (config, workload) name with single-flight deduplication like Run.
-func (h *Harness) runChiplet(cfg config.ChipletConfig, w trace.Workload) (ChipletTimedStats, error) {
-	key := cfg.Name + "/" + w.Name()
-	e := entryFor(&h.mu, h.chipletRuns, key)
-	e.once.Do(func() {
-		start := time.Now()
-		_, st, err := h.simulate(gpu.NewMCM(cfg, []trace.Workload{w}, h.options()))
-		if err != nil {
-			e.err = fmt.Errorf("harness: MCM %s on %s: %w", w.Name(), cfg.Name, err)
-			return
-		}
-		e.val = ChipletTimedStats{MCMStats: st, Wall: time.Since(start)}
-	})
-	return e.val, e.err
 }
 
 // ChipletResult holds one family's multi-chiplet case study (paper
@@ -63,55 +44,21 @@ func (h *Harness) RunChiplet(wb workloads.WeakBenchmark) (*ChipletResult, error)
 		Bench: wb,
 		Sizes: sizes,
 		Real:  make(map[int]ChipletTimedStats, len(sizes)),
-		Pred:  make(map[string]map[int]float64, len(Methods)),
-		Err:   make(map[string]map[int]float64, len(Methods)),
 	}
 	for _, n := range sizes {
 		cfg := config.MustScaleChiplets(base, n)
-		w := wb.ForSMs(n * base.Chiplet.NumSMs)
-		cached, err := h.runChiplet(cfg, w)
+		st, err := h.runChiplet(cfg, wb.ForSMs(cfg.TotalSMs()))
 		if err != nil {
 			return nil, err
 		}
-		res.Real[n] = cached
+		res.Real[n] = st
 	}
-	small, large := res.Real[sizes[0]], res.Real[sizes[1]]
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
-	}
-	preds, err := core.Predict(core.Input{
-		Sizes:    fsizes,
-		SmallIPC: small.IPC,
-		LargeIPC: large.IPC,
-		Mode:     core.WeakScaling,
-	})
+	var err error
+	res.Pred, res.Err, err = score(core.Input{Mode: core.WeakScaling}, sizes, func(n int) float64 { return res.Real[n].IPC })
 	if err != nil {
 		return nil, fmt.Errorf("harness: MCM prediction for %s: %w", wb.Name, err)
 	}
-	res.Pred[ScaleModel] = make(map[int]float64)
-	for _, p := range preds {
-		res.Pred[ScaleModel][int(p.Size)] = p.IPC
-	}
-	models, err := regress.FitAll([]regress.Point{
-		{Size: fsizes[0], IPC: small.IPC},
-		{Size: fsizes[1], IPC: large.IPC},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: MCM baseline fits for %s: %w", wb.Name, err)
-	}
-	for name, m := range models {
-		res.Pred[name] = make(map[int]float64)
-		for _, n := range sizes[2:] {
-			res.Pred[name][n] = m.Predict(float64(n))
-		}
-	}
-	for _, method := range Methods {
-		res.Err[method] = make(map[int]float64)
-		for _, n := range sizes[2:] {
-			res.Err[method][n] = stats.AbsPctError(res.Pred[method][n], res.Real[n].IPC)
-		}
-	}
+	small, large := res.Real[sizes[0]], res.Real[sizes[1]]
 	target := sizes[len(sizes)-1]
 	scaleEvents := float64(small.SimEvents + large.SimEvents)
 	res.SpeedupEvents = float64(res.Real[target].SimEvents) / scaleEvents

@@ -36,7 +36,6 @@ import (
 	"gpuscale/internal/gpu"
 	"gpuscale/internal/mrc"
 	"gpuscale/internal/obs"
-	"gpuscale/internal/regress"
 	"gpuscale/internal/stats"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
@@ -82,10 +81,9 @@ func entryFor[V any](mu *sync.Mutex, m map[string]*runEntry[V], key string) *run
 // concurrent requests for the same key, and fans sweep entry points across
 // a worker pool. The zero value is not usable; call New.
 type Harness struct {
-	mu          sync.Mutex // guards the memo maps
-	runs        map[string]*runEntry[TimedStats]
-	chipletRuns map[string]*runEntry[ChipletTimedStats]
-	mrcs        map[string]*runEntry[mrc.Curve]
+	mu   sync.Mutex                  // guards the memo maps
+	runs map[string]*runEntry[timed] // monolithic and MCM runs: the config names are disjoint
+	mrcs map[string]*runEntry[mrc.Curve]
 
 	// Configuration: set by the options in New, read-only afterwards.
 	parallel int
@@ -100,10 +98,9 @@ type Harness struct {
 // sequential simulations. See options.go for the available options.
 func New(opts ...Option) *Harness {
 	h := &Harness{
-		runs:        make(map[string]*runEntry[TimedStats]),
-		chipletRuns: make(map[string]*runEntry[ChipletTimedStats]),
-		mrcs:        make(map[string]*runEntry[mrc.Curve]),
-		parallel:    runtime.NumCPU(),
+		runs:     make(map[string]*runEntry[timed]),
+		mrcs:     make(map[string]*runEntry[mrc.Curve]),
+		parallel: runtime.NumCPU(),
 	}
 	for _, opt := range opts {
 		opt(h)
@@ -118,16 +115,46 @@ var Default = New()
 // Run simulates w on cfg, memoised by (config, workload) name. Concurrent
 // calls with the same key run the simulation once and share the result.
 func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, error) {
-	key := cfg.Name + "/" + w.Name()
-	e := entryFor(&h.mu, h.runs, key)
+	r, err := h.run(cfg.Name, w, func() (*gpu.Simulator, error) {
+		return gpu.New(cfg, []trace.Workload{w}, h.options())
+	})
+	return TimedStats{Stats: r.st, Wall: r.wall}, err
+}
+
+// runChiplet is Run on the MCM configuration cfg.
+func (h *Harness) runChiplet(cfg config.ChipletConfig, w trace.Workload) (ChipletTimedStats, error) {
+	r, err := h.run(cfg.Name, w, func() (*gpu.Simulator, error) {
+		return gpu.NewMCM(cfg, []trace.Workload{w}, h.options())
+	})
+	return ChipletTimedStats{MCMStats: r.mcm, Wall: r.wall}, err
+}
+
+// timed is one memoised run: the statistics of a monolithic or an MCM
+// simulation (the other is zero) and its host cost.
+type timed struct {
+	st   gpu.Stats
+	mcm  gpu.MCMStats
+	wall time.Duration
+}
+
+// run is the single-flight body of Run and runChiplet: the first caller
+// for (cfgName, workload) builds the simulator with build and runs it to
+// completion, every other caller shares its result.
+func (h *Harness) run(cfgName string, w trace.Workload, build func() (*gpu.Simulator, error)) (timed, error) {
+	e := entryFor(&h.mu, h.runs, cfgName+"/"+w.Name())
 	e.once.Do(func() {
 		start := time.Now()
-		st, _, err := h.simulate(gpu.New(cfg, []trace.Workload{w}, h.options()))
+		sim, err := build()
+		var r timed
+		if err == nil {
+			r.st, r.mcm, err = sim.RunContext(context.Background())
+		}
 		if err != nil {
-			e.err = fmt.Errorf("harness: simulating %s on %s: %w", w.Name(), cfg.Name, err)
+			e.err = fmt.Errorf("harness: simulating %s on %s: %w", w.Name(), cfgName, err)
 			return
 		}
-		e.val = TimedStats{Stats: st, Wall: time.Since(start)}
+		r.wall = time.Since(start)
+		e.val = r
 	})
 	return e.val, e.err
 }
@@ -135,14 +162,6 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 // options are the simulator options every harness run uses.
 func (h *Harness) options() gpu.Options {
 	return gpu.Options{Recorder: h.observer, Shards: h.shards, Uarch: h.uarch}
-}
-
-// simulate runs a freshly built simulator to completion.
-func (h *Harness) simulate(sim *gpu.Simulator, err error) (gpu.Stats, gpu.MCMStats, error) {
-	if err != nil {
-		return gpu.Stats{}, gpu.MCMStats{}, err
-	}
-	return sim.RunContext(context.Background())
 }
 
 // Curve computes (memoised, single-flight) the functional-simulation
@@ -194,37 +213,7 @@ func (h *Harness) prewarm(units []prewarmUnit) {
 	if workers <= 1 || len(units) <= 1 {
 		return
 	}
-	start := time.Now()
-	var mu sync.Mutex
-	var done, failed int
-	var cycles int64
-	note := func(st TimedStats, err error) {
-		if progress == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		if err != nil {
-			failed++
-		} else {
-			cycles += st.Cycles
-		}
-		p := engine.Progress{
-			Done:    done,
-			Failed:  failed,
-			Total:   len(units),
-			Cycles:  cycles,
-			Elapsed: time.Since(start),
-		}
-		if secs := p.Elapsed.Seconds(); secs > 0 {
-			p.CyclesPerSec = float64(cycles) / secs
-		}
-		if done > 0 && done < len(units) {
-			p.ETA = time.Duration(float64(p.Elapsed) / float64(done) * float64(len(units)-done))
-		}
-		progress(p)
-		mu.Unlock()
-	}
+	note := engine.Tally(len(units), progress)
 	// Errors are deliberately dropped: each unit's outcome (value or error)
 	// is memoised, and the sequential analysis re-reads it with the right
 	// experiment context attached.
@@ -233,13 +222,13 @@ func (h *Harness) prewarm(units []prewarmUnit) {
 			switch {
 			case u.curve:
 				_, err := h.curve(u.w, u.cfgs, 1)
-				note(TimedStats{}, err)
+				note(0, err)
 			case u.chiplet:
 				st, err := h.runChiplet(u.chipletCfg, u.w)
-				note(TimedStats{Stats: gpu.Stats{Cycles: st.Cycles}}, err)
+				note(st.Cycles, err)
 			default:
 				st, err := h.Run(u.cfg, u.w)
-				note(st, err)
+				note(st.Cycles, err)
 			}
 			return struct{}{}, nil
 		})
@@ -261,29 +250,26 @@ type StrongResult struct {
 	Err map[string]map[int]float64
 }
 
-// scaleModelSizes is the default scale-model pair (8- and 16-SM).
-var scaleModelSizes = [2]int{8, 16}
-
 // RunStrong executes the full strong-scaling experiment for one benchmark:
 // five simulations, the miss-rate curve, and all five prediction methods.
 func (h *Harness) RunStrong(b workloads.Benchmark) (*StrongResult, error) {
-	return h.runStrongFrom(b, config.StandardSizes, scaleModelSizes)
+	return h.runStrongFrom(b, config.StandardSizes)
 }
 
 // RunStrongAlt runs the artifact-appendix variant using the 16- and 32-SM
 // configurations as scale models to predict 64 and 128 SMs.
 func (h *Harness) RunStrongAlt(b workloads.Benchmark) (*StrongResult, error) {
-	return h.runStrongFrom(b, []int{16, 32, 64, 128}, [2]int{16, 32})
+	return h.runStrongFrom(b, []int{16, 32, 64, 128})
 }
 
-func (h *Harness) runStrongFrom(b workloads.Benchmark, sizes []int, sm [2]int) (*StrongResult, error) {
+// runStrongFrom runs the strong-scaling experiment on sizes, a window of
+// the standard sizes whose first two are the scale models.
+func (h *Harness) runStrongFrom(b workloads.Benchmark, sizes []int) (*StrongResult, error) {
 	base := config.Baseline128()
 	res := &StrongResult{
 		Bench: b,
 		Sizes: sizes,
 		Real:  make(map[int]TimedStats, len(sizes)),
-		Pred:  make(map[string]map[int]float64, len(Methods)),
-		Err:   make(map[string]map[int]float64, len(Methods)),
 	}
 	for _, n := range sizes {
 		st, err := h.Run(config.MustScale(base, n), b.Workload)
@@ -310,49 +296,50 @@ func (h *Harness) runStrongFrom(b workloads.Benchmark, sizes []int, sm [2]int) (
 		return nil, fmt.Errorf("harness: sizes %v are not a window of the standard sizes", sizes)
 	}
 	res.Curve = mrc.Curve{Points: full.Points[offset : offset+len(sizes)]}
-
-	small, large := res.Real[sm[0]], res.Real[sm[1]]
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
-	}
 	in := core.Input{
-		Sizes:     fsizes,
-		SmallIPC:  small.IPC,
-		LargeIPC:  large.IPC,
 		MPKI:      res.Curve.MPKIs(),
-		FMemLarge: large.FMem,
+		FMemLarge: res.Real[sizes[1]].FMem,
 		Mode:      core.StrongScaling,
 	}
-	preds, err := core.Predict(in)
+	res.Pred, res.Err, err = score(in, sizes, func(n int) float64 { return res.Real[n].IPC })
 	if err != nil {
-		return nil, fmt.Errorf("harness: scale-model prediction for %s: %w", b.Name, err)
-	}
-	res.Pred[ScaleModel] = make(map[int]float64)
-	for _, p := range preds {
-		res.Pred[ScaleModel][int(p.Size)] = p.IPC
-	}
-
-	models, err := regress.FitAll([]regress.Point{
-		{Size: float64(sm[0]), IPC: small.IPC},
-		{Size: float64(sm[1]), IPC: large.IPC},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: baseline fits for %s: %w", b.Name, err)
-	}
-	for name, m := range models {
-		res.Pred[name] = make(map[int]float64)
-		for _, n := range sizes[2:] {
-			res.Pred[name][n] = m.Predict(float64(n))
-		}
-	}
-	for _, method := range Methods {
-		res.Err[method] = make(map[int]float64)
-		for _, n := range sizes[2:] {
-			res.Err[method][n] = stats.AbsPctError(res.Pred[method][n], res.Real[n].IPC)
-		}
+		return nil, fmt.Errorf("harness: predicting %s: %w", b.Name, err)
 	}
 	return res, nil
+}
+
+// score runs the paper's prediction step (core.PredictTargets) with the
+// first two of sizes as the scale models — in supplies the rest of the
+// input: mode, miss-rate curve, f_mem — and scores every method at the
+// remaining sizes against ipc, the measured IPC at a size. pred and errs
+// map method → target size → predicted IPC and absolute percentage error.
+func score(in core.Input, sizes []int, ipc func(int) float64) (pred, errs map[string]map[int]float64, err error) {
+	in.Sizes = make([]float64, len(sizes))
+	for i, n := range sizes {
+		in.Sizes[i] = float64(n)
+	}
+	in.SmallIPC, in.LargeIPC = ipc(sizes[0]), ipc(sizes[1])
+	targets, err := core.PredictTargets(in)
+	if err != nil {
+		return nil, nil, err
+	}
+	pred = make(map[string]map[int]float64, len(Methods))
+	errs = make(map[string]map[int]float64, len(Methods))
+	for _, method := range Methods {
+		pred[method] = make(map[int]float64, len(targets))
+		errs[method] = make(map[int]float64, len(targets))
+	}
+	for _, t := range targets {
+		n := int(t.Size)
+		pred[ScaleModel][n] = t.IPC
+		for name, v := range t.Baselines {
+			pred[name][n] = v
+		}
+		for _, method := range Methods {
+			errs[method][n] = stats.AbsPctError(pred[method][n], ipc(n))
+		}
+	}
+	return pred, errs, nil
 }
 
 // RunStrongAll runs the strong-scaling experiment for every Table II

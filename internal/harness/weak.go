@@ -5,7 +5,6 @@ import (
 
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
-	"gpuscale/internal/regress"
 	"gpuscale/internal/stats"
 	"gpuscale/internal/workloads"
 )
@@ -38,8 +37,6 @@ func (h *Harness) RunWeak(wb workloads.WeakBenchmark) (*WeakResult, error) {
 		Bench:         wb,
 		Sizes:         sizes,
 		Real:          make(map[int]TimedStats, len(sizes)),
-		Pred:          make(map[string]map[int]float64, len(Methods)),
-		Err:           make(map[string]map[int]float64, len(Methods)),
 		SpeedupEvents: make(map[int]float64),
 		SpeedupWall:   make(map[int]float64),
 	}
@@ -50,47 +47,14 @@ func (h *Harness) RunWeak(wb workloads.WeakBenchmark) (*WeakResult, error) {
 		}
 		res.Real[n] = st
 	}
-	small, large := res.Real[sizes[0]], res.Real[sizes[1]]
-
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
-	}
-	in := core.Input{
-		Sizes:    fsizes,
-		SmallIPC: small.IPC,
-		LargeIPC: large.IPC,
-		Mode:     core.WeakScaling,
-	}
-	preds, err := core.Predict(in)
+	var err error
+	res.Pred, res.Err, err = score(core.Input{Mode: core.WeakScaling}, sizes, func(n int) float64 { return res.Real[n].IPC })
 	if err != nil {
 		return nil, fmt.Errorf("harness: weak prediction for %s: %w", wb.Name, err)
 	}
-	res.Pred[ScaleModel] = make(map[int]float64)
-	for _, p := range preds {
-		res.Pred[ScaleModel][int(p.Size)] = p.IPC
-	}
-	models, err := regress.FitAll([]regress.Point{
-		{Size: fsizes[0], IPC: small.IPC},
-		{Size: fsizes[1], IPC: large.IPC},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: weak baseline fits for %s: %w", wb.Name, err)
-	}
-	for name, m := range models {
-		res.Pred[name] = make(map[int]float64)
-		for _, n := range sizes[2:] {
-			res.Pred[name][n] = m.Predict(float64(n))
-		}
-	}
+	small, large := res.Real[sizes[0]], res.Real[sizes[1]]
 	scaleCostEvents := float64(small.SimEvents + large.SimEvents)
 	scaleCostWall := float64(small.Wall + large.Wall)
-	for _, method := range Methods {
-		res.Err[method] = make(map[int]float64)
-		for _, n := range sizes[2:] {
-			res.Err[method][n] = stats.AbsPctError(res.Pred[method][n], res.Real[n].IPC)
-		}
-	}
 	for _, n := range sizes[2:] {
 		res.SpeedupEvents[n] = float64(res.Real[n].SimEvents) / scaleCostEvents
 		res.SpeedupWall[n] = float64(res.Real[n].Wall) / scaleCostWall

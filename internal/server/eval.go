@@ -15,7 +15,7 @@ import (
 	"fmt"
 
 	"gpuscale"
-	"gpuscale/internal/config"
+	"gpuscale/internal/core"
 )
 
 // evaluate dispatches one canonical request to its op's evaluator.
@@ -47,21 +47,17 @@ func EvalLocal(ctx context.Context, req gpuscale.Request, workers, mcmShards int
 	// Latency tiers work without a daemon too: tier=analytic always
 	// answers analytically; tier=auto does unless confidence falls below
 	// the default threshold, in which case it falls through to the cycle
-	// pipeline exactly like the daemon's escalation path.
-	if req.Op == gpuscale.OpPredict {
-		switch req.Options.Tier {
-		case gpuscale.TierAnalytic:
-			body, err := evalPredictAnalytic(req, hash)
+	// pipeline exactly like the daemon's escalation path. (Validation
+	// admits these tiers on predict requests only.)
+	switch req.Options.Tier {
+	case gpuscale.TierAnalytic, gpuscale.TierAuto:
+		ap, err := gpuscale.PredictAnalytic(req)
+		if err != nil {
+			return nil, "", err
+		}
+		if req.Options.Tier == gpuscale.TierAnalytic || ap.Confidence >= defaultConfidenceThreshold {
+			body, err := predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
 			return body, hash, err
-		case gpuscale.TierAuto:
-			ap, err := gpuscale.PredictAnalytic(req)
-			if err != nil {
-				return nil, "", err
-			}
-			if ap.Confidence >= defaultConfidenceThreshold {
-				body, err := marshalAnalytic(ap, req, hash)
-				return body, hash, err
-			}
 		}
 	}
 	s, err := New(Options{Workers: workers, MCMShards: mcmShards})
@@ -137,164 +133,83 @@ func (s *Server) evalMRC(ctx context.Context, req gpuscale.Request, hash string)
 }
 
 // evalPredict runs the scale-model pipeline: simulate the two scale
-// models (concurrently, so the intake can batch them), collect the
-// miss-rate curve for strong scaling — its sweep starts before the scale
-// models are submitted and runs beside them — and predict the target sizes
-// the paper never simulates.
+// models of req.ScaleModels — monolithic ones concurrently, so the intake
+// can batch them — collect the miss-rate curve for strong scaling, whose
+// sweep starts before the scale models are submitted and runs beside them,
+// and predict the target sizes the paper never simulates.
 func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
-	if req.Target.Chiplets > 0 {
-		return s.evalPredictMCM(ctx, req, hash)
-	}
-
-	sizes := config.StandardSizes // {8, 16, 32, 64, 128}; first two are the scale models
-	base := gpuscale.Baseline128()
-	if req.Options.Uarch != nil {
-		// The variant scales with the ladder: both scale models simulate the
-		// requested microarchitecture, so the prediction extrapolates it too.
-		base.Uarch = *req.Options.Uarch
-	}
-	jobs := make([]gpuscale.Job, 2)
-	for i, n := range sizes[:2] {
-		w, err := req.Workload.Resolve(n)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = gpuscale.NewJob(gpuscale.MustScale(base, n), w)
+	sizes, models, err := req.ScaleModels()
+	if err != nil {
+		return nil, err
 	}
 	var sweep *curveFlight
 	if !req.Workload.Weak {
 		sweep = s.startCurve(req.Workload)
 	}
-	s.m.simsStart.Add(uint64(len(jobs)))
-	models, err := s.submitAll(ctx, jobs)
-	if err != nil {
-		return nil, err
-	}
-	small, large := models[0], models[1]
-
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
+	var ipc, fmem [2]float64
+	if models[0].MCM != nil {
+		for i, m := range models {
+			s.m.simsStart.Inc()
+			st, err := gpuscale.SimulateMCMContext(ctx, *m.MCM, m.Workload, gpuscale.WithShards(s.opt.MCMShards))
+			if err != nil {
+				return nil, err
+			}
+			ipc[i], fmem[i] = st.IPC, st.FMem
+		}
+	} else {
+		jobs := make([]gpuscale.Job, len(models))
+		for i, m := range models {
+			jobs[i] = gpuscale.NewJob(*m.System, m.Workload)
+		}
+		s.m.simsStart.Add(uint64(len(jobs)))
+		stats, err := s.submitAll(ctx, jobs)
+		if err != nil {
+			return nil, err
+		}
+		for i, st := range stats {
+			ipc[i], fmem[i] = st.IPC, st.FMem
+		}
 	}
 	in := gpuscale.PredictionInput{
-		Sizes:    fsizes,
-		SmallIPC: small.IPC,
-		LargeIPC: large.IPC,
+		Sizes:    sizes,
+		SmallIPC: ipc[0],
+		LargeIPC: ipc[1],
+		Mode:     gpuscale.WeakScaling,
 	}
-	resp := PredictResponse{
-		RequestHash: hash,
-		Op:          req.Op,
-		Workload:    req.Workload.Bench,
-		ScaleModels: []ScaleModelPoint{
-			{Size: fsizes[0], IPC: small.IPC},
-			{Size: fsizes[1], IPC: large.IPC},
-		},
-		CorrectionFactor: gpuscale.CorrectionFactor(fsizes[0], small.IPC, fsizes[1], large.IPC),
-	}
-	if req.Workload.Weak {
-		resp.Mode = "weak"
-		in.Mode = gpuscale.WeakScaling
-	} else {
-		resp.Mode = "strong"
-		in.Mode = gpuscale.StrongScaling
+	if sweep != nil {
 		curve, err := sweep.wait(ctx)
 		if err != nil {
 			return nil, err
 		}
+		in.Mode = gpuscale.StrongScaling
 		in.MPKI = curve.MPKIs()
-		in.FMemLarge = large.FMem
-		resp.MPKI = in.MPKI
+		in.FMemLarge = fmem[1]
 	}
-	preds, err := finishPredictions(in)
-	if err != nil {
-		return nil, err
-	}
-	resp.Predictions = preds
-	return marshalResponse(resp)
+	return predictBody(req, hash, in, "", 0)
 }
 
-// evalPredictMCM is the multi-chip-module case study: 4- and 8-chiplet
-// scale models predicting the 16-chiplet target under weak scaling.
-func (s *Server) evalPredictMCM(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
-	base := gpuscale.Target16Chiplet()
-	if req.Options.Uarch != nil {
-		// Same rule as the monolithic ladder: the MCM scale models simulate
-		// the requested microarchitecture variant.
-		base.Chiplet.Uarch = *req.Options.Uarch
-	}
-	sizes := config.ChipletStandardSizes // {4, 8, 16}; first two are the scale models
-	stats := make([]gpuscale.MCMStats, 2)
-	for i, n := range sizes[:2] {
-		cfg, err := gpuscale.ScaleChiplets(base, n)
-		if err != nil {
-			return nil, err
-		}
-		w, err := req.Workload.Resolve(cfg.TotalSMs())
-		if err != nil {
-			return nil, err
-		}
-		s.m.simsStart.Inc()
-		st, err := gpuscale.SimulateMCMContext(ctx, cfg, w, gpuscale.WithShards(s.opt.MCMShards))
-		if err != nil {
-			return nil, err
-		}
-		stats[i] = st
-	}
-	small, large := stats[0], stats[1]
-	fsizes := make([]float64, len(sizes))
-	for i, n := range sizes {
-		fsizes[i] = float64(n)
-	}
-	preds, err := finishPredictions(gpuscale.PredictionInput{
-		Sizes:    fsizes,
-		SmallIPC: small.IPC,
-		LargeIPC: large.IPC,
-		Mode:     gpuscale.WeakScaling,
-	})
+// predictBody renders one predict response from its prediction input: the
+// scale models, Eq. 1's correction factor, the miss-rate curve (strong
+// scaling), and every target size's prediction beside the four baseline
+// extrapolations (core.PredictTargets). tier and confidence stay empty on
+// cycle responses, whose bytes predate tiering; an analytic-tier body
+// (gpuscale.PredictAnalytic's input, no simulation on the path) is just as
+// deterministic and caches under AnalyticCacheKey like any other response.
+func predictBody(req gpuscale.Request, hash string, in gpuscale.PredictionInput, tier string, confidence float64) ([]byte, error) {
+	targets, err := core.PredictTargets(in)
 	if err != nil {
 		return nil, err
+	}
+	preds := make([]PredictionPoint, len(targets))
+	for i, t := range targets {
+		preds[i] = PredictionPoint{Size: t.Size, IPC: t.IPC, Region: t.Region.String(), Baselines: t.Baselines}
 	}
 	return marshalResponse(PredictResponse{
 		RequestHash: hash,
 		Op:          req.Op,
 		Workload:    req.Workload.Bench,
-		Mode:        "weak",
-		MCM:         true,
-		ScaleModels: []ScaleModelPoint{
-			{Size: fsizes[0], IPC: small.IPC},
-			{Size: fsizes[1], IPC: large.IPC},
-		},
-		CorrectionFactor: gpuscale.CorrectionFactor(fsizes[0], small.IPC, fsizes[1], large.IPC),
-		Predictions:      preds,
-	})
-}
-
-// evalPredictAnalytic answers a predict request from the analytic tier:
-// the same response shape as evalPredict, produced by the microsecond
-// model (gpuscale.PredictAnalytic) with no simulation anywhere on the
-// path. The body is deterministic (pure arithmetic over static workload
-// features), so it caches under AnalyticCacheKey like any other response.
-func evalPredictAnalytic(req gpuscale.Request, hash string) ([]byte, error) {
-	ap, err := gpuscale.PredictAnalytic(req)
-	if err != nil {
-		return nil, err
-	}
-	return marshalAnalytic(ap, req, hash)
-}
-
-// marshalAnalytic renders an already-computed analytic prediction into the
-// canonical response body.
-func marshalAnalytic(ap gpuscale.AnalyticPrediction, req gpuscale.Request, hash string) ([]byte, error) {
-	in := ap.Input
-	preds, err := finishPredictions(in)
-	if err != nil {
-		return nil, err
-	}
-	resp := PredictResponse{
-		RequestHash: hash,
-		Op:          req.Op,
-		Workload:    req.Workload.Bench,
-		MCM:         ap.MCM,
+		Mode:        in.Mode.String(),
+		MCM:         req.Target.Chiplets > 0,
 		ScaleModels: []ScaleModelPoint{
 			{Size: in.Sizes[0], IPC: in.SmallIPC},
 			{Size: in.Sizes[1], IPC: in.LargeIPC},
@@ -302,15 +217,9 @@ func marshalAnalytic(ap gpuscale.AnalyticPrediction, req gpuscale.Request, hash 
 		CorrectionFactor: gpuscale.CorrectionFactor(in.Sizes[0], in.SmallIPC, in.Sizes[1], in.LargeIPC),
 		MPKI:             in.MPKI,
 		Predictions:      preds,
-		Tier:             gpuscale.TierAnalytic,
-		Confidence:       ap.Confidence,
-	}
-	if in.Mode == gpuscale.WeakScaling {
-		resp.Mode = "weak"
-	} else {
-		resp.Mode = "strong"
-	}
-	return marshalResponse(resp)
+		Tier:             tier,
+		Confidence:       confidence,
+	})
 }
 
 // submitAll submits jobs to the intake concurrently — concurrent
@@ -334,36 +243,6 @@ func (s *Server) submitAll(ctx context.Context, jobs []gpuscale.Job) ([]gpuscale
 			return nil, fmt.Errorf("server: simulating %s: %w", jobs[i].Label(), r.Err)
 		}
 		out[i] = r.Stats
-	}
-	return out, nil
-}
-
-// finishPredictions runs the scale-model predictor plus the four baseline
-// extrapolations and merges them into wire form, target sizes only.
-func finishPredictions(in gpuscale.PredictionInput) ([]PredictionPoint, error) {
-	preds, err := gpuscale.Predict(in)
-	if err != nil {
-		return nil, err
-	}
-	baselines, err := gpuscale.FitBaselines([]gpuscale.RegressionPoint{
-		{Size: in.Sizes[0], IPC: in.SmallIPC},
-		{Size: in.Sizes[1], IPC: in.LargeIPC},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PredictionPoint, len(preds))
-	for i, p := range preds {
-		bl := make(map[string]float64, len(baselines))
-		for name, m := range baselines {
-			bl[name] = m.Predict(p.Size)
-		}
-		out[i] = PredictionPoint{
-			Size:      p.Size,
-			IPC:       p.IPC,
-			Region:    p.Region.String(),
-			Baselines: bl,
-		}
 	}
 	return out, nil
 }

@@ -324,7 +324,7 @@ func (s *Server) servePredictFast(w http.ResponseWriter, r *http.Request, req gp
 		if err != nil {
 			return nil, err
 		}
-		return marshalAnalytic(ap, req, hash)
+		return predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
 	}
 	if req.Options.Tier == gpuscale.TierAuto {
 		// A settled cycle response outranks any estimate, and serving it
@@ -345,7 +345,9 @@ func (s *Server) servePredictFast(w http.ResponseWriter, r *http.Request, req gp
 		if ap.Confidence < s.opt.ConfidenceThreshold {
 			return false
 		}
-		compute = func() ([]byte, error) { return marshalAnalytic(ap, req, hash) }
+		compute = func() ([]byte, error) {
+			return predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
+		}
 	}
 	body, src, err := s.store.Do(r.Context(), gpuscale.AnalyticCacheKey(hash), compute)
 	if err != nil {

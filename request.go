@@ -25,6 +25,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"gpuscale/internal/config"
 )
 
 // RequestVersion is the current wire-schema version emitted and accepted by
@@ -317,10 +319,12 @@ func AnalyticCacheKey(hash string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// SimTarget is a simulate request resolved into runnable form: exactly one
-// of System and MCM is non-nil, Workload is instantiated for the target's
-// size, and Options carries the request's simulation options (shard count
-// included — strip or override it server-side as policy dictates).
+// SimTarget is one simulation cell of a request in runnable form — a
+// simulate request's target (ResolveSimulation) or one of a predict
+// request's scale models (ScaleModels): exactly one of System and MCM is
+// non-nil, Workload is instantiated for the cell's size, and Options
+// carries the request's simulation options (shard count included — strip
+// or override it server-side as policy dictates).
 type SimTarget struct {
 	// System is the monolithic configuration (nil for MCM requests).
 	System *SystemConfig
@@ -335,9 +339,9 @@ type SimTarget struct {
 
 // ResolveSimulation instantiates a simulate request: the scaled
 // configuration, the workload sized for it, and the simulation options.
-// It fails on non-simulate requests — predict and mrc requests fan out
-// over several configurations and are composed by their executors from
-// WorkloadSpec.Resolve and the standard configuration ladders.
+// It fails on non-simulate requests; ScaleModels resolves a predict
+// request's two scale models, and mrc requests sweep the standard
+// configuration ladder.
 func (r Request) ResolveSimulation() (SimTarget, error) {
 	if err := r.Validate(); err != nil {
 		return SimTarget{}, err
@@ -352,33 +356,116 @@ func (r Request) ResolveSimulation() (SimTarget, error) {
 	if r.Options.Uarch != nil {
 		opts = append(opts, WithUarch(*r.Options.Uarch))
 	}
-	if r.Target.Chiplets > 0 {
-		cfg, err := ScaleChiplets(Target16Chiplet(), r.Target.Chiplets)
-		if err != nil {
-			return SimTarget{}, err
-		}
-		w, err := r.Workload.Resolve(cfg.TotalSMs())
-		if err != nil {
-			return SimTarget{}, err
-		}
-		if r.Options.Shards > 0 {
-			opts = append(opts, WithShards(r.Options.Shards))
-		}
-		return SimTarget{MCM: &cfg, Workload: w, Options: opts}, nil
-	}
-	cfg, err := Scale(Baseline128(), r.Target.SMs)
-	if err != nil {
-		return SimTarget{}, err
-	}
-	w, err := r.Workload.Resolve(cfg.NumSMs)
-	if err != nil {
-		return SimTarget{}, err
-	}
-	if r.Options.WarmupInstructions > 0 {
+	if r.Options.WarmupInstructions > 0 { // monolithic only (Validate)
 		opts = append(opts, WithWarmupInstructions(r.Options.WarmupInstructions))
 	}
 	if r.Options.Shards > 0 {
 		opts = append(opts, WithShards(r.Options.Shards))
 	}
-	return SimTarget{System: &cfg, Workload: w, Options: opts}, nil
+	c, err := resolveCell(r.Workload, r.Target, UarchVariant{})
+	if err != nil {
+		return SimTarget{}, err
+	}
+	return c.target(opts), nil
+}
+
+// ScaleModels resolves a predict request into its two scale models,
+// smallest first, and returns the size ladder they head: 8 and 16 SMs of
+// {8, 16, 32, 64, 128}, or for the multi-chip-module case study
+// (Target.Chiplets) 4 and 8 chiplets of {4, 8, 16}. The request's uarch
+// variant is part of each model's configuration, so Options is empty, and a
+// weak-scaling workload is sized by each model's total SMs. It is the
+// predict-op sibling of ResolveSimulation.
+func (r Request) ScaleModels() (sizes []float64, models [2]SimTarget, err error) {
+	sizes, cells, err := r.scaleModels()
+	if err != nil {
+		return nil, models, err
+	}
+	for i, c := range cells {
+		models[i] = c.target(nil)
+	}
+	return sizes, models, nil
+}
+
+// scaleModels is ScaleModels with the models held by value, so the
+// analytic tier's per-request path allocates no configuration.
+func (r Request) scaleModels() ([]float64, [2]cell, error) {
+	var cells [2]cell
+	if err := r.Validate(); err != nil {
+		return nil, cells, err
+	}
+	if r.Op != OpPredict {
+		return nil, cells, fmt.Errorf("gpuscale: ScaleModels on %q request", r.Op)
+	}
+	ladder, chiplets := config.StandardSizes, r.Target.Chiplets > 0
+	if chiplets {
+		ladder = config.ChipletStandardSizes
+	}
+	var v UarchVariant
+	if r.Options.Uarch != nil {
+		v = *r.Options.Uarch
+	}
+	for i, n := range ladder[:2] {
+		t := TargetSpec{SMs: n}
+		if chiplets {
+			t = TargetSpec{Chiplets: n}
+		}
+		c, err := resolveCell(r.Workload, t, v)
+		if err != nil {
+			return nil, cells, err
+		}
+		cells[i] = c
+	}
+	sizes := make([]float64, len(ladder))
+	for i, n := range ladder {
+		sizes[i] = float64(n)
+	}
+	return sizes, cells, nil
+}
+
+// cell is one resolved simulation cell held by value: the monolithic
+// configuration, or the multi-chip-module one when mcm.NumChiplets > 0, and
+// the workload sized for it.
+type cell struct {
+	sys SystemConfig
+	mcm ChipletConfig
+	w   Workload
+}
+
+// resolveCell builds the cell t selects — t.SMs scaled from the Table III
+// baseline, or t.Chiplets scaled from the Table V package — with variant v
+// in its hardware and spec's workload sized by its total SMs.
+func resolveCell(spec WorkloadSpec, t TargetSpec, v UarchVariant) (cell, error) {
+	var c cell
+	var err error
+	total := t.SMs
+	if t.Chiplets > 0 {
+		base := Target16Chiplet()
+		base.Chiplet.Uarch = v
+		if c.mcm, err = ScaleChiplets(base, t.Chiplets); err != nil {
+			return cell{}, err
+		}
+		total = c.mcm.TotalSMs()
+	} else {
+		base := Baseline128()
+		base.Uarch = v
+		if c.sys, err = Scale(base, t.SMs); err != nil {
+			return cell{}, err
+		}
+	}
+	if c.w, err = spec.Resolve(total); err != nil {
+		return cell{}, err
+	}
+	return c, nil
+}
+
+// target is c in SimTarget form, carrying opts.
+func (c cell) target(opts []SimOption) SimTarget {
+	t := SimTarget{Workload: c.w, Options: opts}
+	if c.mcm.NumChiplets > 0 {
+		t.MCM = &c.mcm
+	} else {
+		t.System = &c.sys
+	}
+	return t
 }

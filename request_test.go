@@ -377,6 +377,91 @@ func TestResolveSimulation(t *testing.T) {
 	}
 }
 
+// TestScaleModels pins the predict-op resolver: the ladder, both scale
+// models' configurations, the variant carried in each configuration, a
+// weak workload sized by each model's total SMs, and the refusal of every
+// other op.
+func TestScaleModels(t *testing.T) {
+	v := gpuscale.UarchVariant{Scheduler: gpuscale.SchedTwoLevel, L1: gpuscale.L1Sectored}
+	predict := func(bench string, weak bool, chiplets int, v *gpuscale.UarchVariant) gpuscale.Request {
+		return gpuscale.Request{
+			Op:       gpuscale.OpPredict,
+			Target:   gpuscale.TargetSpec{Chiplets: chiplets},
+			Workload: gpuscale.WorkloadSpec{Bench: bench, Weak: weak},
+			Options:  gpuscale.RequestOptions{Uarch: v},
+		}
+	}
+	cases := []struct {
+		name    string
+		req     gpuscale.Request
+		sizes   []float64
+		wantErr string
+	}{
+		{"strong", predict("dct", false, 0, nil), []float64{8, 16, 32, 64, 128}, ""},
+		{"weak", predict("bfs", true, 0, nil), []float64{8, 16, 32, 64, 128}, ""},
+		{"mcm", predict("va", true, 16, nil), []float64{4, 8, 16}, ""},
+		{"variant", predict("dct", false, 0, &v), []float64{8, 16, 32, 64, 128}, ""},
+		{"mcm variant", predict("va", true, 16, &v), []float64{4, 8, 16}, ""},
+		{"simulate", simRequest(), nil, "ScaleModels on \"simulate\""},
+		{"mrc", gpuscale.Request{Op: gpuscale.OpMRC, Workload: gpuscale.WorkloadSpec{Bench: "dct"}}, nil, "ScaleModels on \"mrc\""},
+	}
+	for _, c := range cases {
+		sizes, models, err := c.req.ScaleModels()
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: err %v, want %q", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(sizes) != len(c.sizes) {
+			t.Fatalf("%s: sizes %v, want %v", c.name, sizes, c.sizes)
+		}
+		for i := range sizes {
+			if sizes[i] != c.sizes[i] {
+				t.Errorf("%s: sizes %v, want %v", c.name, sizes, c.sizes)
+			}
+		}
+		var want gpuscale.UarchVariant
+		if c.req.Options.Uarch != nil {
+			want = *c.req.Options.Uarch
+		}
+		for i, m := range models {
+			if len(m.Options) != 0 {
+				t.Errorf("%s model %d: %d options, want none (the variant lives in the config)", c.name, i, len(m.Options))
+			}
+			var n, totalSMs int
+			var got gpuscale.UarchVariant
+			if c.req.Target.Chiplets > 0 {
+				if m.MCM == nil || m.System != nil {
+					t.Fatalf("%s model %d: not an MCM target", c.name, i)
+				}
+				n, totalSMs, got = m.MCM.NumChiplets, m.MCM.TotalSMs(), m.MCM.Chiplet.Uarch
+			} else {
+				if m.System == nil || m.MCM != nil {
+					t.Fatalf("%s model %d: not a monolithic target", c.name, i)
+				}
+				n, totalSMs, got = m.System.NumSMs, m.System.NumSMs, m.System.Uarch
+			}
+			if float64(n) != sizes[i] {
+				t.Errorf("%s model %d: size %d, want %v", c.name, i, n, sizes[i])
+			}
+			if got != want {
+				t.Errorf("%s model %d: uarch %+v, want %+v", c.name, i, got, want)
+			}
+			w, err := c.req.Workload.Resolve(totalSMs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Workload.Name() != w.Name() {
+				t.Errorf("%s model %d: workload %s, want %s (sized for %d SMs)", c.name, i, m.Workload.Name(), w.Name(), totalSMs)
+			}
+		}
+	}
+}
+
 // TestCanonicalizeKeepsUarch pins the hash semantics of the
 // microarchitecture variant: unlike Shards/Quantum/Tier it changes
 // simulated timing, so it stays in the canonical form. Legacy requests
