@@ -1,11 +1,13 @@
 # Development targets. `make quick` is the fast pre-commit gate; `make
 # verify` is the full tier-1 gate (ROADMAP.md) plus static analysis, the
 # gofmt gate, the race-enabled concurrency tests guarding the parallel
-# experiment engine, and the uarch dispatch gate.
+# experiment engine, and the uarch dispatch gate. `make profile`,
+# `make profile-mcm` and `make profile-mrc` print CPU profiles of a
+# monolithic cell, a multi-chip-module cell and two miss-rate sweeps.
 
 GO ?= go
 
-.PHONY: build vet fmt short test race quick verify noalloc uarch-gate smoke bench profile profile-mrc microbench
+.PHONY: build vet fmt short test race quick verify noalloc uarch-gate smoke bench profile profile-mcm profile-mrc microbench
 
 build:
 	$(GO) build ./...
@@ -78,6 +80,15 @@ profile:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) build -o $$d/gpusim ./cmd/gpusim && \
 	$$d/gpusim -bench dct -sms 128 -cpuprofile $$d/cpu.prof >/dev/null && \
+	$(GO) tool pprof -top -nodecount 30 $$d/gpusim $$d/cpu.prof
+
+# The same for a multi-chip-module cell (cycle-mcm's chiplet/bfs/2c): MCM
+# runs carry costs monolithic ones lack — the first-touch page map and
+# remote hops — and park more wake-ups beyond the SM wake wheel.
+profile-mcm:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d/gpusim ./cmd/gpusim && \
+	$$d/gpusim -bench bfs -chiplets 2 -cpuprofile $$d/cpu.prof >/dev/null && \
 	$(GO) tool pprof -top -nodecount 30 $$d/gpusim $$d/cpu.prof
 
 # Where a miss-rate-curve sweep spends host time: CPU-profile cmd/mrc on

@@ -8,6 +8,8 @@
 //	GET  /healthz      liveness
 //
 // against the canonical request schema (gpuscale.Request; docs/SERVICE.md).
+// Every simulation it starts, monolithic or multi-chip-module, takes one of
+// -parallel slots.
 // Responses are cached by canonical request hash in a two-level store —
 // in-memory in front of -store on disk — so identical requests are served
 // byte-identically without re-simulating, across restarts.
@@ -48,17 +50,17 @@ func main() {
 	addr := fs.String("addr", ":8372", "listen address")
 	store := fs.String("store", "gpuscaled-store", "disk cache directory ('' = in-memory only; restarts re-simulate)")
 	tenantQueue := fs.Int("tenant-queue", 64, "max admitted requests per tenant before 429")
-	linger := fs.Duration("batch-linger", 2*time.Millisecond, "simulation batch coalescing window")
 	shards := fs.Int("mcm-shards", 0, "shard count for MCM simulations (0 = sequential; results identical)")
 	memoBytes := fs.Int64("memo-bytes", 64<<20, "in-memory response cache budget in bytes (LRU eviction)")
 	confidence := fs.Float64("confidence-threshold", gpuscale.DefaultConfidenceThreshold,
 		"auto-tier requests below this analytic confidence escalate to the cycle simulator")
 	smoke := fs.Bool("smoke", false, "run the in-process self-test and exit")
 	parallel := cliutil.Parallel(fs)
+	fs.Lookup("parallel").Usage = "simulations running at once, monolithic and MCM alike (<=0: all CPUs)"
 	fs.Parse(os.Args[1:])
 
 	if *smoke {
-		if err := runSmoke(*parallel, *linger); err != nil {
+		if err := runSmoke(*parallel); err != nil {
 			log.Fatalf("gpuscaled: smoke: %v", err)
 		}
 		fmt.Println("gpuscaled smoke: ok (analytic tier, predict round-trip, byte-identical cache hit, /metrics scrape, clean shutdown)")
@@ -69,7 +71,6 @@ func main() {
 		StoreDir:            *store,
 		Workers:             *parallel,
 		TenantCapacity:      *tenantQueue,
-		BatchLinger:         *linger,
 		MCMShards:           *shards,
 		MemoBytes:           *memoBytes,
 		ConfidenceThreshold: *confidence,
@@ -109,8 +110,8 @@ func main() {
 // the acceptance contract — byte-identical bodies, the second cycle request
 // served from cache, the tier visible in X-Tier and the /metrics counters —
 // then shuts down cleanly.
-func runSmoke(parallel int, linger time.Duration) error {
-	srv, err := server.New(server.Options{Workers: parallel, BatchLinger: linger})
+func runSmoke(parallel int) error {
+	srv, err := server.New(server.Options{Workers: parallel})
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpuscale"
+	"gpuscale/internal/engine"
 	"gpuscale/internal/trace"
 )
 
@@ -86,6 +87,34 @@ func TestFacadeSimulateMCM(t *testing.T) {
 	}
 	if sharded != st {
 		t.Errorf("WithShards(2) diverged from sequential\nsharded    %+v\nsequential %+v", sharded, st)
+	}
+}
+
+// TestIntakeMCMJobMatchesFacade: an MCM Job run through the service's
+// intake (engine.Intake, the one admission path of gpuscaled) returns the
+// MCMStats SimulateMCMContext does, on the golden chiplet/bfs/2c cell.
+func TestIntakeMCMJobMatchesFacade(t *testing.T) {
+	cfg, err := gpuscale.ScaleChiplets(gpuscale.Target16Chiplet(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := gpuscale.BenchmarkByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := gpuscale.SimulateMCMContext(ctx, cfg, bench.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := engine.NewIntake(engine.IntakeOptions{Workers: 1})
+	defer in.Close()
+	r := in.Submit(ctx, gpuscale.Job{MCM: &cfg, Kernels: []gpuscale.Workload{bench.Workload}})
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if r.MCM != want {
+		t.Errorf("intake MCM job diverged from SimulateMCMContext\nintake %+v\nfacade %+v", r.MCM, want)
 	}
 }
 

@@ -19,6 +19,11 @@
 //   - Progress reporting: an optional callback receives jobs-done counts,
 //     aggregate simulated cycles per second, and an ETA after every job.
 //
+// A service that receives its jobs one at a time uses an Intake instead
+// (intake.go): every submission runs on its submitter's goroutine once it
+// holds one of Workers slots, monolithic and multi-chip-module jobs alike,
+// so one setting bounds every simulation the service starts.
+//
 // Determinism of the results themselves is a property of the simulator (a
 // simulation is single-threaded and seeded), so a parallel sweep returns
 // bit-identical Stats to a sequential one; the engine's own tests assert
@@ -40,14 +45,18 @@ import (
 	"gpuscale/internal/trace"
 )
 
-// Job is one unit of work: a kernel sequence to simulate on one system
-// configuration. Jobs are values; the engine never mutates them.
+// Job is one unit of work: a kernel sequence to simulate on one machine,
+// a monolithic GPU or a multi-chip module. Jobs are values; the engine
+// never mutates them.
 type Job struct {
 	// Name labels the job in results and progress output. If empty, a
 	// "config/workload" label is derived.
 	Name string
-	// Config is the system to simulate on.
+	// Config is the system to simulate on when MCM is nil.
 	Config config.SystemConfig
+	// MCM, when non-nil, is the multi-chip module to simulate instead of
+	// Config (gpu.NewMCM); its statistics come back in Result.MCM.
+	MCM *config.ChipletConfig
 	// Kernels is the kernel sequence to run back to back (usually one).
 	Kernels []trace.Workload
 	// Options tunes the simulation (MaxCycles, warm-up, …).
@@ -64,21 +73,29 @@ func (j Job) Label() string {
 	if j.Name != "" {
 		return j.Name
 	}
-	if len(j.Kernels) > 0 && j.Kernels[0] != nil {
-		return j.Config.Name + "/" + j.Kernels[0].Name()
+	name := j.Config.Name
+	if j.MCM != nil {
+		name = j.MCM.Name
 	}
-	return j.Config.Name
+	if len(j.Kernels) > 0 && j.Kernels[0] != nil {
+		return name + "/" + j.Kernels[0].Name()
+	}
+	return name
 }
 
 // Result is the outcome of one Job, in the same position as its job in the
-// input slice. Exactly one of Stats and Err is meaningful: Err is non-nil
-// when the job failed (including a recovered panic) or was cancelled before
-// it started.
+// input slice. Err is non-nil when the job failed (including a recovered
+// panic) or was cancelled before it started; otherwise the statistics are
+// meaningful.
 type Result struct {
 	// Job is the job this result belongs to.
 	Job Job
-	// Stats is the simulation result when Err is nil.
+	// Stats is the simulation result when Err is nil; on a multi-chip
+	// module it holds the package-wide totals MCM is projected from.
 	Stats gpu.Stats
+	// MCM is the multi-chip-module result shape of the same run; read it
+	// when Job.MCM is set.
+	MCM gpu.MCMStats
 	// Wall is the host time the job took (zero if never started).
 	Wall time.Duration
 	// Err is the job's failure, if any.
@@ -217,12 +234,18 @@ func runJob(ctx context.Context, j Job) (res Result) {
 		res.Err = fmt.Errorf("engine: job %q has no kernels", j.Label())
 		return res
 	}
-	sim, err := gpu.New(j.Config, j.Kernels, j.Options)
+	var sim *gpu.Simulator
+	var err error
+	if j.MCM != nil {
+		sim, err = gpu.NewMCM(*j.MCM, j.Kernels, j.Options)
+	} else {
+		sim, err = gpu.New(j.Config, j.Kernels, j.Options)
+	}
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	res.Stats, _, res.Err = sim.RunContext(ctx)
+	res.Stats, res.MCM, res.Err = sim.RunContext(ctx)
 	return res
 }
 

@@ -1,25 +1,15 @@
 package engine
 
-// Intake is the streaming front end of the worker pool for services: where
-// Run takes one pre-assembled job slice, an Intake accepts jobs one at a
-// time from concurrent submitters (HTTP handlers), coalesces everything
-// that arrives within a short linger window into one batch, and runs each
-// batch through the same runJob machinery Run uses. Batching matters to a
-// daemon because independently arriving requests for the paper's pipelines
-// are usually the *same* sweep shape (the two scale-model simulations of
-// a predict call, several tenants asking for neighbouring sizes); one
-// dispatch per window amortises scheduling and gives the batch hook a
-// truthful picture of concurrency for metrics.
+// Intake is the admission path of a service: where Run takes one
+// pre-assembled job slice, an Intake accepts jobs one at a time from
+// concurrent submitters (HTTP handlers) and bounds how many simulations run
+// at once. It is a slot semaphore, Workers wide: Submit takes a slot, runs
+// the job on the caller's goroutine and gives the slot back. Monolithic and
+// multi-chip-module jobs take the same slots.
 //
-// Two properties distinguish Intake from a naive queue:
-//
-//   - No head-of-line blocking: each batch runs on its own goroutine, and
-//     a global slot semaphore (Workers wide) bounds total simulation
-//     concurrency across batches. A slow batch delays nobody; a full pool
-//     delays everybody equally.
-//   - Per-submission cancellation: every job carries its submitter's
-//     context. A cancelled submission aborts (or never starts) its own
-//     simulation only; batch-mates are unaffected.
+// Every job carries its submitter's context: a submission cancelled while
+// it waits for a slot never starts, one cancelled while it runs aborts its
+// own simulation, and neither affects anybody else.
 
 import (
 	"context"
@@ -34,166 +24,70 @@ var ErrIntakeClosed = errors.New("engine: intake closed")
 
 // IntakeOptions tunes an Intake.
 type IntakeOptions struct {
-	// Workers bounds concurrently running simulations across all batches;
-	// <= 0 means runtime.NumCPU().
+	// Workers bounds concurrently running simulations; <= 0 means
+	// runtime.NumCPU().
 	Workers int
-	// Linger is how long the dispatcher waits after a submission arrives
-	// for more submissions to coalesce into the same batch. Zero disables
-	// coalescing (every submission is its own batch).
+	// Linger is ignored: submissions are not coalesced, each one runs as
+	// soon as it has a slot. The field remains only for callers that still
+	// set it.
 	Linger time.Duration
-	// OnBatch, when non-nil, is called with each batch's size at dispatch
-	// time (before its jobs run). Calls come from the dispatcher goroutine.
-	OnBatch func(size int)
 }
 
-// intakeSub is one pending submission: a job, its submitter's context, and
-// the channel its Result is delivered on (buffered, never blocks).
-type intakeSub struct {
-	ctx context.Context
-	job Job
-	ch  chan Result
-}
-
-// Intake accepts simulation jobs from concurrent submitters and runs them
-// in coalesced batches on a bounded pool. Create with NewIntake; Close
-// when done.
+// Intake runs simulation jobs from concurrent submitters on at most
+// Workers slots. Create with NewIntake; Close when done.
 type Intake struct {
-	opt   IntakeOptions
-	slots chan struct{}
-	kick  chan struct{}
-	quit  chan struct{}
-	wg    sync.WaitGroup
-
-	mu      sync.Mutex
-	pending []*intakeSub
-	closed  bool
+	slots     chan struct{}
+	closing   chan struct{}
+	closeOnce sync.Once
 }
 
-// NewIntake starts an intake's dispatcher goroutine.
+// NewIntake returns an intake with every slot free.
 func NewIntake(opt IntakeOptions) *Intake {
-	in := &Intake{
-		opt:   opt,
-		slots: make(chan struct{}, Workers(opt.Workers)),
-		kick:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
+	return &Intake{
+		slots:   make(chan struct{}, Workers(opt.Workers)),
+		closing: make(chan struct{}),
 	}
-	in.wg.Add(1)
-	go in.dispatch()
-	return in
 }
 
-// Submit enqueues one job and blocks until its Result is available. The
-// context bounds the job: cancellation before dispatch skips the
-// simulation, cancellation during it aborts the run loop; either way the
-// Result carries the context's error. Submissions to a closed intake (and
-// submissions still pending when Close is called) report ErrIntakeClosed.
+// Submit runs one job on the caller's goroutine once a slot is free and
+// returns its Result. The context bounds the job: a submission whose
+// context is done before it gets a slot never starts, and cancellation
+// during the run aborts the run loop; either way the Result carries the
+// context's error. Once Close has started, submissions that have not got a
+// slot report ErrIntakeClosed.
 func (in *Intake) Submit(ctx context.Context, j Job) Result {
-	sub := &intakeSub{ctx: ctx, job: j, ch: make(chan Result, 1)}
-	in.mu.Lock()
-	if in.closed {
-		in.mu.Unlock()
+	// Checked before the select: with a free slot AND a done context the
+	// select picks arbitrarily, and a fast job could run to completion
+	// despite being cancelled before it was admitted.
+	if err := ctx.Err(); err != nil {
+		return Result{Job: j, Err: err}
+	}
+	select {
+	case in.slots <- struct{}{}:
+	case <-ctx.Done():
+		return Result{Job: j, Err: ctx.Err()}
+	case <-in.closing:
 		return Result{Job: j, Err: ErrIntakeClosed}
 	}
-	in.pending = append(in.pending, sub)
-	in.mu.Unlock()
+	defer func() { <-in.slots }()
+	// The slot may have been won in a race with Close.
 	select {
-	case in.kick <- struct{}{}:
-	default: // dispatcher already kicked
+	case <-in.closing:
+		return Result{Job: j, Err: ErrIntakeClosed}
+	default:
 	}
-	return <-sub.ch
+	return runJob(ctx, j)
 }
 
-// Close stops accepting submissions, fails still-pending ones with
-// ErrIntakeClosed, and waits for in-flight batches to finish. (In-flight
-// simulations run to completion — abort them by cancelling their
-// submitters' contexts before closing.)
+// Close stops admitting submissions — waiting ones report ErrIntakeClosed —
+// and waits for running jobs to finish by taking every slot itself. (Running
+// simulations run to completion: abort them by cancelling their submitters'
+// contexts before closing.) Close is idempotent.
 func (in *Intake) Close() {
-	in.mu.Lock()
-	if in.closed {
-		in.mu.Unlock()
-		return
-	}
-	in.closed = true
-	in.mu.Unlock()
-	close(in.quit)
-	in.wg.Wait()
-}
-
-// take removes and returns the pending batch.
-func (in *Intake) take() []*intakeSub {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	batch := in.pending
-	in.pending = nil
-	return batch
-}
-
-// failPending delivers ErrIntakeClosed to every pending submission.
-func (in *Intake) failPending() {
-	for _, sub := range in.take() {
-		sub.ch <- Result{Job: sub.job, Err: ErrIntakeClosed}
-	}
-}
-
-// dispatch is the intake's single dispatcher loop: wait for a kick, linger
-// for coalescing, then hand the accumulated batch to its own runner
-// goroutine and go back to waiting — the dispatcher itself never runs a
-// simulation, so dispatch latency stays flat under load.
-func (in *Intake) dispatch() {
-	defer in.wg.Done()
-	for {
-		select {
-		case <-in.quit:
-			in.failPending()
-			return
-		case <-in.kick:
+	in.closeOnce.Do(func() {
+		close(in.closing)
+		for i := 0; i < cap(in.slots); i++ {
+			in.slots <- struct{}{}
 		}
-		if in.opt.Linger > 0 {
-			select {
-			case <-in.quit:
-				in.failPending()
-				return
-			case <-time.After(in.opt.Linger):
-			}
-		}
-		batch := in.take()
-		if len(batch) == 0 {
-			continue
-		}
-		if in.opt.OnBatch != nil {
-			in.opt.OnBatch(len(batch))
-		}
-		in.wg.Add(1)
-		go in.runBatch(batch)
-	}
-}
-
-// runBatch executes one batch. Every job waits for a global slot (or its
-// own cancellation) and then simulates under its submitter's context;
-// results are delivered as they finish, not at batch completion.
-func (in *Intake) runBatch(batch []*intakeSub) {
-	defer in.wg.Done()
-	var wg sync.WaitGroup
-	for _, sub := range batch {
-		wg.Add(1)
-		go func(sub *intakeSub) {
-			defer wg.Done()
-			// Checked before the select: with a free slot AND a done
-			// context the select picks arbitrarily, and a fast job could
-			// run to completion despite being cancelled before dispatch.
-			if err := sub.ctx.Err(); err != nil {
-				sub.ch <- Result{Job: sub.job, Err: err}
-				return
-			}
-			select {
-			case in.slots <- struct{}{}:
-			case <-sub.ctx.Done():
-				sub.ch <- Result{Job: sub.job, Err: sub.ctx.Err()}
-				return
-			}
-			defer func() { <-in.slots }()
-			sub.ch <- runJob(sub.ctx, sub.job)
-		}(sub)
-	}
-	wg.Wait()
+	})
 }

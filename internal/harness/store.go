@@ -19,14 +19,21 @@ package harness
 // in-flight entry is removed, so a later (or concurrently waiting) caller
 // with a live context retries and may become the new owner. A cancelled
 // client therefore cannot poison the cache for everyone else.
+//
+// Every body the daemon stores is one JSON document, so a disk file that
+// is not — empty, truncated, overwritten with garbage — is treated as a
+// miss: the body is recomputed, the file rewritten, and the rejection
+// counted (Corrupt).
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // StoreSource says which level of a ResultStore served a result.
@@ -80,6 +87,7 @@ type ResultStore struct {
 	memBytes int64       // sum of settled entry sizes
 	mru, lru *storeEntry // list ends: mru = most recently used
 	flight   map[string]*storeCall
+	corrupt  atomic.Uint64 // disk bodies rejected by readDisk
 }
 
 // NewResultStore returns a store persisting to dir ("" keeps results in
@@ -254,6 +262,10 @@ func (s *ResultStore) Lookup(key string) ([]byte, StoreSource, bool) {
 	return nil, "", false
 }
 
+// Corrupt reports how many disk bodies were rejected as not JSON and
+// recomputed.
+func (s *ResultStore) Corrupt() uint64 { return s.corrupt.Load() }
+
 // MemoryBytes reports the bytes currently charged to the memory level.
 func (s *ResultStore) MemoryBytes() int64 {
 	s.mu.Lock()
@@ -280,19 +292,28 @@ func (s *ResultStore) diskPath(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
 
+// readDisk returns key's body from the disk level. A file that is not one
+// JSON document is counted, removed (so it is counted once) and reported
+// absent; Do then recomputes the body and writes a good file.
 func (s *ResultStore) readDisk(key string) ([]byte, bool) {
 	if s.dir == "" {
 		return nil, false
 	}
-	body, err := os.ReadFile(s.diskPath(key))
+	path := s.diskPath(key)
+	body, err := os.ReadFile(path)
 	if err != nil {
+		return nil, false
+	}
+	if !json.Valid(body) {
+		s.corrupt.Add(1)
+		os.Remove(path) // best effort: if it stays, the next read counts it again
 		return nil, false
 	}
 	return body, true
 }
 
 // writeDisk persists a body atomically (temp file + rename) so a crashed
-// or concurrent writer can never leave a torn file for readDisk to trust.
+// or concurrent writer in this process never leaves a torn file behind.
 // Persistence is best-effort: a full or read-only disk degrades the store
 // to memory-only instead of failing the request.
 func (s *ResultStore) writeDisk(key string, body []byte) {

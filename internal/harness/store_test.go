@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -307,5 +308,56 @@ func TestResultStoreLookup(t *testing.T) {
 	}
 	if _, src, ok := s2.Lookup(storeKeyA); !ok || src != StoreMemory {
 		t.Errorf("Lookup after promotion source = %v (ok=%v)", src, ok)
+	}
+}
+
+// TestResultStoreRejectsCorruptDiskFiles plants an empty, a truncated and a
+// garbage file under a key: Do must recompute instead of serving the file,
+// rewrite it with the computed body and count the rejection; Lookup must
+// report a miss for a corrupt file and count it once.
+func TestResultStoreRejectsCorruptDiskFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewResultStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want := []byte(`{"ipc":1.5}`)
+	plant := func(key, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, key[:2], key+".json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for i, planted := range []string{"", `{"ipc":1.`, "\x00garbage"} {
+		key := fmt.Sprintf("%064x", i+1)
+		path := plant(key, planted)
+		body, src, err := s.Do(ctx, key, func() ([]byte, error) { return want, nil })
+		if err != nil || src != StoreComputed || string(body) != string(want) {
+			t.Errorf("Do over file %q = %q %v %v, want %s computed", planted, body, src, err, want)
+		}
+		if file, err := os.ReadFile(path); err != nil || string(file) != string(want) {
+			t.Errorf("file %q after recompute = %q (%v), want %s", planted, file, err, want)
+		}
+		if got := s.Corrupt(); got != uint64(i+1) {
+			t.Errorf("Corrupt() = %d after %d corrupt files", got, i+1)
+		}
+	}
+
+	key := fmt.Sprintf("%064x", 9)
+	plant(key, `{"ipc"`)
+	if body, src, ok := s.Lookup(key); ok {
+		t.Errorf("Lookup served a truncated file: %q %v", body, src)
+	}
+	if _, _, ok := s.Lookup(key); ok {
+		t.Error("second Lookup hit")
+	}
+	if got := s.Corrupt(); got != 4 {
+		t.Errorf("Corrupt() = %d after two Lookups of one corrupt file, want 4", got)
 	}
 }

@@ -1,18 +1,18 @@
 package server
 
 // The built-in evaluator: turns a validated canonical request into its
-// canonical JSON response body. Simulations run under the caller's
-// context; monolithic ones go through the intake (coalescing + bounded
-// pool), MCM ones call the facade directly. Determinism note: response
-// bodies are produced by json.Marshal over structs (fixed field order),
-// simulation statistics are bit-identical across worker counts and shard
-// counts, and the prediction pipeline is pure arithmetic — so one
-// canonical request always yields one byte string, which the store
-// replays verbatim.
+// canonical JSON response body. Every simulation, monolithic or MCM, runs
+// under the caller's context on one of the intake's Workers slots.
+// Determinism note: response bodies are produced by json.Marshal over
+// structs (fixed field order), simulation statistics are bit-identical
+// across worker counts and shard counts, and the prediction pipeline is
+// pure arithmetic — so one canonical request always yields one byte
+// string, which the store replays verbatim.
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"gpuscale"
 	"gpuscale/internal/core"
@@ -75,42 +75,20 @@ func (s *Server) evalSimulate(ctx context.Context, req gpuscale.Request, hash st
 	if err != nil {
 		return nil, err
 	}
+	rs, err := s.simulate(ctx, tgt)
+	if err != nil {
+		return nil, err
+	}
 	resp := SimulateResponse{
 		RequestHash: hash,
 		Op:          req.Op,
 		Workload:    tgt.Workload.Name(),
 	}
-	s.m.simsStart.Inc()
 	if tgt.MCM != nil {
-		resp.Config = tgt.MCM.Name
-		opts := tgt.Options
-		if s.opt.MCMShards > 0 {
-			// Server shard policy overrides the request's (results are
-			// bit-identical either way; Canonicalize already stripped
-			// shards from the cache key).
-			opts = append(opts, gpuscale.WithShards(s.opt.MCMShards))
-		}
-		st, err := gpuscale.SimulateMCMContext(ctx, *tgt.MCM, tgt.Workload, opts...)
-		if err != nil {
-			return nil, err
-		}
-		resp.MCMStats = &st
-		return marshalResponse(resp)
+		resp.Config, resp.MCMStats = tgt.MCM.Name, &rs[0].MCM
+	} else {
+		resp.Config, resp.Stats = tgt.System.Name, &rs[0].Stats
 	}
-	resp.Config = tgt.System.Name
-	var o gpuscale.SimOptions
-	for _, fn := range tgt.Options {
-		fn(&o)
-	}
-	r := s.intake.Submit(ctx, gpuscale.Job{
-		Config:  *tgt.System,
-		Kernels: []gpuscale.Workload{tgt.Workload},
-		Options: o,
-	})
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	resp.Stats = &r.Stats
 	return marshalResponse(resp)
 }
 
@@ -133,10 +111,10 @@ func (s *Server) evalMRC(ctx context.Context, req gpuscale.Request, hash string)
 }
 
 // evalPredict runs the scale-model pipeline: simulate the two scale
-// models of req.ScaleModels — monolithic ones concurrently, so the intake
-// can batch them — collect the miss-rate curve for strong scaling, whose
-// sweep starts before the scale models are submitted and runs beside them,
-// and predict the target sizes the paper never simulates.
+// models of req.ScaleModels concurrently, collect the miss-rate curve for
+// strong scaling, whose sweep starts before the scale models are submitted
+// and runs beside them, and predict the target sizes the paper never
+// simulates.
 func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
 	sizes, models, err := req.ScaleModels()
 	if err != nil {
@@ -146,34 +124,15 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 	if !req.Workload.Weak {
 		sweep = s.startCurve(req.Workload)
 	}
-	var ipc, fmem [2]float64
-	if models[0].MCM != nil {
-		for i, m := range models {
-			s.m.simsStart.Inc()
-			st, err := gpuscale.SimulateMCMContext(ctx, *m.MCM, m.Workload, gpuscale.WithShards(s.opt.MCMShards))
-			if err != nil {
-				return nil, err
-			}
-			ipc[i], fmem[i] = st.IPC, st.FMem
-		}
-	} else {
-		jobs := make([]gpuscale.Job, len(models))
-		for i, m := range models {
-			jobs[i] = gpuscale.NewJob(*m.System, m.Workload)
-		}
-		s.m.simsStart.Add(uint64(len(jobs)))
-		stats, err := s.submitAll(ctx, jobs)
-		if err != nil {
-			return nil, err
-		}
-		for i, st := range stats {
-			ipc[i], fmem[i] = st.IPC, st.FMem
-		}
+	// Stats carries IPC and f_mem for MCM runs too: MCMStats copies them.
+	rs, err := s.simulate(ctx, models[:]...)
+	if err != nil {
+		return nil, err
 	}
 	in := gpuscale.PredictionInput{
 		Sizes:    sizes,
-		SmallIPC: ipc[0],
-		LargeIPC: ipc[1],
+		SmallIPC: rs[0].Stats.IPC,
+		LargeIPC: rs[1].Stats.IPC,
 		Mode:     gpuscale.WeakScaling,
 	}
 	if sweep != nil {
@@ -183,7 +142,7 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 		}
 		in.Mode = gpuscale.StrongScaling
 		in.MPKI = curve.MPKIs()
-		in.FMemLarge = fmem[1]
+		in.FMemLarge = rs[1].Stats.FMem
 	}
 	return predictBody(req, hash, in, "", 0)
 }
@@ -222,27 +181,36 @@ func predictBody(req gpuscale.Request, hash string, in gpuscale.PredictionInput,
 	})
 }
 
-// submitAll submits jobs to the intake concurrently — concurrent
-// submission is what lets the dispatcher coalesce them into one batch —
-// and returns their stats in job order, or the first error in job order.
-func (s *Server) submitAll(ctx context.Context, jobs []gpuscale.Job) ([]gpuscale.SimStats, error) {
-	results := make([]gpuscale.JobResult, len(jobs))
-	done := make(chan int)
-	for i := range jobs {
+// simulate runs targets through the intake concurrently, each on one of
+// its Workers slots, and returns their results in target order, or the
+// first error in target order. The daemon's -mcm-shards overrides an MCM
+// target's shard count (results are bit-identical either way, and
+// Canonicalize already stripped shards from the cache key).
+func (s *Server) simulate(ctx context.Context, targets ...gpuscale.SimTarget) ([]gpuscale.JobResult, error) {
+	s.m.simsStart.Add(uint64(len(targets)))
+	results := make([]gpuscale.JobResult, len(targets))
+	var wg sync.WaitGroup
+	for i, t := range targets {
+		j := gpuscale.Job{Kernels: []gpuscale.Workload{t.Workload}, MCM: t.MCM}
+		for _, fn := range t.Options {
+			fn(&j.Options)
+		}
+		if t.MCM == nil {
+			j.Config = *t.System
+		} else if s.opt.MCMShards > 0 {
+			j.Options.Shards = s.opt.MCMShards
+		}
+		wg.Add(1)
 		go func(i int) {
-			results[i] = s.intake.Submit(ctx, jobs[i])
-			done <- i
+			defer wg.Done()
+			results[i] = s.intake.Submit(ctx, j)
 		}(i)
 	}
-	for range jobs {
-		<-done
-	}
-	out := make([]gpuscale.SimStats, len(jobs))
-	for i, r := range results {
+	wg.Wait()
+	for _, r := range results {
 		if r.Err != nil {
-			return nil, fmt.Errorf("server: simulating %s: %w", jobs[i].Label(), r.Err)
+			return nil, fmt.Errorf("server: simulating %s: %w", r.Job.Label(), r.Err)
 		}
-		out[i] = r.Stats
 	}
-	return out, nil
+	return results, nil
 }

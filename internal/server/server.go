@@ -31,15 +31,13 @@ type Options struct {
 	// StoreDir is the disk level of the response cache; "" serves from
 	// memory only (restarts re-simulate).
 	StoreDir string
-	// Workers bounds concurrently running simulations; <= 0 means all CPUs.
+	// Workers bounds concurrently running simulations, monolithic and MCM
+	// alike; <= 0 means all CPUs.
 	Workers int
 	// TenantCapacity bounds each tenant's concurrently admitted requests
 	// (in queue + in flight); beyond it the server answers 429 with
 	// Retry-After. <= 0 means 64.
 	TenantCapacity int
-	// BatchLinger is the intake coalescing window for monolithic
-	// simulation jobs; <= 0 means 2ms.
-	BatchLinger time.Duration
 	// MCMShards is the shard count applied to every MCM simulation the
 	// server runs (results are bit-identical at every setting).
 	MCMShards int
@@ -69,8 +67,7 @@ type metrics struct {
 	cancelled  *obs.Counter
 	errors     *obs.Counter
 	simsStart  *obs.Counter
-	batches    *obs.Counter
-	batchJobs  *obs.Counter
+	corrupt    *obs.Counter // store bodies on disk rejected as not JSON
 	latencyMS  *obs.Histogram
 	reqCounter map[string]*obs.Counter
 
@@ -110,7 +107,7 @@ type Server struct {
 	m      metrics
 
 	mu      sync.Mutex
-	tenants map[string]chan struct{}
+	tenants map[string]int                         // admitted requests per tenant; absent = none
 	curves  map[gpuscale.WorkloadSpec]*curveFlight // curves.go
 
 	sweep    func(gpuscale.WorkloadSpec) (gpuscale.Curve, error) // sweepStandard; a seam for tests
@@ -119,14 +116,10 @@ type Server struct {
 	predict func(gpuscale.Request) (gpuscale.AnalyticPrediction, error) // gpuscale.PredictAnalytic; a seam for tests
 }
 
-// New builds a Server (creating the store directory if needed) and starts
-// its intake dispatcher.
+// New builds a Server, creating the store directory if needed.
 func New(opt Options) (*Server, error) {
 	if opt.TenantCapacity <= 0 {
 		opt.TenantCapacity = 64
-	}
-	if opt.BatchLinger <= 0 {
-		opt.BatchLinger = 2 * time.Millisecond
 	}
 	if opt.MemoBytes <= 0 {
 		opt.MemoBytes = 64 << 20
@@ -146,7 +139,7 @@ func New(opt Options) (*Server, error) {
 		opt:     opt,
 		reg:     reg,
 		store:   store,
-		tenants: make(map[string]chan struct{}),
+		tenants: make(map[string]int),
 		curves:  make(map[gpuscale.WorkloadSpec]*curveFlight),
 		sweep:   sweepStandard,
 		predict: gpuscale.PredictAnalytic,
@@ -160,8 +153,7 @@ func New(opt Options) (*Server, error) {
 		cancelled: reg.Counter("server/cancelled"),
 		errors:    reg.Counter("server/errors"),
 		simsStart: reg.Counter("server/sims/started"),
-		batches:   reg.Counter("server/batch/batches"),
-		batchJobs: reg.Counter("server/batch/jobs"),
+		corrupt:   reg.Counter("server/store/corrupt"),
 		latencyMS: reg.Histogram("server/latency_ms", latencyBoundsMS),
 		reqCounter: map[string]*obs.Counter{
 			gpuscale.OpSimulate: reg.Counter("server/requests/simulate"),
@@ -178,14 +170,7 @@ func New(opt Options) (*Server, error) {
 		curveSweeps:   reg.Counter("server/curve/sweeps"),
 		curveMemoHits: reg.Counter("server/curve/memo_hits"),
 	}
-	s.intake = engine.NewIntake(engine.IntakeOptions{
-		Workers: opt.Workers,
-		Linger:  opt.BatchLinger,
-		OnBatch: func(size int) {
-			s.m.batches.Inc()
-			s.m.batchJobs.Add(uint64(size))
-		},
-	})
+	s.intake = engine.NewIntake(engine.IntakeOptions{Workers: opt.Workers})
 	s.eval = opt.Eval
 	if s.eval == nil {
 		s.eval = s.evaluate
@@ -196,7 +181,7 @@ func New(opt Options) (*Server, error) {
 // Registry returns the server's metrics registry (the one /metrics serves).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close stops the intake and waits for in-flight batches and miss-rate
+// Close stops the intake and waits for running simulations and miss-rate
 // sweeps. In-flight HTTP handlers should be drained first
 // (http.Server.Shutdown).
 func (s *Server) Close() {
@@ -221,6 +206,7 @@ func (s *Server) Handler() http.Handler {
 		// Prometheus text exposition; the renderer lives in obs, which
 		// deliberately does not import net/http (see obs/prom.go).
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		s.m.corrupt.Store(s.store.Corrupt())
 		obs.WritePrometheus(w, s.reg.Snapshot())
 	})
 	for _, op := range []string{gpuscale.OpSimulate, gpuscale.OpPredict, gpuscale.OpMRC} {
@@ -395,23 +381,24 @@ func writeBody(w http.ResponseWriter, hash, tier string, src harness.StoreSource
 }
 
 // acquire admits one request for tenant, returning its release func, or
-// (nil, false) when the tenant's queue is full. Tenant slots are created
-// on first sight and kept for the server's lifetime — the tenant universe
-// is assumed bounded (API gateways hand out stable tenant IDs).
+// (nil, false) when the tenant already has TenantCapacity requests
+// admitted. A tenant has an entry only while it has requests admitted, so
+// the table is bounded by the requests in flight, whatever X-Tenant values
+// clients send.
 func (s *Server) acquire(tenant string) (func(), bool) {
 	s.mu.Lock()
-	c, ok := s.tenants[tenant]
-	if !ok {
-		c = make(chan struct{}, s.opt.TenantCapacity)
-		s.tenants[tenant] = c
-	}
-	s.mu.Unlock()
-	select {
-	case c <- struct{}{}:
-		return func() { <-c }, true
-	default:
+	defer s.mu.Unlock()
+	if s.tenants[tenant] >= s.opt.TenantCapacity {
 		return nil, false
 	}
+	s.tenants[tenant]++
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.tenants[tenant]--; s.tenants[tenant] == 0 {
+			delete(s.tenants, tenant)
+		}
+	}, true
 }
 
 // tenantOf extracts the request's tenant (X-Tenant header, "default" when
