@@ -4,10 +4,11 @@
 # experiment engine, and the uarch dispatch gate. `make profile`,
 # `make profile-mcm` and `make profile-mrc` print CPU profiles of a
 # monolithic cell, a multi-chip-module cell and two miss-rate sweeps.
+# `make testtime` runs the tier-1 suite and lists its slowest tests.
 
 GO ?= go
 
-.PHONY: build vet fmt short test race quick verify noalloc uarch-gate smoke bench profile profile-mcm profile-mrc microbench
+.PHONY: build vet fmt short test testtime race quick verify noalloc uarch-gate smoke bench profile profile-mcm profile-mrc microbench
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,21 @@ short:
 
 test:
 	$(GO) test ./...
+
+# Where tier-1's time goes: run `go test -json ./...` and print the 15
+# slowest tests (subtests too) as seconds, package and name. -count=1 makes
+# every test run, since a cached result would replay an old run's times.
+# Coreutils only: tr and cut reduce every event to its fields, join keeps
+# the pass and fail events of tests, sort ranks them by elapsed time. Exits
+# with go test's status, so a failing suite still fails the target.
+testtime:
+	@export LC_ALL=C; d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -count=1 -json ./... > $$d/json; st=$$?; \
+	tr -d '{}"' < $$d/json | cut -d, -f2-5 | tr ',:' '  ' > $$d/fields && \
+	cut -d' ' -f2,7 $$d/fields | tr ' ' '_' | paste -d' ' - $$d/fields | sort -k1,1 > $$d/keyed && \
+	printf 'fail_Elapsed\npass_Elapsed\n' | join $$d/keyed - | sort -k9,9gr | head -15 > $$d/top && \
+	cut -d' ' -f5,7 $$d/top > $$d/names && cut -d' ' -f9 $$d/top | paste - $$d/names; \
+	exit $$st
 
 # The concurrency gate: race-enabled tests of every code path that runs on
 # or feeds the worker-pool engine, plus the intra-simulation shard runner

@@ -28,12 +28,6 @@ func AnalyzeMCMCell(cfg ChipletConfig, w Workload) (AnalyticEstimate, error) {
 	return analytic.EstimateMCM(cfg, w)
 }
 
-// AnalyzeSequence analytically predicts a back-to-back kernel sequence —
-// the stand-in for SimulateSequenceContext.
-func AnalyzeSequence(cfg SystemConfig, ws []Workload) (AnalyticEstimate, error) {
-	return analytic.EstimateSequence(cfg, ws)
-}
-
 // AnalyticPrediction is the analytic tier's version of the scale-model
 // prediction pipeline: the same PredictionInput the cycle tier feeds to
 // Predict, produced from analytical scale-model estimates instead of

@@ -75,28 +75,25 @@ func BenchmarkEngineParallelSweep(b *testing.B) {
 	}
 	ctx := context.Background()
 	t0 := testingNow()
-	seq, err := gpuscale.RunJobs(ctx, jobs, gpuscale.EngineOptions{Workers: 1})
+	seq, err := sweep(ctx, 1, jobs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tSeq := testingNow() - t0
 	t0 = testingNow()
-	par, err := gpuscale.RunJobs(ctx, jobs, gpuscale.EngineOptions{})
+	par, err := sweep(ctx, 0, jobs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tPar := testingNow() - t0
 	for i := range jobs {
-		if seq[i].Err != nil || par[i].Err != nil {
-			b.Fatalf("job %d failed: seq=%v par=%v", i, seq[i].Err, par[i].Err)
-		}
-		if seq[i].Stats != par[i].Stats {
+		if seq[i] != par[i] {
 			b.Fatalf("job %q: parallel stats differ from sequential", jobs[i].Label())
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = par[0].Stats.IPC
+		_ = par[0].IPC
 	}
 	b.ReportMetric(float64(runtime.NumCPU()), "workers")
 	b.ReportMetric(tSeq/tPar, "wall_speedup")

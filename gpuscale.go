@@ -46,18 +46,11 @@
 // # Parallel sweeps
 //
 // Every experiment cell — a (workload, configuration) pair — is independent,
-// so sweeps parallelise perfectly. RunJobs fans a job list across a worker
-// pool with deterministic, input-ordered results, per-job panic isolation
-// and optional progress reporting:
-//
-//	jobs := []gpuscale.Job{
-//		gpuscale.NewJob(gpuscale.MustScale(base, 8), bench.Workload),
-//		gpuscale.NewJob(gpuscale.MustScale(base, 16), bench.Workload),
-//	}
-//	results, _ := gpuscale.RunJobs(context.Background(), jobs, gpuscale.EngineOptions{})
-//
-// A parallel sweep returns bit-identical statistics to a sequential one;
-// see docs/ARCHITECTURE.md for why this holds.
+// so sweeps parallelise perfectly: run the cells' SimulateContext calls on
+// as many goroutines as there are CPUs. A parallel sweep returns
+// bit-identical statistics to a sequential one; see docs/ARCHITECTURE.md
+// for why this holds. A simulation that panics reaches its caller as an
+// error.
 //
 // See the examples/ directory for complete programs.
 package gpuscale
@@ -165,7 +158,8 @@ type (
 	// Job.Options and the WithOptions bridge. New code should prefer the
 	// SimOption functional options on SimulateContext.
 	SimOptions = gpu.Options
-	// MCMStats is the result of a multi-chiplet simulation.
+	// MCMStats is the result of a multi-chiplet simulation: the
+	// package-wide subset of SimStats.
 	MCMStats = gpu.MCMStats
 )
 
@@ -191,10 +185,6 @@ func NewObserver(opts ...ObserverOption) *Observer { return obs.New(opts...) }
 // ObserverSampleEvery sets the observer's default sampling interval in
 // simulated cycles (overridable per run with WithSampleInterval).
 func ObserverSampleEvery(cycles int64) ObserverOption { return obs.SampleEvery(cycles) }
-
-// ObserverMaxEvents caps the observer's in-memory trace buffer; further
-// events are dropped and counted.
-func ObserverMaxEvents(n int) ObserverOption { return obs.MaxEvents(n) }
 
 // SimOption is a functional option for SimulateContext and friends.
 type SimOption func(*SimOptions)
@@ -249,7 +239,7 @@ func WithOptions(opt SimOptions) SimOption {
 // on 4-chiplet cells and about 1.1x on the 16-chiplet package; 0.8–1.0x at
 // 128 SMs, where the sequential loop is now as fast; 0.6–1.2x on the
 // 8/16-SM scale models, whose small cycles run on one core anyway. Run
-// scale models sequentially and parallelise across them (RunJobs).
+// scale models sequentially and parallelise across them.
 func WithShards(n int) SimOption {
 	return func(o *SimOptions) { o.Shards = n }
 }
@@ -276,8 +266,9 @@ func WithUarch(v UarchVariant) SimOption {
 // SimulateContext runs workload w to completion on cfg and returns its
 // statistics (IPC, f_mem, MPKI, utilisations, …). It is the blessed
 // simulation entry point: cancelling ctx aborts the run loop within a few
-// thousand iterations, and functional options select everything else
-// (cycle limits, warm-up, observability).
+// thousand iterations, functional options select everything else (cycle
+// limits, warm-up, observability), and a panicking simulation returns an
+// error.
 func SimulateContext(ctx context.Context, cfg SystemConfig, w Workload, opts ...SimOption) (SimStats, error) {
 	return SimulateSequenceContext(ctx, cfg, []Workload{w}, opts...)
 }
@@ -286,23 +277,15 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, w Workload, opts ...
 // back to back (grid barriers between kernels, caches persisting across
 // them), as multi-kernel GPU applications do.
 func SimulateSequenceContext(ctx context.Context, cfg SystemConfig, kernels []Workload, opts ...SimOption) (SimStats, error) {
-	sim, err := gpu.New(cfg, kernels, simOptions(opts))
-	if err != nil {
-		return SimStats{}, err
-	}
-	st, _, err := sim.RunContext(ctx)
-	return st, err
+	r := engine.Exec(ctx, engine.Job{Config: cfg, Kernels: kernels, Options: simOptions(opts)})
+	return r.Stats, r.Err
 }
 
 // SimulateMCMContext is SimulateContext on a multi-chiplet GPU; every
 // SimOption applies to it as to a monolithic run.
 func SimulateMCMContext(ctx context.Context, cfg ChipletConfig, w Workload, opts ...SimOption) (MCMStats, error) {
-	sim, err := gpu.NewMCM(cfg, []Workload{w}, simOptions(opts))
-	if err != nil {
-		return MCMStats{}, err
-	}
-	_, st, err := sim.RunContext(ctx)
-	return st, err
+	r := engine.Exec(ctx, engine.Job{MCM: &cfg, Kernels: []Workload{w}, Options: simOptions(opts)})
+	return r.Stats.MCM(), r.Err
 }
 
 // simOptions folds functional options into the struct form.
@@ -314,32 +297,18 @@ func simOptions(opts []SimOption) SimOptions {
 	return o
 }
 
-// Parallel experiment engine: fan independent simulation jobs across a
-// worker pool with deterministic result ordering.
+// Simulation jobs: the unit the service's admission path (engine.Intake)
+// runs.
 type (
-	// Job is one simulation cell for RunJobs: a kernel sequence on one
-	// system configuration.
+	// Job is one simulation cell: a kernel sequence on one system
+	// configuration or multi-chip module.
 	Job = engine.Job
-	// JobResult is one Job's outcome, in job order.
+	// JobResult is one Job's outcome.
 	JobResult = engine.Result
-	// EngineOptions tunes a RunJobs sweep (worker count, progress).
-	EngineOptions = engine.Options
-	// EngineProgress is the snapshot passed to the progress callback.
-	EngineProgress = engine.Progress
 )
 
 // NewJob builds a single-kernel Job.
 func NewJob(cfg SystemConfig, w Workload) Job { return engine.NewJob(cfg, w) }
-
-// RunJobs executes jobs on a worker pool (default: all CPUs) and returns
-// one result per job, in job order regardless of completion order. A
-// failing or panicking simulation surfaces in its own JobResult.Err without
-// aborting the sweep; the returned error is non-nil only when ctx is
-// cancelled. Parallel sweeps return statistics bit-identical to sequential
-// ones.
-func RunJobs(ctx context.Context, jobs []Job, opt EngineOptions) ([]JobResult, error) {
-	return engine.Run(ctx, jobs, opt)
-}
 
 // Miss-rate curves.
 type (
@@ -433,8 +402,6 @@ type (
 	Benchmark = workloads.Benchmark
 	// WeakBenchmark is one Table IV weak-scaling family.
 	WeakBenchmark = workloads.WeakBenchmark
-	// ScalingClass is linear, sub-linear or super-linear.
-	ScalingClass = workloads.ScalingClass
 )
 
 // Benchmarks returns the 21 strong-scaling benchmarks of Table II.

@@ -166,24 +166,6 @@ func analyticEstimateFor(t *testing.T, label string) gpuscale.AnalyticEstimate {
 		}
 		cfg.Chiplet.Uarch = v
 		return mustAnalyzeMCM(t, label, cfg, parts[2])
-	case "seq":
-		var sms int
-		if _, err := fmt.Sscanf(parts[2], "%dsm", &sms); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		var ws []gpuscale.Workload
-		for _, name := range strings.Split(parts[1], "+") {
-			bench, err := gpuscale.BenchmarkByName(name)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			ws = append(ws, bench.Workload)
-		}
-		est, err := gpuscale.AnalyzeSequence(gpuscale.MustScale(base, sms), ws)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		return est
 	default:
 		t.Fatalf("%s: unknown golden family", label)
 		return gpuscale.AnalyticEstimate{}
@@ -228,8 +210,9 @@ func TestAnalyticMatchesGoldenGrid(t *testing.T) {
 		// The hot-path structure cells pin simulator data structures on
 		// off-baseline configurations (a 16-entry MSHR file, 96 warps per
 		// SM); the analytic model has no MSHR-capacity term and makes no
-		// claim about them.
-		if strings.HasPrefix(cell.Label, "mshr-stall/") || strings.HasPrefix(cell.Label, "wide-sm/") {
+		// claim about them. It estimates one kernel at a time, so the
+		// multi-kernel sequence cell has no analytic stand-in either.
+		if strings.HasPrefix(cell.Label, "mshr-stall/") || strings.HasPrefix(cell.Label, "wide-sm/") || strings.HasPrefix(cell.Label, "seq/") {
 			continue
 		}
 		var actIPC, actFMem float64

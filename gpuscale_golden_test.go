@@ -55,17 +55,13 @@ func goldenCells(t *testing.T) []goldenEntry {
 			labels = append(labels, fmt.Sprintf("strong/%s/%dsm", bench.Name, n))
 		}
 	}
-	results, err := gpuscale.RunJobs(ctx, jobs, gpuscale.EngineOptions{})
+	results, err := sweep(ctx, 0, jobs)
 	if err != nil {
 		t.Fatalf("golden strong sweep: %v", err)
 	}
 	var cells []goldenEntry
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("golden cell %s: %v", labels[i], r.Err)
-		}
-		st := r.Stats
-		cells = append(cells, goldenEntry{Label: labels[i], Sim: &st})
+	for i := range results {
+		cells = append(cells, goldenEntry{Label: labels[i], Sim: &results[i]})
 	}
 
 	// Two chiplet configurations: the 4- and 2-chiplet scale models of the

@@ -228,7 +228,7 @@ func TestSimulateMCMContextCancelled(t *testing.T) {
 }
 
 // TestRunJobsCancelsInFlight is the regression test for sweep cancellation:
-// cancelling the RunJobs context must abort the simulation already running,
+// cancelling a sweep's context must abort the simulation already running,
 // not just undispatched jobs. The workload takes many seconds sequentially;
 // the generous deadline below only trips when the in-flight abort is broken.
 func TestRunJobsCancelsInFlight(t *testing.T) {
@@ -240,13 +240,10 @@ func TestRunJobsCancelsInFlight(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results, err := gpuscale.RunJobs(ctx, jobs, gpuscale.EngineOptions{Workers: 1})
+	_, err := sweep(ctx, 1, jobs)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunJobs err = %v, want context.Canceled", err)
-	}
-	if len(results) != 1 || !errors.Is(results[0].Err, context.Canceled) {
-		t.Fatalf("job result err = %v, want context.Canceled", results[0].Err)
+		t.Fatalf("sweep err = %v, want context.Canceled", err)
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %v: the in-flight simulation was not aborted", elapsed)

@@ -2,7 +2,9 @@ package gpuscale_test
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"gpuscale"
@@ -20,6 +22,16 @@ func smallLinear(name string) gpuscale.Workload {
 			return gpuscale.NewPhaseProgram(gpuscale.Phase{N: 100, ComputePer: 9, Gen: g})
 		},
 	}
+}
+
+// sweep runs jobs through the engine's one runner on a Map pool of the
+// given size (<= 0: every CPU) and returns their statistics in job order,
+// or the first failure in job order.
+func sweep(ctx context.Context, workers int, jobs []gpuscale.Job) ([]gpuscale.SimStats, error) {
+	return engine.Map(ctx, workers, jobs, func(ctx context.Context, _ int, j gpuscale.Job) (gpuscale.SimStats, error) {
+		r := engine.Exec(ctx, j)
+		return r.Stats, r.Err
+	})
 }
 
 func TestFacadeConfigs(t *testing.T) {
@@ -90,6 +102,26 @@ func TestFacadeSimulateMCM(t *testing.T) {
 	}
 }
 
+// TestSimulatePanicIsError: a workload that panics mid-simulation reaches a
+// SimulateContext caller as an error carrying the panic, not as a panic.
+func TestSimulatePanicIsError(t *testing.T) {
+	w := &gpuscale.FuncWorkload{
+		WName: "panics",
+		Spec:  gpuscale.KernelSpec{NumCTAs: 64, WarpsPerCTA: 2},
+		Factory: func(cta, warp int) gpuscale.Program {
+			if cta == 40 {
+				panic("generator bug")
+			}
+			return smallLinear("panics").NewProgram(cta, warp)
+		},
+	}
+	_, err := gpuscale.SimulateContext(context.Background(), gpuscale.MustScale(gpuscale.Baseline128(), 8), w)
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "generator bug") {
+		t.Fatalf("err = %v, want a *engine.PanicError carrying the panic", err)
+	}
+}
+
 // TestIntakeMCMJobMatchesFacade: an MCM Job run through the service's
 // intake (engine.Intake, the one admission path of gpuscaled) returns the
 // MCMStats SimulateMCMContext does, on the golden chiplet/bfs/2c cell.
@@ -113,8 +145,8 @@ func TestIntakeMCMJobMatchesFacade(t *testing.T) {
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if r.MCM != want {
-		t.Errorf("intake MCM job diverged from SimulateMCMContext\nintake %+v\nfacade %+v", r.MCM, want)
+	if got := r.Stats.MCM(); got != want {
+		t.Errorf("intake MCM job diverged from SimulateMCMContext\nintake %+v\nfacade %+v", got, want)
 	}
 }
 

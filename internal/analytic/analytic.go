@@ -27,7 +27,6 @@
 package analytic
 
 import (
-	"fmt"
 	"sync"
 
 	"gpuscale/internal/config"
@@ -115,38 +114,6 @@ func applyUarchPenalty(e Estimate, v uarch.Variant) Estimate {
 		e.Confidence *= uarch.ConfidencePenalty
 	}
 	return e
-}
-
-// EstimateSequence analytically predicts a back-to-back kernel sequence:
-// per-kernel estimates combined by summing cycles and instructions, with
-// cycle-weighted f_mem and the lowest per-kernel confidence.
-func EstimateSequence(cfg config.SystemConfig, ws []trace.Workload) (Estimate, error) {
-	if len(ws) == 0 {
-		return Estimate{}, fmt.Errorf("analytic: empty workload sequence")
-	}
-	var out Estimate
-	out.Confidence = 1
-	var fmemCycles, missK float64
-	for _, w := range ws {
-		e, err := EstimateCell(cfg, w)
-		if err != nil {
-			return Estimate{}, err
-		}
-		out.Cycles += e.Cycles
-		out.Instructions += e.Instructions
-		fmemCycles += e.FMem * e.Cycles
-		missK += e.LLCMPKI * e.Instructions / 1000
-		if e.Confidence < out.Confidence {
-			out.Confidence = e.Confidence
-		}
-		if e.L1MissRate > out.L1MissRate {
-			out.L1MissRate = e.L1MissRate
-		}
-	}
-	out.IPC = out.Instructions / out.Cycles
-	out.FMem = fmemCycles / out.Cycles
-	out.LLCMPKI = missK / (out.Instructions / 1000)
-	return out, nil
 }
 
 // MPKICurve returns the analytic LLC miss-rate estimate at each given

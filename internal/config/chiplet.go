@@ -117,8 +117,5 @@ func (c ChipletConfig) Validate() error {
 	return c.Chiplet.Validate()
 }
 
-// ChipletScaleModelSizes are the chiplet counts of the MCM scale models.
-var ChipletScaleModelSizes = []int{4, 8}
-
 // ChipletStandardSizes are all MCM sizes used in the case study.
 var ChipletStandardSizes = []int{4, 8, 16}

@@ -226,12 +226,6 @@ func (c SystemConfig) Validate() error {
 // scale models and 32-, 64- and 128-SM target systems.
 var StandardSizes = []int{8, 16, 32, 64, 128}
 
-// ScaleModelSizes are the scale-model SM counts used in the paper.
-var ScaleModelSizes = []int{8, 16}
-
-// TargetSizes are the target-system SM counts evaluated in the paper.
-var TargetSizes = []int{32, 64, 128}
-
 // StandardConfigs returns the five paper configurations of Table I, derived
 // from the 128-SM baseline by proportional scaling, ordered smallest first.
 func StandardConfigs() []SystemConfig {

@@ -1,28 +1,24 @@
-// Package engine fans independent simulation jobs across a pool of worker
-// goroutines. Every experiment in this repository — MRC sweeps, scale-model
-// calibration, the 21-workload × 5-configuration grids behind the paper's
-// figures — is a list of fully independent (workload, configuration) cells,
-// so the single biggest wall-clock lever is running those cells on every
-// available core. The engine provides exactly that, with the guarantees an
-// experiment driver needs:
+// Package engine runs simulation jobs: it is the one place in the program
+// that builds and runs a simulator. Every experiment in this repository —
+// MRC sweeps, scale-model calibration, the 21-workload × 5-configuration
+// grids behind the paper's figures, one request to the daemon — is a list
+// of fully independent (workload, configuration) cells, each a Job.
 //
-//   - Deterministic result ordering: Run and Map return their results in
+//   - Exec runs one job on the caller's goroutine, monolithic GPU or
+//     multi-chip module alike, and returns its one Result shape. A
+//     diverging or buggy simulation becomes that job's Result.Err (a
+//     *PanicError with a stack trace) instead of killing the process, and
+//     the job's context is threaded into the simulator's run loop, so
+//     cancelling it aborts the run within a few thousand iterations.
+//   - Map fans any per-item function across a worker pool with results in
 //     input order, regardless of which worker finished first, so a parallel
-//     sweep is a drop-in replacement for a sequential loop.
-//   - Per-job panic recovery: a diverging or buggy simulation turns into
-//     that job's Result.Err (with a stack trace) instead of killing the
-//     whole sweep.
-//   - Context-based cancellation: cancelling the context stops dispatching
-//     new jobs AND aborts in-flight simulations (the simulator run loop
-//     checks the context every few thousand iterations); Run reports the
-//     context error.
-//   - Progress reporting: an optional callback receives jobs-done counts,
-//     aggregate simulated cycles per second, and an ETA after every job.
-//
-// A service that receives its jobs one at a time uses an Intake instead
-// (intake.go): every submission runs on its submitter's goroutine once it
-// holds one of Workers slots, monolithic and multi-chip-module jobs alike,
-// so one setting bounds every simulation the service starts.
+//     sweep of Exec calls is a drop-in replacement for a sequential loop.
+//   - Tally turns finished units into Progress snapshots: jobs done,
+//     aggregate simulated cycles per second and an ETA.
+//   - An Intake (intake.go) is the admission path of a service: every
+//     submission runs Exec on its submitter's goroutine once it holds one
+//     of Workers slots, so one setting bounds every simulation the service
+//     starts.
 //
 // Determinism of the results themselves is a property of the simulator (a
 // simulation is single-threaded and seeded), so a parallel sweep returns
@@ -55,7 +51,7 @@ type Job struct {
 	// Config is the system to simulate on when MCM is nil.
 	Config config.SystemConfig
 	// MCM, when non-nil, is the multi-chip module to simulate instead of
-	// Config (gpu.NewMCM); its statistics come back in Result.MCM.
+	// Config (gpu.NewMCM).
 	MCM *config.ChipletConfig
 	// Kernels is the kernel sequence to run back to back (usually one).
 	Kernels []trace.Workload
@@ -83,27 +79,23 @@ func (j Job) Label() string {
 	return name
 }
 
-// Result is the outcome of one Job, in the same position as its job in the
-// input slice. Err is non-nil when the job failed (including a recovered
-// panic) or was cancelled before it started; otherwise the statistics are
+// Result is the outcome of one Job. Err is non-nil when the job failed
+// (including a recovered panic) or was cancelled; otherwise Stats is
 // meaningful.
 type Result struct {
 	// Job is the job this result belongs to.
 	Job Job
-	// Stats is the simulation result when Err is nil; on a multi-chip
-	// module it holds the package-wide totals MCM is projected from.
+	// Stats is the simulation result when Err is nil, on one memory domain
+	// or several.
 	Stats gpu.Stats
-	// MCM is the multi-chip-module result shape of the same run; read it
-	// when Job.MCM is set.
-	MCM gpu.MCMStats
 	// Wall is the host time the job took (zero if never started).
 	Wall time.Duration
 	// Err is the job's failure, if any.
 	Err error
 }
 
-// Progress is a snapshot of a running sweep, delivered to the OnProgress
-// callback after every job completion.
+// Progress is a snapshot of a running sweep, delivered to a Tally's
+// callback after every finished unit.
 type Progress struct {
 	// Done counts finished jobs (successful or failed).
 	Done int
@@ -121,16 +113,6 @@ type Progress struct {
 	// ETA estimates the remaining wall time from the mean job cost so
 	// far; zero when Done is 0 or the sweep is complete.
 	ETA time.Duration
-}
-
-// Options tunes a sweep.
-type Options struct {
-	// Workers is the pool size; <= 0 means runtime.NumCPU().
-	Workers int
-	// OnProgress, when non-nil, is called after every job completion with
-	// a Progress snapshot. Calls are serialised (never concurrent) but may
-	// come from any worker goroutine.
-	OnProgress func(Progress)
 }
 
 // Workers normalises a worker count: values <= 0 become runtime.NumCPU().
@@ -156,33 +138,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: %s panicked: %v", e.Label, e.Value)
 }
 
-// Run executes jobs on a worker pool and returns one Result per job, in job
-// order. Job failures (errors and panics) are reported per job in
-// Result.Err and do not abort the sweep; the returned error is non-nil only
-// when ctx is cancelled, in which case jobs not yet started carry ctx's
-// error in their Result.Err.
-func Run(ctx context.Context, jobs []Job, opt Options) ([]Result, error) {
-	note := Tally(len(jobs), opt.OnProgress)
-	ran := make([]bool, len(jobs))
-	results, err := Map(ctx, opt.Workers, jobs, func(ctx context.Context, i int, j Job) (Result, error) {
-		ran[i] = true
-		r := runJob(ctx, j)
-		note(r.Stats.Cycles, r.Err)
-		return r, nil
-	})
-	for i := range results {
-		results[i].Job = jobs[i]
-		if !ran[i] && err != nil {
-			results[i].Err = fmt.Errorf("engine: job %q not run: %w", jobs[i].Label(), err)
-		}
-	}
-	return results, err
-}
-
-// Tally is the progress bookkeeping behind Options.OnProgress for a sweep
-// of total units starting now: each call of the returned func records one
-// finished unit — its simulated cycles, or its failure — and hands the
-// updated snapshot to on. The calls may come from any goroutine; on sees
+// Tally is the progress bookkeeping of a sweep of total units starting
+// now: each call of the returned func records one finished unit — its
+// simulated cycles, or its failure — and hands the updated snapshot to on. The calls may come from any goroutine; on sees
 // them one at a time. A nil on makes the returned func a no-op.
 func Tally(total int, on func(Progress)) func(cycles int64, err error) {
 	if on == nil {
@@ -218,10 +176,11 @@ func Tally(total int, on func(Progress)) func(cycles int64, err error) {
 	}
 }
 
-// runJob executes one job, converting panics into the job's error. The
-// context is threaded into the simulator's run loop, so cancelling a sweep
-// stops in-flight simulations, not just undispatched ones.
-func runJob(ctx context.Context, j Job) (res Result) {
+// Exec runs one job to completion on the caller's goroutine, converting a
+// panic into the job's error. The context is threaded into the simulator's
+// run loop, so cancelling it stops the simulation, not just a job that has
+// not started.
+func Exec(ctx context.Context, j Job) (res Result) {
 	res.Job = j
 	start := time.Now()
 	defer func() {
@@ -230,10 +189,6 @@ func runJob(ctx context.Context, j Job) (res Result) {
 			res.Err = &PanicError{Label: "job " + j.Label(), Value: p, Stack: debug.Stack()}
 		}
 	}()
-	if len(j.Kernels) == 0 {
-		res.Err = fmt.Errorf("engine: job %q has no kernels", j.Label())
-		return res
-	}
 	var sim *gpu.Simulator
 	var err error
 	if j.MCM != nil {
@@ -245,13 +200,13 @@ func runJob(ctx context.Context, j Job) (res Result) {
 		res.Err = err
 		return res
 	}
-	res.Stats, res.MCM, res.Err = sim.RunContext(ctx)
+	res.Stats, res.Err = sim.RunContext(ctx)
 	return res
 }
 
 // Map runs fn over items on a worker pool of the given size (normalised by
-// Workers) and returns the outputs in item order. Unlike Run, an error from
-// fn is a sweep failure: Map still finishes the items already dispatched,
+// Workers) and returns the outputs in item order. An error from fn is a
+// sweep failure: Map still finishes the items already dispatched,
 // then returns the error of the lowest-index failed item (deterministic
 // regardless of completion order). A panic inside fn is converted to a
 // *PanicError for that item. When ctx is cancelled, undispatched items are

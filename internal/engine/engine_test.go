@@ -73,15 +73,23 @@ func (p panicWorkload) NewProgram(cta, warp int) trace.Program {
 	return p.Workload.NewProgram(cta, warp)
 }
 
+// sweep runs jobs through Exec on a Map pool of the given size: the
+// parallel sweep every experiment driver builds from the engine.
+func sweep(ctx context.Context, workers int, jobs []Job) ([]Result, error) {
+	return Map(ctx, workers, jobs, func(ctx context.Context, _ int, j Job) (Result, error) {
+		return Exec(ctx, j), nil
+	})
+}
+
 // checkDeterminism runs the job list with 1 and with 8 workers and asserts
 // bit-identical Stats in identical order.
 func checkDeterminism(t *testing.T, jobs []Job) {
 	t.Helper()
-	seq, err := Run(context.Background(), jobs, Options{Workers: 1})
+	seq, err := sweep(context.Background(), 1, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), jobs, Options{Workers: 8})
+	par, err := sweep(context.Background(), 8, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +147,15 @@ func TestRunDeterminismPaperBenchmarks(t *testing.T) {
 }
 
 // TestRunPanicIsolation checks that a panicking simulation fails only its
-// own job: the sweep completes and every other job succeeds.
+// own job: the sweep completes, every other job succeeds, and the failed
+// job's Result carries a *PanicError.
 func TestRunPanicIsolation(t *testing.T) {
 	jobs := []Job{
 		NewJob(config.MustScale(config.Baseline128(), 8), tinyWorkload("ok-a")),
 		NewJob(config.MustScale(config.Baseline128(), 8), panicWorkload{tinyWorkload("boom")}),
 		NewJob(config.MustScale(config.Baseline128(), 8), tinyWorkload("ok-b")),
 	}
-	results, err := Run(context.Background(), jobs, Options{Workers: 3})
+	results, err := sweep(context.Background(), 3, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +175,8 @@ func TestRunPanicIsolation(t *testing.T) {
 }
 
 // TestRunCancellation checks that a cancelled context stops dispatching:
-// Run reports the context error and unstarted jobs carry it too.
+// the sweep reports the context error, and a job that was dispatched
+// anyway either finished or carries the cancellation.
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -174,19 +184,23 @@ func TestRunCancellation(t *testing.T) {
 		NewJob(config.MustScale(config.Baseline128(), 8), tinyWorkload("never-a")),
 		NewJob(config.MustScale(config.Baseline128(), 8), tinyWorkload("never-b")),
 	}
-	results, err := Run(ctx, jobs, Options{Workers: 2})
+	results, err := sweep(ctx, 2, jobs)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
+		t.Fatalf("sweep error = %v, want context.Canceled", err)
 	}
 	for i, r := range results {
-		if r.Err == nil && r.Stats.Instructions == 0 {
-			t.Errorf("job %d neither ran nor carries a cancellation error", i)
+		ran := r.Job.Kernels != nil
+		if ran && r.Err == nil && r.Stats.Instructions == 0 {
+			t.Errorf("job %d ran but neither finished nor carries a cancellation error", i)
+		}
+		if ran && r.Err != nil && !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("job %d error = %v, want context.Canceled", i, r.Err)
 		}
 	}
 }
 
-// TestRunProgress checks the progress callback: monotone Done, final
-// snapshot complete, throughput populated.
+// TestRunProgress checks Tally's progress snapshots over a sweep: monotone
+// Done, final snapshot complete, throughput populated.
 func TestRunProgress(t *testing.T) {
 	var jobs []Job
 	for i := 0; i < 6; i++ {
@@ -194,9 +208,11 @@ func TestRunProgress(t *testing.T) {
 			tinyWorkload(fmt.Sprintf("w%d", i))))
 	}
 	var snaps []Progress
-	_, err := Run(context.Background(), jobs, Options{
-		Workers:    3,
-		OnProgress: func(p Progress) { snaps = append(snaps, p) },
+	note := Tally(len(jobs), func(p Progress) { snaps = append(snaps, p) })
+	_, err := Map(context.Background(), 3, jobs, func(ctx context.Context, _ int, j Job) (Result, error) {
+		r := Exec(ctx, j)
+		note(r.Stats.Cycles, r.Err)
+		return r, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +247,7 @@ func TestRunEmptyKernels(t *testing.T) {
 		{Name: "empty", Config: config.MustScale(config.Baseline128(), 8)},
 		NewJob(config.MustScale(config.Baseline128(), 8), tinyWorkload("fine")),
 	}
-	results, err := Run(context.Background(), jobs, Options{Workers: 2})
+	results, err := sweep(context.Background(), 2, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +345,13 @@ func TestParallelSpeedup(t *testing.T) {
 		}
 	}
 	t0 := time.Now()
-	seq, err := Run(context.Background(), jobs, Options{Workers: 1})
+	seq, err := sweep(context.Background(), 1, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tSeq := time.Since(t0)
 	t0 = time.Now()
-	par, err := Run(context.Background(), jobs, Options{})
+	par, err := sweep(context.Background(), 0, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package engine
 
-// Intake is the admission path of a service: where Run takes one
-// pre-assembled job slice, an Intake accepts jobs one at a time from
-// concurrent submitters (HTTP handlers) and bounds how many simulations run
-// at once. It is a slot semaphore, Workers wide: Submit takes a slot, runs
-// the job on the caller's goroutine and gives the slot back. Monolithic and
-// multi-chip-module jobs take the same slots.
+// Intake is the admission path of a service: it accepts jobs one at a time
+// from concurrent submitters (HTTP handlers) and bounds how many
+// simulations run at once. It is a slot semaphore, Workers wide: Submit
+// takes a slot, runs the job on the caller's goroutine (Exec) and gives the
+// slot back. Monolithic and multi-chip-module jobs take the same slots.
 //
 // Every job carries its submitter's context: a submission cancelled while
 // it waits for a slot never starts, one cancelled while it runs aborts its
@@ -76,7 +75,7 @@ func (in *Intake) Submit(ctx context.Context, j Job) Result {
 		return Result{Job: j, Err: ErrIntakeClosed}
 	default:
 	}
-	return runJob(ctx, j)
+	return Exec(ctx, j)
 }
 
 // Close stops admitting submissions — waiting ones report ErrIntakeClosed —

@@ -67,7 +67,7 @@ func TestIntakeSubmitCancellation(t *testing.T) {
 // TestIntakeOneSlotForEveryJob checks that a monolithic and a
 // multi-chip-module job share the Workers slots: with one slot, the MCM job
 // starts only after the monolithic job ahead of it has finished, and then
-// reports its statistics in Result.MCM.
+// reports its statistics in Result.Stats like any other job.
 func TestIntakeOneSlotForEveryJob(t *testing.T) {
 	in := NewIntake(IntakeOptions{Workers: 1})
 	defer in.Close()
@@ -99,8 +99,8 @@ func TestIntakeOneSlotForEveryJob(t *testing.T) {
 	if r.Err != nil {
 		t.Fatalf("MCM job: %v", r.Err)
 	}
-	if r.MCM.CTAs != 4 || r.MCM.Instructions == 0 {
-		t.Errorf("MCM job result = %+v, want its 4 CTAs in Result.MCM", r.MCM)
+	if r.Stats.CTAs != 4 || r.Stats.Instructions == 0 {
+		t.Errorf("MCM job result = %+v, want its 4 CTAs", r.Stats)
 	}
 	if got, want := r.Job.Label(), mcm.Name+"/mcm"; got != want {
 		t.Errorf("MCM job label = %q, want %q", got, want)

@@ -148,10 +148,14 @@ type Stats struct {
 	SimEvents uint64
 	// AvgLoadLatency is the mean issue-to-data latency of loads in cycles.
 	AvgLoadLatency float64
+	// RemoteFraction is the share of post-L1 accesses served by a remote
+	// chiplet (a first-touch locality measure); 0 on one memory domain,
+	// where JSON omits it.
+	RemoteFraction float64 `json:",omitempty"`
 }
 
-// MCMStats is the result shape of a multi-chiplet run: the package-wide
-// subset of Stats plus the share of remote accesses.
+// MCMStats is the multi-chiplet result shape of the facade and the wire
+// API: the package-wide subset of Stats, projected by Stats.MCM.
 type MCMStats struct {
 	// Cycles is the simulated execution time.
 	Cycles int64
@@ -173,6 +177,22 @@ type MCMStats struct {
 	CTAs uint64
 	// SimEvents is the host-cost proxy (see Stats.SimEvents).
 	SimEvents uint64
+}
+
+// MCM projects st onto the multi-chiplet result shape.
+func (st Stats) MCM() MCMStats {
+	return MCMStats{
+		Cycles:          st.Cycles,
+		Instructions:    st.Instructions,
+		MemInstructions: st.MemInstructions,
+		IPC:             st.IPC,
+		FMem:            st.FMem,
+		LLCMPKI:         st.LLCMPKI,
+		LLCMisses:       st.LLCMisses,
+		RemoteFraction:  st.RemoteFraction,
+		CTAs:            st.CTAs,
+		SimEvents:       st.SimEvents,
+	}
 }
 
 // domain is one memory domain: the crossbar, LLC slices and memory
@@ -653,13 +673,11 @@ func (s *Simulator) advanceKernel() bool {
 	return true
 }
 
-// RunContext runs the kernels to completion and returns the statistics in
-// both public shapes — Stats for a monolithic GPU, MCMStats for a
-// multi-chiplet package; callers keep the one their entry point reports.
-// The run loop checks ctx every ctxCheckEvery iterations and aborts with
-// ctx's error, so a cancelled sweep stops its in-flight simulations, not
-// just unstarted ones.
-func (s *Simulator) RunContext(ctx context.Context) (Stats, MCMStats, error) {
+// RunContext runs the kernels to completion and returns their statistics,
+// on one memory domain or several. The run loop checks ctx every
+// ctxCheckEvery iterations and aborts with ctx's error, so a cancelled
+// sweep stops its in-flight simulations, not just unstarted ones.
+func (s *Simulator) RunContext(ctx context.Context) (Stats, error) {
 	var err error
 	if s.opt.UseLegacyLoop {
 		err = s.runLegacy(ctx)
@@ -667,10 +685,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Stats, MCMStats, error) {
 		err = s.runEvent(ctx)
 	}
 	if err != nil {
-		return Stats{}, MCMStats{}, err
+		return Stats{}, err
 	}
-	st, m := s.stats()
-	return st, m, nil
+	return s.stats(), nil
 }
 
 // interrupted polls ctx (every ctxCheckEvery calls) and the cycle limit.
@@ -981,9 +998,8 @@ func (s *Simulator) publishObs() {
 	}
 }
 
-// stats settles every SM's cycle counters and projects the run's one
-// tally onto both public result shapes.
-func (s *Simulator) stats() (Stats, MCMStats) {
+// stats settles every SM's cycle counters and totals the run's statistics.
+func (s *Simulator) stats() Stats {
 	s.settleSMs()
 	var st Stats
 	st.Cycles = s.now - s.statsSince
@@ -1030,22 +1046,11 @@ func (s *Simulator) stats() (Stats, MCMStats) {
 	// is the machine's; the dense loop counts its own.
 	st.SkippedCycles = s.skipped + s.shards[0].tk.Skipped()
 	st.SimEvents = s.events + st.Instructions
-	m := MCMStats{
-		Cycles:          st.Cycles,
-		Instructions:    st.Instructions,
-		MemInstructions: st.MemInstructions,
-		IPC:             st.IPC,
-		FMem:            st.FMem,
-		LLCMPKI:         st.LLCMPKI,
-		LLCMisses:       st.LLCMisses,
-		CTAs:            st.CTAs,
-		SimEvents:       st.SimEvents,
-	}
 	if st.LLCAccesses > 0 {
-		m.RemoteFraction = float64(s.remote) / float64(st.LLCAccesses)
+		st.RemoteFraction = float64(s.remote) / float64(st.LLCAccesses)
 	}
 	// Final registry refresh so the published totals match the statistics
 	// just computed from the same counters.
 	s.publishObs()
-	return st, m
+	return st
 }

@@ -41,26 +41,20 @@ func (m machine) build(opt Options, kernels ...trace.Workload) (*Simulator, erro
 	return New(m.cfg, kernels, opt)
 }
 
-// outcome is one run's statistics in both shapes, comparable with ==.
-type outcome struct {
-	Stats
-	MCM MCMStats
-}
-
 // simulate builds and runs one simulation. Every run it completes also
 // passes the cycle-conservation check: each SM's classified cycles must add
 // up to the measured window, under every run loop, with or without a
 // warm-up reset — so every cell of every suite built on it checks that.
-func simulate(m machine, opt Options, kernels ...trace.Workload) (outcome, error) {
+func simulate(m machine, opt Options, kernels ...trace.Workload) (Stats, error) {
 	s, err := m.build(opt, kernels...)
 	if err != nil {
-		return outcome{}, err
+		return Stats{}, err
 	}
-	o, err := s.run(context.Background())
+	st, err := s.RunContext(context.Background())
 	if err == nil {
-		err = s.checkCycleConservation(o.Cycles)
+		err = s.checkCycleConservation(st.Cycles)
 	}
-	return o, err
+	return st, err
 }
 
 // checkCycleConservation reports an SM whose classified cycles differ from
@@ -74,13 +68,7 @@ func (s *Simulator) checkCycleConservation(window int64) error {
 	return nil
 }
 
-// run is RunContext folded into an outcome.
-func (s *Simulator) run(ctx context.Context) (outcome, error) {
-	st, m, err := s.RunContext(ctx)
-	return outcome{st, m}, err
-}
-
-func mustSimulate(t testing.TB, m machine, opt Options, kernels ...trace.Workload) outcome {
+func mustSimulate(t testing.TB, m machine, opt Options, kernels ...trace.Workload) Stats {
 	t.Helper()
 	o, err := simulate(m, opt, kernels...)
 	if err != nil {
@@ -91,7 +79,7 @@ func mustSimulate(t testing.TB, m machine, opt Options, kernels ...trace.Workloa
 
 func mustRun(t testing.TB, cfg config.SystemConfig, w trace.Workload) Stats {
 	t.Helper()
-	return mustSimulate(t, mono(cfg), Options{}, w).Stats
+	return mustSimulate(t, mono(cfg), Options{}, w)
 }
 
 // computeWorkload is embarrassingly parallel compute: linear scaling.
@@ -198,8 +186,8 @@ func TestComputeWorkloadBasics(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			st := mustSimulate(t, c.m, Options{}, c.w)
-			if st.Instructions != c.n || st.MCM.Instructions != c.n {
-				t.Errorf("instructions = %d / %d, want %d", st.Instructions, st.MCM.Instructions, c.n)
+			if st.Instructions != c.n {
+				t.Errorf("instructions = %d, want %d", st.Instructions, c.n)
 			}
 			if st.CTAs != c.ctas {
 				t.Errorf("CTAs = %d, want %d", st.CTAs, c.ctas)
@@ -213,8 +201,8 @@ func TestComputeWorkloadBasics(t *testing.T) {
 			if st.FMem != 0 {
 				t.Errorf("compute workload FMem = %v, want 0", st.FMem)
 			}
-			if st.MCM.RemoteFraction != 0 {
-				t.Errorf("compute workload has remote accesses: %v", st.MCM.RemoteFraction)
+			if st.RemoteFraction != 0 {
+				t.Errorf("compute workload has remote accesses: %v", st.RemoteFraction)
 			}
 		})
 	}
@@ -270,7 +258,7 @@ func TestEventSkipInvariance(t *testing.T) {
 				t.Error("slow run skipped cycles despite DisableEventSkip")
 			}
 			// Skipping changes only how many cycles are visited.
-			fast.SkippedCycles, fast.SimEvents, fast.MCM.SimEvents = 0, slow.SimEvents, slow.MCM.SimEvents
+			fast.SkippedCycles, fast.SimEvents = 0, slow.SimEvents
 			if fast != slow {
 				t.Errorf("event skip changed results:\nfast: %+v\nslow: %+v", fast, slow)
 			}
@@ -405,8 +393,8 @@ func TestStatsAccounting(t *testing.T) {
 			if st.MemInstructions > st.Instructions {
 				t.Error("more memory instructions than instructions")
 			}
-			if st.LLCMPKI < 0 || st.MCM.LLCMPKI != st.LLCMPKI {
-				t.Errorf("MPKI %v / %v", st.LLCMPKI, st.MCM.LLCMPKI)
+			if st.LLCMPKI < 0 {
+				t.Errorf("MPKI %v", st.LLCMPKI)
 			}
 			if st.FMem < 0 || st.FMem > 1 {
 				t.Errorf("FMem out of range: %v", st.FMem)
@@ -417,8 +405,8 @@ func TestStatsAccounting(t *testing.T) {
 			if st.DRAMUtilization < 0 || st.DRAMUtilization > 1 {
 				t.Errorf("DRAM utilization out of range: %v", st.DRAMUtilization)
 			}
-			if st.SimEvents == 0 || st.MCM.SimEvents != st.SimEvents {
-				t.Errorf("SimEvents %d / %d", st.SimEvents, st.MCM.SimEvents)
+			if st.SimEvents == 0 {
+				t.Errorf("SimEvents %d", st.SimEvents)
 			}
 		})
 	}

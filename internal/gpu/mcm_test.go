@@ -23,8 +23,8 @@ func TestFirstTouchCreatesRemoteTraffic(t *testing.T) {
 		},
 	}
 	st := mustSimulate(t, mcm(smallMCM(4, 4)), Options{}, shared)
-	if st.MCM.RemoteFraction <= 0.3 {
-		t.Errorf("RemoteFraction = %v, want well above 0 for shared data on 4 chiplets", st.MCM.RemoteFraction)
+	if st.RemoteFraction <= 0.3 {
+		t.Errorf("RemoteFraction = %v, want well above 0 for shared data on 4 chiplets", st.RemoteFraction)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestPrivateDataStaysLocalMostly(t *testing.T) {
 	// Streaming private data: each page is touched by exactly one warp,
 	// so every access is local.
 	st := mustSimulate(t, mcm(smallMCM(4, 4)), Options{}, mcmStreamWorkload(64, 2, 64))
-	if st.MCM.RemoteFraction > 0.05 {
-		t.Errorf("RemoteFraction = %v, want ≈0 for private streams", st.MCM.RemoteFraction)
+	if st.RemoteFraction > 0.05 {
+		t.Errorf("RemoteFraction = %v, want ≈0 for private streams", st.RemoteFraction)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestWeakScalingAcrossChiplets(t *testing.T) {
 	}
 	st2 := mustSimulate(t, mcm(smallMCM(2, 8)), Options{}, wb.ForSMs(2*8))
 	st4 := mustSimulate(t, mcm(smallMCM(4, 8)), Options{}, wb.ForSMs(4*8))
-	ratio := st4.MCM.IPC / st2.MCM.IPC
+	ratio := st4.IPC / st2.IPC
 	if ratio < 1.5 || ratio > 2.6 {
 		t.Errorf("weak va scaled %.2fx from 2 to 4 chiplets, want ≈2x", ratio)
 	}
@@ -70,9 +70,9 @@ func TestContiguousSchedulerImprovesLocality(t *testing.T) {
 	}
 	dist := mustSimulate(t, mcm(smallMCM(4, 4)), Options{}, mk())
 	cont := mustSimulate(t, mcm(contiguousMCM(4, 4)), Options{}, mk())
-	if cont.MCM.RemoteFraction >= dist.MCM.RemoteFraction {
+	if cont.RemoteFraction >= dist.RemoteFraction {
 		t.Errorf("contiguous remote fraction %.3f not below distributed %.3f",
-			cont.MCM.RemoteFraction, dist.MCM.RemoteFraction)
+			cont.RemoteFraction, dist.RemoteFraction)
 	}
 }
 

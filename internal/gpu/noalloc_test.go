@@ -95,7 +95,7 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, _, err := s.RunContext(context.Background()); err == nil {
+						if _, err := s.RunContext(context.Background()); err == nil {
 							t.Fatal("warm-up run completed before MaxCycles; grow the workload")
 						}
 						s.opt.MaxCycles = 0
@@ -105,7 +105,7 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 					var runErr error
 					i := 0
 					n := testing.AllocsPerRun(runs, func() {
-						if _, _, err := sims[i].RunContext(ctx); err != nil && runErr == nil {
+						if _, err := sims[i].RunContext(ctx); err != nil && runErr == nil {
 							runErr = err
 						}
 						i++

@@ -129,7 +129,7 @@ func TestSequenceMatchesSingleKernelRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b.Stats {
+	if a != b {
 		t.Errorf("single-kernel sequence differs from a single-kernel run:\n%+v\n%+v", a, b)
 	}
 }

@@ -102,7 +102,7 @@ func TestGPUShardedMatchesSequential(t *testing.T) {
 		base Options
 	}
 	check := func(t *testing.T, c cell) {
-		run := func(opt Options) outcome {
+		run := func(opt Options) Stats {
 			t.Helper()
 			return mustSimulate(t, c.m, opt, c.mk()...)
 		}
@@ -265,7 +265,7 @@ func TestGPUShardsValidation(t *testing.T) {
 				if len(s.shards) != c.units {
 					t.Fatalf("Shards=99 built %d shards, want %d", len(s.shards), c.units)
 				}
-				clamped, err := s.run(context.Background())
+				clamped, err := s.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -299,7 +299,7 @@ func TestGPUShardedMaxCyclesAborts(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				if _, err := s.run(ctx); err == nil {
+				if _, err := s.RunContext(ctx); err == nil {
 					t.Errorf("%s: cancelled context did not abort the sharded run", fork)
 				}
 			})

@@ -2,20 +2,14 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
-	"gpuscale/internal/gpu"
+	"gpuscale/internal/engine"
 	"gpuscale/internal/stats"
+	"gpuscale/internal/trace"
 	"gpuscale/internal/workloads"
 )
-
-// ChipletTimedStats is an MCM simulation result plus host cost.
-type ChipletTimedStats struct {
-	gpu.MCMStats
-	Wall time.Duration
-}
 
 // ChipletResult holds one family's multi-chiplet case study (paper
 // Section VII-D): 4- and 8-chiplet scale models predicting the 16-chiplet
@@ -26,7 +20,7 @@ type ChipletResult struct {
 	// Sizes are the chiplet counts (4, 8, 16).
 	Sizes []int
 	// Real maps chiplet count → measured statistics.
-	Real map[int]ChipletTimedStats
+	Real map[int]TimedStats
 	// Pred and Err map method → chiplet count → prediction / error.
 	Pred map[string]map[int]float64
 	Err  map[string]map[int]float64
@@ -36,6 +30,11 @@ type ChipletResult struct {
 	SpeedupWall   float64
 }
 
+// chipletJob is the case study's simulation of w on the MCM cfg.
+func chipletJob(cfg config.ChipletConfig, w trace.Workload) engine.Job {
+	return engine.Job{MCM: &cfg, Kernels: []trace.Workload{w}}
+}
+
 // RunChiplet executes the MCM case study for one weak-scaling family.
 func (h *Harness) RunChiplet(wb workloads.WeakBenchmark) (*ChipletResult, error) {
 	base := config.Target16Chiplet()
@@ -43,11 +42,11 @@ func (h *Harness) RunChiplet(wb workloads.WeakBenchmark) (*ChipletResult, error)
 	res := &ChipletResult{
 		Bench: wb,
 		Sizes: sizes,
-		Real:  make(map[int]ChipletTimedStats, len(sizes)),
+		Real:  make(map[int]TimedStats, len(sizes)),
 	}
 	for _, n := range sizes {
 		cfg := config.MustScaleChiplets(base, n)
-		st, err := h.runChiplet(cfg, wb.ForSMs(cfg.TotalSMs()))
+		st, err := h.run(chipletJob(cfg, wb.ForSMs(cfg.TotalSMs())))
 		if err != nil {
 			return nil, err
 		}
@@ -76,11 +75,7 @@ func (h *Harness) RunChipletAll() ([]*ChipletResult, error) {
 	var units []prewarmUnit
 	for _, wb := range fams {
 		for _, n := range config.ChipletStandardSizes {
-			units = append(units, prewarmUnit{
-				chiplet:    true,
-				chipletCfg: config.MustScaleChiplets(base, n),
-				w:          wb.ForSMs(n * base.Chiplet.NumSMs),
-			})
+			units = append(units, prewarmUnit{job: chipletJob(config.MustScaleChiplets(base, n), wb.ForSMs(n*base.Chiplet.NumSMs))})
 		}
 	}
 	h.prewarm(units)

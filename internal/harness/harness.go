@@ -49,8 +49,8 @@ const ScaleModel = "scale-model"
 // order: the four baselines followed by scale-model simulation.
 var Methods = []string{"logarithmic", "proportional", "linear", "power-law", ScaleModel}
 
-// TimedStats is a simulation result plus its host cost, used for the
-// weak-scaling speedup figure.
+// TimedStats is a simulation result, monolithic or MCM, plus its host
+// cost, used for the speedup figures.
 type TimedStats struct {
 	gpu.Stats
 	Wall time.Duration
@@ -81,8 +81,8 @@ func entryFor[V any](mu *sync.Mutex, m map[string]*runEntry[V], key string) *run
 // concurrent requests for the same key, and fans sweep entry points across
 // a worker pool. The zero value is not usable; call New.
 type Harness struct {
-	mu   sync.Mutex                  // guards the memo maps
-	runs map[string]*runEntry[timed] // monolithic and MCM runs: the config names are disjoint
+	mu   sync.Mutex                          // guards the memo maps
+	runs map[string]*runEntry[engine.Result] // monolithic and MCM runs: the config names are disjoint
 	mrcs map[string]*runEntry[mrc.Curve]
 
 	// Configuration: set by the options in New, read-only afterwards.
@@ -98,7 +98,7 @@ type Harness struct {
 // sequential simulations. See options.go for the available options.
 func New(opts ...Option) *Harness {
 	h := &Harness{
-		runs:     make(map[string]*runEntry[timed]),
+		runs:     make(map[string]*runEntry[engine.Result]),
 		mrcs:     make(map[string]*runEntry[mrc.Curve]),
 		parallel: runtime.NumCPU(),
 	}
@@ -115,48 +115,25 @@ var Default = New()
 // Run simulates w on cfg, memoised by (config, workload) name. Concurrent
 // calls with the same key run the simulation once and share the result.
 func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, error) {
-	r, err := h.run(cfg.Name, w, func() (*gpu.Simulator, error) {
-		return gpu.New(cfg, []trace.Workload{w}, h.options())
-	})
-	return TimedStats{Stats: r.st, Wall: r.wall}, err
+	return h.run(engine.NewJob(cfg, w))
 }
 
-// runChiplet is Run on the MCM configuration cfg.
-func (h *Harness) runChiplet(cfg config.ChipletConfig, w trace.Workload) (ChipletTimedStats, error) {
-	r, err := h.run(cfg.Name, w, func() (*gpu.Simulator, error) {
-		return gpu.NewMCM(cfg, []trace.Workload{w}, h.options())
-	})
-	return ChipletTimedStats{MCMStats: r.mcm, Wall: r.wall}, err
-}
-
-// timed is one memoised run: the statistics of a monolithic or an MCM
-// simulation (the other is zero) and its host cost.
-type timed struct {
-	st   gpu.Stats
-	mcm  gpu.MCMStats
-	wall time.Duration
-}
-
-// run is the single-flight body of Run and runChiplet: the first caller
-// for (cfgName, workload) builds the simulator with build and runs it to
-// completion, every other caller shares its result.
-func (h *Harness) run(cfgName string, w trace.Workload, build func() (*gpu.Simulator, error)) (timed, error) {
-	e := entryFor(&h.mu, h.runs, cfgName+"/"+w.Name())
+// run is the single-flight body of every harness simulation, monolithic or
+// MCM: the first caller for the job's (configuration, workload) label runs
+// it to completion with the harness's options (engine.Exec), every other
+// caller shares its result.
+func (h *Harness) run(j engine.Job) (TimedStats, error) {
+	e := entryFor(&h.mu, h.runs, j.Label())
 	e.once.Do(func() {
-		start := time.Now()
-		sim, err := build()
-		var r timed
-		if err == nil {
-			r.st, r.mcm, err = sim.RunContext(context.Background())
-		}
-		if err != nil {
-			e.err = fmt.Errorf("harness: simulating %s on %s: %w", w.Name(), cfgName, err)
+		j.Options = h.options()
+		r := engine.Exec(context.Background(), j)
+		if r.Err != nil {
+			e.err = fmt.Errorf("harness: simulating %s: %w", j.Label(), r.Err)
 			return
 		}
-		r.wall = time.Since(start)
 		e.val = r
 	})
-	return e.val, e.err
+	return TimedStats{Stats: e.val.Stats, Wall: e.val.Wall}, e.err
 }
 
 // options are the simulator options every harness run uses.
@@ -191,16 +168,12 @@ func (h *Harness) curve(w trace.Workload, cfgs []config.SystemConfig, workers in
 	return e.val, e.err
 }
 
-// prewarmUnit is one independent cell of a sweep's pre-warm phase: either a
-// timing simulation or a miss-rate-curve collection.
+// prewarmUnit is one independent cell of a sweep's pre-warm phase: a
+// timing simulation, or the miss-rate curve of w over cfgs when w is set.
 type prewarmUnit struct {
-	cfg   config.SystemConfig
-	w     trace.Workload
-	curve bool                  // collect the MRC instead of a timing run
-	cfgs  []config.SystemConfig // curve configurations (curve units only)
-
-	chiplet    bool // run the MCM configuration instead
-	chipletCfg config.ChipletConfig
+	job  engine.Job
+	w    trace.Workload
+	cfgs []config.SystemConfig
 }
 
 // prewarm fans the units across the harness worker pool, filling the memo
@@ -219,15 +192,11 @@ func (h *Harness) prewarm(units []prewarmUnit) {
 	// experiment context attached.
 	_, _ = engine.Map(context.Background(), workers, units,
 		func(_ context.Context, _ int, u prewarmUnit) (struct{}, error) {
-			switch {
-			case u.curve:
+			if u.w != nil {
 				_, err := h.curve(u.w, u.cfgs, 1)
 				note(0, err)
-			case u.chiplet:
-				st, err := h.runChiplet(u.chipletCfg, u.w)
-				note(st.Cycles, err)
-			default:
-				st, err := h.Run(u.cfg, u.w)
+			} else {
+				st, err := h.run(u.job)
 				note(st.Cycles, err)
 			}
 			return struct{}{}, nil
@@ -353,9 +322,9 @@ func (h *Harness) RunStrongAll() ([]*StrongResult, error) {
 	var units []prewarmUnit
 	for _, b := range benches {
 		for _, n := range config.StandardSizes {
-			units = append(units, prewarmUnit{cfg: config.MustScale(base, n), w: b.Workload})
+			units = append(units, prewarmUnit{job: engine.NewJob(config.MustScale(base, n), b.Workload)})
 		}
-		units = append(units, prewarmUnit{w: b.Workload, curve: true, cfgs: config.StandardConfigs()})
+		units = append(units, prewarmUnit{w: b.Workload, cfgs: config.StandardConfigs()})
 	}
 	h.prewarm(units)
 	var out []*StrongResult

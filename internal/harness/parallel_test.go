@@ -99,9 +99,9 @@ func tinyGrid() (ws []trace.Workload, cfgs []config.SystemConfig, units []prewar
 		}
 		ws = append(ws, w)
 		for _, cfg := range cfgs {
-			units = append(units, prewarmUnit{cfg: cfg, w: w})
+			units = append(units, prewarmUnit{job: engine.NewJob(cfg, w)})
 		}
-		units = append(units, prewarmUnit{w: w, curve: true, cfgs: cfgs})
+		units = append(units, prewarmUnit{w: w, cfgs: cfgs})
 	}
 	return ws, cfgs, units
 }
@@ -196,8 +196,8 @@ func TestPrewarmSequentialNoop(t *testing.T) {
 	w := &countingWorkload{name: "noop"}
 	h := New(WithParallel(1))
 	h.prewarm([]prewarmUnit{
-		{cfg: config.MustScale(config.Baseline128(), 8), w: w},
-		{cfg: config.MustScale(config.Baseline128(), 16), w: w},
+		{job: engine.NewJob(config.MustScale(config.Baseline128(), 8), w)},
+		{job: engine.NewJob(config.MustScale(config.Baseline128(), 16), w)},
 	})
 	if got := w.calls.Load(); got != 0 {
 		t.Errorf("sequential harness pre-warmed %d program instantiations, want 0", got)

@@ -23,7 +23,9 @@ package harness
 // Every body the daemon stores is one JSON document, so a disk file that
 // is not — empty, truncated, overwritten with garbage — is treated as a
 // miss: the body is recomputed, the file rewritten, and the rejection
-// counted (Corrupt).
+// counted (Corrupt). A body that cannot be written to disk — a full disk,
+// an unwritable directory — is still served and kept in memory; the
+// failure is counted (WriteFailed).
 
 import (
 	"context"
@@ -88,6 +90,7 @@ type ResultStore struct {
 	mru, lru *storeEntry // list ends: mru = most recently used
 	flight   map[string]*storeCall
 	corrupt  atomic.Uint64 // disk bodies rejected by readDisk
+	failed   atomic.Uint64 // bodies writeDisk could not persist
 }
 
 // NewResultStore returns a store persisting to dir ("" keeps results in
@@ -215,8 +218,8 @@ func (s *ResultStore) Do(ctx context.Context, key string, compute func() ([]byte
 			return body, StoreDisk, nil
 		}
 		body, err := compute()
-		if err == nil {
-			s.writeDisk(key, body)
+		if err == nil && s.writeDisk(key, body) != nil {
+			s.failed.Add(1)
 		}
 		s.settle(key, c, body, err)
 		if err != nil {
@@ -266,6 +269,10 @@ func (s *ResultStore) Lookup(key string) ([]byte, StoreSource, bool) {
 // recomputed.
 func (s *ResultStore) Corrupt() uint64 { return s.corrupt.Load() }
 
+// WriteFailed reports how many computed bodies could not be written to
+// disk (and were kept in memory only).
+func (s *ResultStore) WriteFailed() uint64 { return s.failed.Load() }
+
 // MemoryBytes reports the bytes currently charged to the memory level.
 func (s *ResultStore) MemoryBytes() int64 {
 	s.mu.Lock()
@@ -314,29 +321,32 @@ func (s *ResultStore) readDisk(key string) ([]byte, bool) {
 
 // writeDisk persists a body atomically (temp file + rename) so a crashed
 // or concurrent writer in this process never leaves a torn file behind.
-// Persistence is best-effort: a full or read-only disk degrades the store
-// to memory-only instead of failing the request.
-func (s *ResultStore) writeDisk(key string, body []byte) {
+// Persistence is best-effort: Do counts a failure — a full or read-only
+// disk — and keeps serving the body from memory instead of failing the
+// request.
+func (s *ResultStore) writeDisk(key string, body []byte) error {
 	if s.dir == "" {
-		return
+		return nil
 	}
 	path := s.diskPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
+		return err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp-*")
 	if err != nil {
-		return
+		return err
 	}
 	_, werr := tmp.Write(body)
 	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	if err := errors.Join(werr, cerr); err != nil {
 		os.Remove(tmp.Name())
-		return
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
+		return err
 	}
+	return nil
 }
 
 // validStoreKey restricts keys to lowercase-hex hashes of at least four

@@ -5,6 +5,7 @@ import (
 
 	"gpuscale/internal/config"
 	"gpuscale/internal/core"
+	"gpuscale/internal/engine"
 	"gpuscale/internal/stats"
 	"gpuscale/internal/workloads"
 )
@@ -71,7 +72,7 @@ func (h *Harness) RunWeakAll() ([]*WeakResult, error) {
 	var units []prewarmUnit
 	for _, wb := range fams {
 		for _, n := range config.StandardSizes {
-			units = append(units, prewarmUnit{cfg: config.MustScale(base, n), w: wb.ForSMs(n)})
+			units = append(units, prewarmUnit{job: engine.NewJob(config.MustScale(base, n), wb.ForSMs(n))})
 		}
 	}
 	h.prewarm(units)

@@ -2,8 +2,9 @@ package server
 
 // Admission and store-fault tests: every simulation the daemon starts,
 // MCM ones included, takes an intake slot; the tenant table holds only
-// tenants with requests in flight; and a corrupt disk body is recomputed,
-// not served.
+// tenants with requests in flight; a corrupt disk body is recomputed, not
+// served; and a body the store cannot write to disk is served from memory
+// and counted.
 
 import (
 	"context"
@@ -171,5 +172,42 @@ func TestServerStoreCorruptRecomputes(t *testing.T) {
 		if v := metric(t, ts.URL, "server_store_corrupt"); v != uint64(i+1) {
 			t.Errorf("server_store_corrupt = %d, want %d", v, i+1)
 		}
+	}
+}
+
+// TestServerStoreWriteFailedCounted makes a request's shard directory
+// (dir/<first two hex chars>) a regular file, so its body cannot be written
+// to disk: the body is still served, kept in memory for the next request,
+// and the failed write is counted in server_store_write_failed. (A plain
+// file blocks the write for root too, where a read-only mode would not.)
+func TestServerStoreWriteFailedCounted(t *testing.T) {
+	eval := func(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
+		return []byte(`{"ok":true}`), nil
+	}
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Options{StoreDir: dir, Eval: eval})
+	body := `{"op":"simulate","target":{"sms":8},"workload":{"bench":"dct"}}`
+	req, err := gpuscale.ParseRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hash, err := gpuscale.Canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, hash[:2]), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"computed", "memory"} {
+		code, hdr, got := post(t, ts.Client(), ts.URL, "/v1/simulate", body, "")
+		if code != http.StatusOK || string(got) != `{"ok":true}` {
+			t.Fatalf("over an unwritable shard: %d %s, want 200 {\"ok\":true}", code, got)
+		}
+		if src := hdr.Get("X-Cache"); src != want {
+			t.Errorf("X-Cache %q, want %s", src, want)
+		}
+	}
+	if v := metric(t, ts.URL, "server_store_write_failed"); v != 1 {
+		t.Errorf("server_store_write_failed = %d, want 1", v)
 	}
 }

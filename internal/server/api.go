@@ -14,13 +14,11 @@
 //
 // Request flow: decode (strict) → canonicalise → per-tenant admission (a
 // bounded semaphore per X-Tenant; full queue → 429 + Retry-After) → store
-// lookup → on miss, evaluate. Evaluation runs monolithic simulations
-// through an engine.Intake, which coalesces concurrently arriving jobs
-// into batches on a bounded worker pool; MCM simulations call the facade
-// directly (the engine's Job is monolithic-only — the per-tenant bound is
-// their admission control). The client's request context is threaded into
-// the run loops, so a disconnected client aborts its in-flight simulation
-// within a few thousand simulated cycles.
+// lookup → on miss, evaluate. Every simulation the evaluator starts,
+// monolithic or MCM, runs on its handler's goroutine once it holds one of
+// the engine.Intake's -parallel slots. The client's request context is
+// threaded into the run loops, so a disconnected client aborts its
+// in-flight simulation within a few thousand simulated cycles.
 package server
 
 import (

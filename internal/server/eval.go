@@ -85,7 +85,8 @@ func (s *Server) evalSimulate(ctx context.Context, req gpuscale.Request, hash st
 		Workload:    tgt.Workload.Name(),
 	}
 	if tgt.MCM != nil {
-		resp.Config, resp.MCMStats = tgt.MCM.Name, &rs[0].MCM
+		mcm := rs[0].Stats.MCM()
+		resp.Config, resp.MCMStats = tgt.MCM.Name, &mcm
 	} else {
 		resp.Config, resp.Stats = tgt.System.Name, &rs[0].Stats
 	}
@@ -124,7 +125,6 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 	if !req.Workload.Weak {
 		sweep = s.startCurve(req.Workload)
 	}
-	// Stats carries IPC and f_mem for MCM runs too: MCMStats copies them.
 	rs, err := s.simulate(ctx, models[:]...)
 	if err != nil {
 		return nil, err

@@ -68,6 +68,7 @@ type metrics struct {
 	errors     *obs.Counter
 	simsStart  *obs.Counter
 	corrupt    *obs.Counter // store bodies on disk rejected as not JSON
+	writeFail  *obs.Counter // store bodies that could not be written to disk
 	latencyMS  *obs.Histogram
 	reqCounter map[string]*obs.Counter
 
@@ -154,6 +155,7 @@ func New(opt Options) (*Server, error) {
 		errors:    reg.Counter("server/errors"),
 		simsStart: reg.Counter("server/sims/started"),
 		corrupt:   reg.Counter("server/store/corrupt"),
+		writeFail: reg.Counter("server/store/write_failed"),
 		latencyMS: reg.Histogram("server/latency_ms", latencyBoundsMS),
 		reqCounter: map[string]*obs.Counter{
 			gpuscale.OpSimulate: reg.Counter("server/requests/simulate"),
@@ -207,6 +209,7 @@ func (s *Server) Handler() http.Handler {
 		// deliberately does not import net/http (see obs/prom.go).
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.m.corrupt.Store(s.store.Corrupt())
+		s.m.writeFail.Store(s.store.WriteFailed())
 		obs.WritePrometheus(w, s.reg.Snapshot())
 	})
 	for _, op := range []string{gpuscale.OpSimulate, gpuscale.OpPredict, gpuscale.OpMRC} {

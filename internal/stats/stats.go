@@ -1,12 +1,9 @@
 // Package stats provides the small numeric helpers the experiment harness
-// uses: absolute percentage errors (the paper's accuracy metric), means,
-// maxima, and speedup ratios.
+// uses: absolute percentage errors (the paper's accuracy metric), means
+// and maxima.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // AbsPctError returns |predicted − actual| / actual × 100, the prediction
 // error metric used throughout the paper's evaluation.
@@ -41,44 +38,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the minimum, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// GeoMean returns the geometric mean of positive values, or 0 for an empty
-// slice or any non-positive input.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Speedup returns base/new, the simulation-speedup convention of the
-// paper's Figure 7 (cost of simulating the target divided by the cost of
-// simulating the scale models).
-func Speedup(baseCost, newCost float64) (float64, error) {
-	if baseCost <= 0 || newCost <= 0 {
-		return 0, fmt.Errorf("stats: costs must be positive (base %v, new %v)", baseCost, newCost)
-	}
-	return baseCost / newCost, nil
 }

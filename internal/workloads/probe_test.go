@@ -36,7 +36,7 @@ func TestProbeClasses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, _, err := sim.RunContext(context.Background())
+			st, err := sim.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("%s on %s: %v", b.Name, cfg.Name, err)
 			}
