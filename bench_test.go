@@ -35,7 +35,7 @@ import (
 // worker-pool pre-warm (internal/engine); results are identical to a
 // sequential sweep, so every figure regenerated below is unaffected by the
 // parallelism.
-func strongResults(b *testing.B) []*harness.StrongResult {
+func strongResults(b *testing.B) []*harness.Result {
 	b.Helper()
 	rs, err := harness.Default.RunStrongAll()
 	if err != nil {
@@ -46,7 +46,7 @@ func strongResults(b *testing.B) []*harness.StrongResult {
 
 // weakResults runs (or reuses) the weak-scaling sweep, parallelised the
 // same way as strongResults.
-func weakResults(b *testing.B) []*harness.WeakResult {
+func weakResults(b *testing.B) []*harness.Result {
 	b.Helper()
 	rs, err := harness.Default.RunWeakAll()
 	if err != nil {
@@ -272,11 +272,11 @@ func BenchmarkFigure6WeakScaling(b *testing.B) {
 	b.ResetTimer()
 	var mean, max float64
 	for i := 0; i < b.N; i++ {
-		mean, max = harness.WeakMeanMaxError(results, harness.ScaleModel)
+		mean, max = harness.MeanMaxError(results, harness.ScaleModel)
 	}
 	b.ReportMetric(mean, "scale_model_avg_err_pct")
 	b.ReportMetric(max, "scale_model_max_err_pct")
-	lm, _ := harness.WeakMeanMaxError(results, "logarithmic")
+	lm, _ := harness.MeanMaxError(results, "logarithmic")
 	b.ReportMetric(lm, "logarithmic_avg_err_pct")
 	b.Logf("\n%s", harness.RenderWeakErrorTable(results))
 }
@@ -291,16 +291,20 @@ func BenchmarkFigure7WeakScalingSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var xs []float64
 		for _, r := range results {
-			xs = append(xs, r.SpeedupEvents[128])
+			events, _ := r.Speedup(128)
+			xs = append(xs, events)
 		}
 		avg128 = stats.Mean(xs)
 	}
 	b.ReportMetric(avg128, "speedup_128sm_events")
 	var walls, s32, s64 []float64
 	for _, r := range results {
-		walls = append(walls, r.SpeedupWall[128])
-		s32 = append(s32, r.SpeedupEvents[32])
-		s64 = append(s64, r.SpeedupEvents[64])
+		e32, _ := r.Speedup(32)
+		e64, _ := r.Speedup(64)
+		_, wall := r.Speedup(128)
+		walls = append(walls, wall)
+		s32 = append(s32, e32)
+		s64 = append(s64, e64)
 	}
 	b.ReportMetric(stats.Mean(walls), "speedup_128sm_wall")
 	b.ReportMetric(stats.Mean(s32), "speedup_32sm_events")
@@ -333,13 +337,14 @@ func BenchmarkFigure8ChipletPrediction(b *testing.B) {
 	b.ResetTimer()
 	var mean, max float64
 	for i := 0; i < b.N; i++ {
-		mean, max = harness.ChipletMeanMaxError(results, harness.ScaleModel)
+		mean, max = harness.MeanMaxError(results, harness.ScaleModel)
 	}
 	b.ReportMetric(mean, "scale_model_avg_err_pct")
 	b.ReportMetric(max, "scale_model_max_err_pct")
 	var sp []float64
 	for _, r := range results {
-		sp = append(sp, r.SpeedupEvents)
+		events, _ := r.Speedup(16)
+		sp = append(sp, events)
 	}
 	b.ReportMetric(stats.Mean(sp), "speedup_16c_events")
 	b.Logf("\n%s", harness.RenderChipletTable(results))
@@ -350,7 +355,7 @@ func BenchmarkFigure8ChipletPrediction(b *testing.B) {
 // As the paper's artifact evaluation observed, errors are higher than with
 // the 8/16-SM models but scale-model simulation still leads.
 func BenchmarkArtifactAltScaleModels(b *testing.B) {
-	var results []*harness.StrongResult
+	var results []*harness.Result
 	for _, bench := range workloads.All() {
 		r, err := harness.Default.RunStrongAlt(bench)
 		if err != nil {

@@ -118,20 +118,9 @@ func main() {
 	case gpuscale.TierAnalytic, gpuscale.TierAuto:
 		var est gpuscale.AnalyticEstimate
 		if tgt.MCM != nil {
-			mcm := *tgt.MCM
-			if req.Options.Uarch != nil {
-				// The resolved target threads the variant through simulation
-				// options; the analytic model reads it from the config, so the
-				// structural confidence discount needs it there too.
-				mcm.Chiplet.Uarch = *req.Options.Uarch
-			}
-			est, err = gpuscale.AnalyzeMCMCell(mcm, tgt.Workload)
+			est, err = gpuscale.AnalyzeMCMCell(*tgt.MCM, tgt.Workload)
 		} else {
-			sys := *tgt.System
-			if req.Options.Uarch != nil {
-				sys.Uarch = *req.Options.Uarch
-			}
-			est, err = gpuscale.AnalyzeCell(sys, tgt.Workload)
+			est, err = gpuscale.AnalyzeCell(*tgt.System, tgt.Workload)
 		}
 		if err != nil {
 			fatal(err)

@@ -20,6 +20,10 @@
 //	paperbench -exp all             # everything (slow: full sweeps)
 //	paperbench -exp all -parallel 8 # fan the simulation grid over 8 cores
 //
+// -csv DIR also writes the raw data behind the selected experiments (see
+// the experiments table; the tables and fig8 have none and say so). An
+// unknown -exp name exits 2 and lists the valid ones.
+//
 // Heavy experiments share one in-process cache, so "-exp all" costs little
 // more than the union of its parts. The sweeps behind the heavy experiments
 // fan their independent (workload, configuration) cells across -parallel
@@ -43,8 +47,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"gpuscale"
 	"gpuscale/cmd/internal/cliutil"
@@ -52,6 +58,84 @@ import (
 	"gpuscale/internal/harness"
 	"gpuscale/internal/workloads"
 )
+
+// experiment is one -exp value: the figure or table it prints, and the CSV
+// files holding its raw data (none for the configuration tables and fig8).
+type experiment struct {
+	name string
+	run  func(*harness.Harness) error
+	csv  []csvFile
+}
+
+// csvFile is one exported file: the sweep behind it and its row writer.
+type csvFile struct {
+	name  string
+	sweep sweep
+	write func(io.Writer, []*harness.Result) error
+}
+
+// sweep is a harness entry point returning one study result per benchmark.
+type sweep func(*harness.Harness) ([]*harness.Result, error)
+
+var (
+	strongAll  sweep = (*harness.Harness).RunStrongAll
+	weakAll    sweep = (*harness.Harness).RunWeakAll
+	chipletAll sweep = (*harness.Harness).RunChipletAll
+)
+
+// show prints what render makes of s's results.
+func show(s sweep, render func([]*harness.Result) string) func(*harness.Harness) error {
+	return func(h *harness.Harness) error {
+		results, err := s(h)
+		if err == nil {
+			fmt.Print(render(results))
+		}
+		return err
+	}
+}
+
+var (
+	strongCSV = []csvFile{
+		{"strong_scaling.csv", strongAll, harness.WriteStrongCSV},
+		{"miss_rate_curves.csv", strongAll, harness.WriteMissCurvesCSV},
+	}
+	weakCSV = []csvFile{{"weak_scaling.csv", weakAll, harness.WriteWeakCSV}}
+	altCSV  = []csvFile{{"strong_alt_scaling.csv", strongAlt, harness.WriteStrongCSV}}
+)
+
+// experiments lists every -exp value in the order "-exp all" runs them.
+var experiments = []experiment{
+	{"table1", table1, nil},
+	{"fig1", fig1, strongCSV},
+	{"fig2", fig2, strongCSV},
+	{"table2", table2, nil},
+	{"table3", table3, nil},
+	{"fig4a", show(strongAll, func(rs []*harness.Result) string { return harness.RenderErrorTable(rs, 128) }), strongCSV},
+	{"fig4b", show(strongAll, func(rs []*harness.Result) string { return harness.RenderErrorTable(rs, 64) }), strongCSV},
+	{"fig5", fig5, strongCSV},
+	{"table4", table4, nil},
+	{"fig6", show(weakAll, harness.RenderWeakErrorTable), weakCSV},
+	{"fig7", show(weakAll, harness.RenderSpeedupTable), weakCSV},
+	{"table5", table5, nil},
+	{"fig8", show(chipletAll, harness.RenderChipletTable), nil},
+	{"artifact", artifact, altCSV},
+}
+
+// selectExperiments returns the experiments name selects: one, or all of
+// them for "all".
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return experiments, nil
+	}
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		if e.name == name {
+			return experiments[i : i+1], nil
+		}
+		names[i] = e.name
+	}
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", name, strings.Join(names, ", "))
+}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate (table1..table5, fig1..fig8, artifact, all)")
@@ -63,6 +147,11 @@ func main() {
 	obsFlags := cliutil.Obs(flag.CommandLine)
 	prof := cliutil.Profile(flag.CommandLine)
 	flag.Parse()
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(2)
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
@@ -89,32 +178,15 @@ func main() {
 		hopts = append(hopts, harness.WithProgress(progressLine))
 	}
 	h := harness.New(hopts...)
-	run := func(name string, f func(*harness.Harness) error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Printf("\n================ %s ================\n", name)
-		if err := f(h); err != nil {
-			fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", name, err)
+	for _, e := range selected {
+		fmt.Printf("\n================ %s ================\n", e.name)
+		if err := e.run(h); err != nil {
+			fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}
-	run("table1", table1)
-	run("fig1", fig1)
-	run("fig2", fig2)
-	run("table2", table2)
-	run("table3", table3)
-	run("fig4a", func(h *harness.Harness) error { return fig4(h, 128) })
-	run("fig4b", func(h *harness.Harness) error { return fig4(h, 64) })
-	run("fig5", fig5)
-	run("table4", table4)
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("table5", table5)
-	run("fig8", fig8)
-	run("artifact", artifact)
 	if *csvDir != "" {
-		if err := exportCSV(h, *csvDir, *exp); err != nil {
+		if err := exportCSV(h, *csvDir, selected, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench: csv export:", err)
 			os.Exit(1)
 		}
@@ -136,54 +208,73 @@ func progressLine(p engine.Progress) {
 	}
 }
 
-// exportCSV writes the raw strong/weak results behind the requested
-// experiments as CSV files for external plotting.
-func exportCSV(h *harness.Harness, dir, exp string) error {
+// exportCSV writes each CSV file behind the selected experiments into dir
+// once, and says on stderr which experiments have no CSV data.
+func exportCSV(h *harness.Harness, dir string, selected []experiment, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, fn func(*os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
+	written := make(map[string]bool)
+	for _, e := range selected {
+		if e.csv == nil {
+			fmt.Fprintf(stderr, "paperbench: %s has no CSV data\n", e.name)
 		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", filepath.Join(dir, name))
-		return nil
-	}
-	wantStrong := exp == "all" || exp == "fig4a" || exp == "fig4b" || exp == "fig5" || exp == "fig2"
-	wantWeak := exp == "all" || exp == "fig6" || exp == "fig7"
-	if wantStrong {
-		results, err := h.RunStrongAll()
-		if err != nil {
-			return err
-		}
-		if err := write("strong_scaling.csv", func(f *os.File) error {
-			return harness.WriteStrongCSV(f, results)
-		}); err != nil {
-			return err
-		}
-		if err := write("miss_rate_curves.csv", func(f *os.File) error {
-			return harness.WriteMissCurvesCSV(f, results)
-		}); err != nil {
-			return err
-		}
-	}
-	if wantWeak {
-		results, err := h.RunWeakAll()
-		if err != nil {
-			return err
-		}
-		if err := write("weak_scaling.csv", func(f *os.File) error {
-			return harness.WriteWeakCSV(f, results)
-		}); err != nil {
-			return err
+		for _, c := range e.csv {
+			if written[c.name] {
+				continue
+			}
+			written[c.name] = true
+			results, err := c.sweep(h)
+			if err != nil {
+				return err
+			}
+			path := filepath.Join(dir, c.name)
+			f, err := os.Create(path)
+			if err != nil {
+				return err
+			}
+			err = c.write(f, results)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", path)
 		}
 	}
 	return nil
+}
+
+// strongOf runs the strong-scaling study of each named benchmark.
+func strongOf(h *harness.Harness, names ...string) ([]*harness.Result, error) {
+	var results []*harness.Result
+	for _, name := range names {
+		b, err := workloads.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		r, err := h.RunStrong(b)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
+	}
+	return results, nil
+}
+
+// strongAlt runs the artifact appendix's 16/32-SM study on every Table II
+// benchmark.
+func strongAlt(h *harness.Harness) ([]*harness.Result, error) {
+	var results []*harness.Result
+	for _, b := range gpuscale.Benchmarks() {
+		r, err := h.RunStrongAlt(b)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
+	}
+	return results, nil
 }
 
 func table1(h *harness.Harness) error {
@@ -207,17 +298,13 @@ func table1(h *harness.Harness) error {
 }
 
 func fig1(h *harness.Harness) error {
+	results, err := strongOf(h, "dct", "bfs", "pf")
+	if err != nil {
+		return err
+	}
 	fmt.Println("Performance vs system size under strong scaling (Figure 1)")
-	for _, name := range []string{"dct", "bfs", "pf"} {
-		b, err := workloads.ByName(name)
-		if err != nil {
-			return err
-		}
-		r, err := h.RunStrong(b)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n%s (%s):\n  SMs   IPC      linear-scaling reference\n", b.Name, b.Class)
+	for _, r := range results {
+		fmt.Printf("\n%s (%s):\n  SMs   IPC      linear-scaling reference\n", r.Name, r.Class)
 		ref := r.Real[8].IPC / 8
 		for _, n := range r.Sizes {
 			fmt.Printf("  %-5d %-8.1f %.1f\n", n, r.Real[n].IPC, ref*float64(n))
@@ -227,16 +314,12 @@ func fig1(h *harness.Harness) error {
 }
 
 func fig2(h *harness.Harness) error {
+	results, err := strongOf(h, "dct", "bfs", "pf")
+	if err != nil {
+		return err
+	}
 	fmt.Println("Miss-rate curves (Figure 2)")
-	for _, name := range []string{"dct", "bfs", "pf"} {
-		b, err := workloads.ByName(name)
-		if err != nil {
-			return err
-		}
-		r, err := h.RunStrong(b)
-		if err != nil {
-			return err
-		}
+	for _, r := range results {
 		fmt.Println()
 		fmt.Print(harness.RenderMissRateCurve(r))
 	}
@@ -274,26 +357,13 @@ func table3(h *harness.Harness) error {
 	return nil
 }
 
-func fig4(h *harness.Harness, target int) error {
-	results, err := h.RunStrongAll()
+func fig5(h *harness.Harness) error {
+	results, err := strongOf(h, "dct", "fwt", "as", "lu", "bfs", "gr", "sr", "btree", "pf", "ht", "at", "gemm")
 	if err != nil {
 		return err
 	}
-	fmt.Print(harness.RenderErrorTable(results, target))
-	return nil
-}
-
-func fig5(h *harness.Harness) error {
 	fmt.Println("Predicted vs real IPC for select benchmarks (Figure 5)")
-	for _, name := range []string{"dct", "fwt", "as", "lu", "bfs", "gr", "sr", "btree", "pf", "ht", "at", "gemm"} {
-		b, err := workloads.ByName(name)
-		if err != nil {
-			return err
-		}
-		r, err := h.RunStrong(b)
-		if err != nil {
-			return err
-		}
+	for _, r := range results {
 		fmt.Println()
 		fmt.Print(harness.RenderScalingCurves(r))
 	}
@@ -319,24 +389,6 @@ func table4(h *harness.Harness) error {
 	return nil
 }
 
-func fig6(h *harness.Harness) error {
-	results, err := h.RunWeakAll()
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.RenderWeakErrorTable(results))
-	return nil
-}
-
-func fig7(h *harness.Harness) error {
-	results, err := h.RunWeakAll()
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.RenderSpeedupTable(results))
-	return nil
-}
-
 func table5(h *harness.Harness) error {
 	c := gpuscale.Target16Chiplet()
 	fmt.Println("Simulated 16-chiplet target system (Table V)")
@@ -353,24 +405,11 @@ func table5(h *harness.Harness) error {
 	return nil
 }
 
-func fig8(h *harness.Harness) error {
-	results, err := h.RunChipletAll()
-	if err != nil {
-		return err
-	}
-	fmt.Print(harness.RenderChipletTable(results))
-	return nil
-}
-
 func artifact(h *harness.Harness) error {
 	fmt.Println("Alternate scale models: 16+32 SMs predicting 64/128 SMs (artifact appendix E.2)")
-	var results []*harness.StrongResult
-	for _, b := range gpuscale.Benchmarks() {
-		r, err := h.RunStrongAlt(b)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
+	results, err := strongAlt(h)
+	if err != nil {
+		return err
 	}
 	fmt.Print(harness.RenderErrorTable(results, 128))
 	fmt.Println()

@@ -225,6 +225,11 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(context.
 	go func() {
 		defer close(idx)
 		for i := range items {
+			// Checked before the select, which picks arbitrarily between
+			// a free worker and a done context.
+			if ctx.Err() != nil {
+				return
+			}
 			select {
 			case idx <- i:
 			case <-ctx.Done():

@@ -296,6 +296,28 @@ func TestMapPanic(t *testing.T) {
 	}
 }
 
+// TestMapPreCancelled: a sweep whose context is cancelled before it
+// begins starts no item. The dispatcher's select once picked at random
+// between a free worker and the done context, so a few items ran anyway.
+func TestMapPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	items := make([]int, 1000)
+	for rep := 0; rep < 20; rep++ {
+		var called atomic.Int64
+		_, err := Map(ctx, 4, items, func(context.Context, int, int) (int, error) {
+			called.Add(1)
+			return 0, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Map error = %v, want context.Canceled", err)
+		}
+		if n := called.Load(); n != 0 {
+			t.Fatalf("run %d: fn called %d times after cancellation", rep, n)
+		}
+	}
+}
+
 // TestMapConcurrencyCap checks that Map never runs more than the requested
 // number of callbacks at once.
 func TestMapConcurrencyCap(t *testing.T) {

@@ -51,12 +51,12 @@ func TestStrongScalingHeadline(t *testing.T) {
 	// super-linear benchmark must be predicted better by scale-model than
 	// by power-law regression at 128 SMs.
 	for _, r := range results {
-		if r.Bench.Class != workloads.SuperLinear {
+		if r.Class != workloads.SuperLinear {
 			continue
 		}
 		if r.Err[ScaleModel][128] >= r.Err["power-law"][128] {
 			t.Errorf("%s: scale-model %.1f%% not better than power-law %.1f%% at the cliff",
-				r.Bench.Name, r.Err[ScaleModel][128], r.Err["power-law"][128])
+				r.Name, r.Err[ScaleModel][128], r.Err["power-law"][128])
 		}
 	}
 }
@@ -72,14 +72,14 @@ func TestWeakScalingHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, max := WeakMeanMaxError(results, ScaleModel)
+	mean, max := MeanMaxError(results, ScaleModel)
 	if mean > 8 {
 		t.Errorf("weak scale-model avg error %.1f%%, want < 8%%", mean)
 	}
 	if max > 25 {
 		t.Errorf("weak scale-model max error %.1f%%, want < 25%%", max)
 	}
-	logMean, _ := WeakMeanMaxError(results, "logarithmic")
+	logMean, _ := MeanMaxError(results, "logarithmic")
 	if logMean <= mean {
 		t.Errorf("logarithmic (%.1f%%) should be far worse than scale-model (%.1f%%)", logMean, mean)
 	}
@@ -87,11 +87,13 @@ func TestWeakScalingHeadline(t *testing.T) {
 	// 128-SM average should be substantial.
 	var sum float64
 	for _, r := range results {
-		if !(r.SpeedupEvents[128] > r.SpeedupEvents[64] && r.SpeedupEvents[64] > r.SpeedupEvents[32]) {
-			t.Errorf("%s: speedups not monotone: %v / %v / %v", r.Bench.Name,
-				r.SpeedupEvents[32], r.SpeedupEvents[64], r.SpeedupEvents[128])
+		s32, _ := r.Speedup(32)
+		s64, _ := r.Speedup(64)
+		s128, _ := r.Speedup(128)
+		if !(s128 > s64 && s64 > s32) {
+			t.Errorf("%s: speedups not monotone: %v / %v / %v", r.Name, s32, s64, s128)
 		}
-		sum += r.SpeedupEvents[128]
+		sum += s128
 	}
 	if avg := sum / float64(len(results)); avg < 4 {
 		t.Errorf("average 128-SM speedup %.1fx, want > 4x", avg)

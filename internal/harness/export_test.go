@@ -13,7 +13,7 @@ func TestWriteStrongCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteStrongCSV(&sb, []*StrongResult{r}); err != nil {
+	if err := WriteStrongCSV(&sb, []*Result{r}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
@@ -36,7 +36,7 @@ func TestWriteWeakCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteWeakCSV(&sb, []*WeakResult{r}); err != nil {
+	if err := WriteWeakCSV(&sb, []*Result{r}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
@@ -58,7 +58,7 @@ func TestWriteMissCurvesCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteMissCurvesCSV(&sb, []*StrongResult{r}); err != nil {
+	if err := WriteMissCurvesCSV(&sb, []*Result{r}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()

@@ -31,15 +31,12 @@ import (
 	"time"
 
 	"gpuscale/internal/config"
-	"gpuscale/internal/core"
 	"gpuscale/internal/engine"
 	"gpuscale/internal/gpu"
 	"gpuscale/internal/mrc"
 	"gpuscale/internal/obs"
-	"gpuscale/internal/stats"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
-	"gpuscale/internal/workloads"
 )
 
 // ScaleModel is the method name of the paper's contribution in result maps.
@@ -201,152 +198,4 @@ func (h *Harness) prewarm(units []prewarmUnit) {
 			}
 			return struct{}{}, nil
 		})
-}
-
-// StrongResult holds one benchmark's full strong-scaling experiment.
-type StrongResult struct {
-	// Bench is the benchmark under study.
-	Bench workloads.Benchmark
-	// Sizes are the simulated system sizes (8…128 SMs).
-	Sizes []int
-	// Real maps size → measured simulation statistics.
-	Real map[int]TimedStats
-	// Curve is the miss-rate curve across the five LLC capacities.
-	Curve mrc.Curve
-	// Pred maps method → size → predicted IPC (target sizes only).
-	Pred map[string]map[int]float64
-	// Err maps method → size → absolute percentage error.
-	Err map[string]map[int]float64
-}
-
-// RunStrong executes the full strong-scaling experiment for one benchmark:
-// five simulations, the miss-rate curve, and all five prediction methods.
-func (h *Harness) RunStrong(b workloads.Benchmark) (*StrongResult, error) {
-	return h.runStrongFrom(b, config.StandardSizes)
-}
-
-// RunStrongAlt runs the artifact-appendix variant using the 16- and 32-SM
-// configurations as scale models to predict 64 and 128 SMs.
-func (h *Harness) RunStrongAlt(b workloads.Benchmark) (*StrongResult, error) {
-	return h.runStrongFrom(b, []int{16, 32, 64, 128})
-}
-
-// runStrongFrom runs the strong-scaling experiment on sizes, a window of
-// the standard sizes whose first two are the scale models.
-func (h *Harness) runStrongFrom(b workloads.Benchmark, sizes []int) (*StrongResult, error) {
-	base := config.Baseline128()
-	res := &StrongResult{
-		Bench: b,
-		Sizes: sizes,
-		Real:  make(map[int]TimedStats, len(sizes)),
-	}
-	for _, n := range sizes {
-		st, err := h.Run(config.MustScale(base, n), b.Workload)
-		if err != nil {
-			return nil, err
-		}
-		res.Real[n] = st
-	}
-	// The miss-rate curve is always collected across the five standard
-	// configurations (one collection per workload, memoised); prediction
-	// uses the samples matching this experiment's sizes.
-	full, err := h.Curve(b.Workload, config.StandardConfigs())
-	if err != nil {
-		return nil, err
-	}
-	offset := -1
-	for i, n := range config.StandardSizes {
-		if n == sizes[0] {
-			offset = i
-			break
-		}
-	}
-	if offset < 0 || offset+len(sizes) > len(full.Points) {
-		return nil, fmt.Errorf("harness: sizes %v are not a window of the standard sizes", sizes)
-	}
-	res.Curve = mrc.Curve{Points: full.Points[offset : offset+len(sizes)]}
-	in := core.Input{
-		MPKI:      res.Curve.MPKIs(),
-		FMemLarge: res.Real[sizes[1]].FMem,
-		Mode:      core.StrongScaling,
-	}
-	res.Pred, res.Err, err = score(in, sizes, func(n int) float64 { return res.Real[n].IPC })
-	if err != nil {
-		return nil, fmt.Errorf("harness: predicting %s: %w", b.Name, err)
-	}
-	return res, nil
-}
-
-// score runs the paper's prediction step (core.PredictTargets) with the
-// first two of sizes as the scale models — in supplies the rest of the
-// input: mode, miss-rate curve, f_mem — and scores every method at the
-// remaining sizes against ipc, the measured IPC at a size. pred and errs
-// map method → target size → predicted IPC and absolute percentage error.
-func score(in core.Input, sizes []int, ipc func(int) float64) (pred, errs map[string]map[int]float64, err error) {
-	in.Sizes = make([]float64, len(sizes))
-	for i, n := range sizes {
-		in.Sizes[i] = float64(n)
-	}
-	in.SmallIPC, in.LargeIPC = ipc(sizes[0]), ipc(sizes[1])
-	targets, err := core.PredictTargets(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	pred = make(map[string]map[int]float64, len(Methods))
-	errs = make(map[string]map[int]float64, len(Methods))
-	for _, method := range Methods {
-		pred[method] = make(map[int]float64, len(targets))
-		errs[method] = make(map[int]float64, len(targets))
-	}
-	for _, t := range targets {
-		n := int(t.Size)
-		pred[ScaleModel][n] = t.IPC
-		for name, v := range t.Baselines {
-			pred[name][n] = v
-		}
-		for _, method := range Methods {
-			errs[method][n] = stats.AbsPctError(pred[method][n], ipc(n))
-		}
-	}
-	return pred, errs, nil
-}
-
-// RunStrongAll runs the strong-scaling experiment for every Table II
-// benchmark. The 21 × 5 simulation grid and the 21 miss-rate curves are
-// pre-warmed in parallel (see WithParallel); the analysis itself is
-// sequential over memoised results, so the output is identical to a fully
-// sequential run.
-func (h *Harness) RunStrongAll() ([]*StrongResult, error) {
-	benches := workloads.All()
-	base := config.Baseline128()
-	var units []prewarmUnit
-	for _, b := range benches {
-		for _, n := range config.StandardSizes {
-			units = append(units, prewarmUnit{job: engine.NewJob(config.MustScale(base, n), b.Workload)})
-		}
-		units = append(units, prewarmUnit{w: b.Workload, cfgs: config.StandardConfigs()})
-	}
-	h.prewarm(units)
-	var out []*StrongResult
-	for _, b := range benches {
-		r, err := h.RunStrong(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// MeanMaxError aggregates one method's error at one target size across
-// results, returning (mean, max) — the summary numbers quoted in the
-// paper's abstract and Section VII.
-func MeanMaxError(results []*StrongResult, method string, size int) (float64, float64) {
-	var errs []float64
-	for _, r := range results {
-		if e, ok := r.Err[method][size]; ok {
-			errs = append(errs, e)
-		}
-	}
-	return stats.Mean(errs), stats.Max(errs)
 }

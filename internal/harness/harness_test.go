@@ -127,19 +127,19 @@ func TestRunWeak(t *testing.T) {
 		t.Errorf("weak scale-model error = %.1f%%, want small for linear family", e)
 	}
 	for _, n := range []int{32, 64, 128} {
-		if r.SpeedupEvents[n] <= 0 {
+		if events, _ := r.Speedup(n); events <= 0 {
 			t.Errorf("speedup at %d not positive", n)
 		}
 	}
 	// Larger targets must yield larger event-based speedups.
-	if r.SpeedupEvents[128] <= r.SpeedupEvents[32] {
-		t.Errorf("speedup should grow with target size: %v vs %v",
-			r.SpeedupEvents[128], r.SpeedupEvents[32])
+	s32, _ := r.Speedup(32)
+	if s128, _ := r.Speedup(128); s128 <= s32 {
+		t.Errorf("speedup should grow with target size: %v vs %v", s128, s32)
 	}
 }
 
 func TestMeanMaxError(t *testing.T) {
-	rs := []*StrongResult{
+	rs := []*Result{
 		{Err: map[string]map[int]float64{"m": {128: 10}}},
 		{Err: map[string]map[int]float64{"m": {128: 30}}},
 	}
@@ -166,7 +166,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := []*StrongResult{r}
+	rs := []*Result{r}
 	if out := RenderErrorTable(rs, 128); !strings.Contains(out, "scale-model") {
 		t.Error("error table missing method column")
 	}
@@ -180,7 +180,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrs := []*WeakResult{wr}
+	wrs := []*Result{wr}
 	if out := RenderWeakErrorTable(wrs); !strings.Contains(out, "weak") {
 		t.Error("weak table missing title")
 	}
@@ -201,10 +201,10 @@ func TestRunChipletSmall(t *testing.T) {
 	if e := r.Err[ScaleModel][16]; e > 25 {
 		t.Errorf("chiplet scale-model error = %.1f%%, want small for linear family", e)
 	}
-	if r.SpeedupEvents <= 0 || r.SpeedupWall <= 0 {
+	if events, wall := r.Speedup(16); events <= 0 || wall <= 0 {
 		t.Error("chiplet speedups not recorded")
 	}
-	if out := RenderChipletTable([]*ChipletResult{r}); !strings.Contains(out, "16-chiplet") {
+	if out := RenderChipletTable([]*Result{r}); !strings.Contains(out, "16-chiplet") {
 		t.Error("chiplet table missing title")
 	}
 }

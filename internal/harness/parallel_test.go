@@ -213,3 +213,25 @@ func TestWithParallelNormalises(t *testing.T) {
 		t.Errorf("WithParallel(5) gave %d", n)
 	}
 }
+
+// TestPrewarmCoversStudy: a sweep's pre-warm and its analysis read the
+// same study description, so after the pre-warm the analysis simulates
+// and sweeps nothing new. The MCM sweep once restated its cells for the
+// pre-warm in a second expression.
+func TestPrewarmCoversStudy(t *testing.T) {
+	for _, s := range []study{strongStudy(tinyBench("cover1")), weakStudy(tinyWeak("cover2"))} {
+		h := New(WithParallel(2))
+		h.prewarm(s.units())
+		runs, curves := len(h.runs), len(h.mrcs)
+		if _, err := h.runStudy(s); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.runs) != runs || len(h.mrcs) != curves {
+			t.Errorf("%s: analysis added %d runs and %d curves to the pre-warmed memo",
+				s.name, len(h.runs)-runs, len(h.mrcs)-curves)
+		}
+		if runs != len(s.sizes) {
+			t.Errorf("%s: pre-warm ran %d cells, want %d", s.name, runs, len(s.sizes))
+		}
+	}
+}

@@ -42,71 +42,74 @@ func RenderTable(headers []string, rows [][]string) string {
 	return b.String()
 }
 
-// RenderErrorTable renders a Figure 4-style prediction-error table for one
-// target size: one row per benchmark, one column per method, plus the
-// average and maximum rows the paper quotes.
-func RenderErrorTable(results []*StrongResult, size int) string {
-	headers := append([]string{"benchmark", "class"}, Methods...)
+// errorTable renders a prediction-error table: one row per result and
+// target size (lead names the row under the lead headers), one column per
+// method, then the average and maximum rows the paper quotes.
+func errorTable(title string, results []*Result, headers []string, lead func(r *Result, n int) []string, targets ...int) string {
+	nLead := len(headers)
+	headers = append(headers, Methods...)
 	var rows [][]string
 	for _, r := range results {
-		row := []string{r.Bench.Name, string(r.Bench.Class)}
-		for _, m := range Methods {
-			row = append(row, fmt.Sprintf("%.1f%%", r.Err[m][size]))
-		}
-		rows = append(rows, row)
-	}
-	avg := []string{"average", ""}
-	mx := []string{"max", ""}
-	for _, m := range Methods {
-		mean, max := MeanMaxError(results, m, size)
-		avg = append(avg, fmt.Sprintf("%.1f%%", mean))
-		mx = append(mx, fmt.Sprintf("%.1f%%", max))
-	}
-	rows = append(rows, avg, mx)
-	return fmt.Sprintf("IPC prediction error, %d-SM target (strong scaling)\n%s",
-		size, RenderTable(headers, rows))
-}
-
-// RenderWeakErrorTable renders the Figure 6 equivalent: weak-scaling
-// prediction error aggregated over the 32/64/128-SM targets.
-func RenderWeakErrorTable(results []*WeakResult) string {
-	headers := append([]string{"benchmark", "class", "target"}, Methods...)
-	var rows [][]string
-	for _, r := range results {
-		for _, n := range r.Sizes[2:] {
-			row := []string{r.Bench.Name, string(r.Bench.Class), fmt.Sprintf("%d-SM", n)}
+		for _, n := range r.targets(targets) {
+			row := lead(r, n)
 			for _, m := range Methods {
 				row = append(row, fmt.Sprintf("%.1f%%", r.Err[m][n]))
 			}
 			rows = append(rows, row)
 		}
 	}
-	avg := []string{"average", "", ""}
-	mx := []string{"max", "", ""}
+	avg := append([]string{"average"}, make([]string, nLead-1)...)
+	mx := append([]string{"max"}, make([]string, nLead-1)...)
 	for _, m := range Methods {
-		mean, max := WeakMeanMaxError(results, m)
+		mean, max := MeanMaxError(results, m, targets...)
 		avg = append(avg, fmt.Sprintf("%.1f%%", mean))
 		mx = append(mx, fmt.Sprintf("%.1f%%", max))
 	}
 	rows = append(rows, avg, mx)
-	return "IPC prediction error (weak scaling)\n" + RenderTable(headers, rows)
+	return title + "\n" + RenderTable(headers, rows)
+}
+
+// nameClass leads a row with the benchmark and its scaling class.
+func nameClass(r *Result, _ int) []string { return []string{r.Name, string(r.Class)} }
+
+// RenderErrorTable renders a Figure 4-style prediction-error table for one
+// target size of strong-scaling results.
+func RenderErrorTable(results []*Result, size int) string {
+	return errorTable(fmt.Sprintf("IPC prediction error, %d-SM target (strong scaling)", size),
+		results, []string{"benchmark", "class"}, nameClass, size)
+}
+
+// RenderWeakErrorTable renders the Figure 6 equivalent: weak-scaling
+// prediction error aggregated over the 32/64/128-SM targets.
+func RenderWeakErrorTable(results []*Result) string {
+	return errorTable("IPC prediction error (weak scaling)", results, []string{"benchmark", "class", "target"},
+		func(r *Result, n int) []string { return append(nameClass(r, n), fmt.Sprintf("%d-SM", n)) })
+}
+
+// RenderChipletTable renders the Figure 8 equivalent: 16-chiplet IPC
+// prediction error per method.
+func RenderChipletTable(results []*Result) string {
+	return errorTable("16-chiplet IPC prediction error (weak scaling)", results, []string{"benchmark"},
+		func(r *Result, _ int) []string { return []string{r.Name} })
 }
 
 // RenderSpeedupTable renders the Figure 7 equivalent: weak-scaling
 // simulation speedup per target size, in simulator events and wall time.
-func RenderSpeedupTable(results []*WeakResult) string {
+func RenderSpeedupTable(results []*Result) string {
 	headers := []string{"benchmark", "32-SM", "64-SM", "128-SM", "128-SM (wall)"}
 	var rows [][]string
 	sums := map[int][]float64{}
 	var walls []float64
 	for _, r := range results {
-		row := []string{r.Bench.Name}
+		row := []string{r.Name}
 		for _, n := range r.Sizes[2:] {
-			row = append(row, fmt.Sprintf("%.1fx", r.SpeedupEvents[n]))
-			sums[n] = append(sums[n], r.SpeedupEvents[n])
+			events, _ := r.Speedup(n)
+			row = append(row, fmt.Sprintf("%.1fx", events))
+			sums[n] = append(sums[n], events)
 		}
-		row = append(row, fmt.Sprintf("%.1fx", r.SpeedupWall[128]))
-		walls = append(walls, r.SpeedupWall[128])
+		_, wall := r.Speedup(128)
+		row = append(row, fmt.Sprintf("%.1fx", wall))
+		walls = append(walls, wall)
 		rows = append(rows, row)
 	}
 	avg := []string{"average"}
@@ -119,33 +122,9 @@ func RenderSpeedupTable(results []*WeakResult) string {
 		RenderTable(headers, rows)
 }
 
-// RenderChipletTable renders the Figure 8 equivalent: 16-chiplet IPC
-// prediction error per method.
-func RenderChipletTable(results []*ChipletResult) string {
-	headers := append([]string{"benchmark"}, Methods...)
-	var rows [][]string
-	for _, r := range results {
-		target := r.Sizes[len(r.Sizes)-1]
-		row := []string{r.Bench.Name}
-		for _, m := range Methods {
-			row = append(row, fmt.Sprintf("%.1f%%", r.Err[m][target]))
-		}
-		rows = append(rows, row)
-	}
-	avg := []string{"average"}
-	mx := []string{"max"}
-	for _, m := range Methods {
-		mean, max := ChipletMeanMaxError(results, m)
-		avg = append(avg, fmt.Sprintf("%.1f%%", mean))
-		mx = append(mx, fmt.Sprintf("%.1f%%", max))
-	}
-	rows = append(rows, avg, mx)
-	return "16-chiplet IPC prediction error (weak scaling)\n" + RenderTable(headers, rows)
-}
-
 // RenderScalingCurves renders the Figure 5 equivalent for one benchmark:
 // real IPC and each method's predicted IPC as a function of system size.
-func RenderScalingCurves(r *StrongResult) string {
+func RenderScalingCurves(r *Result) string {
 	headers := []string{"SMs", "real"}
 	headers = append(headers, Methods...)
 	var rows [][]string
@@ -161,12 +140,12 @@ func RenderScalingCurves(r *StrongResult) string {
 		rows = append(rows, row)
 	}
 	return fmt.Sprintf("%s (%s): IPC vs system size\n%s",
-		r.Bench.Name, r.Bench.Class, RenderTable(headers, rows))
+		r.Name, r.Class, RenderTable(headers, rows))
 }
 
 // RenderMissRateCurve renders the Figure 2 equivalent for one benchmark:
 // MPKI as a function of LLC capacity.
-func RenderMissRateCurve(r *StrongResult) string {
+func RenderMissRateCurve(r *Result) string {
 	headers := []string{"LLC (MiB)", "MPKI"}
 	var rows [][]string
 	for _, p := range r.Curve.Points {
@@ -175,5 +154,5 @@ func RenderMissRateCurve(r *StrongResult) string {
 			fmt.Sprintf("%.2f", p.MPKI),
 		})
 	}
-	return fmt.Sprintf("%s: miss-rate curve\n%s", r.Bench.Name, RenderTable(headers, rows))
+	return fmt.Sprintf("%s: miss-rate curve\n%s", r.Name, RenderTable(headers, rows))
 }

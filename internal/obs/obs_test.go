@@ -173,7 +173,8 @@ func TestConcurrentStreams(t *testing.T) {
 }
 
 func TestMaxEventsCap(t *testing.T) {
-	r := New(MaxEvents(10))
+	r := New()
+	r.maxEvents = 10
 	st := r.Stream("s") // 1 metadata event
 	for i := int64(0); i < 20; i++ {
 		st.Instant(i, "t", "e")

@@ -65,16 +65,6 @@ func SampleEvery(n int64) Option {
 	}
 }
 
-// MaxEvents caps the in-memory event buffer; further events are dropped and
-// counted in DroppedEvents. n <= 0 keeps the default.
-func MaxEvents(n int) Option {
-	return func(r *Recorder) {
-		if n > 0 {
-			r.maxEvents = n
-		}
-	}
-}
-
 // New returns an enabled Recorder.
 func New(opts ...Option) *Recorder {
 	r := &Recorder{
@@ -112,7 +102,8 @@ func (r *Recorder) SampleInterval() int64 {
 	return r.sampleEvery
 }
 
-// DroppedEvents returns how many events were discarded by the MaxEvents cap.
+// DroppedEvents returns how many events were discarded by the event-buffer
+// cap (2^18 events).
 func (r *Recorder) DroppedEvents() uint64 {
 	if r == nil {
 		return 0

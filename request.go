@@ -338,7 +338,8 @@ type SimTarget struct {
 }
 
 // ResolveSimulation instantiates a simulate request: the scaled
-// configuration, the workload sized for it, and the simulation options.
+// configuration with the request's uarch variant in it, the workload sized
+// for it, and the simulation options.
 // It fails on non-simulate requests; ScaleModels resolves a predict
 // request's two scale models, and mrc requests sweep the standard
 // configuration ladder.
@@ -353,16 +354,13 @@ func (r Request) ResolveSimulation() (SimTarget, error) {
 	if r.Options.MaxCycles > 0 {
 		opts = append(opts, WithMaxCycles(r.Options.MaxCycles))
 	}
-	if r.Options.Uarch != nil {
-		opts = append(opts, WithUarch(*r.Options.Uarch))
-	}
 	if r.Options.WarmupInstructions > 0 { // monolithic only (Validate)
 		opts = append(opts, WithWarmupInstructions(r.Options.WarmupInstructions))
 	}
 	if r.Options.Shards > 0 {
 		opts = append(opts, WithShards(r.Options.Shards))
 	}
-	c, err := resolveCell(r.Workload, r.Target, UarchVariant{})
+	c, err := resolveCell(r.Workload, r.Target, r.Options.variant())
 	if err != nil {
 		return SimTarget{}, err
 	}
@@ -401,10 +399,7 @@ func (r Request) scaleModels() ([]float64, [2]cell, error) {
 	if chiplets {
 		ladder = config.ChipletStandardSizes
 	}
-	var v UarchVariant
-	if r.Options.Uarch != nil {
-		v = *r.Options.Uarch
-	}
+	v := r.Options.variant()
 	for i, n := range ladder[:2] {
 		t := TargetSpec{SMs: n}
 		if chiplets {
@@ -421,6 +416,14 @@ func (r Request) scaleModels() ([]float64, [2]cell, error) {
 		sizes[i] = float64(n)
 	}
 	return sizes, cells, nil
+}
+
+// variant is the requested microarchitecture variant; zero when absent.
+func (o RequestOptions) variant() UarchVariant {
+	if o.Uarch == nil {
+		return UarchVariant{}
+	}
+	return *o.Uarch
 }
 
 // cell is one resolved simulation cell held by value: the monolithic

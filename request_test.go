@@ -370,6 +370,29 @@ func TestResolveSimulation(t *testing.T) {
 		t.Errorf("%d options, want 1 (shards)", len(mt.Options))
 	}
 
+	// The uarch variant is part of the resolved configuration, as in
+	// ScaleModels, not a simulation option.
+	v, err := gpuscale.ParseUarch("two-level,sectored")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Options.WarmupInstructions = 0
+	r.Options.Uarch = &v
+	m.Options = gpuscale.RequestOptions{Uarch: &v}
+	for _, req := range []gpuscale.Request{r, m} {
+		tgt, err := req.ResolveSimulation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tgt.System
+		if tgt.MCM != nil {
+			got = &tgt.MCM.Chiplet
+		}
+		if got.Uarch != v || len(tgt.Options) != 0 {
+			t.Errorf("%s: config variant %+v and %d options, want %+v and none", got.Name, got.Uarch, len(tgt.Options), v)
+		}
+	}
+
 	// Non-simulate ops refuse to resolve.
 	p := gpuscale.Request{Op: gpuscale.OpPredict, Workload: gpuscale.WorkloadSpec{Bench: "dct"}}
 	if _, err := p.ResolveSimulation(); err == nil {
