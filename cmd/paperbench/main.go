@@ -246,35 +246,23 @@ func exportCSV(h *harness.Harness, dir string, selected []experiment, stderr io.
 	return nil
 }
 
-// strongOf runs the strong-scaling study of each named benchmark.
+// strongOf runs the strong-scaling study of each named benchmark as one
+// pre-warmed sweep.
 func strongOf(h *harness.Harness, names ...string) ([]*harness.Result, error) {
-	var results []*harness.Result
-	for _, name := range names {
-		b, err := workloads.ByName(name)
-		if err != nil {
+	bs := make([]workloads.Benchmark, len(names))
+	for i, name := range names {
+		var err error
+		if bs[i], err = workloads.ByName(name); err != nil {
 			return nil, err
 		}
-		r, err := h.RunStrong(b)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
 	}
-	return results, nil
+	return h.RunStrongOf(false, bs...)
 }
 
 // strongAlt runs the artifact appendix's 16/32-SM study on every Table II
-// benchmark.
+// benchmark as one pre-warmed sweep.
 func strongAlt(h *harness.Harness) ([]*harness.Result, error) {
-	var results []*harness.Result
-	for _, b := range gpuscale.Benchmarks() {
-		r, err := h.RunStrongAlt(b)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
+	return h.RunStrongOf(true, gpuscale.Benchmarks()...)
 }
 
 func table1(h *harness.Harness) error {

@@ -27,9 +27,10 @@
 package analytic
 
 import (
-	"sync"
+	"context"
 
 	"gpuscale/internal/config"
+	"gpuscale/internal/engine"
 	"gpuscale/internal/trace"
 	"gpuscale/internal/uarch"
 )
@@ -55,28 +56,15 @@ type Estimate struct {
 	Confidence float64
 }
 
-// featEntry memoizes one workload's extracted features.
-type featEntry struct {
-	f   *features
-	err error
-}
-
 // featCache memoizes features by workload name. Names are unique per
 // workload shape in this repository (weak families embed the SM count),
 // and the benchmark universe is bounded, so the cache cannot grow without
 // bound in steady state.
-var featCache sync.Map
+var featCache engine.Memo[string, *features]
 
 // featuresOf returns w's features, extracting them on first sight.
 func featuresOf(w trace.Workload) (*features, error) {
-	if v, ok := featCache.Load(w.Name()); ok {
-		e := v.(*featEntry)
-		return e.f, e.err
-	}
-	f, err := extractFeatures(w)
-	v, _ := featCache.LoadOrStore(w.Name(), &featEntry{f: f, err: err})
-	e := v.(*featEntry)
-	return e.f, e.err
+	return featCache.Do(context.Background(), w.Name(), func() (*features, error) { return extractFeatures(w) })
 }
 
 // EstimateCell analytically predicts one monolithic simulation cell.

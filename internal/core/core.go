@@ -134,6 +134,14 @@ func CorrectionFactor(smallSize, smallIPC, largeSize, largeIPC float64) float64 
 	return (largeIPC / smallIPC) / (largeSize / smallSize)
 }
 
+// scale applies the compounding pre-cliff rule (Eq. 2) with correction
+// factor c from a base point, size b with IPC y, to size t:
+// IPC(t) = y · (t/b) · c^log2(t/b). Eq. 4 applies it from the cliff point.
+func scale(c, b, y, t float64) float64 {
+	r := t / b
+	return y * r * math.Pow(c, math.Log2(r))
+}
+
 // DetectCliff scans a miss-rate curve for the first transition where MPKI
 // drops by more than ratio when moving to the next (larger) capacity, with
 // the pre-drop MPKI at least minMPKI. It returns the index i of the
@@ -202,14 +210,6 @@ func Predict(in Input) ([]Prediction, error) {
 	S, L := in.Sizes[0], in.Sizes[1]
 	c := CorrectionFactor(S, in.SmallIPC, L, in.LargeIPC)
 
-	// extrapolate applies the compounding pre-cliff rule from a base
-	// point (size b with IPC y) to target size t:
-	// IPC(t) = y · (t/b) · C^log2(t/b).
-	extrapolate := func(b, y, t float64) float64 {
-		r := t / b
-		return y * r * math.Pow(c, math.Log2(r))
-	}
-
 	cliffIdx := -1
 	if in.Mode == StrongScaling {
 		if i, ok := DetectCliff(in.MPKI, in.CliffRatio, in.MinCliffMPKI); ok {
@@ -228,7 +228,7 @@ func Predict(in Input) ([]Prediction, error) {
 		case cliffIdx < 0 || k <= cliffIdx:
 			// No cliff, or target still before the drop: Eq. 2.
 			p.Region = PreCliff
-			p.IPC = extrapolate(L, in.LargeIPC, t)
+			p.IPC = scale(c, L, in.LargeIPC, t)
 		case k == cliffIdx+1:
 			// First size past the cliff: Eq. 3.
 			p.Region = Cliff
@@ -256,7 +256,7 @@ func Predict(in Input) ([]Prediction, error) {
 				// the large scale model already sits past the
 				// cliff, so its measurement absorbs the jump.
 				p.Region = PostCliff
-				p.IPC = extrapolate(L, in.LargeIPC, t)
+				p.IPC = scale(c, L, in.LargeIPC, t)
 			}
 			cliffBaseSize, cliffBaseIPC = t, p.IPC
 		default:
@@ -265,9 +265,9 @@ func Predict(in Input) ([]Prediction, error) {
 			p.Region = PostCliff
 			if cliffBaseSize == 0 {
 				// Cliff was at or below the large scale model.
-				p.IPC = extrapolate(L, in.LargeIPC, t)
+				p.IPC = scale(c, L, in.LargeIPC, t)
 			} else {
-				p.IPC = extrapolate(cliffBaseSize, cliffBaseIPC, t)
+				p.IPC = scale(c, cliffBaseSize, cliffBaseIPC, t)
 			}
 		}
 		out = append(out, p)

@@ -19,6 +19,8 @@
 //     submission runs Exec on its submitter's goroutine once it holds one
 //     of Workers slots, so one setting bounds every simulation the service
 //     starts.
+//   - A Memo (memo.go) is the program's one single-flight memo, with one
+//     policy for concurrent callers, failures and panics.
 //
 // Determinism of the results themselves is a property of the simulator (a
 // simulation is single-threaded and seeded), so a parallel sweep returns
@@ -138,6 +140,17 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: %s panicked: %v", e.Label, e.Value)
 }
 
+// guard calls fn, turning a panic into a *PanicError labelled label: the
+// one place a job, a Map item or a Memo computation is recovered.
+func guard[V any](label string, fn func() (V, error)) (v V, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Label: label, Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
+
 // Tally is the progress bookkeeping of a sweep of total units starting
 // now: each call of the returned func records one finished unit — its
 // simulated cycles, or its failure — and hands the updated snapshot to on. The calls may come from any goroutine; on sees
@@ -180,28 +193,22 @@ func Tally(total int, on func(Progress)) func(cycles int64, err error) {
 // panic into the job's error. The context is threaded into the simulator's
 // run loop, so cancelling it stops the simulation, not just a job that has
 // not started.
-func Exec(ctx context.Context, j Job) (res Result) {
-	res.Job = j
+func Exec(ctx context.Context, j Job) Result {
 	start := time.Now()
-	defer func() {
-		res.Wall = time.Since(start)
-		if p := recover(); p != nil {
-			res.Err = &PanicError{Label: "job " + j.Label(), Value: p, Stack: debug.Stack()}
+	st, err := guard("job "+j.Label(), func() (gpu.Stats, error) {
+		var sim *gpu.Simulator
+		var err error
+		if j.MCM != nil {
+			sim, err = gpu.NewMCM(*j.MCM, j.Kernels, j.Options)
+		} else {
+			sim, err = gpu.New(j.Config, j.Kernels, j.Options)
 		}
-	}()
-	var sim *gpu.Simulator
-	var err error
-	if j.MCM != nil {
-		sim, err = gpu.NewMCM(*j.MCM, j.Kernels, j.Options)
-	} else {
-		sim, err = gpu.New(j.Config, j.Kernels, j.Options)
-	}
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Stats, res.Err = sim.RunContext(ctx)
-	return res
+		if err != nil {
+			return gpu.Stats{}, err
+		}
+		return sim.RunContext(ctx)
+	})
+	return Result{Job: j, Stats: st, Wall: time.Since(start), Err: err}
 }
 
 // Map runs fn over items on a worker pool of the given size (normalised by
@@ -243,7 +250,7 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(context.
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = call(ctx, i, items[i], fn)
+				results[i], errs[i] = guard(fmt.Sprintf("item %d", i), func() (R, error) { return fn(ctx, i, items[i]) })
 			}
 		}()
 	}
@@ -254,14 +261,4 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(context.
 		}
 	}
 	return results, ctx.Err()
-}
-
-// call invokes fn with panic recovery.
-func call[T, R any](ctx context.Context, i int, item T, fn func(context.Context, int, T) (R, error)) (r R, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Label: fmt.Sprintf("item %d", i), Value: p, Stack: debug.Stack()}
-		}
-	}()
-	return fn(ctx, i, item)
 }

@@ -174,6 +174,41 @@ func TestRunPanicIsolation(t *testing.T) {
 	}
 }
 
+// panicProgram panics on its first instruction: at 128 SMs every SM issues
+// in the first cycle, so a sharded run meets it in a forked phase A on the
+// pool's workers.
+type panicProgram struct{}
+
+func (panicProgram) Next() (trace.Instr, bool) { panic("warp program bug") }
+
+// TestExecShardedPanic: a panic on a shard worker is re-raised on the
+// coordinator (parallel.Pool) and becomes the job's *PanicError from Exec,
+// not a dead process, and the run's pool leaves no worker goroutine behind.
+func TestExecShardedPanic(t *testing.T) {
+	w := &trace.FuncWorkload{
+		WName:   "panic-sharded",
+		Spec:    trace.KernelSpec{NumCTAs: 256, WarpsPerCTA: 2},
+		Factory: func(cta, warp int) trace.Program { return panicProgram{} },
+	}
+	j := NewJob(config.MustScale(config.Baseline128(), 128), w)
+	j.Options.Shards = 2
+	before := runtime.NumGoroutine()
+	r := Exec(context.Background(), j)
+	var pe *PanicError
+	if !errors.As(r.Err, &pe) || !strings.Contains(pe.Error(), "warp program bug") {
+		t.Fatalf("sharded panic: Exec error = %v, want a *PanicError carrying the panic value", r.Err)
+	}
+	if !strings.Contains(pe.Error(), "parallel: shard") {
+		t.Errorf("panic %q did not come through the shard pool", pe.Error())
+	}
+	// A worker that has signalled its exit may take a moment to finish.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before: the pool's workers were left behind", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
 // TestRunCancellation checks that a cancelled context stops dispatching:
 // the sweep reports the context error, and a job that was dispatched
 // anyway either finished or carries the cancellation.

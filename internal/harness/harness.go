@@ -5,18 +5,18 @@
 // appendix.
 //
 // Two properties make full-paper regeneration affordable. First, simulation
-// results are memoised (with single-flight deduplication) so that the many
+// results are memoised (single-flight, engine.Memo) so that the many
 // benchmarks and tables sharing runs — e.g. Fig. 1, Fig. 4 and Fig. 5 all
 // need the same strong-scaling sweeps — pay for each simulation once per
 // process, even when requested concurrently. Second, the sweep entry points
-// (RunStrongAll, RunWeakAll, RunChipletAll) pre-warm the memo by fanning
-// every independent (configuration, workload) cell across a worker pool via
-// internal/engine; the per-benchmark analysis then runs sequentially over
-// cache hits, so parallel and sequential execution produce identical
-// results. Construction-time functional options tune the behaviour:
-// WithParallel sizes (or disables) the fan-out, WithProgress attaches a
-// live progress callback, WithObserver an observability recorder,
-// and WithShards the intra-simulation sharding for every run.
+// (RunStrongAll, RunStrongOf, RunWeakAll, RunChipletAll) pre-warm the memo
+// by fanning every independent (configuration, workload) cell across a
+// worker pool via internal/engine; the per-benchmark analysis then runs
+// sequentially over cache hits, so parallel and sequential execution
+// produce identical results. Construction-time functional options tune the
+// behaviour: WithParallel sizes (or disables) the fan-out, WithProgress
+// attaches a live progress callback, WithObserver an observability
+// recorder, and WithShards the intra-simulation sharding for every run.
 //
 // The package also provides ResultStore, a two-level (memory + disk)
 // single-flight byte store keyed by canonical request hashes; it backs the
@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"gpuscale/internal/config"
@@ -53,34 +52,12 @@ type TimedStats struct {
 	Wall time.Duration
 }
 
-// runEntry is a single-flight memo cell: the first caller computes under
-// the sync.Once, every other caller (concurrent or later) waits for and
-// shares the same result.
-type runEntry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-// entryFor returns (creating if needed) the memo cell for key.
-func entryFor[V any](mu *sync.Mutex, m map[string]*runEntry[V], key string) *runEntry[V] {
-	mu.Lock()
-	defer mu.Unlock()
-	e, ok := m[key]
-	if !ok {
-		e = &runEntry[V]{}
-		m[key] = e
-	}
-	return e
-}
-
 // Harness memoises simulation runs and miss-rate curves, deduplicating
 // concurrent requests for the same key, and fans sweep entry points across
 // a worker pool. The zero value is not usable; call New.
 type Harness struct {
-	mu   sync.Mutex                          // guards the memo maps
-	runs map[string]*runEntry[engine.Result] // monolithic and MCM runs: the config names are disjoint
-	mrcs map[string]*runEntry[mrc.Curve]
+	runs engine.Memo[string, engine.Result] // monolithic and MCM runs: the config names are disjoint
+	mrcs engine.Memo[string, mrc.Curve]
 
 	// Configuration: set by the options in New, read-only afterwards.
 	parallel int
@@ -94,11 +71,7 @@ type Harness struct {
 // parallelism runtime.NumCPU(), no progress callback, no observer, and
 // sequential simulations. See options.go for the available options.
 func New(opts ...Option) *Harness {
-	h := &Harness{
-		runs:     make(map[string]*runEntry[engine.Result]),
-		mrcs:     make(map[string]*runEntry[mrc.Curve]),
-		parallel: runtime.NumCPU(),
-	}
+	h := &Harness{parallel: runtime.NumCPU()}
 	for _, opt := range opts {
 		opt(h)
 	}
@@ -120,22 +93,15 @@ func (h *Harness) Run(cfg config.SystemConfig, w trace.Workload) (TimedStats, er
 // it to completion with the harness's options (engine.Exec), every other
 // caller shares its result.
 func (h *Harness) run(j engine.Job) (TimedStats, error) {
-	e := entryFor(&h.mu, h.runs, j.Label())
-	e.once.Do(func() {
-		j.Options = h.options()
+	r, err := h.runs.Do(context.Background(), j.Label(), func() (engine.Result, error) {
+		j.Options = gpu.Options{Recorder: h.observer, Shards: h.shards, Uarch: h.uarch}
 		r := engine.Exec(context.Background(), j)
 		if r.Err != nil {
-			e.err = fmt.Errorf("harness: simulating %s: %w", j.Label(), r.Err)
-			return
+			return engine.Result{}, fmt.Errorf("harness: simulating %s: %w", j.Label(), r.Err)
 		}
-		e.val = r
+		return r, nil
 	})
-	return TimedStats{Stats: e.val.Stats, Wall: e.val.Wall}, e.err
-}
-
-// options are the simulator options every harness run uses.
-func (h *Harness) options() gpu.Options {
-	return gpu.Options{Recorder: h.observer, Shards: h.shards, Uarch: h.uarch}
+	return TimedStats{Stats: r.Stats, Wall: r.Wall}, err
 }
 
 // Curve computes (memoised, single-flight) the functional-simulation
@@ -153,16 +119,13 @@ func (h *Harness) curve(w trace.Workload, cfgs []config.SystemConfig, workers in
 	for _, cfg := range cfgs {
 		key += "/" + cfg.Name
 	}
-	e := entryFor(&h.mu, h.mrcs, key)
-	e.once.Do(func() {
+	return h.mrcs.Do(context.Background(), key, func() (mrc.Curve, error) {
 		c, err := mrc.FunctionalSweepParallel(w, cfgs, workers)
 		if err != nil {
-			e.err = fmt.Errorf("harness: miss-rate curve for %s: %w", w.Name(), err)
-			return
+			return mrc.Curve{}, fmt.Errorf("harness: miss-rate curve for %s: %w", w.Name(), err)
 		}
-		e.val = c
+		return c, nil
 	})
-	return e.val, e.err
 }
 
 // prewarmUnit is one independent cell of a sweep's pre-warm phase: a
@@ -176,17 +139,17 @@ type prewarmUnit struct {
 // prewarm fans the units across the harness worker pool, filling the memo
 // caches so that subsequent sequential analysis hits them. With parallelism
 // <= 1 it is a no-op: the analysis paths compute lazily exactly as the
-// sequential harness always has. Unit failures are not reported here — the
-// analysis path re-encounters the memoised error with full context.
+// sequential harness always has. Unit failures are not reported here, nor
+// memoised: the analysis that reads a failed unit computes it again and
+// reports the error with its experiment's context.
 func (h *Harness) prewarm(units []prewarmUnit) {
 	workers, progress := h.parallel, h.progress
 	if workers <= 1 || len(units) <= 1 {
 		return
 	}
 	note := engine.Tally(len(units), progress)
-	// Errors are deliberately dropped: each unit's outcome (value or error)
-	// is memoised, and the sequential analysis re-reads it with the right
-	// experiment context attached.
+	// Errors are deliberately dropped: the sequential analysis recomputes a
+	// failed unit and reports it.
 	_, _ = engine.Map(context.Background(), workers, units,
 		func(_ context.Context, _ int, u prewarmUnit) (struct{}, error) {
 			if u.w != nil {

@@ -16,8 +16,8 @@ import (
 type Option func(*Harness)
 
 // WithParallel sets the worker-pool size used by the sweep entry points
-// (RunStrongAll, RunWeakAll, RunChipletAll). n <= 1 disables the parallel
-// pre-warm and restores fully sequential execution; n <= 0 selects
+// (RunStrongAll, RunStrongOf, RunWeakAll, RunChipletAll). n <= 1 disables
+// the parallel pre-warm and restores fully sequential execution; n <= 0 selects
 // runtime.NumCPU(), which is also the default. Results are identical at
 // every setting — only wall clock changes.
 func WithParallel(n int) Option {

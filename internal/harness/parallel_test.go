@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"gpuscale/internal/config"
 	"gpuscale/internal/engine"
 	"gpuscale/internal/trace"
+	"gpuscale/internal/workloads"
 )
 
 // countingWorkload counts NewProgram calls, exposing how many times a
@@ -222,16 +224,102 @@ func TestPrewarmCoversStudy(t *testing.T) {
 	for _, s := range []study{strongStudy(tinyBench("cover1")), weakStudy(tinyWeak("cover2"))} {
 		h := New(WithParallel(2))
 		h.prewarm(s.units())
-		runs, curves := len(h.runs), len(h.mrcs)
+		runs, curves := h.runs.Len(), h.mrcs.Len()
 		if _, err := h.runStudy(s); err != nil {
 			t.Fatal(err)
 		}
-		if len(h.runs) != runs || len(h.mrcs) != curves {
+		if h.runs.Len() != runs || h.mrcs.Len() != curves {
 			t.Errorf("%s: analysis added %d runs and %d curves to the pre-warmed memo",
-				s.name, len(h.runs)-runs, len(h.mrcs)-curves)
+				s.name, h.runs.Len()-runs, h.mrcs.Len()-curves)
 		}
 		if runs != len(s.sizes) {
 			t.Errorf("%s: pre-warm ran %d cells, want %d", s.name, runs, len(s.sizes))
 		}
+	}
+}
+
+// smallBench is a strong-scaling benchmark a few times cheaper than
+// tinyBench, for sweeps of several studies under the race detector.
+func smallBench(name string) workloads.Benchmark {
+	b := tinyBench(name)
+	b.Workload = &trace.FuncWorkload{
+		WName: name,
+		Spec:  trace.KernelSpec{NumCTAs: 512, WarpsPerCTA: 2},
+		Factory: func(cta, warp int) trace.Program {
+			g := &trace.SeqGen{Base: uint64(cta*2+warp) * 37 * 128, Stride: 128, Extent: 37 * 128}
+			return trace.NewPhaseProgram(trace.Phase{N: 100, ComputePer: 9, Gen: g})
+		},
+	}
+	return b
+}
+
+// TestPrewarmStrongOf: a list of strong studies, and the 16/32-SM
+// alternative, run as one pre-warmed sweep each, reporting progress per
+// unit — the paper's figures that select a few benchmarks (Figs. 1, 2, 5)
+// and the artifact appendix run this way.
+func TestPrewarmStrongOf(t *testing.T) {
+	var snaps []engine.Progress
+	h := New(WithParallel(2), WithProgress(func(p engine.Progress) { snaps = append(snaps, p) }))
+	bs := []workloads.Benchmark{smallBench("of1"), smallBench("of2")}
+	for _, c := range []struct {
+		alt   bool
+		units int // simulations plus one curve per study
+	}{{false, 2 * (5 + 1)}, {true, 2 * (4 + 1)}} {
+		snaps = nil
+		results, err := h.RunStrongOf(c.alt, bs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(bs) || results[1].Name != "of2" {
+			t.Fatalf("alt=%v: %d results", c.alt, len(results))
+		}
+		if len(snaps) != c.units || snaps[len(snaps)-1].Done != c.units {
+			t.Errorf("alt=%v: %d progress snapshots, want one per unit (%d)", c.alt, len(snaps), c.units)
+		}
+		want, err := h.RunStrong(bs[0])
+		if c.alt {
+			want, err = h.RunStrongAlt(bs[0])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[0], want) {
+			t.Errorf("alt=%v: the sweep's result differs from the single study's", c.alt)
+		}
+	}
+}
+
+// panicWorkload counts its NewProgram calls and panics in every one: a
+// generator bug that fails both its simulations and its miss-rate sweep.
+type panicWorkload struct{ countingWorkload }
+
+func (p *panicWorkload) NewProgram(cta, warp int) trace.Program {
+	p.calls.Add(1)
+	panic("generator bug")
+}
+
+// TestPrewarmFailuresRecomputed: a unit that failed in the pre-warm is not
+// memoised. The analysis that reads it computes it again and gets an error,
+// never the empty curve a panicking sweep once left behind.
+func TestPrewarmFailuresRecomputed(t *testing.T) {
+	w := &panicWorkload{countingWorkload{name: "bug"}}
+	base := config.Baseline128()
+	cfgs := []config.SystemConfig{config.MustScale(base, 8), config.MustScale(base, 16)}
+	h := New(WithParallel(2))
+	h.prewarm([]prewarmUnit{{job: engine.NewJob(cfgs[0], w)}, {w: w, cfgs: cfgs}})
+	prewarmed := w.calls.Load()
+	if prewarmed != 2 {
+		t.Fatalf("pre-warm made %d NewProgram calls, want 2 (one per unit)", prewarmed)
+	}
+	c, err := h.Curve(w, cfgs)
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) {
+		t.Errorf("Curve after a panicking sweep = %+v, %v; want a *engine.PanicError", c, err)
+	}
+	if _, err := h.Run(cfgs[0], w); !errors.As(err, &pe) {
+		t.Errorf("Run after a panicking simulation: %v, want a *engine.PanicError", err)
+	}
+	if n := w.calls.Load(); n != prewarmed+2 {
+		t.Errorf("the analysis made %d NewProgram calls, want 2: the failed units were not recomputed", n-prewarmed)
 	}
 }

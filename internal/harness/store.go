@@ -10,15 +10,10 @@ package harness
 // recomputation would produce — replaying cached bytes preserves the
 // byte-identical-response contract.
 //
-// Concurrency follows the harness single-flight discipline with one
-// refinement the sync.Once memo cannot express: computations are
-// context-aware. The first caller for a key becomes the owner and runs
-// the compute function; concurrent callers wait for the owner, but a
-// waiter whose own context is cancelled stops waiting immediately.
-// Errors — including owner cancellation — are never settled: the failed
-// in-flight entry is removed, so a later (or concurrently waiting) caller
-// with a live context retries and may become the new owner. A cancelled
-// client therefore cannot poison the cache for everyone else.
+// Concurrency is engine.Memo's single-flight policy, so a cancelled client
+// or a panicking compute cannot poison a key for everyone else. The memo
+// holds only computations in flight: a settled body lives in the memory
+// level and on disk.
 //
 // Every body the daemon stores is one JSON document, so a disk file that
 // is not — empty, truncated, overwritten with garbage — is treated as a
@@ -36,6 +31,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"gpuscale/internal/engine"
 )
 
 // StoreSource says which level of a ResultStore served a result.
@@ -52,13 +49,6 @@ const (
 	// memory).
 	StoreDisk StoreSource = "disk"
 )
-
-// storeCall is one in-flight computation; waiters block on done.
-type storeCall struct {
-	done chan struct{}
-	body []byte
-	err  error
-}
 
 // storeEntry is one settled body threaded on the intrusive LRU list:
 // entries link to their neighbours directly, so a hit promotes in O(1)
@@ -86,11 +76,11 @@ type ResultStore struct {
 	maxBytes int64  // memory-level budget; <= 0 = unbounded
 	mu       sync.Mutex
 	settled  map[string]*storeEntry
-	memBytes int64       // sum of settled entry sizes
-	mru, lru *storeEntry // list ends: mru = most recently used
-	flight   map[string]*storeCall
-	corrupt  atomic.Uint64 // disk bodies rejected by readDisk
-	failed   atomic.Uint64 // bodies writeDisk could not persist
+	memBytes int64                       // sum of settled entry sizes
+	mru, lru *storeEntry                 // list ends: mru = most recently used
+	flight   engine.Memo[string, []byte] // computations in flight only (Forget)
+	corrupt  atomic.Uint64               // disk bodies rejected by readDisk
+	failed   atomic.Uint64               // bodies writeDisk could not persist
 }
 
 // NewResultStore returns a store persisting to dir ("" keeps results in
@@ -109,7 +99,7 @@ func NewResultStore(dir string, maxBytes int64) (*ResultStore, error) {
 		dir:      dir,
 		maxBytes: maxBytes,
 		settled:  make(map[string]*storeEntry),
-		flight:   make(map[string]*storeCall),
+		flight:   engine.Memo[string, []byte]{Forget: true},
 	}, nil
 }
 
@@ -151,9 +141,10 @@ func (s *ResultStore) touch(e *storeEntry) {
 
 // insert settles a body in memory and evicts from the LRU end until the
 // byte budget holds again. The newest entry is never evicted — it is
-// being served right now, so its memory is live either way. Caller holds
-// mu.
+// being served right now, so its memory is live either way.
 func (s *ResultStore) insert(key string, body []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if e, ok := s.settled[key]; ok {
 		s.touch(e)
 		return
@@ -183,50 +174,44 @@ func (s *ResultStore) Do(ctx context.Context, key string, compute func() ([]byte
 	if err := validStoreKey(key); err != nil {
 		return nil, "", err
 	}
-	for {
-		s.mu.Lock()
-		if e, ok := s.settled[key]; ok {
-			s.touch(e)
-			body := e.body
-			s.mu.Unlock()
-			return body, StoreMemory, nil
-		}
-		if c, ok := s.flight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return nil, "", ctx.Err()
-			case <-c.done:
-			}
-			if c.err == nil {
-				return c.body, StoreCoalesced, nil
-			}
-			if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
-				// The owner's client went away mid-computation; this
-				// waiter's context is still live, so retry (and likely
-				// become the new owner).
-				continue
-			}
-			return nil, "", c.err
-		}
-		c := &storeCall{done: make(chan struct{})}
-		s.flight[key] = c
-		s.mu.Unlock()
-
-		if body, ok := s.readDisk(key); ok {
-			s.settle(key, c, body, nil)
-			return body, StoreDisk, nil
+	if body, ok := s.memory(key); ok {
+		return body, StoreMemory, nil
+	}
+	src := StoreCoalesced // unless this call becomes the owner
+	body, err := s.flight.Do(ctx, key, func() ([]byte, error) {
+		// Memory again (a flight may have settled the key since), then disk.
+		if body, from, ok := s.Lookup(key); ok {
+			src = from
+			return body, nil
 		}
 		body, err := compute()
-		if err == nil && s.writeDisk(key, body) != nil {
+		if err != nil {
+			return nil, err
+		}
+		src = StoreComputed
+		if s.writeDisk(key, body) != nil {
 			s.failed.Add(1)
 		}
-		s.settle(key, c, body, err)
-		if err != nil {
-			return nil, "", err
-		}
-		return body, StoreComputed, nil
+		s.insert(key, body)
+		return body, nil
+	})
+	if err != nil {
+		return nil, "", err
 	}
+	return body, src, nil
+}
+
+// memory returns key's body from the memory level, refreshing its
+// recency.
+func (s *ResultStore) memory(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.settled[key]
+	if !ok {
+		return nil, false
+	}
+	s.touch(e)
+	return e.body, true
 }
 
 // Peek reports whether key is settled in memory (it does not consult
@@ -248,18 +233,11 @@ func (s *ResultStore) Lookup(key string) ([]byte, StoreSource, bool) {
 	if validStoreKey(key) != nil {
 		return nil, "", false
 	}
-	s.mu.Lock()
-	if e, ok := s.settled[key]; ok {
-		s.touch(e)
-		body := e.body
-		s.mu.Unlock()
+	if body, ok := s.memory(key); ok {
 		return body, StoreMemory, true
 	}
-	s.mu.Unlock()
 	if body, ok := s.readDisk(key); ok {
-		s.mu.Lock()
 		s.insert(key, body)
-		s.mu.Unlock()
 		return body, StoreDisk, true
 	}
 	return nil, "", false
@@ -278,19 +256,6 @@ func (s *ResultStore) MemoryBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.memBytes
-}
-
-// settle publishes a finished computation to the waiters and, on success,
-// to the memory level; failed entries are removed so later callers retry.
-func (s *ResultStore) settle(key string, c *storeCall, body []byte, err error) {
-	s.mu.Lock()
-	delete(s.flight, key)
-	if err == nil {
-		s.insert(key, body)
-	}
-	s.mu.Unlock()
-	c.body, c.err = body, err
-	close(c.done)
 }
 
 // diskPath shards keys by their first two characters to keep directory

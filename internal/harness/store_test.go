@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gpuscale/internal/engine"
 )
 
 const storeKeyA = "aabbccddee00112233445566778899aabbccddee00112233445566778899aabb"
@@ -194,6 +196,35 @@ func TestResultStoreCancelledOwnerRetries(t *testing.T) {
 		t.Errorf("cancelled waiter error = %v", err)
 	}
 	close(release)
+}
+
+// TestResultStorePanicReleasesKey: a panicking compute is that call's
+// *engine.PanicError and leaves the key free, so the next caller computes
+// instead of waiting for a computation that will never finish.
+func TestResultStorePanicReleasesKey(t *testing.T) {
+	s, err := NewResultStore("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("Do let the panic through: %v", p)
+			}
+		}()
+		_, _, err = s.Do(context.Background(), storeKeyA, func() ([]byte, error) { panic("evaluator bug") })
+		return err
+	}()
+	var pe *engine.PanicError
+	if !errors.As(first, &pe) {
+		t.Errorf("panicking compute: %v, want a *engine.PanicError", first)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	body, src, err := s.Do(ctx, storeKeyA, func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || string(body) != "ok" || src != StoreComputed {
+		t.Fatalf("Do after the panic: %q %v %v, want a fresh computation", body, src, err)
+	}
 }
 
 // storeBudget fits exactly two of the 8-byte-key/8-byte-body test entries

@@ -210,11 +210,22 @@ func (h *Harness) RunStrongAlt(b workloads.Benchmark) (*Result, error) {
 	return h.runStudy(s)
 }
 
+// RunStrongOf runs the strong-scaling experiment for each of bs as one
+// sweep: their simulations and miss-rate curves are pre-warmed in
+// parallel. alt selects RunStrongAlt's 16- and 32-SM scale models.
+func (h *Harness) RunStrongOf(alt bool, bs ...workloads.Benchmark) ([]*Result, error) {
+	studies := each(bs, strongStudy)
+	for i := 0; alt && i < len(studies); i++ {
+		studies[i].sizes = studies[i].sizes[1:]
+	}
+	return h.runAll(studies)
+}
+
 // RunStrongAll runs the strong-scaling experiment for every Table II
 // benchmark: the 21 × 5 simulation grid and the 21 miss-rate curves are
 // pre-warmed in parallel.
 func (h *Harness) RunStrongAll() ([]*Result, error) {
-	return h.runAll(each(workloads.All(), strongStudy))
+	return h.RunStrongOf(false, workloads.All()...)
 }
 
 // RunWeak executes the weak-scaling experiment for one family: each system

@@ -37,7 +37,7 @@ func TestCurveMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := s.startCurve(ht).wait(context.Background())
+			c, err := s.startCurve(ht).Wait(context.Background())
 			if err != nil {
 				t.Error(err)
 			}
@@ -47,13 +47,13 @@ func TestCurveMemoSingleFlight(t *testing.T) {
 	// A waiter that gives up does not take the flight with it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.startCurve(ht).wait(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := s.startCurve(ht).Wait(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled wait: %v, want context.Canceled", err)
 	}
 	other := s.startCurve(gpuscale.WorkloadSpec{Bench: "gemm"}) // its own flight
 	close(release)
 	wg.Wait()
-	if _, err := other.wait(context.Background()); err != nil {
+	if _, err := other.Wait(context.Background()); err != nil {
 		t.Error(err)
 	}
 	for i, c := range curves {
@@ -65,7 +65,7 @@ func TestCurveMemoSingleFlight(t *testing.T) {
 		t.Errorf("%d sweeps ran, want 2 (one per workload)", n)
 	}
 	// Settled: a later request does not sweep.
-	if _, err := s.startCurve(ht).wait(context.Background()); err != nil {
+	if _, err := s.startCurve(ht).Wait(context.Background()); err != nil {
 		t.Error(err)
 	}
 	if got := metric(t, ts.URL, "server_curve_sweeps"); got != 2 {

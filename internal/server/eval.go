@@ -16,6 +16,7 @@ import (
 
 	"gpuscale"
 	"gpuscale/internal/core"
+	"gpuscale/internal/engine"
 )
 
 // evaluate dispatches one canonical request to its op's evaluator.
@@ -99,7 +100,7 @@ func (s *Server) evalMRC(ctx context.Context, req gpuscale.Request, hash string)
 	if err != nil {
 		return nil, err
 	}
-	curve, err := s.startCurve(req.Workload).wait(ctx)
+	curve, err := s.startCurve(req.Workload).Wait(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 	if err != nil {
 		return nil, err
 	}
-	var sweep *curveFlight
+	var sweep *engine.Call[gpuscale.Curve]
 	if !req.Workload.Weak {
 		sweep = s.startCurve(req.Workload)
 	}
@@ -136,7 +137,7 @@ func (s *Server) evalPredict(ctx context.Context, req gpuscale.Request, hash str
 		Mode:     gpuscale.WeakScaling,
 	}
 	if sweep != nil {
-		curve, err := sweep.wait(ctx)
+		curve, err := sweep.Wait(ctx)
 		if err != nil {
 			return nil, err
 		}

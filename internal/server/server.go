@@ -108,13 +108,13 @@ type Server struct {
 	m      metrics
 
 	mu      sync.Mutex
-	tenants map[string]int                         // admitted requests per tenant; absent = none
-	curves  map[gpuscale.WorkloadSpec]*curveFlight // curves.go
+	tenants map[string]int // admitted requests per tenant; absent = none
 
-	sweep    func(gpuscale.WorkloadSpec) (gpuscale.Curve, error) // sweepStandard; a seam for tests
-	sweeping sync.WaitGroup                                      // running sweep goroutines
+	curves engine.Memo[gpuscale.WorkloadSpec, gpuscale.Curve]  // curves.go
+	sweep  func(gpuscale.WorkloadSpec) (gpuscale.Curve, error) // sweepStandard; a seam for tests
 
-	predict func(gpuscale.Request) (gpuscale.AnalyticPrediction, error) // gpuscale.PredictAnalytic; a seam for tests
+	predict   func(gpuscale.Request) (gpuscale.AnalyticPrediction, error) // gpuscale.PredictAnalytic; a seam for tests
+	estimates engine.Memo[string, gpuscale.AnalyticPrediction]            // auto-tier model runs in flight, by request hash
 }
 
 // New builds a Server, creating the store directory if needed.
@@ -137,13 +137,13 @@ func New(opt Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opt:     opt,
-		reg:     reg,
-		store:   store,
-		tenants: make(map[string]int),
-		curves:  make(map[gpuscale.WorkloadSpec]*curveFlight),
-		sweep:   sweepStandard,
-		predict: gpuscale.PredictAnalytic,
+		opt:       opt,
+		reg:       reg,
+		store:     store,
+		tenants:   make(map[string]int),
+		sweep:     sweepStandard,
+		predict:   gpuscale.PredictAnalytic,
+		estimates: engine.Memo[string, gpuscale.AnalyticPrediction]{Forget: true},
 	}
 	s.m = metrics{
 		hitsMem:   reg.Counter("server/cache/hits_memory"),
@@ -188,7 +188,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // (http.Server.Shutdown).
 func (s *Server) Close() {
 	s.intake.Close()
-	s.sweeping.Wait()
+	s.curves.Wait()
 }
 
 // Handler returns the service's HTTP routes:
@@ -282,8 +282,8 @@ func (s *Server) handle(op string, w http.ResponseWriter, r *http.Request) {
 	body, src, err := s.store.Do(r.Context(), hash, func() ([]byte, error) {
 		return s.eval(r.Context(), req, hash)
 	})
-	s.m.latencyMS.Observe(sinceMS(start))
 	if err != nil {
+		s.m.latencyMS.Observe(sinceMS(start))
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client is gone; nothing useful can be written.
 			s.m.cancelled.Inc()
@@ -293,62 +293,60 @@ func (s *Server) handle(op string, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.countSource(src)
-	s.m.tierServed[gpuscale.TierCycle].Inc()
-	writeBody(w, hash, gpuscale.TierCycle, src, body)
+	s.serve(w, hash, gpuscale.TierCycle, src, body, start)
 }
 
 // servePredictFast is the analytic latency tier (docs/ANALYTIC.md): answer
 // a predict request in microseconds from the analytical model, with no
 // simulation anywhere on the path. A tier=analytic request asks the store
 // first and runs the model only when no body is stored under its analytic
-// key; tier=auto serves a settled cycle body if there is one, and
-// otherwise runs the model for its confidence before the analytic lookup.
-// It reports whether the request was fully served; false means an
-// auto-tier request whose analytic confidence fell below the escalation
-// threshold — the caller then runs the cycle pipeline.
+// key. tier=auto serves a settled cycle body if there is one, and
+// otherwise takes its confidence from the stored analytic body, running
+// the model only when there is none. It reports whether the request was
+// fully served; false means an auto-tier request whose analytic confidence
+// fell below the escalation threshold — the caller then runs the cycle
+// pipeline.
 func (s *Server) servePredictFast(w http.ResponseWriter, r *http.Request, req gpuscale.Request, hash string, start time.Time) bool {
-	compute := func() ([]byte, error) {
-		ap, err := s.predict(req)
-		if err != nil {
-			return nil, err
-		}
-		return predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
-	}
+	key := gpuscale.AnalyticCacheKey(hash)
+	estimate := func() (gpuscale.AnalyticPrediction, error) { return s.predict(req) }
 	if req.Options.Tier == gpuscale.TierAuto {
 		// A settled cycle response outranks any estimate, and serving it
 		// costs no more than the analytic path would.
 		if body, src, ok := s.store.Lookup(hash); ok {
-			s.m.latencyMS.Observe(sinceMS(start))
-			s.countSource(src)
-			s.m.tierServed[gpuscale.TierCycle].Inc()
-			writeBody(w, hash, gpuscale.TierCycle, src, body)
+			s.serve(w, hash, gpuscale.TierCycle, src, body, start)
 			return true
 		}
-		ap, err := s.predict(req)
-		if err != nil {
-			s.m.errors.Inc()
-			writeError(w, http.StatusInternalServerError, err)
+		// Canonicalize strips the tier, so a stored estimate is the body
+		// the model would produce now, and it records the confidence.
+		if body, src, ok := s.store.Lookup(key); ok {
+			var stored struct {
+				Confidence float64 `json:"confidence"`
+			}
+			if json.Unmarshal(body, &stored) != nil || stored.Confidence < s.opt.ConfidenceThreshold {
+				return false
+			}
+			s.serve(w, hash, gpuscale.TierAnalytic, src, body, start)
 			return true
 		}
-		if ap.Confidence < s.opt.ConfidenceThreshold {
+		ap, err := s.estimates.Do(r.Context(), hash, estimate)
+		if err == nil && ap.Confidence < s.opt.ConfidenceThreshold {
 			return false
 		}
-		compute = func() ([]byte, error) {
-			return predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
-		}
+		estimate = func() (gpuscale.AnalyticPrediction, error) { return ap, err }
 	}
-	body, src, err := s.store.Do(r.Context(), gpuscale.AnalyticCacheKey(hash), compute)
+	body, src, err := s.store.Do(r.Context(), key, func() ([]byte, error) {
+		ap, err := estimate()
+		if err != nil {
+			return nil, err
+		}
+		return predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
+	})
 	if err != nil {
 		s.m.errors.Inc()
 		writeError(w, http.StatusInternalServerError, err)
 		return true
 	}
-	s.m.analyticUS.Observe(float64(time.Since(start).Microseconds()))
-	s.m.latencyMS.Observe(sinceMS(start))
-	s.countSource(src)
-	s.m.tierServed[gpuscale.TierAnalytic].Inc()
-	writeBody(w, hash, gpuscale.TierAnalytic, src, body)
+	s.serve(w, hash, gpuscale.TierAnalytic, src, body, start)
 	return true
 }
 
@@ -359,8 +357,14 @@ func sinceMS(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
-// countSource bumps the cache counter matching a store source.
-func (s *Server) countSource(src harness.StoreSource) {
+// serve emits a successful response with the standard headers — X-Cache
+// names the store level that served the body, X-Tier the latency tier that
+// produced it — and counts it.
+func (s *Server) serve(w http.ResponseWriter, hash, tier string, src harness.StoreSource, body []byte, start time.Time) {
+	if tier == gpuscale.TierAnalytic {
+		s.m.analyticUS.Observe(float64(time.Since(start).Microseconds()))
+	}
+	s.m.latencyMS.Observe(sinceMS(start))
 	switch src {
 	case harness.StoreMemory:
 		s.m.hitsMem.Inc()
@@ -371,11 +375,7 @@ func (s *Server) countSource(src harness.StoreSource) {
 	default:
 		s.m.misses.Inc()
 	}
-}
-
-// writeBody emits a successful response with the standard headers; X-Tier
-// says which latency tier produced the body.
-func writeBody(w http.ResponseWriter, hash, tier string, src harness.StoreSource, body []byte) {
+	s.m.tierServed[tier].Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Request-Hash", hash)
 	w.Header().Set("X-Cache", string(src))

@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -325,6 +326,36 @@ func TestServerProtocol(t *testing.T) {
 		if code != http.StatusOK && !strings.Contains(string(body), `"error"`) {
 			t.Errorf("error response without error body: %s", body)
 		}
+	}
+}
+
+// TestServerEvalPanic500: a panicking evaluation answers 500 and counts a
+// server error instead of dropping the connection, and it leaves the
+// request's key free: the next identical request is evaluated again.
+func TestServerEvalPanic500(t *testing.T) {
+	var evals atomic.Int32
+	eval := func(ctx context.Context, req gpuscale.Request, hash string) ([]byte, error) {
+		if evals.Add(1) == 1 {
+			panic("evaluator bug")
+		}
+		return []byte(`{}`), nil
+	}
+	_, ts := newTestServer(t, Options{Eval: eval})
+	body := `{"op":"simulate","target":{"sms":8},"workload":{"bench":"dct"}}`
+	client := &http.Client{Timeout: 10 * time.Second}
+	code, _, got := post(t, client, ts.URL, "/v1/simulate", body, "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(got), "evaluator bug") {
+		t.Errorf("panicking evaluation: %d %s, want 500 naming the panic", code, got)
+	}
+	if n := metric(t, ts.URL, "server_errors"); n != 1 {
+		t.Errorf("server_errors = %d, want 1", n)
+	}
+	code, hdr, got := post(t, client, ts.URL, "/v1/simulate", body, "")
+	if code != http.StatusOK || hdr.Get("X-Cache") != "computed" {
+		t.Errorf("retry: %d X-Cache %q %s, want 200 computed", code, hdr.Get("X-Cache"), got)
+	}
+	if n := evals.Load(); n != 2 {
+		t.Errorf("%d evaluations, want 2 (the retry evaluates again)", n)
 	}
 }
 

@@ -138,6 +138,52 @@ func TestServerAnalyticStoreFirst(t *testing.T) {
 	}
 }
 
+// TestServerAutoReadsStoredConfidence: an auto request whose analytic body
+// is already stored takes the escalation decision from the confidence that
+// body records, so two identical auto requests run the model once.
+func TestServerAutoReadsStoredConfidence(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	var runs atomic.Int32
+	s.predict = func(req gpuscale.Request) (gpuscale.AnalyticPrediction, error) {
+		runs.Add(1)
+		return gpuscale.PredictAnalytic(req)
+	}
+	auto := `{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"auto"}}`
+	var bodies [2][]byte
+	for i, want := range []string{"computed", "memory"} {
+		code, hdr, got := post(t, ts.Client(), ts.URL, "/v1/predict", auto, "")
+		if code != http.StatusOK || hdr.Get("X-Tier") != "analytic" || hdr.Get("X-Cache") != want {
+			t.Fatalf("auto predict %d: %d X-Tier %q X-Cache %q, want 200 analytic %s", i, code, hdr.Get("X-Tier"), hdr.Get("X-Cache"), want)
+		}
+		bodies[i] = got
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("the stored analytic body was not replayed byte-identically")
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("the model ran %d times for two identical auto requests, want 1", n)
+	}
+	if v := metric(t, ts.URL, "server_tier_escalated"); v != 0 {
+		t.Errorf("server_tier_escalated = %d, want 0", v)
+	}
+}
+
+// TestServerAutoModelPanic500: a panicking analytic model on the auto
+// tier's confidence check answers 500 and counts a server error, like a
+// panicking evaluation, instead of dropping the connection.
+func TestServerAutoModelPanic500(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	s.predict = func(gpuscale.Request) (gpuscale.AnalyticPrediction, error) { panic("model bug") }
+	auto := `{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"auto"}}`
+	code, _, got := post(t, ts.Client(), ts.URL, "/v1/predict", auto, "")
+	if code != http.StatusInternalServerError || !strings.Contains(string(got), "model bug") {
+		t.Errorf("auto predict with a panicking model: %d %s, want 500 naming the panic", code, got)
+	}
+	if v := metric(t, ts.URL, "server_errors"); v != 1 {
+		t.Errorf("server_errors = %d, want 1", v)
+	}
+}
+
 // TestServerAutoEscalation drives the confidence gate: the MCM case study
 // is exactly what the analytic model discounts (confidence below the
 // default threshold), so an auto request must escalate to the cycle
