@@ -72,13 +72,16 @@ race: noalloc
 # post-warm-up steady-state kernel run on a GPU or a multi-chiplet package
 # (warp ticks, CTA launches, cache and MSHR traffic, first-touch page
 # lookups, event-skip bookkeeping) — and a sharded run loop's phase, forked
-# (Pool.Run) or inline (Pool.RunInline), must not either. Run without -race
-# (see above).
+# (Pool.Run) or inline (Pool.RunInline), must not either. The daemon's
+# cheapest answer, a stored analytic body through Handler, is held at its
+# 50 allocations a request, so work on it can only lower them. Run without
+# -race (see above).
 noalloc:
 	$(GO) test -run 'TestNilObserverNoAllocs' .
 	$(GO) test -run 'TestNilHooksNoAllocs' ./internal/obs/
 	$(GO) test -run 'TestPoolRunNoAllocs' ./internal/parallel/
 	$(GO) test -run 'TestSteadyStateNoAllocs' ./internal/gpu/
+	$(GO) test -run 'TestHandleCachedAnalyticAllocs' ./internal/server/
 
 # The repository benchmark (contract in BENCHMARK.json, method in
 # bench/README.md): five workloads from SM tick to gpuscaled response bytes.

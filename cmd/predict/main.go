@@ -27,7 +27,8 @@
 // IPCs and the rest is the miss-rate curve (MPKI for the scale models and
 // each target, smallest system first). -fmem supplies the large scale
 // model's memory-stall fraction, required only when the curve has a cliff
-// beyond the scale models. -weak switches to weak scaling (no curve
+// beyond the scale models (-fmem 0 is a measured value, not an absent
+// one). -weak switches to weak scaling (no curve
 // needed). -quiet (shared convention, see cmd/internal/cliutil) suppresses
 // the preamble so only the prediction table is printed.
 package main
@@ -59,7 +60,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "service mode: print the raw JSON response body")
 		uarchStr = flag.String("uarch", "", "service mode: microarchitecture variant, e.g. \"two-level,sectored,deflect,iw=2\" (empty = Table III baseline; part of the request hash)")
 		smallSMs = flag.Int("small-sms", 8, "numeric mode: size (SMs or chiplets) of the smallest scale model; the large one is twice as big")
-		fmem     = flag.Float64("fmem", 0, "numeric mode: memory-stall fraction of the largest scale model (required for cliff workloads)")
+		fmem     = flag.Float64("fmem", 0, "numeric mode: memory-stall fraction of the largest scale model (required for a cliff beyond the scale models; 0 is a measured value)")
 		weak     = flag.Bool("weak", false, "weak-scaling scenario")
 		parallel = cliutil.Parallel(flag.CommandLine)
 		quiet    = cliutil.Quiet(flag.CommandLine)
@@ -73,7 +74,9 @@ func main() {
 		}
 		return
 	}
-	runNumeric(*smallSMs, *fmem, *weak, *quiet)
+	fmemSet := false
+	flag.Visit(func(f *flag.Flag) { fmemSet = fmemSet || f.Name == "fmem" })
+	runNumeric(*smallSMs, *fmem, fmemSet, *weak, *quiet)
 }
 
 // runService evaluates a canonical predict request — remotely against a
@@ -179,7 +182,7 @@ func printTable(preds []server.PredictionPoint) {
 }
 
 // runNumeric is the artifact-equivalent pure-math path.
-func runNumeric(smallSMs int, fmem float64, weak, quiet bool) {
+func runNumeric(smallSMs int, fmem float64, fmemSet, weak, quiet bool) {
 	args := flag.Args()
 	if len(args) < 2 {
 		fmt.Fprintln(os.Stderr, "predict: need at least <smallIPC> <largeIPC> [mpki...] (or -bench for service mode)")
@@ -223,6 +226,13 @@ func runNumeric(smallSMs int, fmem float64, weak, quiet bool) {
 	}
 	if !weak {
 		in.MPKI = mpki
+	}
+	// Eq. 3 reads the large scale model's stall fraction at a cliff beyond
+	// the scale models. Here it comes from the user, as in the paper's
+	// tool, so an absent -fmem is asked for rather than read as 0.
+	if i, ok := gpuscale.DetectCliff(in.MPKI, 0, 0); ok && i >= 1 && !fmemSet {
+		fmt.Fprintf(os.Stderr, "predict: miss-rate cliff between %.0f and %.0f SMs; f_mem is required (Eq. 3): pass the large scale model's memory-stall fraction as -fmem\n", sizes[i], sizes[i+1])
+		os.Exit(1)
 	}
 	targets, err := core.PredictTargets(in)
 	if err != nil {

@@ -109,8 +109,9 @@ type Input struct {
 	// scaling; ignored for weak scaling.
 	MPKI []float64
 	// FMemLarge is the memory-stall fraction measured on the largest
-	// scale model, in [0, 1). Required only when a cliff lies beyond the
-	// scale models.
+	// scale model, in [0, 1). Only a cliff beyond the scale models reads
+	// it, and 0 is a measurement like any other: that cliff then predicts
+	// linear scaling from the large scale model.
 	FMemLarge float64
 	// Mode selects strong or weak scaling.
 	Mode ScalingMode
@@ -200,9 +201,8 @@ func (in Input) Validate() error {
 // miss-rate curve and applies the pre-cliff, cliff, or post-cliff rule; for
 // weak scaling it applies the pre-cliff rule throughout.
 //
-// If the miss-rate curve has a cliff beyond the scale models, FMemLarge
-// must be set (the paper's tool prompts for it in exactly this case);
-// otherwise Predict returns an error naming the workload's need.
+// A cliff beyond the scale models reads FMemLarge, the measured stall
+// fraction (the paper's tool prompts for it in exactly this case).
 func Predict(in Input) ([]Prediction, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -233,19 +233,15 @@ func Predict(in Input) ([]Prediction, error) {
 			// First size past the cliff: Eq. 3.
 			p.Region = Cliff
 			if cliffIdx >= 1 {
-				// Cliff beyond the large scale model: needs the
-				// measured memory-stall fraction.
-				if in.FMemLarge == 0 {
-					return nil, fmt.Errorf("core: miss-rate cliff detected between sizes %v and %v; FMemLarge is required (Eq. 3)",
-						in.Sizes[cliffIdx], t)
-				}
-				// Only the stall caused by misses that the cliff
-				// eliminates disappears; the cold misses that
-				// remain (post-cliff MPKI over pre-cliff MPKI)
-				// keep stalling. This weights Eq. 3 the way the
-				// paper's discussion of per-cliff stall
-				// components suggests; when the drop is total it
-				// reduces to the paper's literal Eq. 3.
+				// Cliff beyond the large scale model: Eq. 3 on
+				// the measured memory-stall fraction. Only the
+				// stall caused by misses that the cliff eliminates
+				// disappears; the cold misses that remain
+				// (post-cliff MPKI over pre-cliff MPKI) keep
+				// stalling. This weights Eq. 3 the way the paper's
+				// discussion of per-cliff stall components
+				// suggests; when the drop is total it reduces to
+				// the paper's literal Eq. 3.
 				r := 1.0
 				if in.MPKI[cliffIdx] > 0 {
 					r = 1 - in.MPKI[cliffIdx+1]/in.MPKI[cliffIdx]

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,19 +172,22 @@ func TestPredictCliffUsesFMem(t *testing.T) {
 	}
 }
 
-func TestPredictCliffRequiresFMem(t *testing.T) {
+// TestPredictCliffMeasuredZeroFMem: FMemLarge = 0 is a measurement (the
+// large scale model never stalls on memory), so a cliff beyond the scale
+// models removes no stall and Eq. 3 predicts IPC_L*T/L.
+func TestPredictCliffMeasuredZeroFMem(t *testing.T) {
 	in := Input{
 		Sizes:    []float64{8, 16, 32, 64, 128},
 		SmallIPC: 100, LargeIPC: 198,
 		MPKI: []float64{8, 8, 8, 7.5, 0.3},
 		Mode: StrongScaling,
 	}
-	_, err := Predict(in)
-	if err == nil {
-		t.Fatal("cliff without FMemLarge accepted")
+	preds, err := Predict(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "FMemLarge") {
-		t.Errorf("error does not name FMemLarge: %v", err)
+	if preds[2].Region != Cliff || preds[2].IPC != 198*128/16 {
+		t.Errorf("128 SMs: %v IPC %v, want cliff IPC %v", preds[2].Region, preds[2].IPC, 198.0*128/16)
 	}
 }
 

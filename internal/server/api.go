@@ -13,8 +13,9 @@
 // evaluation.
 //
 // Request flow: decode (strict) → canonicalise → per-tenant admission (a
-// bounded semaphore per X-Tenant; full queue → 429 + Retry-After) → store
-// lookup → on miss, evaluate. Every simulation the evaluator starts,
+// bounded semaphore per X-Tenant; full queue → 429 + Retry-After) → answer,
+// the one tier policy EvalLocal shares (store lookup → on miss, evaluate) →
+// one error policy for every tier. Every simulation the evaluator starts,
 // monolithic or MCM, runs on its handler's goroutine once it holds one of
 // the engine.Intake's -parallel slots. The client's request context is
 // threaded into the run loops, so a disconnected client aborts its

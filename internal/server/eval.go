@@ -34,9 +34,10 @@ func (s *Server) evaluate(ctx context.Context, req gpuscale.Request, hash string
 }
 
 // EvalLocal evaluates one request in-process without an HTTP server — the
-// CLIs' "no daemon configured" path, sharing the daemon's evaluator (and
-// therefore its response format) exactly. workers bounds the simulation
-// pool; <= 0 means all CPUs. mcmShards sets the MCM shard count.
+// CLIs' "no daemon configured" path. It answers through a private server's
+// answer, so its tiers and response bytes are the daemon's exactly. workers
+// bounds the simulation pool; <= 0 means all CPUs. mcmShards sets the MCM
+// shard count.
 func EvalLocal(ctx context.Context, req gpuscale.Request, workers, mcmShards int) ([]byte, string, error) {
 	if req.Op == "" {
 		return nil, "", fmt.Errorf("server: request has no op")
@@ -45,28 +46,12 @@ func EvalLocal(ctx context.Context, req gpuscale.Request, workers, mcmShards int
 	if err != nil {
 		return nil, "", err
 	}
-	// Latency tiers work without a daemon too: tier=analytic always
-	// answers analytically; tier=auto does unless confidence falls below
-	// the default threshold, in which case it falls through to the cycle
-	// pipeline exactly like the daemon's escalation path. (Validation
-	// admits these tiers on predict requests only.)
-	switch req.Options.Tier {
-	case gpuscale.TierAnalytic, gpuscale.TierAuto:
-		ap, err := gpuscale.PredictAnalytic(req)
-		if err != nil {
-			return nil, "", err
-		}
-		if req.Options.Tier == gpuscale.TierAnalytic || ap.Confidence >= defaultConfidenceThreshold {
-			body, err := predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
-			return body, hash, err
-		}
-	}
 	s, err := New(Options{Workers: workers, MCMShards: mcmShards})
 	if err != nil {
 		return nil, "", err
 	}
 	defer s.Close()
-	body, err := s.evaluate(ctx, req, hash)
+	body, _, _, err := s.answer(ctx, req, hash)
 	return body, hash, err
 }
 

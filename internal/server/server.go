@@ -49,9 +49,6 @@ type Options struct {
 	// request whose analytic confidence is below it escalates to the cycle
 	// simulator. <= 0 means 0.5.
 	ConfidenceThreshold float64
-	// Registry receives the server's metrics (and is exported at
-	// /metrics); nil creates a private one.
-	Registry *obs.Registry
 	// Eval overrides the built-in evaluator (tests only).
 	Eval Evaluator
 }
@@ -93,10 +90,6 @@ var latencyBoundsMS = []float64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 30000
 // the tier's contract is to answer well under a millisecond.
 var analyticBoundsUS = []float64{50, 100, 250, 500, 1000, 2500, 10000}
 
-// defaultConfidenceThreshold gates auto-tier escalation when the operator
-// sets none.
-const defaultConfidenceThreshold = gpuscale.DefaultConfidenceThreshold
-
 // Server is the gpuscaled HTTP service. Create with New, mount Handler on
 // an http.Server, and Close when done.
 type Server struct {
@@ -126,12 +119,9 @@ func New(opt Options) (*Server, error) {
 		opt.MemoBytes = 64 << 20
 	}
 	if opt.ConfidenceThreshold <= 0 {
-		opt.ConfidenceThreshold = defaultConfidenceThreshold
+		opt.ConfidenceThreshold = gpuscale.DefaultConfidenceThreshold
 	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	store, err := harness.NewResultStore(opt.StoreDir, opt.MemoBytes)
 	if err != nil {
 		return nil, err
@@ -179,9 +169,6 @@ func New(opt Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Registry returns the server's metrics registry (the one /metrics serves).
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Close stops the intake and waits for running simulations and miss-rate
 // sweeps. In-flight HTTP handlers should be drained first
@@ -269,85 +256,78 @@ func (s *Server) handle(op string, w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	if req.Op == gpuscale.OpPredict &&
-		(req.Options.Tier == gpuscale.TierAnalytic || req.Options.Tier == gpuscale.TierAuto) {
-		if s.servePredictFast(w, r, req, hash, start) {
-			return
-		}
-		// The analytic model was not confident enough for this auto
-		// request: escalate to the cycle pipeline below, whose response is
-		// byte-identical to a direct cycle-tier request.
-		s.m.escalated.Inc()
-	}
-	body, src, err := s.store.Do(r.Context(), hash, func() ([]byte, error) {
-		return s.eval(r.Context(), req, hash)
-	})
-	if err != nil {
-		s.m.latencyMS.Observe(sinceMS(start))
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The client is gone; nothing useful can be written.
-			s.m.cancelled.Inc()
-			return
-		}
+	body, tier, src, err := s.answer(r.Context(), req, hash)
+	s.m.latencyMS.Observe(sinceMS(start))
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The client is gone; nothing useful can be written.
+		s.m.cancelled.Inc()
+	case err != nil:
 		s.m.errors.Inc()
 		writeError(w, http.StatusInternalServerError, err)
-		return
+	default:
+		s.serve(w, hash, tier, src, body, start)
 	}
-	s.serve(w, hash, gpuscale.TierCycle, src, body, start)
 }
 
-// servePredictFast is the analytic latency tier (docs/ANALYTIC.md): answer
-// a predict request in microseconds from the analytical model, with no
-// simulation anywhere on the path. A tier=analytic request asks the store
-// first and runs the model only when no body is stored under its analytic
-// key. tier=auto serves a settled cycle body if there is one, and
-// otherwise takes its confidence from the stored analytic body, running
-// the model only when there is none. It reports whether the request was
-// fully served; false means an auto-tier request whose analytic confidence
-// fell below the escalation threshold — the caller then runs the cycle
-// pipeline.
-func (s *Server) servePredictFast(w http.ResponseWriter, r *http.Request, req gpuscale.Request, hash string, start time.Time) bool {
-	key := gpuscale.AnalyticCacheKey(hash)
-	estimate := func() (gpuscale.AnalyticPrediction, error) { return s.predict(req) }
-	if req.Options.Tier == gpuscale.TierAuto {
+// answer is the one tier policy (docs/ANALYTIC.md), shared by the handler
+// and EvalLocal: it returns req's body, the latency tier that produced it
+// and the store level that served it. Validation admits the analytic and
+// auto tiers on predict requests only.
+//
+//   - analytic asks the store first and runs the model only when no body
+//     is stored under the request's analytic key;
+//   - auto serves a settled cycle body if there is one; otherwise it takes
+//     the confidence from the stored analytic body, running the model
+//     (through the estimates memo) only when there is none. Below the
+//     threshold it escalates to the cycle tier, whose body is
+//     byte-identical to a direct cycle request's;
+//   - cycle evaluates through the store.
+func (s *Server) answer(ctx context.Context, req gpuscale.Request, hash string) ([]byte, string, harness.StoreSource, error) {
+	switch req.Options.Tier {
+	case gpuscale.TierAnalytic:
+		return s.analytic(ctx, req, hash, func() (gpuscale.AnalyticPrediction, error) { return s.predict(req) })
+	case gpuscale.TierAuto:
 		// A settled cycle response outranks any estimate, and serving it
 		// costs no more than the analytic path would.
 		if body, src, ok := s.store.Lookup(hash); ok {
-			s.serve(w, hash, gpuscale.TierCycle, src, body, start)
-			return true
+			return body, gpuscale.TierCycle, src, nil
 		}
 		// Canonicalize strips the tier, so a stored estimate is the body
 		// the model would produce now, and it records the confidence.
-		if body, src, ok := s.store.Lookup(key); ok {
+		if body, src, ok := s.store.Lookup(gpuscale.AnalyticCacheKey(hash)); ok {
 			var stored struct {
 				Confidence float64 `json:"confidence"`
 			}
-			if json.Unmarshal(body, &stored) != nil || stored.Confidence < s.opt.ConfidenceThreshold {
-				return false
+			if json.Unmarshal(body, &stored) == nil && stored.Confidence >= s.opt.ConfidenceThreshold {
+				return body, gpuscale.TierAnalytic, src, nil
 			}
-			s.serve(w, hash, gpuscale.TierAnalytic, src, body, start)
-			return true
+		} else {
+			ap, err := s.estimates.Do(ctx, hash, func() (gpuscale.AnalyticPrediction, error) { return s.predict(req) })
+			if err != nil {
+				return nil, "", "", err
+			}
+			if ap.Confidence >= s.opt.ConfidenceThreshold {
+				return s.analytic(ctx, req, hash, func() (gpuscale.AnalyticPrediction, error) { return ap, nil })
+			}
 		}
-		ap, err := s.estimates.Do(r.Context(), hash, estimate)
-		if err == nil && ap.Confidence < s.opt.ConfidenceThreshold {
-			return false
-		}
-		estimate = func() (gpuscale.AnalyticPrediction, error) { return ap, err }
+		s.m.escalated.Inc()
 	}
-	body, src, err := s.store.Do(r.Context(), key, func() ([]byte, error) {
+	body, src, err := s.store.Do(ctx, hash, func() ([]byte, error) { return s.eval(ctx, req, hash) })
+	return body, gpuscale.TierCycle, src, err
+}
+
+// analytic serves req from its analytic key: the stored body, or the one
+// rendered from estimate, which runs only when nothing is stored.
+func (s *Server) analytic(ctx context.Context, req gpuscale.Request, hash string, estimate func() (gpuscale.AnalyticPrediction, error)) ([]byte, string, harness.StoreSource, error) {
+	body, src, err := s.store.Do(ctx, gpuscale.AnalyticCacheKey(hash), func() ([]byte, error) {
 		ap, err := estimate()
 		if err != nil {
 			return nil, err
 		}
 		return predictBody(req, hash, ap.Input, gpuscale.TierAnalytic, ap.Confidence)
 	})
-	if err != nil {
-		s.m.errors.Inc()
-		writeError(w, http.StatusInternalServerError, err)
-		return true
-	}
-	s.serve(w, hash, gpuscale.TierAnalytic, src, body, start)
-	return true
+	return body, gpuscale.TierAnalytic, src, err
 }
 
 // sinceMS is the host time since start in fractional milliseconds, the
@@ -364,7 +344,6 @@ func (s *Server) serve(w http.ResponseWriter, hash, tier string, src harness.Sto
 	if tier == gpuscale.TierAnalytic {
 		s.m.analyticUS.Observe(float64(time.Since(start).Microseconds()))
 	}
-	s.m.latencyMS.Observe(sinceMS(start))
 	switch src {
 	case harness.StoreMemory:
 		s.m.hitsMem.Inc()

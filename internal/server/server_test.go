@@ -387,16 +387,16 @@ func TestServerLatencyHistogramFractional(t *testing.T) {
 	}
 }
 
-// BenchmarkHandleCachedAnalytic measures the daemon's cheapest answer: a
+// cachedAnalytic returns the daemon's cheapest answer as a func: a
 // tier=analytic predict whose body the memory store already holds, served
 // by Handler into a recorder with no network in between — intake, hash,
 // store lookup and response headers.
-func BenchmarkHandleCachedAnalytic(b *testing.B) {
+func cachedAnalytic(tb testing.TB) func() *httptest.ResponseRecorder {
 	s, err := New(Options{Workers: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer s.Close()
+	tb.Cleanup(s.Close)
 	h := s.Handler()
 	body := `{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"analytic"}}`
 	serve := func() *httptest.ResponseRecorder {
@@ -404,9 +404,32 @@ func BenchmarkHandleCachedAnalytic(b *testing.B) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)))
 		return rec
 	}
-	if rec := serve(); rec.Code != http.StatusOK {
-		b.Fatalf("filling the store: %d %s", rec.Code, rec.Body)
+	for i, want := range []string{"computed", "memory"} {
+		if rec := serve(); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != want {
+			tb.Fatalf("cached analytic predict %d: %d X-Cache=%q, want 200 %s", i, rec.Code, rec.Header().Get("X-Cache"), want)
+		}
 	}
+	return serve
+}
+
+// TestHandleCachedAnalyticAllocs pins the allocations of the daemon's
+// cheapest answer, recorder and request included, at 50, so work on the
+// hot path can only lower them. Allocation counts are unreliable under
+// -race, and make race runs this package with -short, so -short skips it;
+// make noalloc runs it.
+func TestHandleCachedAnalyticAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts; run by make noalloc")
+	}
+	serve := cachedAnalytic(t)
+	if allocs := testing.AllocsPerRun(1000, func() { serve() }); allocs > 50 {
+		t.Errorf("%.0f allocations per cached analytic answer, want at most 50", allocs)
+	}
+}
+
+// BenchmarkHandleCachedAnalytic measures cachedAnalytic's answer.
+func BenchmarkHandleCachedAnalytic(b *testing.B) {
+	serve := cachedAnalytic(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

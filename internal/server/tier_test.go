@@ -13,8 +13,10 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpuscale"
 	"gpuscale/internal/harness"
@@ -295,5 +297,86 @@ func TestServerAutoPrefersSettledCycle(t *testing.T) {
 	}
 	if v := metric(t, ts.URL, "server_tier_analytic"); v != 0 {
 		t.Errorf("server_tier_analytic = %d, want 0", v)
+	}
+}
+
+// TestServerTierWaiterCancelled: a client that leaves while it waits on an
+// analytic or auto answer another request is computing counts in
+// server_cancelled and nowhere else, as it does on the cycle tier. The
+// model blocks until the test releases it, so the first request owns the
+// computation and the second, identical one waits on it until its client
+// cancels.
+func TestServerTierWaiterCancelled(t *testing.T) {
+	for _, tier := range []string{gpuscale.TierAnalytic, gpuscale.TierAuto} {
+		t.Run(tier, func(t *testing.T) {
+			s, ts := newTestServer(t, Options{Workers: 1})
+			entered, release := make(chan struct{}, 2), make(chan struct{})
+			unblock := sync.OnceFunc(func() { close(release) })
+			t.Cleanup(unblock) // before the server's cleanup, which waits for handlers
+			s.predict = func(req gpuscale.Request) (gpuscale.AnalyticPrediction, error) {
+				entered <- struct{}{}
+				<-release
+				return gpuscale.PredictAnalytic(req)
+			}
+			body := `{"op":"predict","workload":{"bench":"ht"},"options":{"tier":"` + tier + `"}}`
+			send := func(ctx context.Context) (int, error) {
+				req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/predict", strings.NewReader(body))
+				if err != nil {
+					return 0, err
+				}
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					return 0, err
+				}
+				resp.Body.Close()
+				return resp.StatusCode, nil
+			}
+			owner := make(chan int, 1)
+			go func() {
+				code, _ := send(context.Background())
+				owner <- code
+			}()
+			<-entered
+
+			ctx, cancel := context.WithCancel(context.Background())
+			waiter := make(chan error, 1)
+			go func() {
+				_, err := send(ctx)
+				waiter <- err
+			}()
+			eventually(t, "the second request reached the handler", func() bool {
+				return metric(t, ts.URL, "server_requests_predict") == 2
+			})
+			cancel()
+			if err := <-waiter; err == nil {
+				t.Error("cancelled client request reported no error")
+			}
+			eventually(t, "the server finished the cancelled request", func() bool {
+				return metric(t, ts.URL, "server_cancelled")+metric(t, ts.URL, "server_errors") > 0
+			})
+			for name, want := range map[string]uint64{"server_cancelled": 1, "server_errors": 0, "server_latency_ms_count": 1} {
+				if v := metric(t, ts.URL, name); v != want {
+					t.Errorf("%s = %d, want %d", name, v, want)
+				}
+			}
+
+			unblock()
+			if code := <-owner; code != http.StatusOK {
+				t.Errorf("owner request: %d, want 200", code)
+			}
+			if v := metric(t, ts.URL, "server_latency_ms_count"); v != 2 {
+				t.Errorf("server_latency_ms_count = %d, want 2", v)
+			}
+		})
+	}
+}
+
+// eventually polls cond until it holds, failing the test after 10 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
 	}
 }
